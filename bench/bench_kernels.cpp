@@ -1,30 +1,23 @@
-// Kernel-core before/after benchmark (the tentpole measurement for the
-// blocked GEMM): naive reference kernels vs the blocked/packed kernels on
-// the GEMM shapes the fast-profile network actually runs, layer-level
-// conv/dense forward+backward timings, and an end-to-end training
-// throughput comparison (s/epoch) on one real design. Every timed pair is
-// also checked for bit-identical outputs — a speedup that changes results
-// would be a bug, not a win.
+// Kernel-core benchmark: times the six production GEMM entry points
+// (nn/gemm.hpp) at the shapes the fast-profile network actually issues —
+// one row per layer and pass (fwd / dW / dX) — plus the forward and
+// backward of each distinct conv and dense layer. Shapes derive from
+// ExperimentProfile::fast(): a query of max_candidates candidates runs
+// max_candidates + 1 images through the conv trunk and max_candidates
+// rows through the dense layers. Bit-identity of these kernels against
+// the naive oracle is gated by tests/test_kernels.cpp, not here.
 //
 // Human-readable progress goes to stderr; stdout carries exactly one JSON
 // object (scripts/bench.sh redirects it to BENCH_kernels.json).
 //
 // Flags:
-//   --smoke        tiny shapes, no timing claims; exercises both backends
-//                  and verifies bit-identity (CI sanity mode)
-//   --design=c432  design used for the end-to-end training comparison
-//   --layer=1      split layer of the end-to-end comparison
-//   --epochs=2     training epochs per backend in the end-to-end pass
-//   --no-train     skip the end-to-end pass (micro benchmarks only)
-#include <cmath>
-#include <cstring>
+//   --smoke   run every GEMM form and layer once, no timing (CI mode)
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "attack/dataset.hpp"
-#include "attack/dl_attack.hpp"
 #include "bench_util.hpp"
 #include "eval/experiment.hpp"
 #include "nn/gemm.hpp"
@@ -35,18 +28,7 @@
 
 namespace {
 
-using sma::nn::KernelBackend;
 using sma::nn::Tensor;
-
-bool g_all_identical = true;
-
-void check_identical(const float* a, const float* b, std::size_t n,
-                     const std::string& what) {
-  if (std::memcmp(a, b, n * sizeof(float)) != 0) {
-    g_all_identical = false;
-    std::cerr << "BIT-IDENTITY VIOLATION: " << what << "\n";
-  }
-}
 
 std::vector<float> random_vec(std::size_t n, sma::util::Pcg32& rng) {
   std::vector<float> v(n);
@@ -67,282 +49,216 @@ double time_call(Fn&& fn, int min_reps = 3) {
   return timer.seconds() / reps;
 }
 
-struct GemmCase {
-  const char* form;  // "nn", "tn", "nt"
+/// One layer of the fast-profile network. Conv: `in`/`out` are channels
+/// and `batch` images of `size` x `size` pixels; dense: `in`/`out` are
+/// features and `batch` rows.
+struct LayerSpec {
+  std::string name;
+  bool conv = false;
+  int in = 0;
+  int out = 0;
+  int stride = 1;
+  int batch = 0;
+  int size = 0;
+  bool first = false;  ///< reads the dataset input; skips its dX
+};
+
+/// The distinct layer shapes of the fast-profile network in network
+/// order (mirroring AttackNet's topology): the first two convs of each
+/// group — the third repeats the second's shape — then the dense layers.
+std::vector<LayerSpec> fast_profile_layers() {
+  const sma::eval::ExperimentProfile profile =
+      sma::eval::ExperimentProfile::fast();
+  const sma::nn::NetConfig& net = profile.net;
+  const int rows = profile.dataset.candidates.max_candidates;
+  const int images = rows + 1;  // n source images + the sink image
+  std::vector<LayerSpec> layers;
+  int channels = static_cast<int>(profile.dataset.images.pixel_sizes.size());
+  int size = profile.dataset.images.size;
+  for (int group = 0; group < 4; ++group) {
+    for (int layer = 0; layer < 2; ++layer) {
+      LayerSpec spec;
+      spec.name = "conv" + std::to_string(group + 1) + "_" +
+                  std::to_string(layer);
+      spec.conv = true;
+      spec.in = channels;
+      spec.out = net.conv_channels[group];
+      spec.stride = group > 0 && layer == 0 ? 3 : 1;
+      spec.batch = images;
+      spec.size = size;
+      spec.first = group == 0 && layer == 0;
+      layers.push_back(spec);
+      size = (size + 2 - 3) / spec.stride + 1;
+      channels = spec.out;
+    }
+  }
+  const auto dense = [&layers](const char* name, int in, int out,
+                               int batch) {
+    LayerSpec spec;
+    spec.name = name;
+    spec.in = in;
+    spec.out = out;
+    spec.batch = batch;
+    layers.push_back(spec);
+  };
+  dense("fc1", net.vector_dim, net.hidden, rows);
+  dense("res.fc", net.hidden, net.hidden, rows);
+  dense("fc3", net.conv_channels[3], net.image_fc, images);
+  dense("fc4", net.image_fc, net.hidden, images);
+  dense("fc5", 2 * net.hidden, net.hidden, rows);
+  dense("fc6", net.hidden, net.fc6_width, rows);
+  return layers;
+}
+
+std::string describe(const LayerSpec& spec) {
+  std::ostringstream os;
+  if (spec.conv) {
+    os << spec.in << "->" << spec.out << " s" << spec.stride << " ["
+       << spec.batch << "x" << spec.size << "x" << spec.size << "]";
+  } else {
+    os << spec.batch << "x" << spec.in << "->" << spec.out;
+  }
+  return os.str();
+}
+
+enum class Form {
+  kForwardNnRowbias,
+  kAccNt,
+  kOvrTn,
+  kForwardNt,
+  kAccTn,
+  kOvrNn
+};
+
+const char* form_name(Form form) {
+  switch (form) {
+    case Form::kForwardNnRowbias: return "gemm_forward_nn_rowbias";
+    case Form::kAccNt: return "gemm_acc_nt";
+    case Form::kOvrTn: return "gemm_ovr_tn";
+    case Form::kForwardNt: return "gemm_forward_nt";
+    case Form::kAccTn: return "gemm_acc_tn";
+    case Form::kOvrNn: return "gemm_ovr_nn";
+  }
+  return "?";
+}
+
+/// One GEMM call exactly as a layer issues it.
+struct GemmSpec {
+  std::string layer;
+  const char* pass;  ///< fwd | dW | dX
+  Form form;
   int m, n, k;
-  const char* role;
+  double gflops = 0.0;
 };
 
-struct GemmResult {
-  GemmCase spec;
-  double naive_gflops = 0.0;
-  double blocked_gflops = 0.0;
-};
-
-GemmResult run_gemm_case(const GemmCase& spec, bool timed) {
-  sma::util::Pcg32 rng(0x9e3779b9u ^ spec.m ^ (spec.n << 8) ^ (spec.k << 16));
-  const std::size_t a_size =
-      static_cast<std::size_t>(spec.m) * spec.k;
-  const std::size_t b_size =
-      static_cast<std::size_t>(spec.k) * spec.n;
-  const std::size_t c_size =
-      static_cast<std::size_t>(spec.m) * spec.n;
-  std::vector<float> a = random_vec(a_size, rng);
-  std::vector<float> b = random_vec(b_size, rng);
-  std::vector<float> c_init = random_vec(c_size, rng);  // nonzero C: += forms
-
-  auto call = [&](float* c) {
-    if (std::strcmp(spec.form, "nn") == 0) {
-      sma::nn::gemm_nn(spec.m, spec.n, spec.k, a.data(), b.data(), c);
-    } else if (std::strcmp(spec.form, "tn") == 0) {
-      sma::nn::gemm_tn(spec.m, spec.n, spec.k, a.data(), b.data(), c);
+std::vector<GemmSpec> gemm_specs(const std::vector<LayerSpec>& layers) {
+  std::vector<GemmSpec> specs;
+  for (const LayerSpec& l : layers) {
+    if (l.conv) {
+      const int out_size = (l.size + 2 - 3) / l.stride + 1;
+      const int rows = l.batch * out_size * out_size;
+      const int patch = l.in * 9;
+      specs.push_back({l.name, "fwd", Form::kForwardNnRowbias, l.out, rows,
+                       patch});
+      specs.push_back({l.name, "dW", Form::kAccNt, l.out, patch, rows});
+      if (!l.first) {
+        specs.push_back({l.name, "dX", Form::kOvrTn, patch, rows, l.out});
+      }
     } else {
-      sma::nn::gemm_nt(spec.m, spec.n, spec.k, a.data(), b.data(), c);
+      specs.push_back({l.name, "fwd", Form::kForwardNt, l.batch, l.out, l.in});
+      specs.push_back({l.name, "dW", Form::kAccTn, l.out, l.in, l.batch});
+      specs.push_back({l.name, "dX", Form::kOvrNn, l.batch, l.in, l.out});
+    }
+  }
+  return specs;
+}
+
+/// Runs `spec` through its production entry point (with the LeakyReLU
+/// epilogue and mask the layers use on forward); when `timed`, records
+/// its GF/s.
+void run_gemm(GemmSpec& spec, bool timed) {
+  const int m = spec.m;
+  const int n = spec.n;
+  const int k = spec.k;
+  sma::util::Pcg32 rng(0x9e3779b9u ^ m ^ (n << 8) ^ (k << 16));
+  const std::vector<float> a =
+      random_vec(static_cast<std::size_t>(m) * k, rng);
+  const std::vector<float> b =
+      random_vec(static_cast<std::size_t>(k) * n, rng);
+  const std::vector<float> bias = random_vec(m > n ? m : n, rng);
+  std::vector<float> c = random_vec(static_cast<std::size_t>(m) * n, rng);
+  std::vector<std::uint8_t> mask(static_cast<std::size_t>(m) * n);
+  sma::nn::GemmScratch scratch;
+  const auto lrelu = sma::nn::Epilogue::kBiasLeakyReLU;
+  const auto call = [&] {
+    switch (spec.form) {
+      case Form::kForwardNnRowbias:
+        sma::nn::gemm_forward_nn_rowbias(m, n, k, a.data(), b.data(),
+                                         bias.data(), c.data(), lrelu, 0.01f,
+                                         mask.data(), scratch);
+        break;
+      case Form::kAccNt:
+        sma::nn::gemm_acc_nt(m, n, k, a.data(), b.data(), c.data(), scratch);
+        break;
+      case Form::kOvrTn:
+        sma::nn::gemm_ovr_tn(m, n, k, a.data(), b.data(), c.data(), scratch);
+        break;
+      case Form::kForwardNt:
+        sma::nn::gemm_forward_nt(m, n, k, a.data(), b.data(), bias.data(),
+                                 c.data(), lrelu, 0.01f, mask.data(),
+                                 scratch);
+        break;
+      case Form::kAccTn:
+        sma::nn::gemm_acc_tn(m, n, k, a.data(), b.data(), c.data(), scratch);
+        break;
+      case Form::kOvrNn:
+        sma::nn::gemm_ovr_nn(m, n, k, a.data(), b.data(), c.data(), scratch);
+        break;
     }
   };
-
-  GemmResult result{spec, 0.0, 0.0};
-  const double flops = 2.0 * spec.m * spec.n * spec.k;
-
-  std::vector<float> c_naive = c_init;
-  sma::nn::set_kernel_backend(KernelBackend::kReference);
-  call(c_naive.data());
-  if (timed) {
-    std::vector<float> c_scratch = c_init;
-    result.naive_gflops =
-        flops / time_call([&] { call(c_scratch.data()); }) / 1e9;
-  }
-
-  std::vector<float> c_blocked = c_init;
-  sma::nn::set_kernel_backend(KernelBackend::kBlocked);
-  call(c_blocked.data());
-  if (timed) {
-    std::vector<float> c_scratch = c_init;
-    result.blocked_gflops =
-        flops / time_call([&] { call(c_scratch.data()); }) / 1e9;
-  }
-
-  std::ostringstream what;
-  what << "gemm_" << spec.form << " " << spec.m << "x" << spec.n << "x"
-       << spec.k;
-  check_identical(c_naive.data(), c_blocked.data(), c_size, what.str());
-  return result;
+  call();
+  if (timed) spec.gflops = 2.0 * m * n * k / time_call(call) / 1e9;
 }
 
 struct LayerResult {
   std::string name;
-  double naive_fwd_us = 0.0;
-  double naive_bwd_us = 0.0;
-  double pr7_fwd_us = 0.0;  ///< blocked, row-major-compat (PR-7 pipeline)
-  double pr7_bwd_us = 0.0;
-  double blocked_fwd_us = 0.0;  ///< blocked, channel-major (default)
-  double blocked_bwd_us = 0.0;
-  /// The layer-boundary layout permutation, timed as its own phase: what
-  /// one explicit channel-major -> NCHW reorder of this layer's output
-  /// costs — the per-boundary price the channel-major pipeline deletes.
-  double reorder_us = 0.0;
+  std::string shape;
+  double fwd_us = 0.0;
+  double bwd_us = 0.0;
 };
 
-/// Forward+backward timing of one conv layer under three pipelines —
-/// reference, blocked/row-major-compat (the PR-7 baseline) and blocked/
-/// channel-major — with bit-identity checks on output and input gradient
-/// across all of them.
-LayerResult run_conv_case(int in_ch, int out_ch, int stride, int imgs,
-                          int size, bool timed) {
-  std::ostringstream name;
-  name << "conv " << in_ch << "->" << out_ch << " s" << stride << " ["
-       << imgs << "x" << size << "x" << size << "]";
-  LayerResult result;
-  result.name = name.str();
-
+/// Forward and backward of one layer as the network runs it: LeakyReLU
+/// fused, conv inputs channel-major except the first conv's (the dataset
+/// seam), dy in the layout of the layer's output.
+LayerResult run_layer(const LayerSpec& spec, bool timed) {
+  LayerResult result{spec.name, describe(spec)};
   sma::util::Pcg32 data_rng(1234);
-  Tensor x = Tensor::randn({imgs, in_ch, size, size}, data_rng, 1.0);
-
-  auto make_layer = [&] {
-    sma::util::Pcg32 rng(77);
-    return sma::nn::Conv2d(in_ch, out_ch, stride, rng, "bench",
-                           sma::nn::Act::kLeakyReLU);
+  sma::util::Pcg32 rng(77);
+  const auto measure = [&](auto& layer, const Tensor& x) {
+    const Tensor& y = layer.forward(x);
+    Tensor dy = Tensor::randn(y.shape(), data_rng, 1.0);
+    dy.set_layout(y.layout());
+    layer.backward(dy);
+    if (timed) {
+      result.fwd_us = time_call([&] { layer.forward(x); }) * 1e6;
+      result.bwd_us = time_call([&] { layer.backward(dy); }) * 1e6;
+    }
   };
-
-  // dy values are drawn in row-major logical order once, then converted
-  // to each pipeline's actual output layout — every run receives the
-  // same mathematical gradient regardless of where its bytes live.
-  struct Run {
-    const char* phase;
-    KernelBackend backend;
-    sma::nn::ConvLayoutMode mode;
-  };
-  const Run runs[] = {
-      {"naive", KernelBackend::kReference,
-       sma::nn::ConvLayoutMode::kChannelMajor},  // mode unused by reference
-      {"pr7", KernelBackend::kBlocked,
-       sma::nn::ConvLayoutMode::kRowMajorCompat},
-      {"blocked", KernelBackend::kBlocked,
-       sma::nn::ConvLayoutMode::kChannelMajor},
-  };
-  Tensor y_ref;
-  Tensor dx_ref;
-  Tensor y_cm;  // channel-major output, kept for the reorder-phase timing
-  for (const Run& run : runs) {
-    sma::nn::set_kernel_backend(run.backend);
-    sma::nn::set_conv_layout_mode(run.mode);
-    sma::nn::Conv2d layer = make_layer();
-    Tensor y = layer.forward(x);
-    const Tensor y_rm = sma::nn::to_row_major(y);
-    Tensor dy_rm(y.shape());
-    sma::util::Pcg32 grad_rng(55);
-    for (std::size_t i = 0; i < dy_rm.size(); ++i) {
-      dy_rm[i] = static_cast<float>(grad_rng.next_gaussian());
-    }
-    const Tensor dy = sma::nn::to_layout(dy_rm, y.layout());
-    // x is row-major, so dx comes back row-major from every pipeline and
-    // compares directly.
-    Tensor dx = layer.backward(dy);
-    const std::string phase_name = result.name + " " + run.phase;
-    if (run.backend == KernelBackend::kReference) {
-      y_ref = y_rm;
-      dx_ref = dx;
-      if (timed) {
-        result.naive_fwd_us = time_call([&] { layer.forward(x); }) * 1e6;
-        result.naive_bwd_us = time_call([&] { layer.backward(dy); }) * 1e6;
-      }
-    } else {
-      check_identical(y_ref.data(), y_rm.data(), y_rm.size(),
-                      phase_name + " forward");
-      check_identical(dx_ref.data(), dx.data(), dx.size(),
-                      phase_name + " backward");
-      double* fwd_us = run.mode == sma::nn::ConvLayoutMode::kRowMajorCompat
-                           ? &result.pr7_fwd_us
-                           : &result.blocked_fwd_us;
-      double* bwd_us = run.mode == sma::nn::ConvLayoutMode::kRowMajorCompat
-                           ? &result.pr7_bwd_us
-                           : &result.blocked_bwd_us;
-      if (timed) {
-        *fwd_us = time_call([&] { layer.forward(x); }) * 1e6;
-        *bwd_us = time_call([&] { layer.backward(dy); }) * 1e6;
-      }
-      if (run.mode == sma::nn::ConvLayoutMode::kChannelMajor) y_cm = y;
-    }
-  }
-  if (timed) {
-    // Time the bare boundary permutation into a preallocated destination
-    // (grow-only resize_reuse makes repeat calls allocation-free).
-    Tensor staged;
-    sma::nn::copy_to_layout(y_cm, sma::nn::Layout::kRowMajor, staged);
-    result.reorder_us =
-        time_call([&] {
-          sma::nn::copy_to_layout(y_cm, sma::nn::Layout::kRowMajor, staged);
-        }) *
-        1e6;
-  }
-  sma::nn::set_conv_layout_mode(sma::nn::ConvLayoutMode::kChannelMajor);
-  return result;
-}
-
-LayerResult run_dense_case(int rows, int in, int out, bool timed) {
-  std::ostringstream name;
-  name << "dense " << rows << "x" << in << "->" << out;
-  LayerResult result;
-  result.name = name.str();
-
-  sma::util::Pcg32 data_rng(4321);
-  Tensor x = Tensor::randn({rows, in}, data_rng, 1.0);
-  Tensor dy = Tensor::randn({rows, out}, data_rng, 1.0);
-
-  Tensor y_ref;
-  Tensor dx_ref;
-  for (KernelBackend backend :
-       {KernelBackend::kReference, KernelBackend::kBlocked}) {
-    sma::nn::set_kernel_backend(backend);
-    sma::util::Pcg32 rng(88);
-    sma::nn::Linear layer(in, out, rng, "bench", sma::nn::Act::kLeakyReLU);
-    Tensor y = layer.forward(x);
-    Tensor dx = layer.backward(dy);
-    if (backend == KernelBackend::kReference) {
-      y_ref = y;
-      dx_ref = dx;
-      if (timed) {
-        result.naive_fwd_us = time_call([&] { layer.forward(x); }) * 1e6;
-        result.naive_bwd_us = time_call([&] { layer.backward(dy); }) * 1e6;
-      }
-    } else {
-      check_identical(y_ref.data(), y.data(), y.size(),
-                      result.name + " forward");
-      check_identical(dx_ref.data(), dx.data(), dx.size(),
-                      result.name + " backward");
-      if (timed) {
-        result.blocked_fwd_us = time_call([&] { layer.forward(x); }) * 1e6;
-        result.blocked_bwd_us = time_call([&] { layer.backward(dy); }) * 1e6;
-      }
-    }
-  }
-  return result;
-}
-
-struct TrainResult {
-  double naive_s_per_epoch = 0.0;
-  double blocked_s_per_epoch = 0.0;
-  double speedup = 0.0;
-  bool models_identical = false;
-};
-
-/// Train the fast-profile net on one real design under both backends.
-/// `only` restricts to a single backend (profiling aid; skips the
-/// model-identity check).
-TrainResult run_train_case(const std::string& design_name, int split_layer,
-                           int epochs, const std::string& only = "") {
-  sma::eval::ExperimentProfile profile = sma::eval::ExperimentProfile::fast();
-  profile.train.epochs = epochs;
-
-  std::cerr << "  preparing " << design_name << " (M" << split_layer
-            << ")...\n";
-  sma::eval::PreparedSplit prepared = sma::eval::prepare_split(
-      sma::netlist::find_profile(design_name), split_layer,
-      sma::layout::FlowConfig{}, /*seed=*/2019);
-  sma::attack::DatasetConfig dataset_config = profile.dataset;
-  dataset_config.build_images = true;
-
-  sma::nn::NetConfig net_config = profile.net;
-  net_config.image_channels =
-      static_cast<int>(profile.dataset.images.pixel_sizes.size());
-
-  TrainResult result;
-  std::string naive_model;
-  std::string blocked_model;
-  for (KernelBackend backend :
-       {KernelBackend::kReference, KernelBackend::kBlocked}) {
-    if (only == "naive" && backend != KernelBackend::kReference) continue;
-    if (only == "blocked" && backend != KernelBackend::kBlocked) continue;
-    sma::nn::set_kernel_backend(backend);
-    std::vector<sma::attack::QueryDataset> training;
-    training.emplace_back(prepared.split.get(), dataset_config);
-    // Feature extraction is dataset preparation, not training; render the
-    // image cache up front so s/epoch measures the kernels.
-    training.back().prebuild_images(nullptr);
-    std::vector<sma::attack::QueryDataset> validation;
-    sma::attack::DlAttack dl(net_config);
-    sma::attack::TrainStats stats =
-        dl.train(training, validation, profile.train, /*pool=*/nullptr);
-    const double s_per_epoch = stats.seconds / epochs;
-    std::stringstream bytes;
-    dl.net().save(bytes);
-    if (backend == KernelBackend::kReference) {
-      result.naive_s_per_epoch = s_per_epoch;
-      naive_model = bytes.str();
-      std::cerr << "  naive:   " << s_per_epoch << " s/epoch\n";
-    } else {
-      result.blocked_s_per_epoch = s_per_epoch;
-      blocked_model = bytes.str();
-      std::cerr << "  blocked: " << s_per_epoch << " s/epoch\n";
-    }
-  }
-  if (!only.empty()) return result;
-  result.speedup = result.naive_s_per_epoch / result.blocked_s_per_epoch;
-  result.models_identical = naive_model == blocked_model;
-  if (!result.models_identical) {
-    g_all_identical = false;
-    std::cerr << "BIT-IDENTITY VIOLATION: trained models differ between "
-                 "backends\n";
+  if (spec.conv) {
+    sma::nn::Conv2d layer(spec.in, spec.out, spec.stride, rng, spec.name,
+                          sma::nn::Act::kLeakyReLU);
+    layer.set_compute_input_grad(!spec.first);
+    const Tensor x = sma::nn::to_layout(
+        Tensor::randn({spec.batch, spec.in, spec.size, spec.size}, data_rng,
+                      1.0),
+        spec.first ? sma::nn::Layout::kRowMajor
+                   : sma::nn::Layout::kChannelMajor);
+    measure(layer, x);
+  } else {
+    sma::nn::Linear layer(spec.in, spec.out, rng, spec.name,
+                          sma::nn::Act::kLeakyReLU);
+    const Tensor x = Tensor::randn({spec.batch, spec.in}, data_rng, 1.0);
+    measure(layer, x);
   }
   return result;
 }
@@ -354,25 +270,10 @@ int main(int argc, char** argv) {
   sma::benchutil::init_observability();
 
   bool smoke = false;
-  bool with_train = true;
-  std::string design = "c432";
-  std::string only_backend;
-  int layer = 1;
-  int epochs = 2;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--no-train") {
-      with_train = false;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      only_backend = arg.substr(10);  // profiling aid: naive | blocked
-    } else if (arg.rfind("--design=", 0) == 0) {
-      design = arg.substr(9);
-    } else if (arg.rfind("--layer=", 0) == 0) {
-      layer = sma::benchutil::parse_int(arg.substr(8), "--layer", 1);
-    } else if (arg.rfind("--epochs=", 0) == 0) {
-      epochs = sma::benchutil::parse_int(arg.substr(9), "--epochs", 1);
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;
@@ -380,111 +281,47 @@ int main(int argc, char** argv) {
   }
   const bool timed = !smoke;
 
-  // GEMM shapes from the fast profile (15x15 three-scale images, 16-image
-  // queries, conv widths 8/16/32/64, hidden 128): forward im2col rows,
-  // backward dW / dX forms, and the FC trunk.
-  std::vector<GemmCase> gemm_cases;
-  if (smoke) {
-    gemm_cases = {
-        {"nn", 5, 9, 7, "smoke"},
-        {"tn", 9, 5, 11, "smoke"},
-        {"nt", 7, 13, 9, "smoke"},
-    };
-  } else {
-    gemm_cases = {
-        {"nt", 3600, 8, 27, "conv1_0 fwd"},
-        {"nt", 3600, 8, 72, "conv1_1 fwd"},
-        {"nt", 400, 16, 72, "conv2_0 fwd"},
-        {"nt", 64, 32, 144, "conv3_0 fwd"},
-        {"nt", 15, 128, 128, "resblock fwd"},
-        {"nn", 3600, 72, 8, "conv1 dX"},
-        {"nn", 15, 128, 128, "resblock dX"},
-        {"tn", 8, 72, 3600, "conv1 dW"},
-        {"tn", 128, 128, 15, "resblock dW"},
-    };
-  }
-
-  std::vector<GemmResult> gemm_results;
-  for (const GemmCase& spec : gemm_cases) {
-    GemmResult r = run_gemm_case(spec, timed);
+  const std::vector<LayerSpec> layers = fast_profile_layers();
+  std::vector<GemmSpec> gemms = gemm_specs(layers);
+  for (GemmSpec& spec : gemms) {
+    run_gemm(spec, timed);
     if (timed) {
-      std::cerr << "gemm_" << spec.form << " " << spec.m << "x" << spec.n
-                << "x" << spec.k << " (" << spec.role << "): naive "
-                << r.naive_gflops << " GF/s, blocked " << r.blocked_gflops
-                << " GF/s (" << r.blocked_gflops / r.naive_gflops << "x)\n";
+      std::cerr << spec.layer << " " << spec.pass << ": "
+                << form_name(spec.form) << " " << spec.m << "x" << spec.n
+                << "x" << spec.k << " " << spec.gflops << " GF/s\n";
     }
-    gemm_results.push_back(r);
   }
-
   std::vector<LayerResult> layer_results;
-  if (smoke) {
-    layer_results.push_back(run_conv_case(3, 5, 1, 2, 7, false));
-    layer_results.push_back(run_conv_case(2, 3, 3, 1, 11, false));
-    layer_results.push_back(run_dense_case(3, 17, 9, false));
-  } else {
-    layer_results.push_back(run_conv_case(3, 8, 1, 16, 15, true));
-    layer_results.push_back(run_conv_case(8, 16, 3, 16, 15, true));
-    layer_results.push_back(run_dense_case(15, 128, 128, true));
-    for (const LayerResult& r : layer_results) {
-      std::cerr << r.name << ": fwd " << r.naive_fwd_us << " -> "
-                << r.pr7_fwd_us << " (pr7) -> " << r.blocked_fwd_us
-                << " us, bwd " << r.naive_bwd_us << " -> " << r.pr7_bwd_us
-                << " (pr7) -> " << r.blocked_bwd_us << " us, reorder "
-                << r.reorder_us << " us\n";
+  for (const LayerSpec& spec : layers) {
+    layer_results.push_back(run_layer(spec, timed));
+    const LayerResult& r = layer_results.back();
+    if (timed) {
+      std::cerr << r.name << " (" << r.shape << "): fwd " << r.fwd_us
+                << " us, bwd " << r.bwd_us << " us\n";
     }
   }
-
-  TrainResult train;
-  if (timed && with_train) {
-    std::cerr << "end-to-end training (" << design << ", " << epochs
-              << " epochs per backend):\n";
-    train = run_train_case(design, layer, epochs, only_backend);
-    std::cerr << "  speedup " << train.speedup << "x, models "
-              << (train.models_identical ? "identical" : "DIFFER") << "\n";
-  }
-
-  sma::nn::set_kernel_backend(KernelBackend::kBlocked);
-  sma::nn::set_conv_layout_mode(sma::nn::ConvLayoutMode::kChannelMajor);
 
   std::ostringstream json;
   json << "{\"bench\": \"kernels\", \"smoke\": " << (smoke ? "true" : "false")
        << ", \"gemm\": [";
-  for (std::size_t i = 0; i < gemm_results.size(); ++i) {
-    const GemmResult& r = gemm_results[i];
-    json << (i ? ", " : "") << "{\"form\": \"" << r.spec.form
-         << "\", \"m\": " << r.spec.m << ", \"n\": " << r.spec.n
-         << ", \"k\": " << r.spec.k << ", \"role\": \"" << r.spec.role
-         << "\", \"naive_gflops\": " << r.naive_gflops
-         << ", \"blocked_gflops\": " << r.blocked_gflops << "}";
+  for (std::size_t i = 0; i < gemms.size(); ++i) {
+    const GemmSpec& g = gemms[i];
+    json << (i ? ", " : "") << "{\"layer\": \"" << g.layer
+         << "\", \"pass\": \"" << g.pass << "\", \"form\": \""
+         << form_name(g.form) << "\", \"m\": " << g.m << ", \"n\": " << g.n
+         << ", \"k\": " << g.k << ", \"gflops\": " << g.gflops << "}";
   }
   json << "], \"layers\": [";
   for (std::size_t i = 0; i < layer_results.size(); ++i) {
     const LayerResult& r = layer_results[i];
     json << (i ? ", " : "") << "{\"layer\": \"" << r.name
-         << "\", \"naive_fwd_us\": " << r.naive_fwd_us
-         << ", \"naive_bwd_us\": " << r.naive_bwd_us
-         << ", \"pr7_fwd_us\": " << r.pr7_fwd_us
-         << ", \"pr7_bwd_us\": " << r.pr7_bwd_us
-         << ", \"blocked_fwd_us\": " << r.blocked_fwd_us
-         << ", \"blocked_bwd_us\": " << r.blocked_bwd_us
-         << ", \"reorder_us\": " << r.reorder_us << "}";
+         << "\", \"shape\": \"" << r.shape << "\", \"fwd_us\": " << r.fwd_us
+         << ", \"bwd_us\": " << r.bwd_us << "}";
   }
   json << "]";
-  if (timed && with_train) {
-    json << ", \"train\": {\"design\": \"" << design
-         << "\", \"layer\": " << layer << ", \"epochs\": " << epochs
-         << ", \"naive_s_per_epoch\": " << train.naive_s_per_epoch
-         << ", \"blocked_s_per_epoch\": " << train.blocked_s_per_epoch
-         << ", \"speedup\": " << train.speedup << ", \"models_identical\": "
-         << (train.models_identical ? "true" : "false") << "}";
-  }
   sma::obs::RunReport report("kernels", 1);
-  json << ", \"bit_identical\": " << (g_all_identical ? "true" : "false")
-       << sma::benchutil::report_fragment(report) << "}";
+  json << sma::benchutil::report_fragment(report) << "}";
   std::cout << json.str() << "\n";
   sma::benchutil::flush_trace();
-  std::cerr << (g_all_identical
-                    ? "bit-identity check: all outputs identical\n"
-                    : "bit-identity check FAILED\n");
-  return g_all_identical ? 0 : 1;
+  return 0;
 }

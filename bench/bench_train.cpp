@@ -1,39 +1,22 @@
-// Before/after benchmark for the fused training-step engine (the
-// tentpole measurement of the TrainStep PR): train the fast-profile
-// network on one real design twice — once on the reference three-pass
-// update path (per-step lane reduce, Adam pass, weight broadcast onto
-// full lane clones; the PR-2 baseline) and once on the fused engine
-// (shared-weight pinned lanes, one reduce+Adam pass, no broadcast) — and
-// compare s/epoch. The two trained models are also compared byte for
-// byte: the fused engine is a performance toggle, never a semantic one.
-//
-// Since the activation-arena PR this bench also reports steady-state
+// Training-throughput benchmark: trains the fast-profile network, conv
+// trunk included (images on), on one real design with the production
+// training loop and reports s/epoch. It also reports steady-state
 // allocation behavior: the first epoch warms each net's arena up to the
 // largest query shape, and every later epoch must add ZERO arena heap
-// allocations. The JSON carries the last-epoch alloc count (total and
-// per query) and the pinned arena bytes for both paths; in --smoke mode
-// a nonzero steady-state alloc count fails the run (the CI gate).
-//
-// Since the channel-major layout PR this bench also runs a layout A/B
-// pair on the fused path with the conv trunk enabled: the PR-7 blocked
-// pipeline (ConvLayoutMode::kRowMajorCompat) vs the channel-major
-// default, reporting s/epoch for both plus the nn.reorder_bytes /
-// nn.pack_bytes counter deltas per mode ("layout_ab" in the JSON). In
-// --smoke mode two more gates ride on it: byte-identical models across
-// the modes, and zero reorder bytes on the channel-major run.
+// allocations. The JSON carries the warm-up and last-epoch alloc counts
+// (total and per query) and the pinned arena bytes; in --smoke mode a
+// nonzero steady-state alloc count fails the run (the CI gate).
 //
 // Human-readable progress goes to stderr; stdout carries exactly one
 // JSON object (scripts/bench.sh redirects it to BENCH_train.json).
 //
 // Flags:
-//   --smoke        tiny synthetic design, 2 epochs (warm-up + steady
-//                  state), no timing claims; exercises both paths,
-//                  verifies bit-identity and zero steady-state arena
-//                  allocations (CI)
-//   --design=c432  design used for the comparison
+//   --smoke        tiny synthetic design and net, 2 epochs (warm-up +
+//                  steady state), no timing claims; gates zero
+//                  steady-state arena allocations (CI)
+//   --design=c432  design to train on
 //   --layer=1      split layer
-//   --epochs=3     training epochs per path
-#include <cstdint>
+//   --epochs=3     training epochs
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -43,68 +26,7 @@
 #include "attack/dl_attack.hpp"
 #include "bench_util.hpp"
 #include "eval/experiment.hpp"
-#include "nn/gemm.hpp"
-#include "obs/metrics.hpp"
 #include "util/logging.hpp"
-
-namespace {
-
-struct PathResult {
-  double s_per_epoch = 0.0;
-  long queries_seen = 0;
-  long warmup_allocs = 0;  ///< arena heap growths in epoch 1
-  long steady_allocs = 0;  ///< arena heap growths in the last epoch
-  std::size_t arena_bytes = 0;
-  std::string model_bytes;
-};
-
-PathResult run_path(const sma::eval::PreparedSplit& prepared,
-                    const sma::eval::ExperimentProfile& profile,
-                    bool fused, int epochs, bool use_all_queries,
-                    sma::obs::RunReport* report = nullptr) {
-  sma::attack::DatasetConfig dataset_config = profile.dataset;
-  dataset_config.build_images = profile.net.use_images;
-
-  sma::nn::NetConfig net_config = profile.net;
-  if (net_config.use_images) {
-    net_config.image_channels =
-        static_cast<int>(profile.dataset.images.pixel_sizes.size());
-  }
-
-  sma::attack::TrainConfig train_config = profile.train;
-  train_config.epochs = epochs;
-  train_config.fused_step = fused;
-  // The steady-state gate needs every query shape seen during warm-up;
-  // per-epoch subsampling could defer a large query past epoch 1.
-  if (use_all_queries) train_config.max_queries_per_design = 0;
-
-  std::vector<sma::attack::QueryDataset> training;
-  training.emplace_back(prepared.split.get(), dataset_config);
-  // Feature extraction is dataset preparation, not training; render the
-  // image cache up front so s/epoch measures the training loop.
-  training.back().prebuild_images(nullptr);
-  std::vector<sma::attack::QueryDataset> validation;
-
-  sma::attack::DlAttack dl(net_config);
-  sma::attack::TrainStats stats =
-      dl.train(training, validation, train_config, /*pool=*/nullptr);
-  if (report != nullptr) report->add_train(stats);
-
-  PathResult result;
-  result.s_per_epoch = stats.seconds / epochs;
-  result.queries_seen = stats.queries_seen;
-  if (!stats.arena_allocs_per_epoch.empty()) {
-    result.warmup_allocs = stats.arena_allocs_per_epoch.front();
-    result.steady_allocs = stats.arena_allocs_per_epoch.back();
-  }
-  result.arena_bytes = stats.arena_bytes_pinned;
-  std::stringstream bytes;
-  dl.net().save(bytes);
-  result.model_bytes = bytes.str();
-  return result;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   sma::util::set_log_level(sma::util::LogLevel::kWarn);
@@ -133,18 +55,20 @@ int main(int argc, char** argv) {
   sma::eval::ExperimentProfile profile = sma::eval::ExperimentProfile::fast();
   sma::eval::PreparedSplit prepared;
   if (smoke) {
-    // Tiny synthetic design and a tiny vector-only net: exercises both
-    // update paths end-to-end in well under a second. Two epochs so the
+    // Tiny synthetic design and a tiny net (fast-profile conv trunk, narrow
+    // FC head): trains end-to-end in about a second. Two epochs so the
     // second exercises (and gates) the alloc-free steady state.
     epochs = 2;
+    layer = 1;
+    design = "smoke_train";
     sma::netlist::DesignProfile tiny;
-    tiny.name = "smoke_train";
+    tiny.name = design;
     tiny.num_inputs = 8;
     tiny.num_outputs = 4;
     tiny.num_gates = 280;
-    prepared = sma::eval::prepare_split(tiny, 3, sma::layout::FlowConfig{},
+    prepared = sma::eval::prepare_split(tiny, layer,
+                                        sma::layout::FlowConfig{},
                                         /*seed=*/2019);
-    profile.net.use_images = false;
     profile.net.hidden = 16;
     profile.net.vector_res_blocks = 1;
     profile.net.merged_res_blocks = 1;
@@ -162,35 +86,53 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cerr << "bench_train: " << epochs << " epochs per path, batch "
-            << profile.train.batch_size << " lanes\n";
-  // The smoke gate requires a deterministic query set per epoch (no
-  // subsampling), so steady-state epochs only revisit warmed-up shapes.
-  PathResult unfused =
-      run_path(prepared, profile, /*fused=*/false, epochs, smoke);
-  std::cerr << "  three-pass (PR-2 baseline): " << unfused.s_per_epoch
-            << " s/epoch (" << unfused.queries_seen << " queries, "
-            << unfused.steady_allocs << " steady-state arena allocs)\n";
-  sma::obs::RunReport report("train", 1);
-  PathResult fused =
-      run_path(prepared, profile, /*fused=*/true, epochs, smoke, &report);
-  std::cerr << "  fused engine:               " << fused.s_per_epoch
-            << " s/epoch (" << fused.queries_seen << " queries, "
-            << fused.steady_allocs << " steady-state arena allocs, "
-            << fused.arena_bytes << " arena bytes)\n";
+  sma::attack::DatasetConfig dataset_config = profile.dataset;
+  dataset_config.build_images = true;
+  sma::nn::NetConfig net_config = profile.net;
+  net_config.use_images = true;
+  net_config.image_channels =
+      static_cast<int>(profile.dataset.images.pixel_sizes.size());
+  sma::attack::TrainConfig train_config = profile.train;
+  train_config.epochs = epochs;
+  // The smoke gate needs every query shape seen during warm-up; per-epoch
+  // subsampling could defer a large query past epoch 1.
+  if (smoke) train_config.max_queries_per_design = 0;
 
-  const double speedup =
-      fused.s_per_epoch > 0.0 ? unfused.s_per_epoch / fused.s_per_epoch : 0.0;
-  const bool identical = unfused.model_bytes == fused.model_bytes &&
-                         !unfused.model_bytes.empty() &&
-                         unfused.queries_seen > 0;
-  std::cerr << "  speedup " << speedup << "x, models "
-            << (identical ? "identical" : "DIFFER") << "\n";
+  std::vector<sma::attack::QueryDataset> training;
+  training.emplace_back(prepared.split.get(), dataset_config);
+  // Feature extraction is dataset preparation, not training; render the
+  // image cache up front so s/epoch measures the training loop.
+  training.back().prebuild_images(nullptr);
+  std::vector<sma::attack::QueryDataset> validation;
+
+  std::cerr << "bench_train: " << epochs << " epochs, batch "
+            << train_config.batch_size << " lanes, images on\n";
+  sma::attack::DlAttack dl(net_config);
+  const sma::attack::TrainStats stats =
+      dl.train(training, validation, train_config, /*pool=*/nullptr);
+  sma::obs::RunReport report("train", 1);
+  report.add_train(stats);
+
+  const double s_per_epoch = stats.seconds / epochs;
+  const long warmup_allocs = stats.arena_allocs_per_epoch.empty()
+                                 ? 0
+                                 : stats.arena_allocs_per_epoch.front();
+  const long steady_allocs = stats.arena_allocs_per_epoch.empty()
+                                 ? 0
+                                 : stats.arena_allocs_per_epoch.back();
+  const long queries_per_epoch = stats.queries_seen / epochs;
+  const double steady_allocs_per_query =
+      queries_per_epoch > 0
+          ? static_cast<double>(steady_allocs) / queries_per_epoch
+          : 0.0;
+  std::cerr << "  " << s_per_epoch << " s/epoch (" << stats.queries_seen
+            << " queries, " << steady_allocs << " steady-state arena allocs, "
+            << stats.arena_bytes_pinned << " arena bytes)\n";
   // Post-warm-up epochs must add zero arena heap allocations. Gated in
   // smoke mode (full runs subsample per epoch, so a late-arriving larger
   // query can legitimately grow an arena; the counts are still reported).
   const bool alloc_free =
-      unfused.steady_allocs == 0 && fused.steady_allocs == 0 && epochs > 1;
+      steady_allocs == 0 && epochs > 1 && stats.queries_seen > 0;
   if (smoke) {
     std::cerr << (alloc_free
                       ? "steady-state check: zero arena allocs after warm-up\n"
@@ -198,96 +140,20 @@ int main(int argc, char** argv) {
                         "after warm-up\n");
   }
 
-  // --- layout A/B: blocked PR-7 pipeline (row-major compat) vs the
-  // channel-major default, fused path, conv trunk exercised. The main
-  // smoke pair above is vector-only, so this pair switches images ON
-  // (tiny 15x15 three-scale images from the fast profile) to drive the
-  // conv pipeline through both modes. Two gates ride on it in smoke
-  // mode: the two trained models must be byte-identical (the layout
-  // refactor is data movement, never semantics — this IS the PR-7
-  // equivalence gate, since compat mode is the PR-7 pipeline), and the
-  // channel-major run must report zero nn.reorder_bytes (the counter
-  // proves the layer-boundary reorders are gone rather than asserting
-  // it in prose). Counter deltas are read around each run; with
-  // SMA_OBS=OFF both deltas are zero and the gate stays vacuously green.
-  sma::eval::ExperimentProfile ab_profile = profile;
-  ab_profile.net.use_images = true;
-  sma::obs::Registry& reg = sma::obs::Registry::global();
-  struct AbResult {
-    PathResult path;
-    double s_per_epoch = 0.0;
-    std::uint64_t reorder_bytes = 0;
-    std::uint64_t pack_bytes = 0;
-  };
-  AbResult ab[2];  // [0] = pr7 compat, [1] = channel-major
-  for (int mode = 0; mode < 2; ++mode) {
-    sma::nn::set_conv_layout_mode(
-        mode == 0 ? sma::nn::ConvLayoutMode::kRowMajorCompat
-                  : sma::nn::ConvLayoutMode::kChannelMajor);
-    const std::uint64_t reorder0 = reg.counter("nn.reorder_bytes").value();
-    const std::uint64_t pack0 = reg.counter("nn.pack_bytes").value();
-    ab[mode].path = run_path(prepared, ab_profile, /*fused=*/true, epochs,
-                             smoke);
-    ab[mode].s_per_epoch = ab[mode].path.s_per_epoch;
-    ab[mode].reorder_bytes = reg.counter("nn.reorder_bytes").value() - reorder0;
-    ab[mode].pack_bytes = reg.counter("nn.pack_bytes").value() - pack0;
-  }
-  sma::nn::set_conv_layout_mode(sma::nn::ConvLayoutMode::kChannelMajor);
-  const bool ab_identical = ab[0].path.model_bytes == ab[1].path.model_bytes &&
-                            !ab[0].path.model_bytes.empty() &&
-                            ab[0].path.queries_seen > 0;
-  const bool ab_reorder_free = ab[1].reorder_bytes == 0;
-  const double ab_speedup = ab[1].s_per_epoch > 0.0
-                                ? ab[0].s_per_epoch / ab[1].s_per_epoch
-                                : 0.0;
-  std::cerr << "  layout A/B (conv trunk): pr7 " << ab[0].s_per_epoch
-            << " s/epoch (" << ab[0].reorder_bytes
-            << " reorder bytes) -> channel-major " << ab[1].s_per_epoch
-            << " s/epoch (" << ab[1].reorder_bytes << " reorder bytes, "
-            << ab_speedup << "x), models "
-            << (ab_identical ? "identical" : "DIFFER") << "\n";
-  if (!ab_reorder_free) {
-    std::cerr << "layout check FAILED: channel-major run still moved "
-              << ab[1].reorder_bytes << " reorder bytes\n";
-  }
-
-  const long queries_per_epoch = unfused.queries_seen / epochs;
-  const double fused_allocs_per_query =
-      queries_per_epoch > 0
-          ? static_cast<double>(fused.steady_allocs) / queries_per_epoch
-          : 0.0;
   std::ostringstream json;
   json << "{\"bench\": \"train\", \"smoke\": " << (smoke ? "true" : "false")
-       << ", \"design\": \"" << (smoke ? "smoke_train" : design)
-       << "\", \"layer\": " << (smoke ? 3 : layer)
+       << ", \"design\": \"" << design << "\", \"layer\": " << layer
        << ", \"epochs\": " << epochs
-       << ", \"lanes\": " << profile.train.batch_size
+       << ", \"lanes\": " << train_config.batch_size
+       << ", \"images\": true"
        << ", \"queries_per_epoch\": " << queries_per_epoch
-       << ", \"unfused_s_per_epoch\": " << unfused.s_per_epoch
-       << ", \"fused_s_per_epoch\": " << fused.s_per_epoch
-       << ", \"speedup\": " << speedup
-       << ", \"unfused_steady_allocs\": " << unfused.steady_allocs
-       << ", \"fused_warmup_allocs\": " << fused.warmup_allocs
-       << ", \"fused_steady_allocs\": " << fused.steady_allocs
-       << ", \"fused_steady_allocs_per_query\": " << fused_allocs_per_query
-       << ", \"fused_arena_bytes\": " << fused.arena_bytes
-       << ", \"models_identical\": " << (identical ? "true" : "false")
-       << ", \"layout_ab\": {\"pr7_s_per_epoch\": " << ab[0].s_per_epoch
-       << ", \"channel_major_s_per_epoch\": " << ab[1].s_per_epoch
-       << ", \"speedup\": " << ab_speedup
-       << ", \"models_identical\": " << (ab_identical ? "true" : "false")
-       << ", \"pr7_reorder_bytes\": " << ab[0].reorder_bytes
-       << ", \"channel_major_reorder_bytes\": " << ab[1].reorder_bytes
-       << ", \"pr7_pack_bytes\": " << ab[0].pack_bytes
-       << ", \"channel_major_pack_bytes\": " << ab[1].pack_bytes << "}"
+       << ", \"fused_s_per_epoch\": " << s_per_epoch
+       << ", \"fused_warmup_allocs\": " << warmup_allocs
+       << ", \"fused_steady_allocs\": " << steady_allocs
+       << ", \"fused_steady_allocs_per_query\": " << steady_allocs_per_query
+       << ", \"fused_arena_bytes\": " << stats.arena_bytes_pinned
        << sma::benchutil::report_fragment(report) << "}";
   std::cout << json.str() << "\n";
   sma::benchutil::flush_trace();
-  std::cerr << (identical && ab_identical
-                    ? "bit-identity check: trained models identical\n"
-                    : "bit-identity check FAILED\n");
-  if (!identical || !ab_identical) return 1;
-  if (smoke && !alloc_free) return 1;
-  if (smoke && !ab_reorder_free) return 1;
-  return 0;
+  return smoke && !alloc_free ? 1 : 0;
 }

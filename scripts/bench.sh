@@ -4,7 +4,7 @@
 # Usage: scripts/bench.sh [parallel|kernels|train|flow|serve|all] [flags]
 #   scripts/bench.sh                      # parallel bench (default)
 #   scripts/bench.sh parallel --threads=1,2,4 --layer=3
-#   scripts/bench.sh kernels --design=c880 --epochs=3
+#   scripts/bench.sh kernels
 #   scripts/bench.sh train --design=c432 --epochs=3
 #   scripts/bench.sh flow --designs=c432,b13 --threads=1,2,4
 #   scripts/bench.sh serve --design=c432 --widths=1,4,16,64
@@ -12,12 +12,11 @@
 #
 # Each bench prints human-readable progress on stderr and exactly one
 # JSON object on stdout; exit status is non-zero if its self-check fails
-# (bench_parallel: determinism across thread counts; bench_kernels:
-# bit-identity between naive and blocked kernels; bench_train:
-# bit-identity between the fused and three-pass training paths;
-# bench_flow: byte-identical layouts across thread counts; bench_serve:
-# bit-identity between batched widths and batch-1, zero steady-state
-# arena allocations).
+# (bench_parallel: determinism across thread counts; bench_train: zero
+# steady-state arena allocations; bench_flow: byte-identical layouts
+# across thread counts; bench_serve: bit-identity between batched widths
+# and batch-1, zero steady-state arena allocations). bench_kernels only
+# times; test_kernels gates its kernels' bit-identity.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

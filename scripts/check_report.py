@@ -83,8 +83,7 @@ DURABILITY_KEYS = (
     "checkpoint_resumes",
     "checkpoint_corrupt_discards",
 )
-KERNEL_KEYS = ("backend", "isa", "blocked_calls", "reference_calls",
-               "reorder_bytes", "pack_bytes")
+KERNEL_KEYS = ("isa", "blocked_calls", "pack_bytes")
 METRICS_KEYS = ("counters", "gauges", "histograms")
 HISTOGRAM_KEYS = ("count", "sum", "buckets")
 

@@ -90,6 +90,11 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
                            std::vector<QueryDataset>& validation,
                            const TrainConfig& config,
                            runtime::ThreadPool* pool) {
+  if (config.batch_size < 1) {
+    // batch_size feeds the checkpoint and work-unit digests as written;
+    // clamping it would train one configuration under another's digest.
+    throw std::invalid_argument("DlAttack::train: batch_size must be >= 1");
+  }
   SMA_TRACE_SPAN_V("train", "train", config.epochs);
   util::Timer timer;
   TrainStats stats;
@@ -97,7 +102,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
 
   nn::TrainStep engine(net_.params(), config.adam);
   const bool two_class = net_.config().two_class;
-  const int lanes = std::max(1, config.batch_size);
+  const int lanes = config.batch_size;
 
   // Index all trainable queries (those whose candidate list contains the
   // positive VPP — Eq. 6 needs a labelled target).
@@ -134,9 +139,8 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
 
   // Master parameters, captured once: the checkpoint target and (on
   // resume) the restore target. Restoring IN PLACE into these tensors —
-  // before any lane replica exists — means full clones copy the restored
-  // weights at creation and shared-weight replicas read them by
-  // construction.
+  // before any lane replica exists — means the shared-weight lane
+  // replicas read the restored weights by construction.
   std::vector<nn::Param> ckpt_params = net_.params();
   const bool checkpointing =
       config.checkpoint_every > 0 && !config.checkpoint_path.empty();
@@ -215,57 +219,48 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
     }
   }
 
-  // Lane replicas: identical weights, private gradients and activation
-  // caches. The lane structure runs even without a pool: accumulating a
-  // batch directly on the master net would associate the per-parameter
-  // float additions differently (backward's internal adds interleave
-  // with the cross-query sum), so only identical lane bookkeeping keeps
-  // serial and parallel models bit-identical. The lane count is fixed by
-  // the config — never by the pool — so the reduction order below is
-  // thread-count-invariant.
-  //
-  // Fused mode pins *shared-weight* lanes: each lane reads the master's
-  // weight tensors (one weight copy total — Adam updates are visible to
-  // every lane with no broadcast) and owns only its gradients and
-  // activation caches. Unfused mode keeps the reference three-pass path
-  // on full clones; both produce byte-identical models.
-  const bool use_lanes = lanes > 1;
-  const bool fused = config.fused_step;
-  // Without a pool the lanes of a batch run in sequence anyway, so the
-  // fused engine pins ONE shared-weight replica to serve every lane:
-  // after each query its (still cache-hot) gradients accumulate onto the
-  // master in query order — the same ascending-order adds the multi-lane
-  // reduce performs, so the model stays byte-identical while the per-step
-  // working set shrinks from `lanes` replicas' gradients, im2col buffers
-  // and masks to one replica's worth.
-  const bool serial_lanes = use_lanes && fused && pool == nullptr;
+  // Training nets. The lane count is fixed by the config — never by the
+  // pool — so every reduction below is thread-count-invariant, and the
+  // lane structure runs even without a pool: accumulating a batch
+  // directly on the master net would associate the per-parameter float
+  // additions differently (backward's internal adds interleave with the
+  // cross-query sum), so only identical lane bookkeeping keeps serial and
+  // pooled models bit-identical. Two loops:
+  //  - Serial (no pool, or batch_size == 1): ONE worker runs the queries
+  //    of a batch in sequence. At batch_size == 1 the worker is the
+  //    master itself — the paper's per-query SGD, backward accumulating
+  //    straight into the master gradients. Otherwise it is one pinned
+  //    shared-weight replica whose (still cache-hot) gradients accumulate
+  //    onto the master after each query, in query order — the same
+  //    ascending-order adds the pooled reduce performs — so the per-step
+  //    working set is one replica's gradients, im2col buffers and masks
+  //    rather than `lanes` replicas' worth.
+  //  - Pooled: one shared-weight replica per lane runs concurrently, and
+  //    each step is one fused reduce+Adam pass (nn/train_step.hpp). Lanes
+  //    read the master's weight tensors, so Adam updates reach every lane
+  //    with no broadcast.
+  const bool serial = pool == nullptr || lanes == 1;
+  const int replicas = lanes == 1 ? 0 : (serial ? 1 : lanes);
   std::vector<nn::AttackNet> lane_nets;
+  lane_nets.reserve(replicas);
+  for (int l = 0; l < replicas; ++l) lane_nets.push_back(net_.clone_shared());
   std::vector<std::vector<nn::Param>> lane_params;
-  std::vector<nn::Param> master_params;
-  if (use_lanes) {
-    const int replicas = serial_lanes ? 1 : lanes;
-    lane_nets.reserve(replicas);
-    for (int l = 0; l < replicas; ++l) {
-      lane_nets.push_back(fused ? net_.clone_shared() : net_.clone());
-    }
-    for (nn::AttackNet& lane : lane_nets) lane_params.push_back(lane.params());
-    master_params = net_.params();
-    if (fused && !serial_lanes) {
-      engine.attach_lanes(lane_params, /*broadcast=*/false);
-    }
+  for (nn::AttackNet& lane : lane_nets) lane_params.push_back(lane.params());
+  // The nets that run training queries: the lane replicas, or the master.
+  std::vector<nn::AttackNet*> workers;
+  if (lane_nets.empty()) workers.push_back(&net_);
+  for (nn::AttackNet& lane : lane_nets) workers.push_back(&lane);
+  if (!serial) {
+    engine.attach_lanes(lane_params);
     // Concurrent lanes read the datasets' image caches; freeze them now.
-    if (pool != nullptr) {
-      for (QueryDataset& dataset : training) dataset.prebuild_images(pool);
-    }
+    for (QueryDataset& dataset : training) dataset.prebuild_images(pool);
   }
 
-  // Reusable input-assembly buffers: one per training net (the master in
-  // per-query SGD mode, otherwise one per lane replica). input_into
-  // resizes them in place, so steady-state epochs assemble every query
-  // without heap traffic. Each buffer is only ever touched by its own
-  // lane's task — race-free under the pool.
-  std::vector<nn::QueryInput> lane_inputs(
-      lane_nets.empty() ? 1 : lane_nets.size());
+  // Reusable input-assembly buffers, one per worker. input_into resizes
+  // them in place, so steady-state epochs assemble every query without
+  // heap traffic. Each buffer is only ever touched by its own worker's
+  // task — race-free under the pool.
+  std::vector<nn::QueryInput> lane_inputs(workers.size());
 
   // Activation-arena accounting: every net owns one arena for its
   // lifetime (master + each lane replica). Epoch deltas expose the
@@ -306,24 +301,34 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       }
     }
     if (largest != nullptr) {
-      const auto warm_net = [&](nn::AttackNet& net, nn::QueryInput& input,
-                                const std::vector<nn::Param>& params) {
-        training[largest->design].input_into(largest->query, input);
-        const nn::Tensor& scores = net.forward(input);
+      // Each worker's input-assembly buffer warms along with its net.
+      for (std::size_t w = 0; w < workers.size(); ++w) {
+        nn::AttackNet& net = *workers[w];
+        training[largest->design].input_into(largest->query, lane_inputs[w]);
+        const nn::Tensor& scores = net.forward(lane_inputs[w]);
         nn::Tensor zero_grad(scores.shape());
         net.backward(zero_grad);
-        for (const nn::Param& p : params) p.grad->fill(0.0f);
-      };
-      if (use_lanes) {
-        // Warm each lane's input-assembly buffer along with its net.
-        for (std::size_t l = 0; l < lane_nets.size(); ++l) {
-          warm_net(lane_nets[l], lane_inputs[l], lane_params[l]);
-        }
-      } else {
-        warm_net(net_, lane_inputs[0], net_.params());
+        for (const nn::Param& p : net.params()) p.grad->fill(0.0f);
       }
     }
   }
+
+  // Forward + loss + backward of one training query on `net`; returns the
+  // loss. The gradients accumulate into `net`'s parameter gradients.
+  const auto train_query = [&training, two_class](nn::AttackNet& net,
+                                                  nn::QueryInput& input,
+                                                  const Ref& ref) {
+    QueryDataset& dataset = training[ref.design];
+    dataset.input_into(ref.query, input);
+    const nn::Tensor& scores = net.forward(input);
+    const nn::LossResult loss =
+        two_class
+            ? nn::two_class_loss(scores, dataset.target(ref.query))
+            : nn::softmax_regression_loss(scores, dataset.target(ref.query));
+    net.backward(loss.grad);
+    return loss.loss;
+  };
+  std::vector<double> lane_loss(workers.size(), 0.0);
 
   for (int epoch = start_epoch; epoch < config.epochs; ++epoch) {
     SMA_TRACE_SPAN_V("train", "epoch", epoch);
@@ -339,117 +344,35 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
     std::vector<Ref> order = build_epoch_order();
 
     double epoch_loss = 0.0;
-    if (!use_lanes) {
-      // The paper's per-query SGD, unchanged. Adam runs serially here —
-      // a per-query fork/join over small tensors costs more than it
-      // saves.
-      nn::QueryInput& input = lane_inputs[0];
-      for (const Ref& ref : order) {
-        QueryDataset& dataset = training[ref.design];
-        dataset.input_into(ref.query, input);
-        const nn::Tensor& scores = net_.forward(input);
-        nn::LossResult loss =
-            two_class ? nn::two_class_loss(scores, dataset.target(ref.query))
-                      : nn::softmax_regression_loss(
-                            scores, dataset.target(ref.query));
-        net_.backward(loss.grad);
-        engine.optimizer().step(nullptr);
-        epoch_loss += loss.loss;
-        ++stats.queries_seen;
-      }
-    } else if (serial_lanes) {
-      // One pinned replica serves the whole batch; gradients accumulate
-      // onto the master after every query, in query order.
-      nn::AttackNet& worker = lane_nets[0];
-      const std::vector<nn::Param>& worker_params = lane_params[0];
-      nn::QueryInput& input = lane_inputs[0];
-      for (std::size_t base = 0; base < order.size();
-           base += static_cast<std::size_t>(lanes)) {
-        const int active = static_cast<int>(
-            std::min<std::size_t>(lanes, order.size() - base));
+    for (std::size_t base = 0; base < order.size();
+         base += static_cast<std::size_t>(lanes)) {
+      const int active = static_cast<int>(
+          std::min<std::size_t>(lanes, order.size() - base));
+      if (serial) {
+        nn::AttackNet& worker = *workers[0];
         for (int l = 0; l < active; ++l) {
-          const Ref& ref = order[base + static_cast<std::size_t>(l)];
-          QueryDataset& dataset = training[ref.design];
-          dataset.input_into(ref.query, input);
-          const nn::Tensor& scores = worker.forward(input);
-          nn::LossResult loss =
-              two_class ? nn::two_class_loss(scores, dataset.target(ref.query))
-                        : nn::softmax_regression_loss(
-                              scores, dataset.target(ref.query));
-          worker.backward(loss.grad);
-          engine.accumulate(worker_params);
-          epoch_loss += loss.loss;
+          epoch_loss += train_query(worker, lane_inputs[0],
+                                    order[base + static_cast<std::size_t>(l)]);
+          // A replica worker hands its gradients to the master per query;
+          // the master as worker already accumulated them in place.
+          if (!lane_nets.empty()) engine.accumulate(lane_params[0]);
         }
         engine.optimizer().step(nullptr);
-        stats.queries_seen += active;
-      }
-    } else {
-      std::vector<double> lane_loss(static_cast<std::size_t>(lanes), 0.0);
-      for (std::size_t base = 0; base < order.size();
-           base += static_cast<std::size_t>(lanes)) {
-        const int active = static_cast<int>(
-            std::min<std::size_t>(lanes, order.size() - base));
-
+      } else {
         // Forward/backward one query per lane, concurrently.
         runtime::TaskGroup group(pool);
         for (int l = 0; l < active; ++l) {
-          group.run([l, base, two_class, &order, &training, &lane_nets,
-                     &lane_inputs, &lane_loss] {
+          group.run([l, base, &train_query, &workers, &lane_inputs, &order,
+                     &lane_loss] {
             const Ref& ref = order[base + static_cast<std::size_t>(l)];
-            QueryDataset& dataset = training[ref.design];
-            nn::QueryInput& input = lane_inputs[l];
-            dataset.input_into(ref.query, input);
-            nn::AttackNet& net = lane_nets[l];
-            const nn::Tensor& scores = net.forward(input);
-            nn::LossResult loss =
-                two_class
-                    ? nn::two_class_loss(scores, dataset.target(ref.query))
-                    : nn::softmax_regression_loss(scores,
-                                                  dataset.target(ref.query));
-            net.backward(loss.grad);
-            lane_loss[l] = loss.loss;
+            lane_loss[l] = train_query(*workers[l], lane_inputs[l], ref);
           });
         }
         group.wait();
-
-        if (fused) {
-          // One fused reduce+Adam pass; no broadcast — lanes read the
-          // master's weight tensors directly.
-          engine.step(active, pool);
-        } else {
-          // Reference three-pass path (the PR-2 baseline bench_train
-          // measures against). Reduce: per parameter, add lane gradients
-          // in lane order — the order (hence the float sum) is
-          // independent of scheduling.
-          runtime::parallel_for(
-              pool, 0, master_params.size(), /*grain=*/4, [&](std::size_t k) {
-                float* master = master_params[k].grad->data();
-                const std::size_t size = master_params[k].grad->size();
-                for (int l = 0; l < active; ++l) {
-                  float* lane = lane_params[l][k].grad->data();
-                  for (std::size_t j = 0; j < size; ++j) {
-                    master[j] += lane[j];
-                    lane[j] = 0.0f;
-                  }
-                }
-              });
-          engine.optimizer().step(pool);
-
-          // Broadcast the updated weights back to every lane.
-          runtime::parallel_for(
-              pool, 0, static_cast<std::size_t>(lanes) * master_params.size(),
-              /*grain=*/8, [&](std::size_t t) {
-                const std::size_t l = t / master_params.size();
-                const std::size_t k = t % master_params.size();
-                std::memcpy(lane_params[l][k].value->data(),
-                            master_params[k].value->data(),
-                            master_params[k].value->size() * sizeof(float));
-              });
-        }
-
+        engine.step(active, pool);
         for (int l = 0; l < active; ++l) epoch_loss += lane_loss[l];
-        stats.queries_seen += active;
       }
+      stats.queries_seen += active;
     }
     stats.epoch_loss.push_back(
         order.empty() ? 0.0 : epoch_loss / static_cast<double>(order.size()));

@@ -7,16 +7,16 @@
 // predicted score (Eq. 2).
 //
 // Parallel execution: with `batch_size` > 1 training accumulates the
-// gradients of a batch on fixed "lanes" — network replicas with identical
-// weights, one query per lane per step — and reduces lane gradients into
-// the Adam step in lane order. Lanes are scheduled on the pool but the
+// gradients of a batch on fixed "lanes" — replicas that share the
+// master's weight tensors, one query per lane per step — and reduces lane
+// gradients into the Adam step in lane order. With a pool the lanes run
+// concurrently and each step is one fused reduce+Adam pass (the TrainStep
+// engine); without one, a single replica serves the lanes in turn. The
 // lane structure (and therefore every floating-point sum) depends only on
-// `batch_size`, so any thread count, including none, produces bit-identical
-// models. By default (TrainConfig::fused_step) lanes share the master's
-// weight tensors and each step runs the fused TrainStep engine — one
-// reduce+Adam pass, no broadcast. Inference partitions queries over
-// pinned shared-weight replicas (ReplicaSet); each query's scores land in
-// its own slot, so parallel CCRs equal serial ones.
+// `batch_size`, so any thread count, including none, produces
+// bit-identical models. Inference partitions queries over pinned
+// shared-weight replicas (ReplicaSet); each query's scores land in its
+// own slot, so parallel CCRs equal serial ones.
 #pragma once
 
 #include <cstdint>
@@ -47,18 +47,12 @@ struct TrainConfig {
   /// trailing partial batch takes a proportionally smaller step). Changing
   /// this changes the trained model — it is a training hyperparameter,
   /// not a performance knob; thread count alone never changes results.
+  /// Must be >= 1: `DlAttack::train` throws std::invalid_argument
+  /// otherwise.
   int batch_size = 1;
   std::uint64_t seed = 99;
   /// Report validation CCR every k epochs (0 = never).
   int validate_every = 0;
-  /// Use the fused training-step engine (nn/train_step.hpp): gradient
-  /// lanes share the master's weight tensors, and each optimizer step is
-  /// one fused reduce+Adam pass over the parameters instead of three
-  /// passes (reduce, Adam, weight broadcast). Purely a performance
-  /// toggle — fused and unfused training produce byte-identical models
-  /// (tests/test_train_step.cpp and bench_train assert this); `false`
-  /// selects the reference three-pass path for before/after measurement.
-  bool fused_step = true;
   /// Save a resumable checkpoint to `checkpoint_path` every k completed
   /// epochs (0 = never). A later `train` call with the same configuration
   /// and datasets picks the checkpoint up and continues — producing a
@@ -103,7 +97,8 @@ class DlAttack {
 
   /// Train on `training` datasets; if `validation` is non-empty and
   /// `config.validate_every` > 0, track validation CCR. `pool` only
-  /// changes wall-clock time, never the resulting model.
+  /// changes wall-clock time, never the resulting model. Throws
+  /// std::invalid_argument when `config.batch_size` < 1.
   TrainStats train(std::vector<QueryDataset>& training,
                    std::vector<QueryDataset>& validation,
                    const TrainConfig& config,
@@ -121,8 +116,8 @@ class DlAttack {
   /// wide `forward_batched` pass per replica (the dataset partition stays
   /// in fixed slot order, so which replica serves a chunk never matters).
   /// Purely a performance knob: scores — and therefore selections and
-  /// CCR — are byte-identical to batch_width == 1 at every width, thread
-  /// count, and kernel backend (tests/test_serve.cpp, bench_serve).
+  /// CCR — are byte-identical to batch_width == 1 at every width and
+  /// thread count (tests/test_serve.cpp, bench_serve).
   AttackResult attack(QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr,
                       int batch_width = 1);

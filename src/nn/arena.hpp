@@ -27,7 +27,7 @@
 // Threading: an arena is single-owner, exactly like the network that owns
 // it — replicas running on different pool threads each use their own
 // arena, so there is no shared mutable state and no synchronization.
-// (Call-transient staging — conv's y^T/dy^T/dcols^T and the GEMM packing
+// (Call-transient staging — conv's dy^T/dcols^T and the GEMM packing
 // scratch — instead lives in one per-THREAD staging arena; see
 // layers.cpp.) Slot storage is address-stable (deque-backed): acquiring
 // one slot never moves another, so layers may cache pointers between

@@ -155,9 +155,9 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
     // --- shared conv trunk over every query's n_q source images + 1 sink
     // image, all stacked. One layout contract binds the trunk: the
     // dataset input is the first row-major seam (conv1's pack path reads
-    // NCHW natively), the trunk's activations then stay in whatever
-    // layout the conv pipeline produces (channel-major by default — each
-    // layer's tag travels with its slot), and GlobalAvgPool is the second
+    // NCHW natively), the trunk's activations then stay in the layout the
+    // conv pipeline produces (channel-major — each layer's tag travels
+    // with its slot), and GlobalAvgPool is the second
     // and last seam, reducing to a row-major [planes, h] matrix for the
     // fc head at zero conversion cost. Nothing between the seams may
     // assume row-major storage.
@@ -399,17 +399,6 @@ void AttackNet::save(std::ostream& out) {
                                " failed (stream error or disk full)");
     }
   }
-}
-
-AttackNet AttackNet::clone() {
-  AttackNet copy(config_);
-  std::vector<Param> source = params();
-  std::vector<Param> target = copy.params();
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    std::memcpy(target[i].value->data(), source[i].value->data(),
-                source[i].value->size() * sizeof(float));
-  }
-  return copy;
 }
 
 AttackNet AttackNet::clone_shared() {

@@ -22,8 +22,8 @@
 // Activation-layout contract: the image branch binds ONE layout across
 // the conv trunk — the dataset input and the GlobalAvgPool output are
 // the only row-major seams, and everything between them travels in the
-// conv pipeline's native layout (channel-major by default; each tensor's
-// Layout tag is authoritative). The vector branch, the fusion/merge
+// conv pipeline's native layout (channel-major; each tensor's Layout tag
+// is authoritative). The vector branch, the fusion/merge
 // slots, and the fc head are row-major throughout. See nn/layers.hpp for
 // the per-layer contract and nn/tensor.hpp for the tag semantics.
 #pragma once
@@ -143,10 +143,6 @@ class AttackNet {
   /// exhausting memory or materializing garbage tensors.
   void save(std::ostream& out);
   static AttackNet load(std::istream& in);
-
-  /// A deep copy with identical weights and zeroed gradients — the
-  /// per-worker replica used for lane-parallel training and inference.
-  AttackNet clone();
 
   /// A replica whose layers *read this net's weight tensors* instead of
   /// owning copies (gradients and activation caches stay private, private

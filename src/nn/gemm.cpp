@@ -1,6 +1,5 @@
 #include "nn/gemm.hpp"
 
-#include <atomic>
 #include <cstddef>
 #include <cstring>
 
@@ -14,9 +13,6 @@
 namespace sma::nn {
 
 namespace {
-
-std::atomic<KernelBackend> g_backend{KernelBackend::kBlocked};
-std::atomic<ConvLayoutMode> g_conv_layout{ConvLayoutMode::kChannelMajor};
 
 // Register tiles. The portable micro-kernel uses 4 x 8 (the accumulator
 // block plus one B panel row fit the 16 SSE registers of baseline
@@ -37,9 +33,8 @@ constexpr int kMrZ = 8;
 constexpr int kNrZ = 32;
 
 enum class CMode {
-  kLoad,        ///< acc starts from C (the += forms of backward)
-  kAccumulate,  ///< acc starts at zero, added to C at the end (seed nt)
-  kOverwrite,   ///< acc starts at zero, stored over C (+ epilogue)
+  kLoad,       ///< acc starts from C (the += forms of backward)
+  kOverwrite,  ///< acc starts at zero, stored over C (+ epilogue)
 };
 
 /// Bias flavor of the kOverwrite epilogue: per output column (Linear /
@@ -153,9 +148,7 @@ inline void micro_tile(int k, int n, const float* ap, const float* bp,
     float* row = c + base;
     for (int jj = 0; jj < nv; ++jj) {
       float v = acc[ii * NR + jj];
-      if (kMode == CMode::kAccumulate) {
-        row[jj] += v;
-      } else if (kMode == CMode::kOverwrite) {
+      if (kMode == CMode::kOverwrite) {
         if (kBias == BiasKind::kCol) v += bias[j0 + jj];
         if (kBias == BiasKind::kRow) v += bias[i0 + ii];
         if (kHasMask) mask[base + jj] = v < 0.0f ? 1 : 0;
@@ -231,9 +224,7 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
                                   : _mm256_setzero_ps();
       for (int half = 0; half < 2; ++half) {
         __m256 v = acc[ii][half];
-        if (kMode == CMode::kAccumulate) {
-          v = _mm256_add_ps(_mm256_loadu_ps(row + 8 * half), v);
-        } else if (kMode == CMode::kOverwrite) {
+        if (kMode == CMode::kOverwrite) {
           if (kBias == BiasKind::kCol) {
             v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j0 + 8 * half));
           }
@@ -268,9 +259,7 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
     float* row = c + base;
     for (int jj = 0; jj < nv; ++jj) {
       float v = tmp[ii * kNrWide + jj];
-      if (kMode == CMode::kAccumulate) {
-        row[jj] += v;
-      } else if (kMode == CMode::kOverwrite) {
+      if (kMode == CMode::kOverwrite) {
         if (kBias == BiasKind::kCol) v += bias[j0 + jj];
         if (kBias == BiasKind::kRow) v += bias[i0 + ii];
         if (kHasMask) mask[base + jj] = v < 0.0f ? 1 : 0;
@@ -387,9 +376,7 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
                                   : _mm512_setzero_ps();
       for (int half = 0; half < 2; ++half) {
         __m512 v = acc[ii][half];
-        if (kMode == CMode::kAccumulate) {
-          v = _mm512_add_ps(_mm512_loadu_ps(row + 16 * half), v);
-        } else if (kMode == CMode::kOverwrite) {
+        if (kMode == CMode::kOverwrite) {
           if (kBias == BiasKind::kCol) {
             v = _mm512_add_ps(v, _mm512_loadu_ps(bias + j0 + 16 * half));
           }
@@ -421,9 +408,7 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
     float* row = c + base;
     for (int jj = 0; jj < nv; ++jj) {
       float v = tmp[ii * kNrZ + jj];
-      if (kMode == CMode::kAccumulate) {
-        row[jj] += v;
-      } else if (kMode == CMode::kOverwrite) {
+      if (kMode == CMode::kOverwrite) {
         if (kBias == BiasKind::kCol) v += bias[j0 + jj];
         if (kBias == BiasKind::kRow) v += bias[i0 + ii];
         if (kHasMask) mask[base + jj] = v < 0.0f ? 1 : 0;
@@ -605,11 +590,6 @@ void blocked_gemm(int m, int n, int k, const float* a, int lda, bool a_trans,
           m, n, k, a, lda, a_trans, b, ldb, b_trans, c, nullptr, 0.0f,
           nullptr, scratch);
       break;
-    case CMode::kAccumulate:
-      blocked_dispatch<CMode::kAccumulate, BiasKind::kNone, false, false>(
-          m, n, k, a, lda, a_trans, b, ldb, b_trans, c, nullptr, 0.0f,
-          nullptr, scratch);
-      break;
     case CMode::kOverwrite:
       if (bias_kind == BiasKind::kNone) {
         blocked_dispatch<CMode::kOverwrite, BiasKind::kNone, false, false>(
@@ -658,27 +638,6 @@ void blocked_gemm(int m, int n, int k, const float* a, int lda, bool a_trans,
 
 }  // namespace
 
-GemmScratch& thread_scratch() {
-  thread_local GemmScratch scratch;
-  return scratch;
-}
-
-void set_kernel_backend(KernelBackend backend) {
-  g_backend.store(backend, std::memory_order_relaxed);
-}
-
-KernelBackend kernel_backend() {
-  return g_backend.load(std::memory_order_relaxed);
-}
-
-void set_conv_layout_mode(ConvLayoutMode mode) {
-  g_conv_layout.store(mode, std::memory_order_relaxed);
-}
-
-ConvLayoutMode conv_layout_mode() {
-  return g_conv_layout.load(std::memory_order_relaxed);
-}
-
 const char* active_isa() {
   if (have_avx512()) return "avx512";
   if (have_avx2()) return "avx2";
@@ -686,8 +645,7 @@ const char* active_isa() {
 }
 
 // --------------------------------------------------------------------
-// Fused im2col/col2im pack paths. The loops are the blocked conv's PR-7
-// im2col/col2im nests verbatim; the ONLY thing `Layout` changes is the
+// Fused im2col/col2im pack paths. The ONLY thing `Layout` changes is the
 // base offset of each (img, c) input plane — row-major (img*c_in + c) vs
 // channel-major (c*n + img). Same values, same element visit order, same
 // clamp arithmetic: bit-identity is preserved by construction.
@@ -750,11 +708,12 @@ void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int c_in,
                                    sizeof(float));
   const bool cm = dx_layout == Layout::kChannelMajor;
   // Loop order (c asc, ky desc, kx desc, img, oy, ox) reproduces the
-  // seed's per-element accumulation order: for a fixed dx element each
+  // per-element accumulation order of the direct col2im nest (img, oy,
+  // ox, c, ky, kx — the test oracle's loop): for a fixed dx element each
   // output position contributes at most one tap, and ky desc <=> oy asc
-  // (resp. kx/ox), so contributions arrive in ascending (oy, ox) —
-  // exactly the seed nest. The plane base offset does not participate in
-  // that ordering, so both layouts accumulate identically.
+  // (resp. kx/ox), so contributions arrive in ascending (oy, ox). The
+  // plane base offset does not participate in that ordering, so both
+  // layouts accumulate identically.
   for (int c = 0; c < c_in; ++c) {
     for (int ky = 2; ky >= 0; --ky) {
       for (int kx = 2; kx >= 0; --kx) {
@@ -792,115 +751,16 @@ void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int c_in,
 }
 
 // --------------------------------------------------------------------
-// Reference kernels: the seed implementations, retained verbatim as the
-// ground truth for bit-identity tests and the bench baseline.
-
-namespace reference {
-
-void gemm_nn(int m, int n, int k, const float* a, const float* b, float* c) {
-  SMA_COUNT("gemm.reference_calls");
-  for (int i = 0; i < m; ++i) {
-    float* ci = c + static_cast<std::size_t>(i) * n;
-    const float* ai = a + static_cast<std::size_t>(i) * k;
-    for (int p = 0; p < k; ++p) {
-      const float av = ai[p];
-      if (av == 0.0f) continue;
-      const float* bp = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) {
-        ci[j] += av * bp[j];
-      }
-    }
-  }
-}
-
-void gemm_tn(int m, int n, int k, const float* a, const float* b, float* c) {
-  SMA_COUNT("gemm.reference_calls");
-  // a stored [K, M]; effective A[i, p] = a[p, i].
-  for (int p = 0; p < k; ++p) {
-    const float* ap = a + static_cast<std::size_t>(p) * m;
-    const float* bp = b + static_cast<std::size_t>(p) * n;
-    for (int i = 0; i < m; ++i) {
-      const float av = ap[i];
-      if (av == 0.0f) continue;
-      float* ci = c + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        ci[j] += av * bp[j];
-      }
-    }
-  }
-}
-
-void gemm_nt(int m, int n, int k, const float* a, const float* b, float* c) {
-  SMA_COUNT("gemm.reference_calls");
-  // b stored [N, K]; effective B[p, j] = b[j, p].
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<std::size_t>(i) * k;
-    float* ci = c + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* bj = b + static_cast<std::size_t>(j) * k;
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        acc += ai[p] * bj[p];
-      }
-      ci[j] += acc;
-    }
-  }
-}
-
-}  // namespace reference
-
-// --------------------------------------------------------------------
 // Public forms.
-
-void gemm_nn(int m, int n, int k, const float* a, const float* b, float* c) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    reference::gemm_nn(m, n, k, a, b, c);
-    return;
-  }
-  blocked_gemm(m, n, k, a, k, false, b, n, false, c, CMode::kLoad,
-               BiasKind::kNone, nullptr, false, 0.0f, nullptr,
-               thread_scratch());
-}
-
-void gemm_tn(int m, int n, int k, const float* a, const float* b, float* c) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    reference::gemm_tn(m, n, k, a, b, c);
-    return;
-  }
-  blocked_gemm(m, n, k, a, m, true, b, n, false, c, CMode::kLoad,
-               BiasKind::kNone, nullptr, false, 0.0f, nullptr,
-               thread_scratch());
-}
-
-void gemm_nt(int m, int n, int k, const float* a, const float* b, float* c) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    reference::gemm_nt(m, n, k, a, b, c);
-    return;
-  }
-  blocked_gemm(m, n, k, a, k, false, b, k, true, c, CMode::kAccumulate,
-               BiasKind::kNone, nullptr, false, 0.0f, nullptr,
-               thread_scratch());
-}
 
 void gemm_acc_tn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    reference::gemm_tn(m, n, k, a, b, c);
-    return;
-  }
   blocked_gemm(m, n, k, a, m, true, b, n, false, c, CMode::kLoad,
                BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
 
 void gemm_ovr_nn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch) {
-  if (kernel_backend() == KernelBackend::kReference) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(m) * n; ++i) {
-      c[i] = 0.0f;
-    }
-    reference::gemm_nn(m, n, k, a, b, c);
-    return;
-  }
   blocked_gemm(m, n, k, a, k, false, b, n, false, c, CMode::kOverwrite,
                BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
@@ -909,30 +769,9 @@ void gemm_forward_nt(int m, int n, int k, const float* a, const float* b,
                      const float* bias, float* c, Epilogue epilogue,
                      float slope, std::uint8_t* mask, GemmScratch& scratch) {
   const bool lrelu = epilogue == Epilogue::kBiasLeakyReLU;
-  if (kernel_backend() == KernelBackend::kReference) {
-    // The seed layer path: zeroed output, naive nt, then separate bias
-    // and activation passes.
-    const std::size_t total = static_cast<std::size_t>(m) * n;
-    for (std::size_t i = 0; i < total; ++i) c[i] = 0.0f;
-    reference::gemm_nt(m, n, k, a, b, c);
-    for (int i = 0; i < m; ++i) {
-      float* row = c + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) row[j] += bias[j];
-    }
-    for (std::size_t i = 0; i < total; ++i) {
-      const float v = c[i];
-      if (mask != nullptr) mask[i] = v < 0.0f ? 1 : 0;
-      if (lrelu && v < 0.0f) c[i] = v * slope;
-    }
-    return;
-  }
   blocked_gemm(m, n, k, a, k, false, b, k, true, c, CMode::kOverwrite,
                BiasKind::kCol, bias, lrelu, slope, mask, scratch);
 }
-
-// The transposed-activation conv forms are blocked-only (the layer's
-// reference path runs the seed pipeline instead; see gemm.hpp), so they
-// do not consult the backend toggle.
 
 void gemm_forward_nn_rowbias(int m, int n, int k, const float* a,
                              const float* b, const float* bias, float* c,
@@ -941,12 +780,6 @@ void gemm_forward_nn_rowbias(int m, int n, int k, const float* a,
   blocked_gemm(m, n, k, a, k, false, b, n, false, c, CMode::kOverwrite,
                BiasKind::kRow, bias, epilogue == Epilogue::kBiasLeakyReLU,
                slope, mask, scratch);
-}
-
-void gemm_acc_nn(int m, int n, int k, const float* a, const float* b,
-                 float* c, GemmScratch& scratch) {
-  blocked_gemm(m, n, k, a, k, false, b, n, false, c, CMode::kLoad,
-               BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
 
 void gemm_acc_nt(int m, int n, int k, const float* a, const float* b,

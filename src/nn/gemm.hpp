@@ -1,20 +1,22 @@
 // Shared GEMM kernel core for the attack network.
 //
-// All conv/dense layers lower onto three row-major GEMM forms (nn, tn,
-// nt) plus a fused forward form with a bias + LeakyReLU epilogue. The
-// optimized kernels are cache-blocked and register-tiled: B is packed
-// once per call into K x kNr column panels, A into kMr x K row panels,
-// and a kMr x kNr micro-kernel keeps the accumulators in registers.
+// The conv and dense layers lower onto six GEMM entry points — exactly
+// the forms they issue (see "Entry points" below). The kernels are
+// cache-blocked and register-tiled: B is packed once per call into
+// K x kNr column panels, A into kMr x K row panels, and a kMr x kNr
+// micro-kernel keeps the accumulators in registers.
 //
-// Bit-identity contract: for every output element C[i][j], the optimized
-// kernels perform exactly the same sequence of float operations as the
-// retained reference kernels — products are added one at a time in
-// ascending-k order onto a single accumulator chain (no split partial
-// sums, no reassociation). Packing and register tiling only change
-// *where* operands live, never the arithmetic order, so optimized and
-// reference results are identical to the last bit and the parallel
-// runtime's serial == parallel determinism contract is untouched.
-// `tests/test_kernels.cpp` enforces this on randomized shapes.
+// Bit-identity contract: for every output element C[i][j], the kernels
+// perform exactly the same sequence of float operations as a naive
+// triple loop — products are added one at a time in ascending-k order
+// onto a single accumulator chain (no split partial sums, no
+// reassociation), starting from C's prior value for the += forms and
+// from zero for the overwrite forms. Packing and register tiling only
+// change *where* operands live, never the arithmetic order, so results
+// are identical to the last bit on every ISA path, at any batch width,
+// and the parallel runtime's serial == parallel determinism contract is
+// untouched. `tests/test_kernels.cpp` enforces this on randomized shapes
+// against a naive test-only oracle (`tests/nn_oracle.*`).
 #pragma once
 
 #include <cstdint>
@@ -25,39 +27,14 @@
 namespace sma::nn {
 
 /// Reusable packing buffers. Purely transient within one GEMM call, so
-/// callers normally share one instance per thread via `thread_scratch()`
-/// — a private scratch per layer (times 8 lane replicas) would balloon
-/// the training working set and thrash the cache.
+/// callers share one instance per thread (the layers use their
+/// per-thread staging arena's scratch) — a private scratch per layer
+/// (times 8 lane replicas) would balloon the training working set and
+/// thrash the cache.
 struct GemmScratch {
   std::vector<float> a_panel;
   std::vector<float> b_panel;
 };
-
-/// The calling thread's shared scratch (grown on demand, never shrunk).
-GemmScratch& thread_scratch();
-
-/// Kernel dispatch: kBlocked is the optimized path, kReference the
-/// retained naive kernels. The toggle exists for before/after
-/// benchmarking (`bench_kernels`) and for the bit-identity tests; it is
-/// not meant to be flipped while other threads are inside a kernel.
-enum class KernelBackend { kBlocked, kReference };
-
-void set_kernel_backend(KernelBackend backend);
-KernelBackend kernel_backend();
-
-/// Activation-layout dispatch for the blocked conv pipeline.
-/// kChannelMajor (the default) has Conv2d write its GEMM output directly
-/// into a channel-major arena slot and read channel-major input through
-/// the pack_cm_* paths — no per-layer NCHW reorder, no staging copy.
-/// kRowMajorCompat retains the PR-7 pipeline (GEMM into a staging buffer,
-/// then a per-plane reorder into an NCHW slot) as the A/B baseline for
-/// bench_kernels / bench_train; both modes are byte-identical in the
-/// values they produce. Like KernelBackend, the toggle is for tests and
-/// benches — not meant to be flipped while threads are inside a layer.
-enum class ConvLayoutMode { kChannelMajor, kRowMajorCompat };
-
-void set_conv_layout_mode(ConvLayoutMode mode);
-ConvLayoutMode conv_layout_mode();
 
 /// Widest SIMD path the blocked kernels can dispatch to on this host:
 /// "avx512", "avx2" or "portable". Reported by RunReport so a bench JSON
@@ -67,16 +44,12 @@ const char* active_isa();
 /// Optional epilogue of the fused forward form.
 enum class Epilogue { kBias, kBiasLeakyReLU };
 
-// --- accumulate forms (legacy signatures, used by tests) ----------------
-// Semantics match the seed kernels exactly:
-//   gemm_nn: C[M,N] += A[M,K]   * B[K,N]
-//   gemm_tn: C[M,N] += A^T      * B[K,N]   (a stored [K, M])
-//   gemm_nt: C[M,N] += A[M,K]   * B^T      (b stored [N, K])
-void gemm_nn(int m, int n, int k, const float* a, const float* b, float* c);
-void gemm_tn(int m, int n, int k, const float* a, const float* b, float* c);
-void gemm_nt(int m, int n, int k, const float* a, const float* b, float* c);
-
-// --- scratch-taking variants (the layers' hot path) ---------------------
+// --- Entry points ------------------------------------------------------
+// Linear: forward gemm_forward_nt, dW gemm_acc_tn, dX gemm_ovr_nn.
+// Conv2d: forward gemm_forward_nn_rowbias, dW gemm_acc_nt, dX gemm_ovr_tn.
+// The += forms accumulate onto C's prior contents; the overwrite forms
+// ignore the destination's prior contents, so reused buffers need no
+// clearing.
 
 /// C[M,N] += A^T[K,M] * B[K,N] — the dW accumulation form of backward.
 void gemm_acc_tn(int m, int n, int k, const float* a, const float* b,
@@ -91,19 +64,16 @@ void gemm_ovr_nn(int m, int n, int k, const float* a, const float* b,
 /// Fused forward: C[M,N] = A[M,K] * B^T[N,K] + bias[N], optionally
 /// followed by LeakyReLU. When `mask` is non-null it receives one byte
 /// per output element: 1 where the pre-activation value was negative
-/// (the backward mask), 0 otherwise. Bit-identical to the seed's
-/// gemm_nt-into-zeroed-C followed by separate bias and activation loops.
+/// (the backward mask), 0 otherwise. Bit-identical to a naive product
+/// into a zeroed C followed by separate bias and activation passes.
 void gemm_forward_nt(int m, int n, int k, const float* a, const float* b,
                      const float* bias, float* c, Epilogue epilogue,
                      float slope, std::uint8_t* mask, GemmScratch& scratch);
 
-// --- transposed-activation forms (Conv2d's blocked pipeline) ------------
+// --- transposed-activation forms (Conv2d) --------------------------------
 // Conv2d stores its im2col matrix transposed ([patch, rows]) and its
 // output channel-major ([out, rows]): the GEMMs then stream huge-n full
-// register panels and the NCHW reorders collapse to contiguous copies.
-// These entries are blocked-only: the layer's reference path runs the
-// seed pipeline on seed layouts instead, so a reference fallback here
-// would never execute.
+// register panels, and the output needs no reorder at all.
 
 /// C[M,N] = A[M,K] * B[K,N] + bias[M] (per-ROW bias), optional LeakyReLU,
 /// optional mask (layout [M, N]). Conv forward: A = weights [out, patch],
@@ -112,12 +82,6 @@ void gemm_forward_nn_rowbias(int m, int n, int k, const float* a,
                              const float* b, const float* bias, float* c,
                              Epilogue epilogue, float slope,
                              std::uint8_t* mask, GemmScratch& scratch);
-
-/// C[M,N] += A[M,K] * B[K,N] — conv dW^T with transposed layouts:
-/// A = im2col^T [patch, rows], B = dy row-major [rows, out],
-/// C = dW^T staging [patch, out]. Both operands stream in place.
-void gemm_acc_nn(int m, int n, int k, const float* a, const float* b,
-                 float* c, GemmScratch& scratch);
 
 /// C[M,N] += A[M,K] * B^T[N,K] — conv dW with transposed layouts:
 /// A = dy^T [out, rows], B = im2col^T [patch, rows].
@@ -129,7 +93,7 @@ void gemm_acc_nt(int m, int n, int k, const float* a, const float* b,
 void gemm_ovr_tn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch);
 
-// --- fused im2col/col2im pack paths (Conv2d's blocked pipeline) ---------
+// --- fused im2col/col2im pack paths (Conv2d) ----------------------------
 // The residual im2col work folded into the GEMM pack step: one pass
 // builds the transposed im2col matrix ([patch, rows], rows = (img, oy,
 // ox)) straight from the input tensor in EITHER storage layout — the
@@ -152,14 +116,5 @@ void pack_cm_im2col(const float* x, Layout x_layout, int n, int c_in, int h,
 /// (same chain, different plane base), preserving bit-identity.
 void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int c_in,
                     int h, int w, int stride, int ho, int wo, float* dx);
-
-// --- retained reference kernels (seed implementations) ------------------
-// The naive loops the optimized kernels are validated against; also the
-// "before" side of bench_kernels.
-namespace reference {
-void gemm_nn(int m, int n, int k, const float* a, const float* b, float* c);
-void gemm_tn(int m, int n, int k, const float* a, const float* b, float* c);
-void gemm_nt(int m, int n, int k, const float* a, const float* b, float* c);
-}  // namespace reference
 
 }  // namespace sma::nn

@@ -11,7 +11,7 @@ namespace sma::nn {
 namespace {
 
 /// Per-thread staging arena. Two tenants:
-///  - Call-transient buffers (conv's y^T / dy^T / dcols^T staging and the
+///  - Call-transient buffers (conv's dy^T / dcols^T staging and the
 ///    GEMM packing scratch) for ALL layers, bound or not. They hold no
 ///    state across layer calls, so one copy per thread — rather than one
 ///    per network replica — keeps a lane/replica fleet's working set
@@ -25,13 +25,9 @@ namespace {
 /// on one thread, and the transient buffers never outlive the call.
 struct ThreadStaging {
   Arena arena;
-  Arena::Slot y_rows;
   Arena::Slot dy_rows;
   Arena::Slot dcols;
-  ThreadStaging()
-      : y_rows(arena.add_floats()),
-        dy_rows(arena.add_floats()),
-        dcols(arena.add_floats()) {}
+  ThreadStaging() : dy_rows(arena.add_floats()), dcols(arena.add_floats()) {}
 };
 
 ThreadStaging& thread_staging() {
@@ -98,30 +94,14 @@ Tensor& Linear::forward(const Tensor& x) {
 
   SMA_TRACE_SPAN("nn", "linear_fwd");
   const int rows = static_cast<int>(x.size()) / in_;
-  // y: full overwrite — every GEMM form below writes the whole [rows, out]
-  // extent (CMode::kOverwrite, or the reference path's explicit zeroing).
+  // y: full overwrite — the overwrite-form GEMM writes the whole
+  // [rows, out] extent.
   Tensor& y = arena_->tensor(y_slot_, {rows, out_}, Arena::Fill::kNone);
   const bool fused = act_ == Act::kLeakyReLU;
   // mask: full overwrite — the epilogue writes one byte per output
-  // element on both the blocked and reference paths.
+  // element.
   if (fused) {
     mask_ = arena_->bytes(mask_slot_, static_cast<std::size_t>(rows) * out_);
-  }
-  if (fused && kernel_backend() == KernelBackend::kReference) {
-    // Seed behavior, reproduced faithfully as the bench baseline: naive
-    // GEMM + bias, then a separate LeakyReLU layer (one copy to cache
-    // the pre-activation, one copy for the output, an in-place pass).
-    gemm_forward_nt(rows, out_, in_, x.data(), weight().data(), bias().data(),
-                    y.data(), Epilogue::kBias, slope_, mask_,
-                    staging_scratch());
-    Tensor preact_cache = y;
-    Tensor activated = y;
-    (void)preact_cache;
-    (void)activated;
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      if (y[i] < 0.0f) y[i] *= slope_;
-    }
-    return y;
   }
   // y = x * w^T + b (+ LeakyReLU), all in one kernel pass.
   gemm_forward_nt(rows, out_, in_, x.data(), weight().data(), bias().data(),
@@ -224,7 +204,7 @@ void Conv2d::bind_arena(Arena& arena) {
   mask_slot_ = arena.add_bytes();
   out_slot_ = arena.add_tensor();
   dx_slot_ = arena.add_tensor();
-  // Transient staging (y^T / dy^T / dcols^T, live only inside one layer
+  // Transient staging (masked dy^T / dcols^T, live only inside one layer
   // call) is NOT per-net: it comes from the per-thread staging arena —
   // see ThreadStaging above.
 }
@@ -242,25 +222,6 @@ Tensor& Conv2d::forward(const Tensor& x) {
   ensure_arena();
   x_shape_ = shape;
   x_layout_ = x.layout();
-  used_blocked_path_ = kernel_backend() == KernelBackend::kBlocked;
-#ifndef NDEBUG
-  // The reference pipeline is the seed reproduced verbatim: row-major
-  // layouts only. Under the reference backend the whole trunk stays
-  // row-major, so a channel-major input here is a wiring bug.
-  if (!used_blocked_path_ && x_layout_ != Layout::kRowMajor) {
-    throw std::logic_error(name_ + ": reference conv requires row-major x");
-  }
-#endif
-  return used_blocked_path_ ? forward_blocked(x) : forward_reference(x);
-}
-
-Tensor& Conv2d::backward(const Tensor& dy) {
-  return used_blocked_path_ ? backward_blocked(dy) : backward_reference(dy);
-}
-
-// ---- blocked pipeline (transposed layouts) --------------------------
-
-Tensor& Conv2d::forward_blocked(const Tensor& x) {
   SMA_TRACE_SPAN("nn", "conv_fwd");
   const int n = x_shape_[0];
   const int h = x_shape_[2];
@@ -272,9 +233,9 @@ Tensor& Conv2d::forward_blocked(const Tensor& x) {
 
   // im2col, transposed: cols[q][row] for patch offset q = (c, ky, kx).
   // The fused pack path reads x in whichever storage layout its tag says
-  // (channel-major from an upstream conv, row-major from the dataset) —
-  // the residual transpose that used to precede im2col is gone. Full
-  // overwrite: every element is either a padding zero or a copied value.
+  // (channel-major from an upstream conv, row-major from the dataset).
+  // Full overwrite: every element is either a padding zero or a copied
+  // value.
   float* cols = arena_->floats(
       cols_slot_, static_cast<std::size_t>(patch) * rows, Arena::Fill::kNone);
   cols_ = cols;
@@ -291,59 +252,20 @@ Tensor& Conv2d::forward_blocked(const Tensor& x) {
                           static_cast<std::size_t>(out_channels_) * rows);
   }
 
-  if (conv_layout_mode() == ConvLayoutMode::kChannelMajor) {
-    // Channel-major mode: the GEMM's [out, rows] output with rows =
-    // (img, oy, ox) IS the [n, out, ho, wo] output stored channel-major,
-    // so the kernel writes the arena slot directly — no staging buffer,
-    // no reorder, zero nn.reorder_bytes. Full overwrite by the GEMM.
-    out_layout_ = Layout::kChannelMajor;
-    Tensor& out =
-        arena_->tensor(out_slot_, {n, out_channels_, ho, wo},
-                       Arena::Fill::kNone, Layout::kChannelMajor);
-    // y^T[out, rows] = W[out, patch] * cols^T[patch, rows] + bias (+ act).
-    gemm_forward_nn_rowbias(out_channels_, rows, patch, weight().data(), cols,
-                            bias().data(), out.data(),
-                            fused ? Epilogue::kBiasLeakyReLU : Epilogue::kBias,
-                            slope_, fused ? mask_ : nullptr,
-                            staging_scratch());
-    return out;
-  }
-
-  // Row-major compat mode (the PR-7 pipeline, kept as the A/B baseline):
-  // GEMM into per-thread staging, then reorder into an NCHW slot.
-  out_layout_ = Layout::kRowMajor;
-  ThreadStaging& staging = thread_staging();
-  float* y_rows = staging.arena.floats(
-      staging.y_rows, static_cast<std::size_t>(out_channels_) * rows,
-      Arena::Fill::kNone);
-  gemm_forward_nn_rowbias(out_channels_, rows, patch, weight().data(), cols,
-                          bias().data(), y_rows,
-                          fused ? Epilogue::kBiasLeakyReLU : Epilogue::kBias,
-                          slope_, fused ? mask_ : nullptr,
-                          staging_scratch());
-
-  // [out, n*ho*wo] -> [n, out, ho, wo]: contiguous copy per (img, o).
-  // Full overwrite: the (o, img) double loop covers every output plane.
-  // This is exactly the layer-boundary permutation the channel-major mode
-  // deletes; its traffic is what nn.reorder_bytes measures.
+  // The GEMM's [out, rows] output with rows = (img, oy, ox) IS the
+  // [n, out, ho, wo] output stored channel-major, so the kernel writes the
+  // arena slot directly. Full overwrite by the GEMM.
   Tensor& out = arena_->tensor(out_slot_, {n, out_channels_, ho, wo},
-                               Arena::Fill::kNone);
-  const std::size_t how = static_cast<std::size_t>(ho) * wo;
-  SMA_COUNT_N("nn.reorder_bytes",
-              static_cast<std::size_t>(out_channels_) * rows * sizeof(float));
-  for (int o = 0; o < out_channels_; ++o) {
-    const float* src = y_rows + static_cast<std::size_t>(o) * rows;
-    for (int img = 0; img < n; ++img) {
-      std::memcpy(out.data() +
-                      (static_cast<std::size_t>(img) * out_channels_ + o) * how,
-                  src + static_cast<std::size_t>(img) * how,
-                  sizeof(float) * how);
-    }
-  }
+                               Arena::Fill::kNone, Layout::kChannelMajor);
+  // y^T[out, rows] = W[out, patch] * cols^T[patch, rows] + bias (+ act).
+  gemm_forward_nn_rowbias(out_channels_, rows, patch, weight().data(), cols,
+                          bias().data(), out.data(),
+                          fused ? Epilogue::kBiasLeakyReLU : Epilogue::kBias,
+                          slope_, fused ? mask_ : nullptr, staging_scratch());
   return out;
 }
 
-Tensor& Conv2d::backward_blocked(const Tensor& dy) {
+Tensor& Conv2d::backward(const Tensor& dy) {
   SMA_TRACE_SPAN("nn", "conv_bwd");
   const int n = x_shape_[0];
   const int h = x_shape_[2];
@@ -352,8 +274,6 @@ Tensor& Conv2d::backward_blocked(const Tensor& dy) {
   const int wo = out_size(w);
   const int rows = n * ho * wo;
   const int patch = in_channels_ * 9;
-  const bool fused = act_ == Act::kLeakyReLU;
-  const std::size_t how = static_cast<std::size_t>(ho) * wo;
 
 #ifndef NDEBUG
   // Element-wise (no temporary vector): this runs on the alloc-free
@@ -364,68 +284,34 @@ Tensor& Conv2d::backward_blocked(const Tensor& dy) {
     throw std::logic_error(name_ + ": conv backward got dy of shape " +
                            dy.shape_string());
   }
+  // dy is the gradient of the channel-major output; row-major storage
+  // here would be read as permuted planes.
+  if (dy.layout() != Layout::kChannelMajor) {
+    throw std::logic_error(name_ + ": conv backward requires channel-major dy");
+  }
 #endif
 
-  // dy -> dy^T [out, rows], applying the fused activation's mask on the
-  // way through. Dispatch on dy's OWN layout tag (not the global mode):
-  //  - channel-major dy is already [out, rows] linear in storage, so the
-  //    mask pass is one flat elementwise loop — and when there is no
-  //    fused activation, dy's storage is used in place with no copy at
-  //    all (the GEMMs below only read it).
-  //  - row-major dy takes the retained PR-7 transpose, whose traffic is
-  //    the nn.reorder_bytes cost the channel-major pipeline deletes.
-  // Either way dy_rows holds byte-identical contents, so dW/db/dcols see
-  // identical operands. Full overwrite where a copy happens.
+  // Channel-major dy is already dy^T [out, rows] linear in storage: with a
+  // fused activation the mask pass is one flat elementwise loop into
+  // staging (full overwrite); without one the GEMMs below read dy's
+  // storage in place.
   ThreadStaging& staging = thread_staging();
-  const float* dy_rows = nullptr;
-  if (dy.layout() == Layout::kChannelMajor) {
-    if (fused) {
-      float* dm = staging.arena.floats(
-          staging.dy_rows, static_cast<std::size_t>(out_channels_) * rows,
-          Arena::Fill::kNone);
-      const float* src = dy.data();
-      const std::size_t total = static_cast<std::size_t>(out_channels_) * rows;
-      for (std::size_t i = 0; i < total; ++i) {
-        dm[i] = mask_[i] ? src[i] * slope_ : src[i];
-      }
-      dy_rows = dm;
-    } else {
-      dy_rows = dy.data();
-    }
-  } else {
-    float* dm = staging.arena.floats(
-        staging.dy_rows, static_cast<std::size_t>(out_channels_) * rows,
-        Arena::Fill::kNone);
-    SMA_COUNT_N("nn.reorder_bytes", static_cast<std::size_t>(out_channels_) *
-                                        rows * sizeof(float));
-    for (int o = 0; o < out_channels_; ++o) {
-      float* dst = dm + static_cast<std::size_t>(o) * rows;
-      for (int img = 0; img < n; ++img) {
-        const float* src =
-            dy.data() +
-            (static_cast<std::size_t>(img) * out_channels_ + o) * how;
-        float* drow = dst + static_cast<std::size_t>(img) * how;
-        if (fused) {
-          const std::uint8_t* mrow = mask_ +
-                                     static_cast<std::size_t>(o) * rows +
-                                     static_cast<std::size_t>(img) * how;
-          for (std::size_t t = 0; t < how; ++t) {
-            drow[t] = mrow[t] ? src[t] * slope_ : src[t];
-          }
-        } else {
-          std::memcpy(drow, src, sizeof(float) * how);
-        }
-      }
+  const float* dy_rows = dy.data();
+  if (act_ == Act::kLeakyReLU) {
+    const std::size_t total = static_cast<std::size_t>(out_channels_) * rows;
+    float* dm = staging.arena.floats(staging.dy_rows, total,
+                                     Arena::Fill::kNone);
+    for (std::size_t i = 0; i < total; ++i) {
+      dm[i] = mask_[i] ? dy_rows[i] * slope_ : dy_rows[i];
     }
     dy_rows = dm;
   }
 
-  // dw += dy^T * cols (k = rows, ascending — the seed accumulation order).
+  // dw += dy^T * cols (k = rows, ascending — one chain per element).
   gemm_acc_nt(out_channels_, patch, rows, dy_rows, cols_, dw_.data(),
               staging_scratch());
-  // db: one ascending-r chain per channel (bit-identical to the seed's
-  // row-major sum); four channels in flight to hide the add latency the
-  // strict chain ordering imposes.
+  // db: one ascending-r chain per channel; four channels in flight to
+  // hide the add latency the strict chain ordering imposes.
   for (int o0 = 0; o0 < out_channels_; o0 += 4) {
     const int ov = out_channels_ - o0 < 4 ? out_channels_ - o0 : 4;
     float acc[4];
@@ -453,197 +339,13 @@ Tensor& Conv2d::backward_blocked(const Tensor& dy) {
   // storage layout the forward input had — a channel-major x gets a
   // channel-major dx, so the gradient flows upstream with no reorder.
   // The per-element accumulation order is layout-independent (see
-  // pack_cm_col2im), preserving the seed chain. dx accumulates (+=), so
-  // the slot is acquired zero-filled — the same bytes a freshly
-  // constructed tensor starts from.
+  // pack_cm_col2im). dx accumulates (+=), so the slot is acquired
+  // zero-filled — the same bytes a freshly constructed tensor starts
+  // from.
   Tensor& dx =
       arena_->tensor(dx_slot_, x_shape_, Arena::Fill::kZero, x_layout_);
   pack_cm_col2im(dcols, x_layout_, n, in_channels_, h, w, stride_, ho, wo,
                  dx.data());
-  return dx;
-}
-
-// ---- reference pipeline (the seed's layouts and kernels) -------------
-
-Tensor& Conv2d::forward_reference(const Tensor& x) {
-  const int n = x_shape_[0];
-  const int h = x_shape_[2];
-  const int w = x_shape_[3];
-  const int ho = out_size(h);
-  const int wo = out_size(w);
-  const int rows = n * ho * wo;
-  const int patch = in_channels_ * 9;
-
-  // Seed behavior, reproduced faithfully as the bench baseline: the
-  // im2col matrix was a freshly allocated (zeroed) tensor every call.
-  ref_cols_.clear();
-  ref_cols_.shrink_to_fit();
-  ref_cols_.resize(static_cast<std::size_t>(rows) * patch);
-  // im2col with zero padding 1 (the seed loop).
-  float* col = ref_cols_.data();
-  for (int img = 0; img < n; ++img) {
-    const float* base =
-        x.data() + static_cast<std::size_t>(img) * in_channels_ * h * w;
-    for (int oy = 0; oy < ho; ++oy) {
-      for (int ox = 0; ox < wo; ++ox) {
-        for (int c = 0; c < in_channels_; ++c) {
-          const float* plane = base + static_cast<std::size_t>(c) * h * w;
-          for (int ky = 0; ky < 3; ++ky) {
-            const int iy = oy * stride_ - 1 + ky;
-            for (int kx = 0; kx < 3; ++kx) {
-              const int ix = ox * stride_ - 1 + kx;
-              *col++ = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                           ? plane[static_cast<std::size_t>(iy) * w + ix]
-                           : 0.0f;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  const bool fused = act_ == Act::kLeakyReLU;
-  std::vector<float> y_rows(static_cast<std::size_t>(rows) * out_channels_);
-  if (fused) {
-    mask_ = arena_->bytes(mask_slot_,
-                          static_cast<std::size_t>(rows) * out_channels_);
-  }
-  gemm_forward_nt(rows, out_channels_, patch, ref_cols_.data(),
-                  weight().data(), bias().data(), y_rows.data(),
-                  Epilogue::kBias, slope_, fused ? mask_ : nullptr,
-                  staging_scratch());
-
-  // Reorder [n*ho*wo, out] -> [n, out, ho, wo]. The seed's output was a
-  // fresh zeroed tensor; Fill::kZero reproduces both the bytes and the
-  // zero-fill cost of that baseline.
-  out_layout_ = Layout::kRowMajor;
-  SMA_COUNT_N("nn.reorder_bytes",
-              static_cast<std::size_t>(rows) * out_channels_ * sizeof(float));
-  Tensor& out = arena_->tensor(out_slot_, {n, out_channels_, ho, wo},
-                               Arena::Fill::kZero);
-  for (int img = 0; img < n; ++img) {
-    for (int oy = 0; oy < ho; ++oy) {
-      for (int ox = 0; ox < wo; ++ox) {
-        const float* src =
-            y_rows.data() +
-            (static_cast<std::size_t>(img) * ho * wo + oy * wo + ox) *
-                out_channels_;
-        for (int o = 0; o < out_channels_; ++o) {
-          out.data()[((static_cast<std::size_t>(img) * out_channels_ + o) *
-                          ho +
-                      oy) *
-                         wo +
-                     ox] = src[o];
-        }
-      }
-    }
-  }
-  if (fused) {
-    // The seed ran a separate LeakyReLU layer here: one copy to cache the
-    // pre-activation, one copy for the output, then an in-place pass.
-    Tensor preact_cache = out;
-    Tensor activated = out;
-    (void)preact_cache;
-    (void)activated;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i] < 0.0f) out[i] *= slope_;
-    }
-  }
-  return out;
-}
-
-Tensor& Conv2d::backward_reference(const Tensor& dy) {
-  const int n = x_shape_[0];
-  const int h = x_shape_[2];
-  const int w = x_shape_[3];
-  const int ho = out_size(h);
-  const int wo = out_size(w);
-  const int rows = n * ho * wo;
-  const int patch = in_channels_ * 9;
-  const bool fused = act_ == Act::kLeakyReLU;
-
-#ifndef NDEBUG
-  if (dy.layout() != Layout::kRowMajor) {
-    throw std::logic_error(name_ + ": reference conv requires row-major dy");
-  }
-#endif
-
-  // The seed's activation layer copied dy before masking, and the seed
-  // conv allocated its gradient staging tensors per call.
-  Tensor dy_masked = dy;
-  if (fused) {
-    float* dm = dy_masked.data();
-    for (int img = 0; img < n; ++img) {
-      for (int o = 0; o < out_channels_; ++o) {
-        const std::size_t off =
-            (static_cast<std::size_t>(img) * out_channels_ + o) * ho * wo;
-        for (int t = 0; t < ho * wo; ++t) {
-          const std::size_t row_index =
-              (static_cast<std::size_t>(img) * ho * wo + t) * out_channels_ +
-              o;
-          if (mask_[row_index]) dm[off + t] *= slope_;
-        }
-      }
-    }
-  }
-  std::vector<float> dy_rows(static_cast<std::size_t>(rows) * out_channels_);
-  SMA_COUNT_N("nn.reorder_bytes",
-              static_cast<std::size_t>(rows) * out_channels_ * sizeof(float));
-  for (int img = 0; img < n; ++img) {
-    for (int o = 0; o < out_channels_; ++o) {
-      const float* plane =
-          dy_masked.data() +
-          (static_cast<std::size_t>(img) * out_channels_ + o) * ho * wo;
-      for (int oy = 0; oy < ho; ++oy) {
-        for (int ox = 0; ox < wo; ++ox) {
-          dy_rows[(static_cast<std::size_t>(img) * ho * wo + oy * wo + ox) *
-                      out_channels_ +
-                  o] = plane[static_cast<std::size_t>(oy) * wo + ox];
-        }
-      }
-    }
-  }
-
-  // dw += dy_rows^T * cols
-  gemm_acc_tn(out_channels_, patch, rows, dy_rows.data(), ref_cols_.data(),
-              dw_.data(), staging_scratch());
-  for (int r = 0; r < rows; ++r) {
-    const float* dyr =
-        dy_rows.data() + static_cast<std::size_t>(r) * out_channels_;
-    for (int o = 0; o < out_channels_; ++o) db_[o] += dyr[o];
-  }
-
-  // dcols = dy_rows * w  (the seed always computed the input gradient,
-  // even for a network's first layer).
-  std::vector<float> dcols(static_cast<std::size_t>(rows) * patch);
-  gemm_ovr_nn(rows, patch, out_channels_, dy_rows.data(), weight().data(),
-              dcols.data(), staging_scratch());
-
-  // col2im. dx accumulates (+=): acquired zero-filled, the bytes of the
-  // seed's freshly constructed tensor.
-  Tensor& dx = arena_->tensor(dx_slot_, x_shape_, Arena::Fill::kZero);
-  const float* col = dcols.data();
-  for (int img = 0; img < n; ++img) {
-    float* base =
-        dx.data() + static_cast<std::size_t>(img) * in_channels_ * h * w;
-    for (int oy = 0; oy < ho; ++oy) {
-      for (int ox = 0; ox < wo; ++ox) {
-        for (int c = 0; c < in_channels_; ++c) {
-          float* plane = base + static_cast<std::size_t>(c) * h * w;
-          for (int ky = 0; ky < 3; ++ky) {
-            const int iy = oy * stride_ - 1 + ky;
-            for (int kx = 0; kx < 3; ++kx) {
-              const int ix = ox * stride_ - 1 + kx;
-              float v = *col++;
-              if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
-                plane[static_cast<std::size_t>(iy) * w + ix] += v;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
   return dx;
 }
 

@@ -19,8 +19,8 @@
 // core fixes each output element's accumulation chain independently of
 // how many rows share the call (nn/gemm.hpp). Stacking B queries' rows
 // into one input therefore IS the batched wide-GEMM path: per-row
-// outputs are byte-identical to B separate calls, at any batch width,
-// thread count, or kernel backend. `AttackNet::forward_batched` builds
+// outputs are byte-identical to B separate calls, at any batch width or
+// thread count. `AttackNet::forward_batched` builds
 // on exactly this; no layer carries separate batch-1/batched code.
 //
 // Activation-arena contract: `forward`/`backward` return references to
@@ -36,7 +36,8 @@
 // construction; a layer used standalone (tests, benches) lazily binds
 // itself to a thread-local fallback arena on first use — such a layer
 // must then keep running on the thread that first called it.
-// Call-transient staging (conv's y^T/dy^T/dcols^T, GEMM packing panels)
+// Call-transient staging (conv's masked dy^T and dcols^T, GEMM packing
+// panels)
 // is NOT per-network: it lives in a per-thread staging arena
 // (layers.cpp), one hot copy per thread no matter how many replicas run.
 // Every arena slot below is annotated with its overwrite discipline (the
@@ -148,41 +149,29 @@ class LeakyReLU {
 /// blocked GEMM, with bias (+ optional LeakyReLU) fused into the kernel
 /// epilogue.
 ///
-/// Pipeline contract — one persistent activation layout:
-///  - blocked + ConvLayoutMode::kChannelMajor (the default): the im2col
-///    matrix is stored transposed ([patch, rows]) and the GEMM writes its
-///    channel-major [out, rows] output DIRECTLY into the layer's output
-///    slot, which is tagged Layout::kChannelMajor — for rows = (img, oy,
-///    ox) that [out, rows] matrix IS the [n, out, ho, wo] output stored
-///    channel-major, so there is no reorder and no staging copy at all.
-///    The next conv's im2col reads the channel-major slot through the
-///    fused pack paths in nn/gemm.* (pack_cm_im2col / pack_cm_col2im),
-///    which parameterize only the plane base offset by the input's
-///    Layout tag: activations stay channel-major across the whole conv
-///    trunk, and the only row-major seams in the network are the dataset
-///    input (conv1 reads NCHW natively through the same pack path) and
-///    the GlobalAvgPool output feeding the fc head (a [n+1, C] matrix
-///    with no spatial extent — layout-free by construction). Backward
-///    mirrors forward: dy arrives channel-major ([out, rows] linear in
-///    storage, so the mask pass is a flat elementwise loop, not a
-///    transpose) and dx is produced in the SAME layout as the forward
-///    input, so gradients flow through the trunk without any reorder
-///    either. Every data movement that remains is counted on the
-///    nn.pack_bytes obs counter; the eliminated boundary permutations
-///    are counted on nn.reorder_bytes by the paths below (the run
-///    report proves the default pipeline keeps that counter at zero).
-///  - blocked + ConvLayoutMode::kRowMajorCompat: the PR-7 pipeline,
-///    retained as the A/B baseline — same GEMMs, but the output lands in
-///    per-thread y_rows staging and is reordered into a row-major NCHW
-///    slot (and dy is transposed back) at every layer boundary; those
-///    copies are the nn.reorder_bytes cost the default mode deletes.
-///  - reference: the seed pipeline on seed layouts (row-major im2col,
-///    naive kernels, separate bias/activation passes, per-call interior
-///    allocations) — the before side of bench_kernels and the ground
-///    truth for the bit-identity tests. Row-major only.
-/// All three produce bit-identical values: the layout modes change where
-/// bytes live, never arithmetic or summation order (the GEMM operands and
-/// the per-element accumulation chains are identical by construction).
+/// Pipeline contract — one persistent activation layout: the im2col
+/// matrix is stored transposed ([patch, rows]) and the GEMM writes its
+/// channel-major [out, rows] output DIRECTLY into the layer's output
+/// slot, which is tagged Layout::kChannelMajor — for rows = (img, oy, ox)
+/// that [out, rows] matrix IS the [n, out, ho, wo] output stored
+/// channel-major, so there is no reorder and no staging copy at all. The
+/// next conv's im2col reads the channel-major slot through the fused
+/// pack paths in nn/gemm.* (pack_cm_im2col / pack_cm_col2im), which
+/// parameterize only the plane base offset by the input's Layout tag:
+/// activations stay channel-major across the whole conv trunk, and the
+/// only row-major seams in the network are the dataset input (conv1
+/// reads NCHW natively through the same pack path) and the GlobalAvgPool
+/// output feeding the fc head (a [n+1, C] matrix with no spatial extent —
+/// layout-free by construction). Backward mirrors forward: dy must be
+/// channel-major like the output it is the gradient of ([out, rows]
+/// linear in storage, so the mask pass is a flat elementwise loop, not a
+/// transpose — Debug builds throw std::logic_error on a row-major dy),
+/// and dx is produced in the SAME layout as the forward input, so
+/// gradients flow through the trunk without any reorder either. Every
+/// data movement that remains is counted on the nn.pack_bytes obs
+/// counter. Values are bit-identical to a direct im2col conv over naive
+/// GEMMs (the test oracle, tests/nn_oracle.*): the layout changes where
+/// bytes live, never arithmetic or summation order.
 /// The Layout tag guarantee: any tensor returned by forward/backward
 /// carries the tag describing its actual storage order, and every
 /// consumer dispatches on that tag (Debug builds assert the contract at
@@ -215,10 +204,6 @@ class Conv2d {
 
  private:
   void ensure_arena();
-  Tensor& forward_blocked(const Tensor& x);
-  Tensor& forward_reference(const Tensor& x);
-  Tensor& backward_blocked(const Tensor& dy);
-  Tensor& backward_reference(const Tensor& dy);
 
   int in_channels_;
   int out_channels_;
@@ -234,33 +219,23 @@ class Conv2d {
   Tensor dw_;
   Tensor db_;
   std::vector<int> x_shape_;
-  bool used_blocked_path_ = true;  ///< pipeline of the last forward
-  /// Storage layouts recorded at forward time (backward dispatches on
-  /// these, not on the global mode — a mid-run mode flip between forward
-  /// and backward must not change how cached state is interpreted).
+  /// Storage layout of the last forward's input; backward returns dx in
+  /// it.
   Layout x_layout_ = Layout::kRowMajor;
-  Layout out_layout_ = Layout::kRowMajor;
   Tensor empty_;  ///< returned when the input gradient is skipped
   // Arena slots. cols (full: every element is a memcpy run, an explicit
   // padding zero, or a strided gather) and mask (full: GEMM epilogue)
-  // persist from forward to backward; out (full: direct GEMM writeback in
-  // channel-major mode, per-channel memcpy reorder in compat mode) and dx
-  // (accum: col2im += — acquired Fill::kZero) are live until the next
-  // call. The y_rows/dy_rows/dcols staging (all full) is call-transient
-  // and comes from the per-thread staging arena (compat/row-major paths
-  // only; the channel-major path needs none of it on forward).
+  // persist from forward to backward; out (full: direct GEMM writeback)
+  // and dx (accum: col2im += — acquired Fill::kZero) are live until the
+  // next call. Backward's masked-dy and dcols staging (both full) is
+  // call-transient and comes from the per-thread staging arena.
   Arena* arena_ = nullptr;
   Arena::Slot cols_slot_ = 0;
   Arena::Slot mask_slot_ = 0;
   Arena::Slot out_slot_ = 0;
   Arena::Slot dx_slot_ = 0;
-  const float* cols_ = nullptr;      ///< blocked im2col, [patch, rows]
+  const float* cols_ = nullptr;      ///< im2col, [patch, rows]
   std::uint8_t* mask_ = nullptr;     ///< pre-activation < 0, when fused
-  /// Reference-pipeline im2col, [rows, patch]. Deliberately NOT arena
-  /// storage: the seed allocated (and zeroed) this matrix on every call,
-  /// and the reference pipeline reproduces that cost as the bench
-  /// baseline.
-  std::vector<float> ref_cols_;
 };
 
 /// [N, C, H, W] -> [N, C] channel means. Accepts input in either storage

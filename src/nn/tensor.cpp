@@ -142,12 +142,13 @@ std::string Tensor::shape_string() const {
   return format_shape(shape_.data(), shape_.size());
 }
 
-void copy_to_layout(const Tensor& src, Layout layout, Tensor& dst) {
+Tensor to_layout(const Tensor& src, Layout layout) {
+  Tensor dst;
   dst.resize_reuse(src.shape(), layout);
   const std::size_t total = src.size();
   if (src.layout() == layout || total == 0) {
     std::copy(src.data(), src.data() + total, dst.data());
-    return;
+    return dst;
   }
   // One of the two is channel-major, the other row-major; both
   // permutations are the same plane swap applied in opposite directions.
@@ -166,12 +167,7 @@ void copy_to_layout(const Tensor& src, Layout layout, Tensor& dst) {
       std::copy(s + from, s + from + plane, d + to);
     }
   }
-}
-
-Tensor to_layout(const Tensor& src, Layout layout) {
-  Tensor out;
-  copy_to_layout(src, layout, out);
-  return out;
+  return dst;
 }
 
 Tensor to_row_major(const Tensor& src) {

@@ -121,14 +121,8 @@ class Tensor {
   Layout layout_ = Layout::kRowMajor;
 };
 
-/// Copy `src` into `dst` with `dst` holding the same logical values under
-/// `layout`. `dst` is resize_reuse'd to src's shape (grow-only, so a
-/// preallocated dst makes this allocation-free — benches use it to time
-/// the bare permutation). Same-layout copies degrade to one memcpy.
-void copy_to_layout(const Tensor& src, Layout layout, Tensor& dst);
-
-/// Value-returning conversion helpers built on copy_to_layout. A no-op
-/// (plain copy) when the tensor is already in the requested layout.
+/// A copy of `src` holding the same logical values stored in `layout`
+/// (a plain copy when `src` is already in that layout).
 Tensor to_layout(const Tensor& src, Layout layout);
 Tensor to_row_major(const Tensor& src);
 

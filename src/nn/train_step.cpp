@@ -1,6 +1,5 @@
 #include "nn/train_step.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -12,8 +11,7 @@ namespace sma::nn {
 TrainStep::TrainStep(std::vector<Param> master, const AdamConfig& config)
     : master_(std::move(master)), adam_(master_, config) {}
 
-void TrainStep::attach_lanes(std::vector<std::vector<Param>> lanes,
-                             bool broadcast) {
+void TrainStep::attach_lanes(std::vector<std::vector<Param>> lanes) {
   for (const std::vector<Param>& lane : lanes) {
     if (lane.size() != master_.size()) {
       throw std::invalid_argument(
@@ -21,7 +19,6 @@ void TrainStep::attach_lanes(std::vector<std::vector<Param>> lanes,
     }
   }
   lanes_ = std::move(lanes);
-  broadcast_ = broadcast;
 }
 
 void TrainStep::accumulate(const std::vector<Param>& lane) {
@@ -74,16 +71,8 @@ void TrainStep::step(int active_lanes, runtime::ThreadPool* pool) {
           }
         }
         // (2) Adam update for this parameter, while its state is hot.
+        // Lanes read the master's weight tensors, so they see it at once.
         adam_.update_param(k, scales);
-        // (3) Broadcast to lanes owning private weights (no-op for
-        // shared-weight lanes, whose reads alias the master's storage).
-        if (broadcast_) {
-          const float* master_value = master_[k].value->data();
-          const std::size_t bytes = master_[k].value->size() * sizeof(float);
-          for (std::size_t l = 0; l < lanes_.size(); ++l) {
-            std::memcpy(lanes_[l][k].value->data(), master_value, bytes);
-          }
-        }
       });
 }
 

@@ -1,33 +1,26 @@
 // Fused training-step engine.
 //
-// PR 2 made the kernels fast enough that the fast-profile epoch is
-// dominated by the *unfused tail* of every optimizer step: three separate
-// passes over all parameters (lane-gradient reduce, Adam update, weight
-// broadcast), each streaming megabytes of parameter state through the
-// cache again. `TrainStep` fuses the three into ONE `parallel_for` pass:
-// for each parameter it (1) adds the active lanes' gradients onto the
-// master gradient in ascending lane order, zeroing each lane gradient,
-// (2) applies the Adam update via `Adam::update_param`, and (3) — only
-// for lanes that own private weight storage — copies the fresh weights
-// back to every lane. Each parameter's state is touched exactly once per
-// step while it is hot in cache.
+// Each optimizer step's tail touches every parameter twice over: the
+// lane-gradient reduce and the Adam update. `TrainStep` fuses both into
+// ONE `parallel_for` pass: for each parameter it (1) adds the active
+// lanes' gradients onto the master gradient in ascending lane order,
+// zeroing each lane gradient, then (2) applies the Adam update via
+// `Adam::update_param` — each parameter's state is touched exactly once
+// per step while it is hot in cache.
+//
+// Lanes share the master's weight tensors (AttackNet::clone_shared): the
+// Adam update lands directly in the storage every lane reads, so no
+// weight broadcast is needed and the lanes carry one weight copy in
+// total.
 //
 // Determinism: parameters are independent, and within one parameter the
 // fused pass performs the identical float operations in the identical
 // order (fixed lane order, ascending j, the unmodified Adam arithmetic)
-// as the unfused reduce / `Adam::step` / broadcast sequence. Fused and
-// unfused training therefore produce byte-identical models at any lane
-// count and any thread count — the PR-1 determinism contract, which
-// tests/test_train_step.cpp asserts. The activation Layout refactor does
-// not touch this engine: gradients arrive here as parameter tensors
-// (always row-major), so the conv trunk's channel-major activations
-// change where forward/backward *move* data, never what this reduce /
-// Adam / broadcast pass sums or in what order.
-//
-// Lanes that *share* the master's weight tensors (AttackNet::
-// clone_shared) attach with `broadcast = false`: the Adam update lands
-// directly in the storage every lane reads, so the broadcast disappears
-// entirely and the per-lane working set shrinks by one full weight copy.
+// as a separate reduce followed by `Adam::step`, so models are
+// byte-identical at any lane count and any thread count —
+// tests/test_train_step.cpp asserts this. Gradients arrive here as
+// parameter tensors (always row-major), so the conv trunk's channel-major
+// activations never change what this pass sums or in what order.
 #pragma once
 
 #include <cstddef>
@@ -46,13 +39,11 @@ class TrainStep {
   TrainStep(std::vector<Param> master, const AdamConfig& config);
 
   /// Attach per-lane parameter views; `lanes[l]` must be index-aligned
-  /// with the master params. `broadcast` selects whether `step` copies
-  /// updated master weights into each lane's value tensors — required
-  /// when lanes own private weight storage, pointless (and skipped) when
-  /// lanes share the master's weight tensors.
-  void attach_lanes(std::vector<std::vector<Param>> lanes, bool broadcast);
+  /// with the master params, and each lane must read the master's weight
+  /// tensors (AttackNet::clone_shared) — `step` updates only the master.
+  void attach_lanes(std::vector<std::vector<Param>> lanes);
 
-  /// One fused reduce + Adam + broadcast pass over all parameters, using
+  /// One fused reduce + Adam pass over all parameters, using
   /// the gradients of the first `active_lanes` lanes (a trailing partial
   /// batch activates fewer lanes than are attached). With no lanes
   /// attached this degrades to a plain `Adam::step`. A negative
@@ -73,15 +64,14 @@ class TrainStep {
   void decay_lr() { adam_.decay_lr(); }
   double learning_rate() const { return adam_.learning_rate(); }
 
-  /// The underlying optimizer — the per-query (batch_size = 1) training
-  /// path steps it directly, bypassing the lane machinery.
+  /// The underlying optimizer — the serial training loop steps it
+  /// directly after `accumulate`, and checkpointing serializes it.
   Adam& optimizer() { return adam_; }
 
  private:
   std::vector<Param> master_;
   Adam adam_;
   std::vector<std::vector<Param>> lanes_;
-  bool broadcast_ = false;
 };
 
 }  // namespace sma::nn

@@ -197,20 +197,11 @@ std::string RunReport::to_json() const {
      << ", \"checkpoint_resumes\": " << ckpt.resumes
      << ", \"checkpoint_corrupt_discards\": " << ckpt.corrupt_discards << "}";
 
-  // reorder_bytes / pack_bytes are the layout refactor's proof
-  // obligation: pack_bytes is the im2col/col2im traffic that remains by
-  // design, reorder_bytes the layer-boundary permutation traffic the
-  // channel-major pipeline eliminates (~0 on the default mode; nonzero
-  // only on the reference / row-major-compat baselines).
+  // pack_bytes is the im2col/col2im traffic the conv pipeline moves by
+  // design; no other activation copy remains on the NN hot path.
   Registry& reg = Registry::global();
-  os << ", \"kernels\": {\"backend\": \""
-     << (nn::kernel_backend() == nn::KernelBackend::kBlocked ? "blocked"
-                                                             : "reference")
-     << "\", \"isa\": \"" << nn::active_isa()
+  os << ", \"kernels\": {\"isa\": \"" << nn::active_isa()
      << "\", \"blocked_calls\": " << reg.counter("gemm.blocked_calls").value()
-     << ", \"reference_calls\": "
-     << reg.counter("gemm.reference_calls").value()
-     << ", \"reorder_bytes\": " << reg.counter("nn.reorder_bytes").value()
      << ", \"pack_bytes\": " << reg.counter("nn.pack_bytes").value() << "}";
 
   const Registry::Snapshot snap = reg.snapshot();

@@ -302,40 +302,6 @@ TEST(ArenaNet, StaleWarmupNeverLeaksIntoTraining) {
       << "stale warm-up contents leaked into the trained model";
 }
 
-TEST(ArenaNet, LayoutModesTrainByteIdenticalModels) {
-  // PR-7 equivalence gate at the model level: a full image-profile
-  // training sequence under kRowMajorCompat (the PR-7 data path: GEMM
-  // into staging, permutation copy back to NCHW) and under kChannelMajor
-  // (GEMM straight into the channel-major arena slot) must save
-  // byte-identical models — the layout refactor moves bytes, never
-  // arithmetic or summation order.
-  const NetConfig config = tiny_image_config();
-  const int image_size = 15;
-  const std::vector<int> ns = {3, 7, 2, 6, 1, 5};
-
-  auto train_with_mode = [&](ConvLayoutMode mode) {
-    set_conv_layout_mode(mode);
-    AttackNet net(config);
-    Adam adam(net.params());
-    for (std::size_t i = 0; i < ns.size(); ++i) {
-      QueryInput input = make_input(config, ns[i], image_size, 500 + i);
-      const int target = static_cast<int>(i) % ns[i];
-      LossResult loss = softmax_regression_loss(net.forward(input), target);
-      net.backward(loss.grad);
-      adam.step(nullptr);
-    }
-    std::stringstream bytes;
-    net.save(bytes);
-    return bytes.str();
-  };
-
-  const std::string compat = train_with_mode(ConvLayoutMode::kRowMajorCompat);
-  const std::string cm = train_with_mode(ConvLayoutMode::kChannelMajor);
-  set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
-  EXPECT_FALSE(compat.empty());
-  EXPECT_EQ(compat, cm) << "layout modes trained diverging models";
-}
-
 TEST(ArenaNet, PinnedReplicaShapeVaryingMatchesMaster) {
   const NetConfig config = tiny_image_config();
   const int image_size = 15;

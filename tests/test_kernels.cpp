@@ -1,35 +1,33 @@
-// Bit-identity of the blocked GEMM core against the retained reference
-// kernels — the contract that lets the optimized kernels replace the
-// naive ones without perturbing a single downstream number (trained
-// models, CCRs, the parallel runtime's serial == parallel checks).
+// Bit-identity of the blocked GEMM core, and of the Linear and Conv2d
+// layers built on it, against the naive test-only oracle (nn_oracle.hpp)
+// — the contract that lets the optimized kernels stand in for naive loops
+// without perturbing a single downstream number (trained models, CCRs,
+// the parallel runtime's serial == parallel checks).
 //
 // Every comparison here is exact to the bit (memcmp, not EXPECT_NEAR):
-// the optimized kernels keep each output element's accumulation a single
+// the kernels keep each output element's accumulation a single
 // ascending-k chain, so any reassociation bug shows up as a hard failure
-// on the randomized shapes below, which include sizes well off the 4x8
+// on the randomized shapes below, which include sizes well off every
 // register tile.
 #include "nn/gemm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
+#include "nn_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace sma::nn {
 namespace {
 
-/// Restores the process-wide backend and conv layout mode after each test.
-class KernelTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    set_kernel_backend(KernelBackend::kBlocked);
-    set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
-  }
-};
+using test::oracle::Op;
 
 std::vector<float> random_vec(std::size_t n, util::Pcg32& rng) {
   std::vector<float> v(n);
@@ -41,8 +39,16 @@ bool bit_equal(const float* a, const float* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(float)) == 0;
 }
 
-// Shapes straddling the register tile (kMr = 4, kNr = 8): exact
-// multiples, off-by-one tails, single rows/columns, k = 1.
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() && bit_equal(a.data(), b.data(), a.size());
+}
+
+bool bit_equal(const Tensor& a, const std::vector<float>& b) {
+  return a.size() == b.size() && bit_equal(a.data(), b.data(), a.size());
+}
+
+// Shapes straddling the register tiles (4x8 portable, 4x16 AVX2, 8x32
+// AVX-512): exact multiples, off-by-one tails, single rows/columns, k = 1.
 struct Shape {
   int m, n, k;
 };
@@ -52,200 +58,209 @@ const Shape kShapes[] = {
     {40, 33, 57},
 };
 
-using GemmFn = void (*)(int, int, int, const float*, const float*, float*);
+std::string shape_name(const Shape& s) {
+  return std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+         std::to_string(s.k);
+}
 
-void expect_form_bit_identical(GemmFn fn, bool a_is_km, bool b_is_nk) {
+using GemmFn = void (*)(int, int, int, const float*, const float*, float*,
+                        GemmScratch&);
+
+/// One production form against the oracle on every shape. The += forms
+/// start from a random nonzero C (association with the prior contents
+/// matters); the overwrite forms start from a garbage-filled destination
+/// they must ignore (layers reuse buffers without clearing), which the
+/// oracle replaces with a zeroed C. One scratch serves every shape, so its
+/// grow/shrink reuse is exercised too.
+void expect_form_matches_oracle(GemmFn fn, Op op_a, Op op_b,
+                                bool overwrite) {
+  GemmScratch scratch;
   for (const Shape& s : kShapes) {
     util::Pcg32 rng(1000u + s.m * 131 + s.n * 17 + s.k);
-    const std::size_t a_size =
-        a_is_km ? static_cast<std::size_t>(s.k) * s.m
-                : static_cast<std::size_t>(s.m) * s.k;
-    const std::size_t b_size =
-        b_is_nk ? static_cast<std::size_t>(s.n) * s.k
-                : static_cast<std::size_t>(s.k) * s.n;
-    std::vector<float> a = random_vec(a_size, rng);
-    std::vector<float> b = random_vec(b_size, rng);
-    // Nonzero initial C exercises the += semantics (the dW accumulation
-    // path) where association with prior contents matters.
-    std::vector<float> c0 =
-        random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-
-    std::vector<float> c_ref = c0;
-    set_kernel_backend(KernelBackend::kReference);
-    fn(s.m, s.n, s.k, a.data(), b.data(), c_ref.data());
-
-    std::vector<float> c_blk = c0;
-    set_kernel_backend(KernelBackend::kBlocked);
-    fn(s.m, s.n, s.k, a.data(), b.data(), c_blk.data());
-
-    EXPECT_TRUE(bit_equal(c_ref.data(), c_blk.data(), c_ref.size()))
-        << "shape " << s.m << "x" << s.n << "x" << s.k;
-  }
-}
-
-TEST_F(KernelTest, GemmNnBitIdentical) {
-  expect_form_bit_identical(&gemm_nn, false, false);
-}
-
-TEST_F(KernelTest, GemmTnBitIdentical) {
-  expect_form_bit_identical(&gemm_tn, true, false);
-}
-
-TEST_F(KernelTest, GemmNtBitIdentical) {
-  expect_form_bit_identical(&gemm_nt, false, true);
-}
-
-TEST_F(KernelTest, GemmNnHandlesExactZerosInA) {
-  // The reference nn/tn kernels skip zero A elements entirely; the
-  // blocked kernels multiply through. Structural zeros (im2col padding)
-  // must not change a single bit.
-  for (const Shape& s : {Shape{9, 21, 18}, Shape{4, 8, 8}}) {
-    util::Pcg32 rng(7u + s.m);
-    std::vector<float> a =
+    const std::size_t c_size = static_cast<std::size_t>(s.m) * s.n;
+    const std::vector<float> a =
         random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
-    for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
-    std::vector<float> b =
+    const std::vector<float> b =
         random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
-    std::vector<float> c0 =
-        random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-
-    std::vector<float> c_ref = c0;
-    set_kernel_backend(KernelBackend::kReference);
-    gemm_nn(s.m, s.n, s.k, a.data(), b.data(), c_ref.data());
-    std::vector<float> c_blk = c0;
-    set_kernel_backend(KernelBackend::kBlocked);
-    gemm_nn(s.m, s.n, s.k, a.data(), b.data(), c_blk.data());
-    EXPECT_TRUE(bit_equal(c_ref.data(), c_blk.data(), c_ref.size()));
+    std::vector<float> want =
+        overwrite ? std::vector<float>(c_size, 0.0f) : random_vec(c_size, rng);
+    std::vector<float> got =
+        overwrite ? std::vector<float>(c_size, 123.0f) : want;
+    test::oracle::gemm(op_a, op_b, s.m, s.n, s.k, a.data(), b.data(),
+                       want.data());
+    fn(s.m, s.n, s.k, a.data(), b.data(), got.data(), scratch);
+    EXPECT_TRUE(bit_equal(want.data(), got.data(), c_size))
+        << "shape " << shape_name(s);
   }
 }
 
-TEST_F(KernelTest, ForwardNtEpilogueBitIdentical) {
+TEST(Kernels, AccTnMatchesOracle) {
+  expect_form_matches_oracle(&gemm_acc_tn, Op::kT, Op::kN,
+                             /*overwrite=*/false);
+}
+
+TEST(Kernels, AccNtMatchesOracle) {
+  expect_form_matches_oracle(&gemm_acc_nt, Op::kN, Op::kT,
+                             /*overwrite=*/false);
+}
+
+TEST(Kernels, OvrNnMatchesOracle) {
+  expect_form_matches_oracle(&gemm_ovr_nn, Op::kN, Op::kN,
+                             /*overwrite=*/true);
+}
+
+TEST(Kernels, OvrTnMatchesOracle) {
+  expect_form_matches_oracle(&gemm_ovr_tn, Op::kT, Op::kN,
+                             /*overwrite=*/true);
+}
+
+TEST(Kernels, ForwardEpiloguesMatchOracle) {
+  // gemm_forward_nt (Linear: per-column bias, B stored [N, K]) and
+  // gemm_forward_nn_rowbias (Conv2d: per-row bias) against the product
+  // followed by separate bias, mask and LeakyReLU passes. Destinations
+  // and masks start as garbage.
+  GemmScratch scratch;
   for (const Shape& s : kShapes) {
     util::Pcg32 rng(400u + s.m * 7 + s.n * 3 + s.k);
-    std::vector<float> a =
-        random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
-    std::vector<float> b =
-        random_vec(static_cast<std::size_t>(s.n) * s.k, rng);
-    std::vector<float> bias = random_vec(s.n, rng);
     const std::size_t c_size = static_cast<std::size_t>(s.m) * s.n;
+    const std::vector<float> a =
+        random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
+    const std::vector<float> b =
+        random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
+    const std::vector<float> bias_col = random_vec(s.n, rng);
+    const std::vector<float> bias_row = random_vec(s.m, rng);
+    for (bool row_bias : {false, true}) {
+      for (Epilogue epilogue : {Epilogue::kBias, Epilogue::kBiasLeakyReLU}) {
+        const bool lrelu = epilogue == Epilogue::kBiasLeakyReLU;
+        const float* bias = row_bias ? bias_row.data() : bias_col.data();
+        std::vector<float> want(c_size, 0.0f);
+        std::vector<std::uint8_t> want_mask(c_size);
+        test::oracle::gemm(Op::kN, row_bias ? Op::kN : Op::kT, s.m, s.n, s.k,
+                           a.data(), b.data(), want.data());
+        test::oracle::bias_act(s.m, s.n, bias, row_bias, lrelu, 0.01f,
+                               want.data(), want_mask.data());
 
-    for (Epilogue epilogue : {Epilogue::kBias, Epilogue::kBiasLeakyReLU}) {
-      GemmScratch ws;
-      // Stale garbage in the destination: the overwrite form must ignore
-      // prior contents (layers reuse these buffers without clearing).
-      std::vector<float> c_ref(c_size, 123.0f);
-      std::vector<std::uint8_t> mask_ref(c_size, 2);
-      set_kernel_backend(KernelBackend::kReference);
-      gemm_forward_nt(s.m, s.n, s.k, a.data(), b.data(), bias.data(),
-                      c_ref.data(), epilogue, 0.01f, mask_ref.data(), ws);
-
-      std::vector<float> c_blk(c_size, -77.0f);
-      std::vector<std::uint8_t> mask_blk(c_size, 3);
-      set_kernel_backend(KernelBackend::kBlocked);
-      gemm_forward_nt(s.m, s.n, s.k, a.data(), b.data(), bias.data(),
-                      c_blk.data(), epilogue, 0.01f, mask_blk.data(), ws);
-
-      EXPECT_TRUE(bit_equal(c_ref.data(), c_blk.data(), c_size))
-          << "shape " << s.m << "x" << s.n << "x" << s.k;
-      EXPECT_EQ(mask_ref, mask_blk);
+        std::vector<float> got(c_size, -77.0f);
+        std::vector<std::uint8_t> got_mask(c_size, 3);
+        if (row_bias) {
+          gemm_forward_nn_rowbias(s.m, s.n, s.k, a.data(), b.data(), bias,
+                                  got.data(), epilogue, 0.01f,
+                                  got_mask.data(), scratch);
+        } else {
+          gemm_forward_nt(s.m, s.n, s.k, a.data(), b.data(), bias, got.data(),
+                          epilogue, 0.01f, got_mask.data(), scratch);
+        }
+        const std::string what = shape_name(s) +
+                                 (row_bias ? " rowbias" : " nt") +
+                                 (lrelu ? " lrelu" : "");
+        EXPECT_TRUE(bit_equal(want.data(), got.data(), c_size)) << what;
+        EXPECT_EQ(want_mask, got_mask) << what;
+      }
     }
   }
 }
 
 // ---- layer-level identity ----------------------------------------------
 
-template <typename MakeLayer>
-void expect_layer_bit_identical(MakeLayer make_layer, const Tensor& x,
-                                util::Pcg32& grad_rng) {
-  set_kernel_backend(KernelBackend::kReference);
-  auto ref = make_layer();
-  Tensor y_ref = ref.forward(x);
-  // dy values are drawn once in row-major (NCHW) order, then converted
-  // to whatever layout each backend's y carries: the logical gradient is
-  // identical even when the blocked path hands back channel-major y.
-  Tensor dy_rm(y_ref.shape());
-  for (std::size_t i = 0; i < dy_rm.size(); ++i) {
-    dy_rm[i] = static_cast<float>(grad_rng.next_gaussian());
-  }
-  Tensor dx_ref = ref.backward(dy_rm);
-  std::vector<Param> ref_params;
-  ref.collect_params(ref_params);
-
-  set_kernel_backend(KernelBackend::kBlocked);
-  auto blk = make_layer();
-  Tensor y_blk = blk.forward(x);
-  Tensor dy_blk = to_layout(dy_rm, y_blk.layout());
-  Tensor dx_blk = blk.backward(dy_blk);
-  std::vector<Param> blk_params;
-  blk.collect_params(blk_params);
-
-  ASSERT_EQ(y_ref.size(), y_blk.size());
-  const Tensor y_blk_rm = to_row_major(y_blk);
-  EXPECT_TRUE(bit_equal(y_ref.data(), y_blk_rm.data(), y_ref.size()));
-  ASSERT_EQ(dx_ref.size(), dx_blk.size());
-  EXPECT_TRUE(bit_equal(dx_ref.data(), dx_blk.data(), dx_ref.size()));
-  ASSERT_EQ(ref_params.size(), blk_params.size());
-  for (std::size_t p = 0; p < ref_params.size(); ++p) {
-    EXPECT_TRUE(bit_equal(ref_params[p].grad->data(),
-                          blk_params[p].grad->data(),
-                          ref_params[p].grad->size()))
-        << "grad " << ref_params[p].name;
-  }
+/// A layer's weight and bias gradients must equal the oracle's.
+template <typename Layer, typename Oracle>
+void expect_grads_match(Layer& layer, const Oracle& oracle) {
+  std::vector<Param> params;
+  layer.collect_params(params);
+  ASSERT_EQ(params.size(), 2u);
+  EXPECT_TRUE(bit_equal(*params[0].grad, oracle.dw)) << params[0].name;
+  EXPECT_TRUE(bit_equal(*params[1].grad, oracle.db)) << params[1].name;
 }
 
-TEST_F(KernelTest, LinearBitIdenticalAcrossBackends) {
+TEST(Kernels, LinearMatchesOracle) {
   for (Act act : {Act::kNone, Act::kLeakyReLU}) {
     for (const auto& [rows, in, out] :
          {std::tuple{1, 1, 1}, std::tuple{5, 9, 13}, std::tuple{16, 128, 32},
           std::tuple{3, 27, 128}}) {
       util::Pcg32 data_rng(17u + rows + in + out);
-      Tensor x = Tensor::randn({rows, in}, data_rng, 1.0);
-      util::Pcg32 grad_rng(91);
-      expect_layer_bit_identical(
-          [&, in = in, out = out] {
-            util::Pcg32 rng(55);
-            return Linear(in, out, rng, "t", act);
-          },
-          x, grad_rng);
+      const Tensor x = Tensor::randn({rows, in}, data_rng, 1.0);
+      const Tensor dy = Tensor::randn({rows, out}, data_rng, 1.0);
+      util::Pcg32 rng(55);
+      Linear layer(in, out, rng, "t", act);
+      test::oracle::Dense oracle(layer.weight(), layer.bias(),
+                                 act == Act::kLeakyReLU);
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(in) + "->" +
+                   std::to_string(out));
+      EXPECT_TRUE(bit_equal(oracle.forward(x), layer.forward(x)));
+      EXPECT_TRUE(bit_equal(oracle.backward(dy), layer.backward(dy)));
+      expect_grads_match(layer, oracle);
     }
   }
 }
 
-TEST_F(KernelTest, Conv2dBitIdenticalAcrossBackends) {
+/// One Conv2d forward + backward against the oracle. The oracle runs
+/// row-major NCHW; the layer takes x stored in `x_layout` (row-major like
+/// the dataset input, or channel-major like every conv after the first)
+/// and dy channel-major, as its contract requires. Output, input gradient
+/// and both parameter gradients must match bit for bit.
+void expect_conv_matches_oracle(int n, int in_ch, int out_ch, int stride,
+                                int size, Act act, Layout x_layout,
+                                std::uint64_t seed) {
+  util::Pcg32 data_rng(seed);
+  const Tensor x = Tensor::randn({n, in_ch, size, size}, data_rng, 1.0);
+  const Tensor x_in = to_layout(x, x_layout);
+  util::Pcg32 rng(66);
+  Conv2d conv(in_ch, out_ch, stride, rng, "t", act);
+  test::oracle::Conv oracle(conv.weight(), conv.bias(), stride,
+                            act == Act::kLeakyReLU);
+
+  const Tensor y = conv.forward(x_in);
+  EXPECT_EQ(y.layout(), Layout::kChannelMajor);
+  const Tensor y_want = oracle.forward(x);
+  Tensor dy(y_want.shape());
+  util::Pcg32 grad_rng(37);
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    dy[i] = static_cast<float>(grad_rng.next_gaussian());
+  }
+  const Tensor dx = conv.backward(to_layout(dy, Layout::kChannelMajor));
+  EXPECT_EQ(dx.layout(), x_layout);
+
+  SCOPED_TRACE("conv " + std::to_string(in_ch) + "->" +
+               std::to_string(out_ch) + " s" + std::to_string(stride) + " [" +
+               std::to_string(n) + "x" + std::to_string(size) + "x" +
+               std::to_string(size) + "]" +
+               (x_layout == Layout::kChannelMajor ? " cm" : " rm") +
+               (act == Act::kLeakyReLU ? " lrelu" : ""));
+  EXPECT_TRUE(bit_equal(y_want, to_row_major(y)));
+  EXPECT_TRUE(bit_equal(oracle.backward(dy), to_row_major(dx)));
+  expect_grads_match(conv, oracle);
+}
+
+TEST(Kernels, Conv2dMatchesOracle) {
+  struct Case {
+    int n, in_ch, out_ch, stride, size;
+  };
   for (Act act : {Act::kNone, Act::kLeakyReLU}) {
-    struct Case {
-      int n, in_ch, out_ch, stride, size;
-    };
-    // Non-multiple-of-tile channel counts and odd image sizes included.
-    for (const Case& c :
-         {Case{1, 1, 1, 1, 3}, Case{2, 3, 5, 1, 7}, Case{2, 3, 8, 3, 15},
-          Case{1, 5, 13, 3, 11}}) {
-      util::Pcg32 data_rng(29u + c.in_ch * c.out_ch);
-      Tensor x = Tensor::randn({c.n, c.in_ch, c.size, c.size}, data_rng, 1.0);
-      util::Pcg32 grad_rng(37);
-      expect_layer_bit_identical(
-          [&] {
-            util::Pcg32 rng(66);
-            return Conv2d(c.in_ch, c.out_ch, c.stride, rng, "t", act);
-          },
-          x, grad_rng);
+    for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
+      // Non-multiple-of-tile channel counts and odd image sizes included.
+      for (const Case& c :
+           {Case{1, 1, 1, 1, 3}, Case{2, 3, 5, 1, 7}, Case{2, 3, 8, 3, 15},
+            Case{1, 5, 13, 3, 11}}) {
+        expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, c.stride, c.size,
+                                   act, layout, 29u + c.in_ch * c.out_ch);
+      }
     }
   }
 }
 
-TEST_F(KernelTest, Conv2dStridedOnOnePixelInputIsDeterministic) {
+TEST(Kernels, Conv2dStridedOnOnePixelInputIsDeterministic) {
   // Regression: for a 1-wide feature map and kernel column kx = 2 the
-  // blocked pipeline's edge formula (w - kx) / stride + 1 truncated
-  // -1/stride toward zero, admitting an out-of-bounds tap: im2col read
-  // one float past the row (heap garbage on the last plane — trained
-  // models became nondeterministic) and col2im WROTE one float past it.
-  // Only stride-3 convs see it (stride 1 divides -1 exactly), and only
-  // once the trunk shrinks to 1x1 maps — tiny test nets, not the paper
-  // profiles, which is how it survived PR 2.
+  // pack paths' edge formula (w - kx) / stride + 1 truncated -1/stride
+  // toward zero, admitting an out-of-bounds tap: im2col read one float
+  // past the row (heap garbage on the last plane — trained models became
+  // nondeterministic) and col2im WROTE one float past it. Only stride-3
+  // convs see it (stride 1 divides -1 exactly), and only once the trunk
+  // shrinks to 1x1 maps — tiny test nets, not the paper profiles.
   struct Case {
     int n, in_ch, out_ch, size;
   };
-  for (const Case& c : {Case{7, 8, 10, 1}, Case{3, 2, 5, 1}, Case{1, 1, 1, 1}}) {
+  for (const Case& c :
+       {Case{7, 8, 10, 1}, Case{3, 2, 5, 1}, Case{1, 1, 1, 1}}) {
     // Pollute the allocator's free lists so stale-memory taps cannot
     // masquerade as zeros.
     {
@@ -253,20 +268,16 @@ TEST_F(KernelTest, Conv2dStridedOnOnePixelInputIsDeterministic) {
       volatile float sink = junk[0];
       (void)sink;
     }
-    util::Pcg32 data_rng(11u + c.n);
-    Tensor x = Tensor::randn({c.n, c.in_ch, c.size, c.size}, data_rng, 1.0);
-    util::Pcg32 grad_rng(13);
-    expect_layer_bit_identical(
-        [&] {
-          util::Pcg32 rng(44);
-          return Conv2d(c.in_ch, c.out_ch, /*stride=*/3, rng, "t",
-                        Act::kLeakyReLU);
-        },
-        x, grad_rng);
+    for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
+      expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, /*stride=*/3, c.size,
+                                 Act::kLeakyReLU, layout, 11u + c.n);
+    }
 
-    // And the blocked path must be repeatable against itself under a
-    // dirtied heap (the original failure mode).
-    set_kernel_backend(KernelBackend::kBlocked);
+    // And the pipeline must be repeatable against itself under a dirtied
+    // heap (the original failure mode).
+    util::Pcg32 data_rng(11u + c.n);
+    const Tensor x = Tensor::randn({c.n, c.in_ch, c.size, c.size}, data_rng,
+                                   1.0);
     Tensor y_first;
     Tensor dx_first;
     for (int round = 0; round < 2; ++round) {
@@ -276,8 +287,6 @@ TEST_F(KernelTest, Conv2dStridedOnOnePixelInputIsDeterministic) {
       util::Pcg32 rng(44);
       Conv2d conv(c.in_ch, c.out_ch, 3, rng, "t", Act::kLeakyReLU);
       Tensor y = conv.forward(x);
-      // Tag dy with y's own layout so the backward exercises the new
-      // channel-major fast path (the pack_cm_* code under test here).
       Tensor dy(y.shape());
       dy.set_layout(y.layout());
       util::Pcg32 grng(13);
@@ -289,74 +298,14 @@ TEST_F(KernelTest, Conv2dStridedOnOnePixelInputIsDeterministic) {
         y_first = y;
         dx_first = dx;
       } else {
-        EXPECT_TRUE(bit_equal(y_first.data(), y.data(), y.size()));
-        EXPECT_TRUE(bit_equal(dx_first.data(), dx.data(), dx.size()));
+        EXPECT_TRUE(bit_equal(y_first, y));
+        EXPECT_TRUE(bit_equal(dx_first, dx));
       }
     }
   }
 }
 
-TEST_F(KernelTest, ConvLayoutModesBitIdentical) {
-  // kRowMajorCompat is the PR-7 pipeline (GEMM into per-thread staging,
-  // then a permutation copy back to NCHW); kChannelMajor writes the GEMM
-  // output straight into the channel-major arena slot. Both modes feed
-  // the kernels the same operands in the same order, so forward output,
-  // input gradient and every parameter gradient must match bit for bit —
-  // including on the stride-3 one-pixel clamp edge.
-  struct Case {
-    int n, in_ch, out_ch, stride, size;
-  };
-  for (const Case& c :
-       {Case{2, 3, 8, 1, 7}, Case{2, 3, 8, 3, 15}, Case{3, 2, 5, 3, 1}}) {
-    util::Pcg32 data_rng(71u + c.n);
-    Tensor x = Tensor::randn({c.n, c.in_ch, c.size, c.size}, data_rng, 1.0);
-
-    auto run = [&](ConvLayoutMode mode, Layout* y_layout, Tensor* y_rm,
-                   Tensor* dx, std::vector<float>* grads) {
-      set_conv_layout_mode(mode);
-      util::Pcg32 rng(21);
-      Conv2d conv(c.in_ch, c.out_ch, c.stride, rng, "t", Act::kLeakyReLU);
-      Tensor y = conv.forward(x);
-      *y_layout = y.layout();
-      Tensor dy_rm(y.shape());
-      util::Pcg32 grng(23);
-      for (std::size_t i = 0; i < dy_rm.size(); ++i) {
-        dy_rm[i] = static_cast<float>(grng.next_gaussian());
-      }
-      Tensor dy = to_layout(dy_rm, y.layout());
-      *dx = conv.backward(dy);
-      *y_rm = to_row_major(y);
-      std::vector<Param> params;
-      conv.collect_params(params);
-      grads->clear();
-      for (const Param& p : params) {
-        grads->insert(grads->end(), p.grad->data(),
-                      p.grad->data() + p.grad->size());
-      }
-    };
-
-    Layout layout_compat, layout_cm;
-    Tensor y_compat, y_cm, dx_compat, dx_cm;
-    std::vector<float> g_compat, g_cm;
-    run(ConvLayoutMode::kRowMajorCompat, &layout_compat, &y_compat,
-        &dx_compat, &g_compat);
-    run(ConvLayoutMode::kChannelMajor, &layout_cm, &y_cm, &dx_cm, &g_cm);
-
-    // The modes must genuinely diverge in storage, not silently share a
-    // path — otherwise this A/B proves nothing.
-    EXPECT_EQ(layout_compat, Layout::kRowMajor);
-    EXPECT_EQ(layout_cm, Layout::kChannelMajor);
-
-    ASSERT_EQ(y_compat.size(), y_cm.size());
-    EXPECT_TRUE(bit_equal(y_compat.data(), y_cm.data(), y_compat.size()));
-    ASSERT_EQ(dx_compat.size(), dx_cm.size());
-    EXPECT_TRUE(bit_equal(dx_compat.data(), dx_cm.data(), dx_compat.size()));
-    ASSERT_EQ(g_compat.size(), g_cm.size());
-    EXPECT_TRUE(bit_equal(g_compat.data(), g_cm.data(), g_compat.size()));
-  }
-}
-
-TEST_F(KernelTest, FusedActivationMatchesSeparateLayer) {
+TEST(Kernels, FusedActivationMatchesSeparateLayer) {
   // Linear(Act::kLeakyReLU) must equal Linear(no act) + LeakyReLU exactly,
   // forward and backward — the epilogue fusion is pure plumbing.
   util::Pcg32 data_rng(3);
@@ -374,11 +323,11 @@ TEST_F(KernelTest, FusedActivationMatchesSeparateLayer) {
   Tensor y_plain = act.forward(plain.forward(x));
   Tensor dx_plain = plain.backward(act.backward(dy));
 
-  EXPECT_TRUE(bit_equal(y_fused.data(), y_plain.data(), y_fused.size()));
-  EXPECT_TRUE(bit_equal(dx_fused.data(), dx_plain.data(), dx_fused.size()));
+  EXPECT_TRUE(bit_equal(y_fused, y_plain));
+  EXPECT_TRUE(bit_equal(dx_fused, dx_plain));
 }
 
-TEST_F(KernelTest, ScratchSurvivesShapeChanges) {
+TEST(Kernels, ScratchSurvivesShapeChanges) {
   // One layer instance driven through growing and shrinking batches: the
   // reusable scratch must resize correctly and stale contents must never
   // leak into results (compare against a fresh layer per shape).
@@ -394,8 +343,7 @@ TEST_F(KernelTest, ScratchSurvivesShapeChanges) {
     Linear fresh(23, 31, rng_b, "fresh", Act::kLeakyReLU);
     Tensor y_fresh = fresh.forward(x);
 
-    EXPECT_TRUE(bit_equal(y_reused.data(), y_fresh.data(), y_fresh.size()))
-        << "rows " << rows;
+    EXPECT_TRUE(bit_equal(y_reused, y_fresh)) << "rows " << rows;
   }
 }
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
 
 namespace sma::nn {
 namespace {
@@ -50,42 +52,50 @@ void check_input_gradient(Layer& layer, Tensor x, double tolerance = 2e-2) {
   }
 }
 
-TEST(Gemm, NnMatchesManual) {
-  // A = [[1,2],[3,4]], B = [[5,6],[7,8]]
+TEST(Gemm, OvrNnMatchesManual) {
+  // A = [[1,2],[3,4]], B = [[5,6],[7,8]]; the overwrite form ignores C.
   float a[] = {1, 2, 3, 4};
   float b[] = {5, 6, 7, 8};
-  float c[4] = {0, 0, 0, 0};
-  gemm_nn(2, 2, 2, a, b, c);
+  float c[4] = {-1, -1, -1, -1};
+  GemmScratch scratch;
+  gemm_ovr_nn(2, 2, 2, a, b, c, scratch);
   EXPECT_FLOAT_EQ(c[0], 19);
   EXPECT_FLOAT_EQ(c[1], 22);
   EXPECT_FLOAT_EQ(c[2], 43);
   EXPECT_FLOAT_EQ(c[3], 50);
 }
 
-TEST(Gemm, TnMatchesNnWithTranspose) {
-  // A^T stored [K=2, M=3]: effective A [3,2].
+TEST(Gemm, AccTnAddsTransposedProduct) {
+  // A^T stored [K=2, M=3]: effective A [3,2]; C starts at 1.
   float at[] = {1, 2, 3, 4, 5, 6};  // A = [[1,4],[2,5],[3,6]]
   float b[] = {1, 0, 0, 1};         // identity
-  float c[6] = {};
-  gemm_tn(3, 2, 2, at, b, c);
-  EXPECT_FLOAT_EQ(c[0], 1);
-  EXPECT_FLOAT_EQ(c[1], 4);
-  EXPECT_FLOAT_EQ(c[2], 2);
-  EXPECT_FLOAT_EQ(c[3], 5);
-  EXPECT_FLOAT_EQ(c[4], 3);
-  EXPECT_FLOAT_EQ(c[5], 6);
+  float c[6] = {1, 1, 1, 1, 1, 1};
+  GemmScratch scratch;
+  gemm_acc_tn(3, 2, 2, at, b, c, scratch);
+  EXPECT_FLOAT_EQ(c[0], 2);
+  EXPECT_FLOAT_EQ(c[1], 5);
+  EXPECT_FLOAT_EQ(c[2], 3);
+  EXPECT_FLOAT_EQ(c[3], 6);
+  EXPECT_FLOAT_EQ(c[4], 4);
+  EXPECT_FLOAT_EQ(c[5], 7);
 }
 
-TEST(Gemm, NtMatchesManual) {
-  // B^T stored [N=2, K=2]; B = [[5,7],[6,8]].
+TEST(Gemm, ForwardNtAddsBiasAndActivates) {
+  // B^T stored [N=2, K=2]; B = [[5,7],[6,8]], so A B = [[17,23],[39,53]].
   float a[] = {1, 2, 3, 4};
   float bt[] = {5, 6, 7, 8};
+  float bias[] = {-20, 0};
   float c[4] = {};
-  gemm_nt(2, 2, 2, a, bt, c);
-  EXPECT_FLOAT_EQ(c[0], 17);
+  std::uint8_t mask[4] = {};
+  GemmScratch scratch;
+  gemm_forward_nt(2, 2, 2, a, bt, bias, c, Epilogue::kBiasLeakyReLU, 0.01f,
+                  mask, scratch);
+  EXPECT_FLOAT_EQ(c[0], -0.03f);  // 17 - 20 = -3, then LeakyReLU
   EXPECT_FLOAT_EQ(c[1], 23);
-  EXPECT_FLOAT_EQ(c[2], 39);
+  EXPECT_FLOAT_EQ(c[2], 19);
   EXPECT_FLOAT_EQ(c[3], 53);
+  EXPECT_EQ(mask[0], 1);
+  EXPECT_EQ(mask[1] + mask[2] + mask[3], 0);
 }
 
 TEST(Linear, ForwardShapeAndBias) {
@@ -230,7 +240,6 @@ TEST(LayoutContract, ConvTrunkBoundariesCarryChannelMajor) {
   // and the pool->fc seam are row-major; everything between convs stays
   // channel-major, and each backward hands dx back in the layout its
   // forward consumed.
-  set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
   util::Pcg32 rng(42);
   Conv2d conv1(3, 6, 3, rng, "c1", Act::kLeakyReLU);
   Conv2d conv2(6, 8, 3, rng, "c2", Act::kLeakyReLU);
@@ -262,26 +271,22 @@ TEST(LayoutContract, ConvTrunkBoundariesCarryChannelMajor) {
   EXPECT_EQ(dx.shape(), x.shape());
 }
 
-TEST(LayoutContract, RowMajorCompatModeKeepsEveryBoundaryRowMajor) {
-  // The A/B baseline: under kRowMajorCompat the same trunk must present
-  // PR-7's all-row-major activations at every boundary.
-  set_conv_layout_mode(ConvLayoutMode::kRowMajorCompat);
+TEST(LayoutContract, ConvBackwardRejectsRowMajorDy) {
+  // dy is the gradient of the conv's channel-major output, so it must
+  // arrive channel-major too: row-major storage would be read as permuted
+  // planes. Debug builds enforce that single-layout contract.
+  if (!layout_checks_enabled()) {
+    GTEST_SKIP() << "layout contract checks are compiled into Debug only";
+  }
   util::Pcg32 rng(42);
-  Conv2d conv1(3, 6, 3, rng, "c1", Act::kLeakyReLU);
-  GlobalAvgPool pool;
+  Conv2d conv(3, 6, 3, rng, "c1", Act::kLeakyReLU);
   Tensor x = Tensor::randn({2, 3, 15, 15}, rng, 1.0);
-
-  Tensor y1 = conv1.forward(x);
-  EXPECT_EQ(y1.layout(), Layout::kRowMajor);
-  Tensor p = pool.forward(y1);
-  EXPECT_EQ(p.layout(), Layout::kRowMajor);
-  Tensor dp(p.shape());
-  dp.fill(1.0f);
-  Tensor dy1 = pool.backward(dp);
-  EXPECT_EQ(dy1.layout(), Layout::kRowMajor);
-  Tensor dx = conv1.backward(dy1);
-  EXPECT_EQ(dx.layout(), Layout::kRowMajor);
-  set_conv_layout_mode(ConvLayoutMode::kChannelMajor);
+  Tensor y = conv.forward(x);
+  ASSERT_EQ(y.layout(), Layout::kChannelMajor);
+  Tensor dy_rm(y.shape());
+  dy_rm.fill(1.0f);
+  EXPECT_THROW(conv.backward(dy_rm), std::logic_error);
+  EXPECT_NO_THROW(conv.backward(to_layout(dy_rm, Layout::kChannelMajor)));
 }
 
 TEST(ResBlock, IdentitySkipPath) {

@@ -1,14 +1,18 @@
-// The fused training-step engine's contract: one fused
-// reduce + Adam + broadcast pass is byte-identical to the reference
-// three-pass sequence at every lane count and every thread count, and
-// pinned inference replicas are reused across attack() calls without
-// changing any result.
+// The fused training-step engine's contract: one fused reduce + Adam pass
+// is byte-identical to a separate lane reduce followed by Adam::step at
+// every lane count and every thread count. DlAttack::train produces the
+// same model bytes with and without a pool, pinned to digests recorded
+// before its per-query and three-pass loops were folded into the serial
+// and pooled lane loops. Pinned inference replicas are reused across
+// attack() calls without changing any result.
 #include "nn/train_step.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "attack/dl_attack.hpp"
@@ -16,6 +20,7 @@
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/parallel.hpp"
+#include "util/durable_io.hpp"
 #include "util/rng.hpp"
 
 namespace sma::nn {
@@ -59,11 +64,12 @@ void fill_grads(std::vector<Tensor>& lane_grads, util::Pcg32& rng) {
   }
 }
 
-/// Fused vs reference three-pass on raw tensors: `lanes` gradient lanes,
-/// several steps (the last one with a partial batch), run serially or on
-/// a pool. Master weights and every lane's weight copy must match byte
-/// for byte afterwards.
-void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
+/// Fused step vs a separate reduce + Adam::step on raw tensors: `lanes`
+/// gradient lanes, several steps (the last one with a partial batch), run
+/// serially or on a pool. Master weights must match byte for byte, and
+/// every consumed gradient must be zeroed the same way.
+void check_fused_matches_reduce_then_adam(int lanes,
+                                          runtime::ThreadPool* pool) {
   // Odd sizes on purpose: no tile or grain boundary alignment.
   const std::vector<std::vector<int>> shapes = {{7, 13}, {13}, {31, 3}, {5}};
   util::Pcg32 init(2024);
@@ -87,7 +93,7 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
   TrainStep engine(master_b.params(), config);
   std::vector<std::vector<Param>> lane_params_b;
   for (ParamBank& lane : lanes_b) lane_params_b.push_back(lane.params());
-  engine.attach_lanes(lane_params_b, /*broadcast=*/true);
+  engine.attach_lanes(lane_params_b);
 
   std::vector<Param> master_params_a = master_a.params();
   std::vector<std::vector<Param>> lane_params_a;
@@ -102,8 +108,7 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
       fill_grads(lanes_b[l].grads, grad_rng_b);
     }
 
-    // Reference: the PR-2 three-pass sequence (reduce in ascending lane
-    // order, Adam step, broadcast to every lane).
+    // Reference: reduce in ascending lane order, then the Adam step.
     runtime::parallel_for(
         pool, 0, master_params_a.size(), /*grain=*/4, [&](std::size_t k) {
           float* master = master_params_a[k].grad->data();
@@ -117,13 +122,6 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
           }
         });
     adam_a.step(pool);
-    for (int l = 0; l < lanes; ++l) {
-      for (std::size_t k = 0; k < master_params_a.size(); ++k) {
-        std::memcpy(lane_params_a[l][k].value->data(),
-                    master_params_a[k].value->data(),
-                    master_params_a[k].value->size() * sizeof(float));
-      }
-    }
 
     // Fused: one pass.
     engine.step(active, pool);
@@ -135,17 +133,17 @@ void check_fused_matches_three_pass(int lanes, runtime::ThreadPool* pool) {
     EXPECT_TRUE(same_bytes(master_a.grads[k], master_b.grads[k]))
         << "master grad " << k << " not zeroed identically";
     for (int l = 0; l < lanes; ++l) {
-      EXPECT_TRUE(same_bytes(lanes_a[l].values[k], lanes_b[l].values[k]))
-          << "lane " << l << " param " << k << " diverged";
+      EXPECT_TRUE(same_bytes(lanes_a[l].grads[k], lanes_b[l].grads[k]))
+          << "lane " << l << " grad " << k << " not zeroed identically";
     }
   }
 }
 
-TEST(TrainStep, FusedMatchesThreePassAcrossLanesAndThreads) {
+TEST(TrainStep, FusedMatchesReduceThenAdamAcrossLanesAndThreads) {
   for (int lanes : {1, 2, 8}) {
-    check_fused_matches_three_pass(lanes, nullptr);
+    check_fused_matches_reduce_then_adam(lanes, nullptr);
     runtime::ThreadPool pool(4);
-    check_fused_matches_three_pass(lanes, &pool);
+    check_fused_matches_reduce_then_adam(lanes, &pool);
   }
 }
 
@@ -162,7 +160,7 @@ TEST(TrainStep, NegativeActiveLanesThrows) {
   // ...and with lanes attached (where the old code clamped).
   util::Pcg32 lane_init(12);
   ParamBank lane(shapes, lane_init);
-  engine.attach_lanes({lane.params()}, /*broadcast=*/true);
+  engine.attach_lanes({lane.params()});
   EXPECT_THROW(engine.step(-3, nullptr), std::invalid_argument);
   // Zero stays valid: it means "no active lanes this step".
   EXPECT_NO_THROW(engine.step(0, nullptr));
@@ -230,13 +228,13 @@ namespace {
 
 /// Tiny end-to-end corpus (the determinism-test pattern): one generated
 /// design, vector-only features.
-eval::PreparedSplit tiny_prepared() {
+eval::PreparedSplit tiny_prepared(int split_layer = 3) {
   netlist::DesignProfile profile;
   profile.name = "tiny_fused";
   profile.num_inputs = 8;
   profile.num_outputs = 4;
   profile.num_gates = 280;
-  return eval::prepare_split(profile, 3, layout::FlowConfig{}, 77);
+  return eval::prepare_split(profile, split_layer, layout::FlowConfig{}, 77);
 }
 
 nn::NetConfig tiny_net_config() {
@@ -249,16 +247,14 @@ nn::NetConfig tiny_net_config() {
 }
 
 std::string train_model_bytes(const eval::PreparedSplit& prepared,
-                              int batch_size, bool fused,
-                              runtime::ThreadPool* pool) {
+                              int batch_size, runtime::ThreadPool* pool) {
   DatasetConfig dataset_config;
   dataset_config.candidates.max_candidates = 6;
   dataset_config.build_images = false;
 
   TrainConfig train_config;
-  train_config.epochs = 3;
+  train_config.epochs = 2;
   train_config.batch_size = batch_size;
-  train_config.fused_step = fused;
 
   std::vector<QueryDataset> training;
   training.emplace_back(prepared.split.get(), dataset_config);
@@ -273,20 +269,43 @@ std::string train_model_bytes(const eval::PreparedSplit& prepared,
   return bytes.str();
 }
 
-TEST(FusedTraining, ModelBytesMatchThreePassAcrossLanesAndThreads) {
-  eval::PreparedSplit prepared = tiny_prepared();
-  for (int lanes : {1, 2, 8}) {
-    const std::string unfused =
-        train_model_bytes(prepared, lanes, /*fused=*/false, nullptr);
-    // Fused, serial.
-    EXPECT_EQ(unfused,
-              train_model_bytes(prepared, lanes, /*fused=*/true, nullptr))
-        << "fused != three-pass at lanes " << lanes << " (serial)";
-    // Fused, pooled.
-    runtime::ThreadPool pool(4);
-    EXPECT_EQ(unfused,
-              train_model_bytes(prepared, lanes, /*fused=*/true, &pool))
-        << "fused != three-pass at lanes " << lanes << " (4 threads)";
+TEST(Training, ModelBytesMatchAcrossThreadsAndPinnedDigests) {
+  // FNV-1a digests of the saved models, recorded when DlAttack::train
+  // still ran a separate per-query SGD loop (batch_size 1) and could run
+  // its pooled lanes on the three-pass reduce / Adam / broadcast path.
+  // The corpus has 74 trainable queries per epoch, so batch sizes 3 and 8
+  // end every epoch on a partial batch. Each model must also be identical
+  // with and without a pool.
+  struct Pin {
+    int lanes;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {{1, 0x543577a61bd56682ull},
+                      {3, 0x715bffd3d8092141ull},
+                      {8, 0x6e07e182e4aa9b3cull}};
+  const eval::PreparedSplit prepared = tiny_prepared(/*split_layer=*/1);
+  runtime::ThreadPool pool(4);
+  for (const Pin& pin : pins) {
+    const std::string serial = train_model_bytes(prepared, pin.lanes, nullptr);
+    EXPECT_EQ(util::fnv1a(serial.data(), serial.size()), pin.digest)
+        << "model moved at lanes " << pin.lanes;
+    EXPECT_TRUE(serial == train_model_bytes(prepared, pin.lanes, &pool))
+        << "pooled != serial at lanes " << pin.lanes;
+  }
+}
+
+TEST(Training, NonPositiveBatchSizeThrows) {
+  // batch_size feeds the checkpoint and work-unit digests as written, so a
+  // value below 1 is rejected instead of silently training as 1.
+  std::vector<QueryDataset> training;
+  std::vector<QueryDataset> validation;
+  DlAttack dl(tiny_net_config());
+  for (int batch_size : {0, -3}) {
+    TrainConfig config;
+    config.batch_size = batch_size;
+    EXPECT_THROW(dl.train(training, validation, config),
+                 std::invalid_argument)
+        << "batch_size " << batch_size;
   }
 }
 
