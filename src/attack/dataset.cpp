@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
@@ -74,101 +75,71 @@ const std::vector<float>& QueryDataset::image_of(int virtual_pin) {
   return it->second;
 }
 
-nn::QueryInput QueryDataset::input(std::size_t i) {
-  nn::QueryInput input;
-  input_into(i, input);
-  return input;
+bool same_image_geometry(const DatasetConfig& a, const DatasetConfig& b) {
+  return a.build_images == b.build_images &&
+         (!a.build_images || (a.images.channels() == b.images.channels() &&
+                              a.images.size == b.images.size));
 }
 
-void QueryDataset::fill_query(std::size_t i, float* vec_dst, float* img_dst) {
-  const split::SinkQuery& query = queries_.at(i);
-  const int n = static_cast<int>(query.candidates.size());
-
-  for (int j = 0; j < n; ++j) {
-    std::memcpy(
-        vec_dst + static_cast<std::size_t>(j) * features::kNumVectorFeatures,
-        vector_features_[i][j].data(),
-        sizeof(float) * features::kNumVectorFeatures);
-  }
-
-  if (img_dst != nullptr && n > 0) {
-    const std::size_t per_image = renderer_->config().pixels_per_image();
-    for (int j = 0; j < n; ++j) {
-      const auto& source_image = image_of(query.candidates[j].source_vp);
-      std::memcpy(img_dst + static_cast<std::size_t>(j) * per_image,
-                  source_image.data(), sizeof(float) * per_image);
-    }
-    // Sink image: the sink fragment's first virtual pin represents it.
-    const split::Fragment& sink = split_->fragment(query.sink_fragment);
-    const auto& sink_image = image_of(sink.virtual_pins.front());
-    std::memcpy(img_dst + static_cast<std::size_t>(n) * per_image,
-                sink_image.data(), sizeof(float) * per_image);
-  }
-}
-
-void QueryDataset::input_into(std::size_t i, nn::QueryInput& out) {
-  const int n = batch_rows(i);
-
-  // Both tensors are fully overwritten by fill_query (one memcpy per
-  // row/plane covers every element), so plain resize_reuse needs no
-  // zeroing and a reused QueryInput assembles without touching the heap
-  // once warm.
-  out.vec.resize_reuse({n, features::kNumVectorFeatures});
-  const bool images = config_.build_images && renderer_ != nullptr && n > 0;
-  if (images) {
-    const features::ImageConfig& img = renderer_->config();
-    out.images.resize_reuse({n + 1, img.channels(), img.size, img.size});
-  } else {
-    out.images = nn::Tensor();
-  }
-  fill_query(i, out.vec.data(), images ? out.images.data() : nullptr);
-}
-
-void QueryDataset::input_into_batch(std::size_t first, std::size_t count,
-                                    nn::BatchedQueryInput& out) {
+void assemble_batch(const QueryRef* refs, std::size_t count,
+                    nn::QueryInput& out) {
   out.query_rows.clear();
-  out.query_rows.reserve(count);
   int rows = 0;
   int planes = 0;
-  const bool images = config_.build_images && renderer_ != nullptr;
   for (std::size_t k = 0; k < count; ++k) {
-    const int n = batch_rows(first + k);
+    const QueryDataset& dataset = *refs[k].dataset;
+    if (!same_image_geometry(dataset.config(), refs[0].dataset->config())) {
+      throw std::invalid_argument(
+          "assemble_batch: batch mixes datasets of different image geometry");
+    }
+    const int n = dataset.batch_rows(refs[k].query);
     out.query_rows.push_back(n);
     if (n > 0) {
       rows += n;
       planes += n + 1;
     }
   }
+
+  // Both tensors are fully overwritten below (one memcpy per row/plane
+  // covers every element), so plain resize_reuse needs no zeroing and a
+  // reused QueryInput assembles without touching the heap once warm.
   out.vec.resize_reuse({rows, features::kNumVectorFeatures});
-  if (images && planes > 0) {
-    const features::ImageConfig& img = renderer_->config();
+  const features::ImageRenderer* renderer =
+      count > 0 ? refs[0].dataset->renderer_.get() : nullptr;
+  float* img_dst = nullptr;
+  std::size_t per_image = 0;
+  if (renderer != nullptr && planes > 0) {
+    const features::ImageConfig& img = renderer->config();
     out.images.resize_reuse({planes, img.channels(), img.size, img.size});
+    img_dst = out.images.data();
+    per_image = img.pixels_per_image();
   } else {
     out.images = nn::Tensor();
   }
-  int r = 0;
-  int m = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    const int n = out.query_rows[k];
-    if (n == 0) continue;
-    fill_batch_query(first + k, out, r, m);
-    r += n;
-    m += n + 1;
-  }
-}
 
-void QueryDataset::fill_batch_query(std::size_t i, nn::BatchedQueryInput& out,
-                                    int row0, int plane0) {
-  const int n = batch_rows(i);
-  float* vec_dst =
-      out.vec.data() +
-      static_cast<std::size_t>(row0) * features::kNumVectorFeatures;
-  float* img_dst = nullptr;
-  if (config_.build_images && renderer_ != nullptr && n > 0) {
-    img_dst = out.images.data() + static_cast<std::size_t>(plane0) *
-                                      renderer_->config().pixels_per_image();
+  float* vec_dst = out.vec.data();
+  for (std::size_t k = 0; k < count; ++k) {
+    QueryDataset& dataset = *refs[k].dataset;
+    const std::size_t i = refs[k].query;
+    const split::SinkQuery& query = dataset.queries_.at(i);
+    for (const features::VectorFeatures& row : dataset.vector_features_[i]) {
+      std::memcpy(vec_dst, row.data(),
+                  sizeof(float) * features::kNumVectorFeatures);
+      vec_dst += features::kNumVectorFeatures;
+    }
+    if (img_dst == nullptr || query.candidates.empty()) continue;
+    for (const split::Vpp& vpp : query.candidates) {
+      std::memcpy(img_dst, dataset.image_of(vpp.source_vp).data(),
+                  sizeof(float) * per_image);
+      img_dst += per_image;
+    }
+    // Sink image: the sink fragment's first virtual pin represents it.
+    const split::Fragment& sink =
+        dataset.split_->fragment(query.sink_fragment);
+    std::memcpy(img_dst, dataset.image_of(sink.virtual_pins.front()).data(),
+                sizeof(float) * per_image);
+    img_dst += per_image;
   }
-  fill_query(i, vec_dst, img_dst);
 }
 
 }  // namespace sma::attack

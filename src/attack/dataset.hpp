@@ -6,7 +6,7 @@
 // per virtual pin and cached, since the same pin appears in many queries.
 // With a pool, construction instead prebuilds every image the dataset can
 // ever need — after `prebuild_images()` the cache is immutable, making
-// `input()` safe to call from concurrent attack/training workers.
+// `assemble_batch` safe to call from concurrent attack/training workers.
 #pragma once
 
 #include <memory>
@@ -31,6 +31,32 @@ struct DatasetConfig {
   runtime::ThreadPool* pool = nullptr;
 };
 
+class QueryDataset;
+
+/// Whether two datasets' queries can share one stacked image tensor:
+/// both vector-only, or both with equal channel count and image size.
+bool same_image_geometry(const DatasetConfig& a, const DatasetConfig& b);
+
+/// One query of one dataset: the unit a batch is assembled from.
+struct QueryRef {
+  QueryDataset* dataset = nullptr;
+  std::size_t query = 0;
+};
+
+/// Assemble `refs[0..count)` into one stacked network input, in slot
+/// order (`out.query_rows[k]` is refs[k]'s candidate count; empty queries
+/// contribute no rows or planes). A batch of one is a training or batch-1
+/// input. One batch may mix datasets that share an image geometry;
+/// throws std::invalid_argument otherwise. Reuses `out`'s tensors in place
+/// (`Tensor::resize_reuse`: grow-only capacity, every element fully
+/// overwritten), so a caller that holds one QueryInput across batches
+/// assembles without heap traffic once its buffers have seen the widest
+/// batch. Renders and caches images on first use: safe to call
+/// concurrently only after every referenced dataset's `prebuild_images()`
+/// (or construction with a pool, which prebuilds).
+void assemble_batch(const QueryRef* refs, std::size_t count,
+                    nn::QueryInput& out);
+
 class QueryDataset {
  public:
   QueryDataset(const split::SplitDesign* split, const DatasetConfig& config);
@@ -45,44 +71,11 @@ class QueryDataset {
   int target(std::size_t i) const { return queries_.at(i).positive_index; }
   int num_sinks(std::size_t i) const { return queries_.at(i).num_sinks; }
 
-  /// Assemble the network input for query `i`. Renders and caches images
-  /// on first use. Safe to call concurrently only after
-  /// `prebuild_images()` (or construction with a pool, which prebuilds).
-  nn::QueryInput input(std::size_t i);
-
-  /// Like `input`, but reuses `out`'s tensors in place
-  /// (`Tensor::resize_reuse`: grow-only capacity, every element fully
-  /// overwritten) — a training loop or inference worker that holds one
-  /// QueryInput across queries assembles inputs without any per-query
-  /// heap allocation once its buffers have seen the largest query.
-  void input_into(std::size_t i, nn::QueryInput& out);
-
   /// Vector rows query `i` contributes to a batched input; its images add
   /// `batch_rows(i) + 1` planes when nonzero and images are built.
   int batch_rows(std::size_t i) const {
     return static_cast<int>(queries_.at(i).candidates.size());
   }
-
-  /// Assemble queries [first, first + count) into one stacked
-  /// `forward_batched` input, in slot order (`out.query_rows[k]` is query
-  /// first + k's candidate count; empty queries contribute no rows or
-  /// planes). Reuses `out`'s tensors like `input_into` — grow-only, every
-  /// written element fully overwritten — so a serving worker that holds
-  /// one BatchedQueryInput across batches assembles without heap traffic
-  /// once its buffers have seen the widest batch. Same concurrency rule
-  /// as `input_into`: prebuild images first for concurrent callers.
-  void input_into_batch(std::size_t first, std::size_t count,
-                        nn::BatchedQueryInput& out);
-
-  /// Strided single-query fill for callers coalescing a batch across
-  /// datasets (the serving loop): writes query `i`'s vector rows at
-  /// out.vec rows [row0, row0 + n) and, when images are built and n > 0,
-  /// its image planes at out.images planes [plane0, plane0 + n + 1).
-  /// `out`'s tensors must already be sized; `out.query_rows` is the
-  /// caller's responsibility. All writers of one batch may run serially
-  /// on one thread only (this mutates the image cache unless prebuilt).
-  void fill_batch_query(std::size_t i, nn::BatchedQueryInput& out, int row0,
-                        int plane0);
 
   /// Render every image any query references into the cache, in parallel
   /// over `pool` (falling back to the config's pool, then serial).
@@ -98,10 +91,8 @@ class QueryDataset {
   std::size_t cached_images() const { return image_cache_.size(); }
 
  private:
-  /// The shared fill behind input_into / fill_batch_query: query `i`'s
-  /// vector rows to `vec_dst` and, when `img_dst` is non-null, its
-  /// n + 1 image planes to `img_dst`.
-  void fill_query(std::size_t i, float* vec_dst, float* img_dst);
+  friend void assemble_batch(const QueryRef* refs, std::size_t count,
+                             nn::QueryInput& out);
 
   const std::vector<float>& image_of(int virtual_pin);
   /// All virtual pins whose image some query needs, deduplicated, in a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 
 #include "attack/checkpoint.hpp"
@@ -10,66 +9,33 @@
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 #include "util/durable_io.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace sma::attack {
 
-namespace {
-
-/// One labelled training query.
-struct Ref {
-  int design;
-  int query;
-};
-
-/// Score one query on `net` and fill `out` (no-op choice for empty
-/// candidate lists, as in the serial reference implementation). `input`
-/// is the caller's reusable assembly buffer — one per worker, reused
-/// across its queries so steady-state serving never touches the heap.
-void select_one(nn::AttackNet& net, QueryDataset& dataset, std::size_t i,
-                nn::QueryInput& input, Selection& out) {
-  const split::SinkQuery& query = dataset.query(i);
-  out.sink_fragment = query.sink_fragment;
-  out.num_sinks = query.num_sinks;
-  if (query.candidates.empty()) return;
-  dataset.input_into(i, input);
-  // Scores live in the replica's activation arena — read in place.
-  const nn::Tensor& scores = net.forward(input);
-  int predicted = nn::predict(scores);
-  out.chosen_source = query.candidates[predicted].source_fragment;
-  out.correct = query.candidates[predicted].positive;
-}
-
-/// Score queries [first, first + count) in ONE wide forward pass and fill
-/// their selections. Empty-candidate queries get the serial no-op choice
-/// and contribute nothing to the stacked input; an all-empty batch never
-/// reaches the net. `input` is the caller's reusable stacked assembly
-/// buffer — grow-only, so steady-state batches never touch the heap.
-/// Per-query scores are byte-identical to select_one (the forward_batched
-/// contract), and the span-predict overload runs the same comparison
-/// chain, so selections agree exactly with the batch-1 path.
-void select_batch(nn::AttackNet& net, QueryDataset& dataset,
-                  std::size_t first, std::size_t count,
-                  nn::BatchedQueryInput& input, Selection* out) {
+void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
+                  nn::QueryInput& input, Selection* out) {
   std::size_t live_rows = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    const split::SinkQuery& query = dataset.query(first + k);
+    const split::SinkQuery& query = refs[k].dataset->query(refs[k].query);
     out[k].sink_fragment = query.sink_fragment;
     out[k].num_sinks = query.num_sinks;
     live_rows += query.candidates.size();
   }
   if (live_rows == 0) return;
-  dataset.input_into_batch(first, count, input);
-  const nn::Tensor& scores = net.forward_batched(input);
+  assemble_batch(refs, count, input);
+  // Scores live in the net's activation arena — read in place.
+  const nn::Tensor& scores = net.forward(input);
   const int cols = scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
   const float* s = scores.data();
   int r = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const int n = input.query_rows[k];
     if (n == 0) continue;
-    const split::SinkQuery& query = dataset.query(first + k);
+    const split::SinkQuery& query = refs[k].dataset->query(refs[k].query);
     const int predicted =
         nn::predict(s + static_cast<std::size_t>(r) * cols, n, cols);
     out[k].chosen_source = query.candidates[predicted].source_fragment;
@@ -77,8 +43,6 @@ void select_batch(nn::AttackNet& net, QueryDataset& dataset,
     r += n;
   }
 }
-
-}  // namespace
 
 DlAttack::DlAttack(const nn::NetConfig& net_config)
     : net_(net_config), replicas_(std::make_unique<ReplicaSet>()) {}
@@ -106,12 +70,12 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
 
   // Index all trainable queries (those whose candidate list contains the
   // positive VPP — Eq. 6 needs a labelled target).
-  std::vector<std::vector<Ref>> per_design(training.size());
+  std::vector<std::vector<QueryRef>> per_design(training.size());
   for (std::size_t d = 0; d < training.size(); ++d) {
     for (std::size_t q = 0; q < training[d].num_queries(); ++q) {
       if (training[d].target(q) >= 0 &&
           !training[d].query(q).candidates.empty()) {
-        per_design[d].push_back({static_cast<int>(d), static_cast<int>(q)});
+        per_design[d].push_back({&training[d], q});
       }
     }
   }
@@ -122,7 +86,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   // and advance `rng`, so a resumed run must re-derive the completed
   // epochs' sampling to put both back in the exact mid-run state.
   const auto build_epoch_order = [&]() {
-    std::vector<Ref> order;
+    std::vector<QueryRef> order;
     for (auto& refs : per_design) {
       util::shuffle(refs, rng);
       std::size_t take = config.max_queries_per_design > 0
@@ -149,32 +113,37 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   if (checkpointing) {
     // Fingerprint of everything that shapes the training stream: the
     // Adam schedule, the sampling/batching hyperparameters, the seed,
-    // the loss head, the dataset shape, and the model's parameter sizes.
-    // A checkpoint whose digest differs resumes nothing.
-    std::string buf;
-    const auto mix_u64 = [&buf](std::uint64_t v) {
-      buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    const auto mix_double = [&](double d) {
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &d, sizeof(bits));
-      mix_u64(bits);
-    };
-    mix_double(config.adam.lr);
-    mix_double(config.adam.beta1);
-    mix_double(config.adam.beta2);
-    mix_double(config.adam.eps);
-    mix_double(config.adam.decay);
-    mix_u64(static_cast<std::uint64_t>(config.decay_every));
-    mix_u64(static_cast<std::uint64_t>(config.max_queries_per_design));
-    mix_u64(static_cast<std::uint64_t>(config.batch_size));
-    mix_u64(config.seed);
-    mix_u64(two_class ? 1 : 0);
-    mix_u64(per_design.size());
-    for (const auto& refs : per_design) mix_u64(refs.size());
-    mix_u64(ckpt_params.size());
-    for (const nn::Param& p : ckpt_params) mix_u64(p.value->size());
-    ckpt_digest = util::fnv1a(buf.data(), buf.size());
+    // the network configuration (initial weights included, via its
+    // seed), the dataset shape, and the model's parameter sizes. A
+    // checkpoint whose digest differs resumes nothing.
+    util::ContentHash h;
+    h.add("sma-train-checkpoint-v1");
+    h.add(config.adam.lr)
+        .add(config.adam.beta1)
+        .add(config.adam.beta2)
+        .add(config.adam.eps)
+        .add(config.adam.decay)
+        .add(config.decay_every)
+        .add(config.max_queries_per_design)
+        .add(config.batch_size)
+        .add(config.seed);
+    const nn::NetConfig& net = net_.config();
+    h.add(net.vector_dim)
+        .add(net.hidden)
+        .add(net.vector_res_blocks)
+        .add(net.merged_res_blocks)
+        .add(net.use_images)
+        .add(net.image_channels)
+        .add(net.image_fc)
+        .add(net.fc6_width)
+        .add(net.two_class)
+        .add(net.seed);
+    for (int c : net.conv_channels) h.add(c);
+    h.add(per_design.size());
+    for (const auto& refs : per_design) h.add(refs.size());
+    h.add(ckpt_params.size());
+    for (const nn::Param& p : ckpt_params) h.add(p.value->size());
+    ckpt_digest = h.digest();
 
     TrainCheckpoint ckpt;
     if (try_load_checkpoint(config.checkpoint_path, ckpt_digest, &ckpt) &&
@@ -256,10 +225,10 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
     for (QueryDataset& dataset : training) dataset.prebuild_images(pool);
   }
 
-  // Reusable input-assembly buffers, one per worker. input_into resizes
-  // them in place, so steady-state epochs assemble every query without
-  // heap traffic. Each buffer is only ever touched by its own worker's
-  // task — race-free under the pool.
+  // Reusable input-assembly buffers, one per worker. assemble_batch
+  // resizes them in place, so steady-state epochs assemble every query
+  // without heap traffic. Each buffer is only ever touched by its own
+  // worker's task — race-free under the pool.
   std::vector<nn::QueryInput> lane_inputs(workers.size());
 
   // Activation-arena accounting: every net owns one arena for its
@@ -288,12 +257,11 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   // a zero upstream gradient adds exact zeros to zero gradients, and the
   // explicit re-zeroing pins the bytes regardless.
   {
-    const Ref* largest = nullptr;
-    std::size_t most_candidates = 0;
+    const QueryRef* largest = nullptr;
+    int most_candidates = 0;
     for (const auto& refs : per_design) {
-      for (const Ref& ref : refs) {
-        const std::size_t n =
-            training[ref.design].query(ref.query).candidates.size();
+      for (const QueryRef& ref : refs) {
+        const int n = ref.dataset->batch_rows(ref.query);
         if (n > most_candidates) {
           most_candidates = n;
           largest = &ref;
@@ -304,7 +272,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       // Each worker's input-assembly buffer warms along with its net.
       for (std::size_t w = 0; w < workers.size(); ++w) {
         nn::AttackNet& net = *workers[w];
-        training[largest->design].input_into(largest->query, lane_inputs[w]);
+        assemble_batch(largest, 1, lane_inputs[w]);
         const nn::Tensor& scores = net.forward(lane_inputs[w]);
         nn::Tensor zero_grad(scores.shape());
         net.backward(zero_grad);
@@ -315,16 +283,15 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
 
   // Forward + loss + backward of one training query on `net`; returns the
   // loss. The gradients accumulate into `net`'s parameter gradients.
-  const auto train_query = [&training, two_class](nn::AttackNet& net,
-                                                  nn::QueryInput& input,
-                                                  const Ref& ref) {
-    QueryDataset& dataset = training[ref.design];
-    dataset.input_into(ref.query, input);
+  const auto train_query = [two_class](nn::AttackNet& net,
+                                       nn::QueryInput& input,
+                                       const QueryRef& ref) {
+    assemble_batch(&ref, 1, input);
     const nn::Tensor& scores = net.forward(input);
+    const int target = ref.dataset->target(ref.query);
     const nn::LossResult loss =
-        two_class
-            ? nn::two_class_loss(scores, dataset.target(ref.query))
-            : nn::softmax_regression_loss(scores, dataset.target(ref.query));
+        two_class ? nn::two_class_loss(scores, target)
+                  : nn::softmax_regression_loss(scores, target);
     net.backward(loss.grad);
     return loss.loss;
   };
@@ -341,7 +308,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       engine.decay_lr();
     }
 
-    std::vector<Ref> order = build_epoch_order();
+    std::vector<QueryRef> order = build_epoch_order();
 
     double epoch_loss = 0.0;
     for (std::size_t base = 0; base < order.size();
@@ -364,7 +331,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
         for (int l = 0; l < active; ++l) {
           group.run([l, base, &train_query, &workers, &lane_inputs, &order,
                      &lane_loss] {
-            const Ref& ref = order[base + static_cast<std::size_t>(l)];
+            const QueryRef& ref = order[base + static_cast<std::size_t>(l)];
             lane_loss[l] = train_query(*workers[l], lane_inputs[l], ref);
           });
         }
@@ -449,19 +416,25 @@ AttackResult DlAttack::attack(QueryDataset& dataset,
   const std::size_t bw = static_cast<std::size_t>(batch_width);
   result.selections.assign(n, Selection{});
 
-  if (pool == nullptr || n == 0) {
-    if (bw <= 1) {
-      nn::QueryInput input;  // reused across the whole pass
-      for (std::size_t i = 0; i < n; ++i) {
-        select_one(net_, dataset, i, input, result.selections[i]);
-      }
-    } else {
-      nn::BatchedQueryInput input;  // reused across the whole pass
-      for (std::size_t base = 0; base < n; base += bw) {
-        select_batch(net_, dataset, base, std::min(bw, n - base), input,
-                     &result.selections[base]);
-      }
+  // Queries [lo, hi) on `net`, bw at a time. The batch grid is anchored
+  // at the chunk base; the partition into chunks and batches depends only
+  // on n, the thread count, and bw — never on scheduling — and per-query
+  // scores are width-invariant anyway, so any grid gives the same result.
+  const auto run_chunk = [bw, &dataset, &result](nn::AttackNet& net,
+                                                 std::size_t lo,
+                                                 std::size_t hi) {
+    SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
+    nn::QueryInput input;  // reused across the chunk
+    std::vector<QueryRef> refs(bw);
+    for (std::size_t base = lo; base < hi; base += bw) {
+      const std::size_t count = std::min(bw, hi - base);
+      for (std::size_t k = 0; k < count; ++k) refs[k] = {&dataset, base + k};
+      select_batch(net, refs.data(), count, input, &result.selections[base]);
     }
+  };
+
+  if (pool == nullptr || n == 0) {
+    run_chunk(net_, 0, n);
   } else {
     // Workers run pinned shared-weight replicas leased from the
     // ReplicaSet — no per-call clone, no weight copies — and concurrent
@@ -478,28 +451,9 @@ AttackResult DlAttack::attack(QueryDataset& dataset,
     ReplicaLease lease = replicas_->lease(num_chunks, net_);
     runtime::TaskGroup group(pool);
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      group.run([c, chunk, n, bw, &lease, &dataset, &result] {
+      group.run([c, chunk, n, &lease, &run_chunk] {
         const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
-        if (bw <= 1) {
-          nn::QueryInput input;  // reused across this worker's chunk
-          for (std::size_t i = lo; i < hi; ++i) {
-            select_one(*lease.nets()[c], dataset, i, input,
-                       result.selections[i]);
-          }
-        } else {
-          // The batch grid is anchored at the chunk base; the partition
-          // into chunks and batches depends only on n, the thread count,
-          // and bw — never on scheduling — and per-query scores are
-          // width-invariant anyway, so any grid gives the same result.
-          nn::BatchedQueryInput input;  // reused across this worker's chunk
-          for (std::size_t base = lo; base < hi; base += bw) {
-            select_batch(*lease.nets()[c], dataset, base,
-                         std::min(bw, hi - base), input,
-                         &result.selections[base]);
-          }
-        }
+        run_chunk(*lease.nets()[c], lo, std::min(n, lo + chunk));
       });
     }
     group.wait();

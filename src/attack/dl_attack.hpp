@@ -58,8 +58,9 @@ struct TrainConfig {
   /// and datasets picks the checkpoint up and continues — producing a
   /// final model byte-identical to an uninterrupted run (the durability
   /// contract tests/test_durability.cpp gates). A checkpoint from a
-  /// *different* configuration or dataset is detected via an embedded
-  /// digest and discarded; a damaged checkpoint file likewise falls back
+  /// *different* configuration (this struct's or the net's NetConfig) or
+  /// dataset is detected via an embedded digest and discarded; a damaged
+  /// checkpoint file likewise falls back
   /// to a fresh start instead of failing the run.
   int checkpoint_every = 0;
   std::string checkpoint_path;
@@ -87,6 +88,17 @@ struct TrainStats {
   long checkpoints_saved = 0;
 };
 
+/// The attack's one inference step (Eq. 2): score `refs[0..count)` in one
+/// forward pass on `net` and write each query's argmax candidate to
+/// `out[0..count)`. Empty-candidate queries get the no-op choice and add
+/// nothing to the pass; an all-empty batch never reaches the net. `input`
+/// is the caller's reusable assembly buffer (see `assemble_batch`). Per-
+/// query scores, hence selections, are byte-identical at every width and
+/// batch composition, including batches that mix datasets. `attack()` and
+/// the serving loop (src/serve/) both select through here.
+void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
+                  nn::QueryInput& input, Selection* out);
+
 class DlAttack {
  public:
   explicit DlAttack(const nn::NetConfig& net_config);
@@ -112,12 +124,13 @@ class DlAttack {
   /// concurrent `attack` calls on one DlAttack are safe as long as every
   /// call passes a pool, and repeated calls reuse the same replicas.
   ///
-  /// `batch_width` > 1 coalesces that many consecutive queries into one
-  /// wide `forward_batched` pass per replica (the dataset partition stays
-  /// in fixed slot order, so which replica serves a chunk never matters).
-  /// Purely a performance knob: scores — and therefore selections and
-  /// CCR — are byte-identical to batch_width == 1 at every width and
-  /// thread count (tests/test_serve.cpp, bench_serve).
+  /// Queries are split into contiguous chunks (one, without a pool), and
+  /// each chunk runs `select_batch` over `batch_width` consecutive queries
+  /// at a time on its own net (the dataset partition stays in fixed slot
+  /// order, so which replica serves a chunk never matters). Purely a
+  /// performance knob: scores — and therefore selections and CCR — are
+  /// byte-identical to batch_width == 1 at every width and thread count
+  /// (tests/test_serve.cpp, bench_serve).
   AttackResult attack(QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr,
                       int batch_width = 1);

@@ -130,12 +130,6 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       .add(rt.max_iterations)
       .add(static_cast<std::uint64_t>(rt.max_expansions))
       .add(rt.layer_height_cost)
-      .add(rt.promote_dist1)
-      .add(rt.promote_layer1)
-      .add(rt.promote_dist2)
-      .add(rt.promote_layer2)
-      .add(rt.promotion_penalty)
-      .add(rt.promote_access_region)
       // Wave width and rip-up policy decide which nets share a usage
       // snapshot, so they shape the routes; the thread count does not
       // and is absent.

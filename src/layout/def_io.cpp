@@ -1,5 +1,6 @@
 #include "layout/def_io.hpp"
 
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +28,18 @@ std::int64_t expect_int(std::istream& in, const char* context) {
   std::int64_t value;
   if (!(in >> value)) fail(std::string("expected integer in ") + context);
   return value;
+}
+
+/// A section's entry count. The parser appends entries as they parse and
+/// never pre-sizes from a count, so a count that overstates the file ends
+/// in "unexpected end of file" rather than in a huge allocation.
+int expect_count(std::istream& in, const char* context) {
+  const std::int64_t value = expect_int(in, context);
+  if (value < 0 || value > std::numeric_limits<int>::max()) {
+    fail(std::string("count out of range in ") + context + ": " +
+         std::to_string(value));
+  }
+  return static_cast<int>(value);
 }
 
 void expect_keyword(std::istream& in, const std::string& keyword) {
@@ -130,20 +143,21 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
   netlist::Netlist& nl = *design.netlist;
 
   expect_keyword(in, "COMPONENTS");
-  int num_components = static_cast<int>(expect_int(in, "COMPONENTS"));
-  std::vector<util::Point> cell_positions(num_components);
+  const int num_components = expect_count(in, "COMPONENTS");
+  std::vector<util::Point> cell_positions;  // indexed by CellId
   for (int i = 0; i < num_components; ++i) {
     std::string cell_name = expect_token(in, "component");
     std::string master = expect_token(in, "component");
     auto lib_index = library->find(master);
     if (!lib_index) fail("unknown master: " + master);
-    CellId id = nl.add_cell(cell_name, *lib_index);
-    cell_positions[id].x = expect_int(in, "component");
-    cell_positions[id].y = expect_int(in, "component");
+    nl.add_cell(cell_name, *lib_index);
+    util::Point& position = cell_positions.emplace_back();
+    position.x = expect_int(in, "component");
+    position.y = expect_int(in, "component");
   }
 
   expect_keyword(in, "PINS");
-  int num_pins = static_cast<int>(expect_int(in, "PINS"));
+  const int num_pins = expect_count(in, "PINS");
   for (int i = 0; i < num_pins; ++i) {
     std::string port_name = expect_token(in, "pin");
     std::string direction = expect_token(in, "pin");
@@ -155,13 +169,14 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
   }
 
   expect_keyword(in, "NETS");
-  int num_nets = static_cast<int>(expect_int(in, "NETS"));
-  std::vector<route::NetRoute> routes(num_nets);
+  const int num_nets = expect_count(in, "NETS");
+  std::vector<route::NetRoute> routes;  // indexed by NetId
   for (int i = 0; i < num_nets; ++i) {
     expect_keyword(in, "NET");
     std::string net_name = expect_token(in, "net");
     NetId net = nl.add_net(net_name);
-    routes[net].net = net;
+    route::NetRoute& net_route = routes.emplace_back();
+    net_route.net = net;
 
     for (;;) {
       std::string token = expect_token(in, "net body");
@@ -186,7 +201,7 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
         if (lib_pin < 0) fail("unknown pin " + pin_name + " on " + cell_name);
         nl.connect(net, PinRef::cell_pin(*cell, lib_pin));
       } else if (token == "SEGMENTS") {
-        int count = static_cast<int>(expect_int(in, "SEGMENTS"));
+        const int count = expect_count(in, "SEGMENTS");
         for (int s = 0; s < count; ++s) {
           route::RouteSegment seg;
           seg.layer = static_cast<int>(expect_int(in, "segment"));
@@ -194,16 +209,16 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
           seg.a.y = expect_int(in, "segment");
           seg.b.x = expect_int(in, "segment");
           seg.b.y = expect_int(in, "segment");
-          routes[net].segments.push_back(seg);
+          net_route.segments.push_back(seg);
         }
       } else if (token == "VIAS") {
-        int count = static_cast<int>(expect_int(in, "VIAS"));
+        const int count = expect_count(in, "VIAS");
         for (int v = 0; v < count; ++v) {
           route::RouteVia via;
           via.cut = static_cast<int>(expect_int(in, "via"));
           via.at.x = expect_int(in, "via");
           via.at.y = expect_int(in, "via");
-          routes[net].vias.push_back(via);
+          net_route.vias.push_back(via);
         }
         break;  // VIAS is the last section of a net
       } else {

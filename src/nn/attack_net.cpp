@@ -93,27 +93,20 @@ AttackNet::AttackNet(const NetConfig& config) : config_(config) {
 }
 
 const Tensor& AttackNet::forward(const QueryInput& input) {
-  const int n = input.vec.shape().size() == 2 ? input.vec.dim(0) : 0;
-  return forward_impl(input.vec, input.images, &n, 1);
-}
-
-const Tensor& AttackNet::forward_batched(const BatchedQueryInput& input) {
-  if (input.query_rows.empty()) {
-    throw std::invalid_argument("forward_batched: empty batch");
-  }
-  return forward_impl(input.vec, input.images, input.query_rows.data(),
-                      static_cast<int>(input.query_rows.size()));
-}
-
-const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
-                                      const int* query_rows,
-                                      int num_queries) {
+  const Tensor& vec = input.vec;
+  const Tensor& images = input.images;
   if (vec.shape().size() != 2 || vec.dim(1) != config_.vector_dim) {
     throw std::invalid_argument("bad vector input " + vec.shape_string());
   }
+  // An empty query_rows is one query over every row of vec.
+  const int whole = vec.dim(0);
+  const int* query_rows =
+      input.query_rows.empty() ? &whole : input.query_rows.data();
+  const int num_queries =
+      input.query_rows.empty() ? 1
+                               : static_cast<int>(input.query_rows.size());
   // Row/plane accounting. A query with no candidates contributes neither
-  // vector rows nor image planes (its caller answers it without the net);
-  // the single-query path keeps its legacy shape contract exactly.
+  // vector rows nor image planes (its caller answers it without the net).
   int rows = 0;
   int planes = 0;
   for (int q = 0; q < num_queries; ++q) {
@@ -122,11 +115,10 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
       throw std::invalid_argument("negative candidate count in batch");
     }
     rows += nq;
-    if (nq > 0 || num_queries == 1) planes += nq + 1;
+    if (nq > 0) planes += nq + 1;
   }
-  if (num_queries > 1 && rows == 0) {
-    throw std::invalid_argument(
-        "forward_batched: batch has no candidate rows");
+  if (rows == 0) {
+    throw std::invalid_argument("forward: batch has no candidate rows");
   }
   if (vec.dim(0) != rows) {
     throw std::invalid_argument(
@@ -182,7 +174,7 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
     int m = 0;
     for (int q = 0; q < num_queries; ++q) {
       const int nq = query_rows[q];
-      if (nq == 0 && num_queries > 1) continue;
+      if (nq == 0) continue;
       const float* sink_row =
           x->data() + static_cast<std::size_t>(m + nq) * h;
       for (int j = 0; j < nq; ++j) {
@@ -230,8 +222,8 @@ const Tensor& AttackNet::forward_impl(const Tensor& vec, const Tensor& images,
 void AttackNet::backward(const Tensor& dscores) {
   if (batched_) {
     throw std::logic_error(
-        "AttackNet::backward after forward_batched: the batched pass is "
-        "inference-only");
+        "AttackNet::backward after a multi-query forward: batches wider "
+        "than one are inference-only");
   }
   const int h = config_.hidden;
   // The seed copied dscores only to flatten [n] into [n, 1]; Linear's

@@ -8,16 +8,15 @@
 // one score per candidate VPP — or two scores per candidate when
 // configured as the two-class ablation baseline.
 //
-// One forward call processes one sink-fragment query: all n candidate
-// VPPs of that sink, exactly as in the paper's batch definition. For
-// inference, `forward_batched` stacks B independent queries into ONE
-// wide pass — every GEMM sees sum(n_q) rows instead of one query's n —
-// and is byte-identical per query to B separate `forward` calls: the
-// GEMM contract (nn/gemm.hpp) fixes each output element's accumulation
-// chain independently of how many other rows share the panel, and every
-// non-GEMM stage (pool, activations, the fusion seams) is row- or
-// image-local. Both paths are the same code (`forward_impl`) over a
-// per-query row-count span, so batch-1 is the degenerate batched case.
+// A query is one sink fragment's n candidate VPPs, exactly as in the
+// paper's batch definition. One forward call runs a batch of B stacked
+// queries in ONE wide pass — every GEMM sees sum(n_q) rows instead of one
+// query's n — and is byte-identical per query to B separate batch-1
+// passes: the GEMM contract (nn/gemm.hpp) fixes each output element's
+// accumulation chain independently of how many other rows share the
+// panel, and every non-GEMM stage (pool, activations, the fusion seams)
+// is row- or image-local. Batch-1 is simply a batch of one; training
+// runs batches of one, inference any width.
 //
 // Activation-layout contract: the image branch binds ONE layout across
 // the conv trunk — the dataset input and the GlobalAvgPool output are
@@ -69,27 +68,19 @@ struct NetConfig {
   static NetConfig fast();
 };
 
-/// One query: n candidate VPPs of one sink fragment.
+/// A batch of queries stacked for one forward pass, in slot order. A
+/// query with `query_rows[q] == 0` (empty candidate list) contributes no
+/// vector rows and no image planes — callers answer it without the net.
 struct QueryInput {
-  /// [n, vector_dim] vector features.
-  Tensor vec;
-  /// [n + 1, channels, size, size]: n source-pin images then the sink-pin
-  /// image last. Left empty when the net runs vector-only.
-  Tensor images;
-};
-
-/// B independent queries stacked for one wide inference pass
-/// (`AttackNet::forward_batched`). Queries appear in slot order; a query
-/// with `query_rows[q] == 0` (empty candidate list) contributes no vector
-/// rows and no image planes — callers answer it without the net.
-struct BatchedQueryInput {
   /// [sum n_q, vector_dim]: every query's candidate rows, concatenated.
   Tensor vec;
   /// [sum over n_q>0 of (n_q + 1), channels, size, size]: per query, its
-  /// n_q source-pin images then its sink-pin image. Empty when the net
-  /// runs vector-only.
+  /// n_q source-pin images then its sink-pin image. Left empty when the
+  /// net runs vector-only.
   Tensor images;
-  /// Candidate count n_q per query, in slot order.
+  /// Candidate count n_q per query, in slot order. Empty means one query
+  /// over all of `vec`'s rows (so a hand-built [n] + [n + 1] input needs
+  /// no bookkeeping).
   std::vector<int> query_rows;
 };
 
@@ -99,28 +90,21 @@ class AttackNet {
 
   const NetConfig& config() const { return config_; }
 
-  /// Scores [n] (or [n, 2] in two-class mode). The returned reference
-  /// points into this network's activation arena: it stays valid (and
-  /// unchanged) until the next forward call on this same net. Callers
-  /// that need the scores longer must copy.
+  /// Scores [sum n_q] (or [sum n_q, 2] in two-class mode), query q's
+  /// scores at rows [offset_q, offset_q + n_q) where offset_q sums the
+  /// preceding slots' rows — byte-identical per query to a batch of one
+  /// (see the file header). At least one query must have candidates
+  /// (all-empty batches never reach the net). Reuses this net's arena:
+  /// slots grow to the largest batch seen and later batches run
+  /// alloc-free. The returned reference points into that arena: it stays
+  /// valid (and unchanged) until the next forward call on this same net.
+  /// Callers that need the scores longer must copy.
   const Tensor& forward(const QueryInput& input);
 
-  /// One wide pass over B stacked queries (inference only): scores
-  /// [sum n_q] (or [sum n_q, 2] in two-class mode), query q's scores at
-  /// rows [offset_q, offset_q + n_q) where offset_q sums the preceding
-  /// slots' rows. Byte-identical per query to B separate `forward`
-  /// calls — same accumulation order through every layer (see the file
-  /// header). Reuses this net's arena: slots grow to the largest batch
-  /// seen and later batches run alloc-free. At least one query must have
-  /// candidates (all-empty batches never reach the net). The returned
-  /// reference follows the same lifetime rule as `forward`.
-  const Tensor& forward_batched(const BatchedQueryInput& input);
-
   /// Backpropagate d(loss)/d(scores); accumulates parameter gradients.
-  /// Only valid after single-query `forward`: the batched pass is
+  /// Only valid after a one-query `forward`: wider batches are
   /// inference-only (training keeps the paper's per-query batch
-  /// definition), so calling this after `forward_batched` throws
-  /// std::logic_error.
+  /// definition), so calling this after one throws std::logic_error.
   void backward(const Tensor& dscores);
 
   /// This network's activation arena (stats: bytes pinned, allocations).
@@ -193,17 +177,11 @@ class AttackNet {
   Arena::Slot dimg_slot_ = 0;
   Arena::Slot demb_slot_ = 0;
 
-  /// The shared implementation behind `forward` and `forward_batched`:
-  /// `query_rows[0..num_queries)` holds each query's candidate count; the
-  /// stacked vec/images tensors follow the BatchedQueryInput contract
-  /// (single-query calls pass num_queries == 1, making the legacy layout).
-  const Tensor& forward_impl(const Tensor& vec, const Tensor& images,
-                             const int* query_rows, int num_queries);
-
   // Cached batch size for backward.
   int n_ = 0;
-  // Set by a batched forward: the cached activations span many queries,
-  // which backward's seam bookkeeping does not model — it must refuse.
+  // Set by a multi-query forward: the cached activations span many
+  // queries, which backward's seam bookkeeping does not model — it must
+  // refuse.
   bool batched_ = false;
 };
 

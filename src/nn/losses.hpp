@@ -33,11 +33,11 @@ LossResult two_class_loss(const Tensor& scores, int target);
 /// scores: argmax of (s^+ - s^-), Eq. (2) adapted to the two-class head.
 int predict(const Tensor& scores);
 
-/// `predict` over a raw row span of a batched score matrix
-/// (AttackNet::forward_batched): `scores` points at one query's first
-/// score, `n` is its candidate count, `cols` is 1 (Eq. 2 head) or 2
-/// (two-class head). Identical comparison chain to the Tensor overload,
-/// so batched and batch-1 predictions agree whenever the scores do.
+/// `predict` over one query's rows of a multi-query score matrix
+/// (AttackNet::forward): `scores` points at the query's first score, `n`
+/// is its candidate count, `cols` is 1 (Eq. 2 head) or 2 (two-class
+/// head). The Tensor overload runs this same comparison chain, so
+/// predictions agree at every batch width whenever the scores do.
 int predict(const float* scores, int n, int cols);
 
 }  // namespace sma::nn

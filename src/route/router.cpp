@@ -70,17 +70,6 @@ class NetRouter {
       if (c.layer > 3) {
         base *= 1.0 + config_.layer_height_cost * (c.layer - 3);
       }
-      // Layer-assignment pressure: the middle of long connections should
-      // climb; the pin-access regions at both ends stay in the FEOL.
-      if (c.layer < current_min_layer_) {
-        const int to_root =
-            std::abs(c.x - current_root_.x) + std::abs(c.y - current_root_.y);
-        const int to_target = std::abs(c.x - current_target_.x) +
-                              std::abs(c.y - current_target_.y);
-        if (std::min(to_root, to_target) > config_.promote_access_region) {
-          base *= config_.promotion_penalty;
-        }
-      }
     }
     const int usage = grid_.usage(c, d);
     const int cap = grid_.capacity(c, d);
@@ -141,18 +130,6 @@ class NetRouter {
     for (const GridCoord& target : targets) {
       std::size_t target_index = grid_.node_index(target);
       if (scratch_.tree_mark[target_index] == mark) continue;  // already on tree
-
-      // Preferred minimum layer for this connection's span.
-      const int span = std::abs(target.x - root.x) + std::abs(target.y - root.y);
-      current_min_layer_ = 1;
-      if (span > config_.promote_dist2) {
-        current_min_layer_ = config_.promote_layer2;
-      } else if (span > config_.promote_dist1) {
-        current_min_layer_ = config_.promote_layer1;
-      }
-      current_root_ = root;
-      current_target_ = target;
-
       if (!astar_to_tree(target, mark, tree_nodes, route)) {
         fallback_route(target, mark, tree_nodes, route);
         ++fallbacks;
@@ -268,9 +245,6 @@ class NetRouter {
   const RoutingGrid& grid_;
   const RouterConfig& config_;
   SearchScratch scratch_;
-  int current_min_layer_ = 1;
-  GridCoord current_root_;
-  GridCoord current_target_;
 };
 
 /// Lends NetRouters (each carrying O(num_nodes) scratch) to concurrent

@@ -66,23 +66,6 @@ struct RouterConfig {
   /// congested stretch and comes back down within a few gcells — the
   /// short BEOL hops whose virtual pins an M3 attacker exploits.
   double layer_height_cost = 2.0;
-
-  // Optional span-based layer promotion (off by default; congestion is the
-  // realistic driver of upper-layer usage). When enabled, connections
-  // spanning more than `promote_dist1` gcells prefer layers >=
-  // `promote_layer1` (and `promote_dist2` -> `promote_layer2`); planar
-  // wiring below the preferred minimum is soft-penalized except within
-  // `promote_access_region` gcells of the connection endpoints.
-  int promote_dist1 = 1 << 28;
-  int promote_layer1 = 4;
-  int promote_dist2 = 1 << 28;
-  int promote_layer2 = 5;
-  double promotion_penalty = 4.0;
-  /// Pin-access region: within this many gcells of either connection
-  /// endpoint the promotion penalty is waived, so promoted routes enter
-  /// and leave the BEOL near the middle of the connection — as detailed
-  /// routers do — rather than via-stacking directly on the pins.
-  int promote_access_region = 2;
 };
 
 /// Result of routing one design.

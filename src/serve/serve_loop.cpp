@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "attack/replica_set.hpp"
-#include "features/vector_features.hpp"
 #include "obs/obs.hpp"
 
 namespace sma::serve {
@@ -50,17 +49,12 @@ void ServeLoop::prepare_dataset(attack::QueryDataset& dataset) {
   // One batch stacks every request into a single [planes, C, H, W]
   // tensor, so all served datasets must agree on image geometry. The
   // first dataset fixes the fleet's shape.
-  if (!prepared_.empty()) {
-    const attack::DatasetConfig& cfg = dataset.config();
-    const attack::DatasetConfig& fleet = prepared_.front()->config();
-    if (cfg.build_images != fleet.build_images ||
-        (cfg.build_images &&
-         (cfg.images.channels() != fleet.images.channels() ||
-          cfg.images.size != fleet.images.size))) {
-      throw std::invalid_argument(
-          "ServeLoop: dataset image geometry differs from the serving "
-          "fleet's (set by the first dataset served)");
-    }
+  if (!prepared_.empty() &&
+      !attack::same_image_geometry(dataset.config(),
+                                   prepared_.front()->config())) {
+    throw std::invalid_argument(
+        "ServeLoop: dataset image geometry differs from the serving "
+        "fleet's (set by the first dataset served)");
   }
   // Prebuild makes the image cache immutable, so dispatcher threads can
   // assemble batches from this dataset concurrently (read-only).
@@ -87,8 +81,7 @@ attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
   }
 
   Request req;
-  req.dataset = &dataset;
-  req.query = query;
+  req.ref = {&dataset, query};
   req.enqueue_us = obs::now_us();
   {
     util::MutexLock lock(mutex_);
@@ -114,7 +107,7 @@ attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
 
 void ServeLoop::dispatcher_main() {
   std::vector<Request*> batch;
-  nn::BatchedQueryInput input;  // grow-only; alloc-free once warm
+  BatchBuffers buffers;
   while (true) {
     batch.clear();
     {
@@ -159,7 +152,7 @@ void ServeLoop::dispatcher_main() {
                        static_cast<std::uint64_t>(
                            std::max(0.0, taken_us - r->enqueue_us)));
     }
-    process_batch(batch, input);
+    process_batch(batch, buffers);
     {
       util::MutexLock lock(mutex_);
       for (Request* r : batch) {
@@ -176,68 +169,23 @@ void ServeLoop::dispatcher_main() {
 }
 
 void ServeLoop::process_batch(std::vector<Request*>& batch,
-                              nn::BatchedQueryInput& input) {
+                              BatchBuffers& buffers) {
   SMA_TRACE_SPAN_V("serve", "batch", batch.size());
-  // Metadata pass: selection header fields plus the stacked layout.
-  // Empty-candidate queries are answered at submit, so every request here
-  // contributes rows; the n == 0 guards below are belt-and-braces.
-  input.query_rows.clear();
-  int rows = 0;
-  int planes = 0;
-  for (Request* r : batch) {
-    const split::SinkQuery& q = r->dataset->query(r->query);
-    r->result.sink_fragment = q.sink_fragment;
-    r->result.num_sinks = q.num_sinks;
-    const int n = r->dataset->batch_rows(r->query);
-    input.query_rows.push_back(n);
-    if (n > 0) {
-      rows += n;
-      planes += n + 1;
-    }
-  }
-  if (rows == 0) return;
-
-  // Assemble across datasets with per-request strided fills (every
-  // prepared dataset's image cache is immutable, so this only reads).
-  const attack::DatasetConfig& cfg = batch.front()->dataset->config();
-  const bool images = cfg.build_images;
-  input.vec.resize_reuse({rows, features::kNumVectorFeatures});
-  if (images) {
-    input.images.resize_reuse(
-        {planes, cfg.images.channels(), cfg.images.size, cfg.images.size});
-  } else {
-    input.images = nn::Tensor();
-  }
-  int r0 = 0;
-  int m0 = 0;
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const int n = input.query_rows[k];
-    if (n == 0) continue;
-    batch[k]->dataset->fill_batch_query(batch[k]->query, input, r0, m0);
-    r0 += n;
-    m0 += n + 1;
-  }
-
+  buffers.refs.clear();
+  for (const Request* r : batch) buffers.refs.push_back(r->ref);
+  buffers.selections.assign(batch.size(), attack::Selection{});
   try {
     // One replica per pass: the ReplicaSet is the backpressure valve. A
     // bounded set makes saturated dispatchers wait here (or time out),
-    // not pile more work onto the model.
+    // not pile more work onto the model. Assembly reads only: every
+    // prepared dataset's image cache is immutable.
     attack::ReplicaLease lease = attack_->replicas().lease(
         1, attack_->net(), config_.lease_timeout_seconds);
-    const nn::Tensor& scores = lease.nets()[0]->forward_batched(input);
-    const int cols =
-        scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
-    const float* s = scores.data();
-    int r = 0;
+    attack::select_batch(*lease.nets()[0], buffers.refs.data(),
+                         buffers.refs.size(), buffers.input,
+                         buffers.selections.data());
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const int n = input.query_rows[k];
-      if (n == 0) continue;
-      const split::SinkQuery& q = batch[k]->dataset->query(batch[k]->query);
-      const int predicted =
-          nn::predict(s + static_cast<std::size_t>(r) * cols, n, cols);
-      batch[k]->result.chosen_source = q.candidates[predicted].source_fragment;
-      batch[k]->result.correct = q.candidates[predicted].positive;
-      r += n;
+      batch[k]->result = buffers.selections[k];
     }
   } catch (const attack::AcquireTimeoutError& e) {
     SMA_COUNT("serve.lease_timeouts");

@@ -4,17 +4,18 @@
 // `attack()` batches queries it already holds; a serving tier faces the
 // opposite shape: many concurrent callers, one query each. ServeLoop
 // bridges them — callers `submit()` single queries and block; dispatcher
-// threads coalesce whatever is queued into one stacked
-// `AttackNet::forward_batched` pass under a latency budget (take up to
-// `max_batch` requests, waiting at most `max_wait_us` once at least one
-// is held). Each pass runs on ONE replica leased from the attack's
-// ReplicaSet, so a bounded set backpressures the serving tier exactly as
-// it does direct attack() calls — and a lease timeout propagates to every
-// request of the stalled batch as AcquireTimeoutError.
+// threads coalesce whatever is queued into one `attack::select_batch`
+// call (one stacked forward pass, possibly across datasets) under a
+// latency budget (take up to `max_batch` requests, waiting at most
+// `max_wait_us` once at least one is held). Each pass runs on ONE replica
+// leased from the attack's ReplicaSet, so a bounded set backpressures the
+// serving tier exactly as it does direct attack() calls — and a lease
+// timeout propagates to every request of the stalled batch as
+// AcquireTimeoutError.
 //
 // Determinism contract: per-query scores are byte-identical to a direct
-// batch-1 `attack()` no matter how requests coalesce (the forward_batched
-// contract — accumulation order is per-query), so batch composition,
+// batch-1 `attack()` no matter how requests coalesce (the AttackNet
+// forward contract — accumulation order is per-query), so batch composition,
 // dispatcher count, and arrival timing never change any answer. Only
 // latency and throughput are timing-dependent. Shutdown is deterministic
 // too: every request enqueued before `shutdown()` is answered, then the
@@ -108,8 +109,7 @@ class ServeLoop {
  private:
   /// One in-flight request, owned by its blocked submitter's stack.
   struct Request {
-    attack::QueryDataset* dataset = nullptr;
-    std::size_t query = 0;
+    attack::QueryRef ref;
     double enqueue_us = 0.0;
     attack::Selection result;
     std::string error;          ///< non-empty => the request failed
@@ -117,11 +117,18 @@ class ServeLoop {
     bool done = false;
   };
 
+  /// A dispatcher's reusable per-batch buffers (grow-only; alloc-free
+  /// once warm).
+  struct BatchBuffers {
+    std::vector<attack::QueryRef> refs;
+    std::vector<attack::Selection> selections;
+    nn::QueryInput input;
+  };
+
   void dispatcher_main();
-  /// Assemble `batch` into `input`, run one leased wide forward, and fill
-  /// each request's result (or error). Runs outside the queue mutex.
-  void process_batch(std::vector<Request*>& batch,
-                     nn::BatchedQueryInput& input);
+  /// Run `batch` through one `select_batch` call on a leased replica and
+  /// fill each request's result (or error). Runs outside the queue mutex.
+  void process_batch(std::vector<Request*>& batch, BatchBuffers& buffers);
   /// First-submit registration: geometry check + image prebuild.
   void prepare_dataset(attack::QueryDataset& dataset)
       SMA_EXCLUDES(prep_mutex_);

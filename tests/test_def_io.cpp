@@ -64,6 +64,21 @@ TEST(DefIo, RejectsMalformedInput) {
   EXPECT_THROW(read_def_string("DESIGN x\nDIEAREA 0 0", &test::library()),
                std::runtime_error);
   EXPECT_THROW(read_def_string("", &test::library()), std::runtime_error);
+  // Header counts are checked, never trusted for pre-sizing: a negative
+  // count and one that overstates the file both end in the parser's own
+  // error instead of std::length_error or std::bad_alloc.
+  const std::string header =
+      "DESIGN x\nDIEAREA 0 0 100 100\nROWS 1 4 1400 190\nGCELL 700\n"
+      "COMPONENTS 0\nPINS 0\n";
+  EXPECT_THROW(read_def_string(header + "NETS -1\nEND\n", &test::library()),
+               std::runtime_error);
+  EXPECT_THROW(read_def_string(header + "NETS 2000000000\n", &test::library()),
+               std::runtime_error);
+  EXPECT_THROW(read_def_string("DESIGN x\nDIEAREA 0 0 100 100\n"
+                               "ROWS 1 4 1400 190\nGCELL 700\n"
+                               "COMPONENTS 2000000000\n",
+                               &test::library()),
+               std::runtime_error);
 }
 
 TEST(DefIo, RejectsUnknownMaster) {

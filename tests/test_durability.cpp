@@ -324,7 +324,8 @@ class CheckpointTrainTest : public DurabilityTest {
   static std::string train_model(int epochs, int batch_size, int threads,
                                  const std::string& checkpoint_path,
                                  int checkpoint_every,
-                                 attack::TrainStats* out_stats = nullptr) {
+                                 attack::TrainStats* out_stats = nullptr,
+                                 const nn::NetConfig& net = net_config()) {
     runtime::Config runtime_config;
     runtime_config.threads = threads;
     std::unique_ptr<runtime::ThreadPool> pool = runtime_config.make_pool();
@@ -339,7 +340,7 @@ class CheckpointTrainTest : public DurabilityTest {
     config.checkpoint_path = checkpoint_path;
     config.checkpoint_every = checkpoint_every;
 
-    attack::DlAttack dl(net_config());
+    attack::DlAttack dl(net);
     attack::TrainStats stats =
         dl.train(training, validation, config, pool.get());
     if (out_stats != nullptr) *out_stats = stats;
@@ -424,6 +425,25 @@ TEST_F(CheckpointTrainTest, KillDuringSaveLeavesPreviousCheckpointValid) {
         << "model after crash at " << kill.point
         << " differs from uninterrupted run";
   }
+}
+
+TEST_F(CheckpointTrainTest, OtherNetConfigCheckpointStartsFresh) {
+  // Same training config, datasets and parameter sizes; only the net's
+  // seed (its initial weights) differs. The seed-1 checkpoint must not be
+  // resumed into the seed-2 run.
+  nn::NetConfig seed1 = net_config();
+  seed1.seed = 1;
+  nn::NetConfig seed2 = net_config();
+  seed2.seed = 2;
+  const std::string path = test_dir() + "/ckpt_seed.sma";
+  const std::string ref = train_model(4, 1, 1, "", 0, nullptr, seed2);
+
+  train_model(2, 1, 1, path, /*checkpoint_every=*/1, nullptr, seed1);
+  attack::TrainStats stats;
+  const std::string got = train_model(4, 1, 1, path, 1, &stats, seed2);
+  EXPECT_EQ(stats.resumed_from_epoch, 0)
+      << "a checkpoint of another net configuration must not be resumed";
+  EXPECT_EQ(got, ref);
 }
 
 TEST_F(CheckpointTrainTest, CorruptCheckpointFallsBackToFreshStart) {

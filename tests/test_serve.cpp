@@ -1,11 +1,11 @@
 // Batched inference + serving-loop contracts (src/serve/, PR "batched
 // cross-query inference engine").
 //
-// The central claim under test: stacking B queries into one
-// forward_batched pass is BYTE-identical per query to B separate
-// forward calls — at every batch width, thread count, and batch
-// composition — so the serving tier can coalesce requests freely without
-// changing any answer. Plus the serving-loop lifecycle: shutdown drains
+// The central claim under test: stacking B queries into one forward
+// pass is BYTE-identical per query to B batches of one — at every batch
+// width, thread count, and batch composition, datasets mixed or not — so
+// the serving tier can coalesce requests freely without changing any
+// answer. Plus the serving-loop lifecycle: shutdown drains
 // in-flight requests deterministically, lease timeouts propagate to
 // every waiting request of the stalled batch, and live leases show up in
 // occupancy snapshots.
@@ -85,13 +85,22 @@ ServeFixtureState& fixture() {
     for (std::size_t i = 0; i < s->victim->num_queries(); ++i) {
       std::vector<float>& row = s->baseline_scores.emplace_back();
       if (s->victim->query(i).candidates.empty()) continue;
-      s->victim->input_into(i, input);
+      const QueryRef ref{s->victim.get(), i};
+      assemble_batch(&ref, 1, input);
       const nn::Tensor& scores = s->dl->net().forward(input);
       row.assign(scores.data(), scores.data() + scores.size());
     }
     return s;
   }();
   return *state;
+}
+
+/// Refs to `dataset`'s queries [first, first + count).
+std::vector<QueryRef> refs_of(QueryDataset& dataset, std::size_t first,
+                              std::size_t count) {
+  std::vector<QueryRef> refs;
+  for (std::size_t k = 0; k < count; ++k) refs.push_back({&dataset, first + k});
+  return refs;
 }
 
 void expect_selections_equal(const AttackResult& got,
@@ -128,17 +137,17 @@ TEST(BatchedAttack, ScoresBitEqualToBatchOne) {
   ServeFixtureState& f = fixture();
   const std::size_t n = f.victim->num_queries();
   ASSERT_GT(n, 8u);
-  nn::BatchedQueryInput input;
+  nn::QueryInput input;
   for (std::size_t width : {std::size_t{2}, std::size_t{8}, n}) {
     SCOPED_TRACE("width " + std::to_string(width));
     for (std::size_t base = 0; base < n; base += width) {
       const std::size_t count = std::min(width, n - base);
-      f.victim->input_into_batch(base, count, input);
+      assemble_batch(refs_of(*f.victim, base, count).data(), count, input);
       ASSERT_EQ(input.query_rows.size(), count);
       int rows = 0;
       for (int nq : input.query_rows) rows += nq;
       if (rows == 0) continue;
-      const nn::Tensor& scores = f.dl->net().forward_batched(input);
+      const nn::Tensor& scores = f.dl->net().forward(input);
       ASSERT_EQ(scores.dim(0), rows);
       const float* s = scores.data();
       for (std::size_t k = 0; k < count; ++k) {
@@ -157,12 +166,12 @@ TEST(BatchedAttack, RaggedFinalBatch) {
   const std::size_t n = f.victim->num_queries();
   ASSERT_GE(n, 3u);
   // A trailing batch narrower than the width: the last 3 queries alone.
-  nn::BatchedQueryInput input;
-  f.victim->input_into_batch(n - 3, 3, input);
+  nn::QueryInput input;
+  assemble_batch(refs_of(*f.victim, n - 3, 3).data(), 3, input);
   int rows = 0;
   for (int nq : input.query_rows) rows += nq;
   if (rows > 0) {
-    const nn::Tensor& scores = f.dl->net().forward_batched(input);
+    const nn::Tensor& scores = f.dl->net().forward(input);
     const float* s = scores.data();
     for (std::size_t k = 0; k < 3; ++k) {
       const std::vector<float>& want = f.baseline_scores[n - 3 + k];
@@ -177,19 +186,65 @@ TEST(BatchedAttack, RaggedFinalBatch) {
 }
 
 TEST(BatchedAttack, SingleQueryDegenerateBatch) {
+  // A batch of one ({n}) and a hand-built input (empty query_rows: one
+  // query over every row) are the same query.
   ServeFixtureState& f = fixture();
-  nn::BatchedQueryInput input;
+  nn::QueryInput input;
   for (std::size_t i = 0; i < std::min<std::size_t>(4, f.victim->num_queries());
        ++i) {
     if (f.victim->query(i).candidates.empty()) continue;
-    f.victim->input_into_batch(i, 1, input);
+    assemble_batch(refs_of(*f.victim, i, 1).data(), 1, input);
     ASSERT_EQ(input.query_rows.size(), 1u);
-    const nn::Tensor& scores = f.dl->net().forward_batched(input);
+    input.query_rows.clear();
+    const nn::Tensor& scores = f.dl->net().forward(input);
     const std::vector<float>& want = f.baseline_scores[i];
     ASSERT_EQ(static_cast<std::size_t>(scores.size()), want.size());
     EXPECT_EQ(
         std::memcmp(scores.data(), want.data(), want.size() * sizeof(float)),
         0);
+  }
+}
+
+TEST(BatchedAttack, MixedDatasetBatchesMatchEachDatasetsBatchOne) {
+  // The serving loop's case: one batch holds queries of several designs.
+  // A second victim with the same image geometry, its own batch-1 attack()
+  // as the oracle, and select_batch over refs alternating between the two.
+  ServeFixtureState& f = fixture();
+  const test::SmallSplit& other_split = test::shared_split(3, 400, 15);
+  QueryDataset other(other_split.split.get(), serve_dataset_config());
+  QueryDataset* datasets[] = {f.victim.get(), &other};
+  const AttackResult baselines[] = {f.baseline, f.dl->attack(other)};
+
+  ASSERT_GT(other.num_queries(), 8u);
+
+  std::vector<QueryRef> refs;
+  const std::size_t n = std::max(f.victim->num_queries(), other.num_queries());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (QueryDataset* d : datasets) {
+      if (i < d->num_queries()) refs.push_back({d, i});
+    }
+  }
+  const auto want = [&](const QueryRef& ref) -> const Selection& {
+    const std::size_t d = ref.dataset == datasets[0] ? 0 : 1;
+    return baselines[d].selections[ref.query];
+  };
+
+  nn::QueryInput input;
+  for (std::size_t width : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<Selection> got(refs.size());
+    for (std::size_t base = 0; base < refs.size(); base += width) {
+      const std::size_t count = std::min(width, refs.size() - base);
+      select_batch(f.dl->net(), refs.data() + base, count, input,
+                   got.data() + base);
+    }
+    for (std::size_t k = 0; k < refs.size(); ++k) {
+      const Selection& w = want(refs[k]);
+      EXPECT_EQ(got[k].sink_fragment, w.sink_fragment) << "slot " << k;
+      EXPECT_EQ(got[k].chosen_source, w.chosen_source) << "slot " << k;
+      EXPECT_EQ(got[k].correct, w.correct) << "slot " << k;
+      EXPECT_EQ(got[k].num_sinks, w.num_sinks) << "slot " << k;
+    }
   }
 }
 
@@ -215,7 +270,7 @@ TEST(BatchedForward, SkipsZeroRowQueries) {
     want_b.assign(sb.data(), sb.data() + sb.size());
   }
 
-  nn::BatchedQueryInput batch;
+  nn::QueryInput batch;
   batch.query_rows = {3, 0, 2};
   batch.vec = nn::Tensor({5, 27});
   std::memcpy(batch.vec.data(), a.vec.data(), 3 * 27 * sizeof(float));
@@ -226,7 +281,7 @@ TEST(BatchedForward, SkipsZeroRowQueries) {
   std::memcpy(batch.images.data() + 4 * plane, b.images.data(),
               3 * plane * sizeof(float));
 
-  const nn::Tensor& scores = net.forward_batched(batch);
+  const nn::Tensor& scores = net.forward(batch);
   ASSERT_EQ(scores.dim(0), 5);
   EXPECT_EQ(std::memcmp(scores.data(), want_a.data(),
                         want_a.size() * sizeof(float)),
@@ -238,18 +293,17 @@ TEST(BatchedForward, SkipsZeroRowQueries) {
 
 TEST(BatchedForward, RejectsBadBatches) {
   nn::AttackNet net(serve_net_config());
-  nn::BatchedQueryInput batch;
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
+  nn::QueryInput batch;
   batch.query_rows = {0, 0};
   batch.vec = nn::Tensor({0, 27});
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
+  EXPECT_THROW(net.forward(batch), std::invalid_argument);
   util::Pcg32 rng(5);
   batch.query_rows = {2, -1};
   batch.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
+  EXPECT_THROW(net.forward(batch), std::invalid_argument);
   // Row count must match the stacked vec.
   batch.query_rows = {2, 3};
-  EXPECT_THROW(net.forward_batched(batch), std::invalid_argument);
+  EXPECT_THROW(net.forward(batch), std::invalid_argument);
 }
 
 TEST(BatchedForward, BackwardAfterBatchedThrows) {
@@ -258,14 +312,14 @@ TEST(BatchedForward, BackwardAfterBatchedThrows) {
   nn::AttackNet net(config);
   util::Pcg32 rng(3);
 
-  nn::BatchedQueryInput batch;
+  nn::QueryInput batch;
   batch.query_rows = {2, 2};
   batch.vec = nn::Tensor::randn({4, 27}, rng, 1.0);
-  const nn::Tensor& scores = net.forward_batched(batch);
+  const nn::Tensor& scores = net.forward(batch);
   nn::Tensor grad(scores.shape());
   EXPECT_THROW(net.backward(grad), std::logic_error);
 
-  // A later single-query forward re-arms the training path.
+  // A later one-query forward re-arms the training path.
   nn::QueryInput single;
   single.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
   const nn::Tensor& s = net.forward(single);
