@@ -4,8 +4,11 @@
 // backward of each distinct conv and dense layer. Shapes derive from
 // ExperimentProfile::fast(): a query of max_candidates candidates runs
 // max_candidates + 1 images through the conv trunk and max_candidates
-// rows through the dense layers. Bit-identity of these kernels against
-// the naive oracle is gated by tests/test_kernels.cpp, not here.
+// rows through the dense layers. A conv GEMM row is one tile's call
+// (Conv2d::tile_images images). Every conv layer is timed twice: at one
+// query's planes and at kWideQueries queries' planes stacked, the width
+// batched inference runs. Bit-identity of these kernels against the
+// naive oracle is gated by tests/test_kernels.cpp, not here.
 //
 // Human-readable progress goes to stderr; stdout carries exactly one JSON
 // object (scripts/bench.sh redirects it to BENCH_kernels.json).
@@ -48,6 +51,9 @@ double time_call(Fn&& fn, int min_reps = 3) {
   } while ((timer.seconds() < 0.2 || reps < min_reps) && reps < 10000);
   return timer.seconds() / reps;
 }
+
+/// Queries stacked in the wide rows of the conv layer table (B=16).
+constexpr int kWideQueries = 16;
 
 /// One layer of the fast-profile network. Conv: `in`/`out` are channels
 /// and `batch` images of `size` x `size` pixels; dense: `in`/`out` are
@@ -156,7 +162,9 @@ std::vector<GemmSpec> gemm_specs(const std::vector<LayerSpec>& layers) {
   for (const LayerSpec& l : layers) {
     if (l.conv) {
       const int out_size = (l.size + 2 - 3) / l.stride + 1;
-      const int rows = l.batch * out_size * out_size;
+      const int pixels = out_size * out_size;
+      const int tile = sma::nn::Conv2d::tile_images(l.in, pixels);
+      const int rows = (l.batch < tile ? l.batch : tile) * pixels;
       const int patch = l.in * 9;
       specs.push_back({l.name, "fwd", Form::kForwardNnRowbias, l.out, rows,
                        patch});
@@ -194,8 +202,8 @@ void run_gemm(GemmSpec& spec, bool timed) {
     switch (spec.form) {
       case Form::kForwardNnRowbias:
         sma::nn::gemm_forward_nn_rowbias(m, n, k, a.data(), b.data(),
-                                         bias.data(), c.data(), lrelu, 0.01f,
-                                         mask.data(), scratch);
+                                         bias.data(), c.data(), n, lrelu,
+                                         0.01f, mask.data(), scratch);
         break;
       case Form::kAccNt:
         sma::nn::gemm_acc_nt(m, n, k, a.data(), b.data(), c.data(), scratch);
@@ -291,8 +299,17 @@ int main(int argc, char** argv) {
                 << "x" << spec.k << " " << spec.gflops << " GF/s\n";
     }
   }
-  std::vector<LayerResult> layer_results;
+  // Layer table: every layer at one query, then the convs again at
+  // kWideQueries queries.
+  std::vector<LayerSpec> table = layers;
   for (const LayerSpec& spec : layers) {
+    if (!spec.conv) continue;
+    LayerSpec wide = spec;
+    wide.batch *= kWideQueries;
+    table.push_back(wide);
+  }
+  std::vector<LayerResult> layer_results;
+  for (const LayerSpec& spec : table) {
     layer_results.push_back(run_layer(spec, timed));
     const LayerResult& r = layer_results.back();
     if (timed) {

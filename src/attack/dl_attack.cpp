@@ -425,7 +425,8 @@ AttackResult DlAttack::attack(QueryDataset& dataset,
                                                  std::size_t hi) {
     SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
     nn::QueryInput input;  // reused across the chunk
-    std::vector<QueryRef> refs(bw);
+    // No batch holds more than the chunk, whatever the width asks for.
+    std::vector<QueryRef> refs(std::min(bw, hi - lo));
     for (std::size_t base = lo; base < hi; base += bw) {
       const std::size_t count = std::min(bw, hi - base);
       for (std::size_t k = 0; k < count; ++k) refs[k] = {&dataset, base + k};

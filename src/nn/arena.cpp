@@ -71,13 +71,12 @@ std::uint8_t* Arena::bytes(Slot slot, std::size_t n) {
 }
 
 void Arena::reconcile_scratch() const {
-  if (scratch_.a_panel.capacity() != scratch_seen_a_) {
-    if (scratch_.a_panel.capacity() > scratch_seen_a_) ++allocs_;
-    scratch_seen_a_ = scratch_.a_panel.capacity();
-  }
-  if (scratch_.b_panel.capacity() != scratch_seen_b_) {
-    if (scratch_.b_panel.capacity() > scratch_seen_b_) ++allocs_;
-    scratch_seen_b_ = scratch_.b_panel.capacity();
+  const std::size_t now[] = {scratch_.a_panel.capacity(),
+                             scratch_.b_panel.capacity(),
+                             scratch_.taps.capacity()};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (now[i] > scratch_seen_[i]) ++allocs_;
+    scratch_seen_[i] = now[i];
   }
 }
 
@@ -94,6 +93,7 @@ ArenaStats Arena::stats() const {
   for (const auto& v : bytes_) s.bytes_pinned += v.capacity();
   s.bytes_pinned += scratch_.a_panel.capacity() * sizeof(float);
   s.bytes_pinned += scratch_.b_panel.capacity() * sizeof(float);
+  s.bytes_pinned += scratch_.taps.capacity() * sizeof(std::int32_t);
   s.slots = tensors_.size() + floats_.size() + bytes_.size();
   s.allocs = allocs_;
   s.requests = requests_;

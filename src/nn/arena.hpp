@@ -27,11 +27,12 @@
 // Threading: an arena is single-owner, exactly like the network that owns
 // it — replicas running on different pool threads each use their own
 // arena, so there is no shared mutable state and no synchronization.
-// (Call-transient staging — conv's dy^T/dcols^T and the GEMM packing
-// scratch — instead lives in one per-THREAD staging arena; see
-// layers.cpp.) Slot storage is address-stable (deque-backed): acquiring
-// one slot never moves another, so layers may cache pointers between
-// forward and backward.
+// (Call-transient staging — conv's per-tile im2col, masked-dy and dcols
+// buffers, the GEMM packing panels and the pack paths' tap table —
+// instead lives in one per-THREAD staging arena; see layers.cpp.) Slot
+// storage is address-stable (deque-backed): acquiring one slot never
+// moves another, so layers may cache pointers between forward and
+// backward.
 #pragma once
 
 #include <cstddef>
@@ -85,11 +86,11 @@ class Arena {
   float* floats(Slot slot, std::size_t n, Fill fill);
   std::uint8_t* bytes(Slot slot, std::size_t n);
 
-  /// This arena's GEMM packing scratch. Growth happens inside the kernels
-  /// (which know the panel geometry); the arena detects capacity changes
-  /// lazily on the next acquisition or stats() call and folds them into
-  /// `allocs`/`bytes_pinned`, so the zero-allocs-once-warm assertion
-  /// covers packing buffers too.
+  /// This arena's GEMM packing scratch (panels and tap table). Growth
+  /// happens inside the kernels and pack paths (which know the geometry);
+  /// the arena detects capacity changes lazily on the next acquisition or
+  /// stats() call and folds them into `allocs`/`bytes_pinned`, so the
+  /// zero-allocs-once-warm assertion covers those buffers too.
   GemmScratch& gemm_scratch();
 
   ArenaStats stats() const;
@@ -102,9 +103,9 @@ class Arena {
   std::deque<std::vector<std::uint8_t>> bytes_;
   std::vector<std::pair<std::string, Slot>> shared_floats_;  ///< few entries
   GemmScratch scratch_;
-  // Lazily-observed scratch capacities; mutable so stats() can reconcile.
-  mutable std::size_t scratch_seen_a_ = 0;
-  mutable std::size_t scratch_seen_b_ = 0;
+  // Lazily-observed capacities of the scratch's a_panel, b_panel and
+  // taps; mutable so stats() can reconcile.
+  mutable std::size_t scratch_seen_[3] = {};
   mutable long allocs_ = 0;
   long requests_ = 0;
 };

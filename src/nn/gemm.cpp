@@ -1,5 +1,6 @@
 #include "nn/gemm.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstring>
 
@@ -107,14 +108,14 @@ void pack_b(int n, int k, const float* b, int ldb, bool b_trans, float* out) {
 /// tight branch-free loop nest (small-k shapes like conv dX run tens of
 /// thousands of tiles per call; per-tile overhead must stay minimal).
 template <int NR, CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
-inline void micro_tile(int k, int n, const float* ap, const float* bp,
+inline void micro_tile(int k, int ldc, const float* ap, const float* bp,
                        int b_stride, float* c, std::size_t c_off, int mr,
                        int nv, const float* bias, int i0, int j0, float slope,
                        std::uint8_t* mask) {
   float acc[kMr * NR];
   if (kMode == CMode::kLoad && mr == kMr && nv == NR) {
     for (int ii = 0; ii < kMr; ++ii) {
-      const float* row = c + c_off + static_cast<std::size_t>(ii) * n;
+      const float* row = c + c_off + static_cast<std::size_t>(ii) * ldc;
       for (int jj = 0; jj < NR; ++jj) acc[ii * NR + jj] = row[jj];
     }
   } else if (kMode == CMode::kLoad) {
@@ -122,7 +123,7 @@ inline void micro_tile(int k, int n, const float* ap, const float* bp,
       for (int jj = 0; jj < NR; ++jj) acc[ii * NR + jj] = 0.0f;
     }
     for (int ii = 0; ii < mr; ++ii) {
-      const float* row = c + c_off + static_cast<std::size_t>(ii) * n;
+      const float* row = c + c_off + static_cast<std::size_t>(ii) * ldc;
       for (int jj = 0; jj < nv; ++jj) acc[ii * NR + jj] = row[jj];
     }
   } else {
@@ -144,7 +145,7 @@ inline void micro_tile(int k, int n, const float* ap, const float* bp,
   }
 
   for (int ii = 0; ii < mr; ++ii) {
-    const std::size_t base = c_off + static_cast<std::size_t>(ii) * n;
+    const std::size_t base = c_off + static_cast<std::size_t>(ii) * ldc;
     float* row = c + base;
     for (int jj = 0; jj < nv; ++jj) {
       float v = acc[ii * NR + jj];
@@ -171,7 +172,7 @@ inline void micro_tile(int k, int n, const float* ap, const float* bp,
 /// extra lanes compute harmless zeros that never reach C.
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 __attribute__((target("avx2"))) inline void micro_tile_avx2(
-    int k, int n, const float* ap, const float* bp, int b_stride, float* c,
+    int k, int ldc, const float* ap, const float* bp, int b_stride, float* c,
     std::size_t c_off, int mr, int nv, const float* bias, int i0, int j0,
     float slope, std::uint8_t* mask) {
   const bool full = mr == kMr && nv == kNrWide;
@@ -179,14 +180,14 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
   if (kMode == CMode::kLoad) {
     if (full) {
       for (int ii = 0; ii < kMr; ++ii) {
-        const float* row = c + c_off + static_cast<std::size_t>(ii) * n;
+        const float* row = c + c_off + static_cast<std::size_t>(ii) * ldc;
         acc[ii][0] = _mm256_loadu_ps(row);
         acc[ii][1] = _mm256_loadu_ps(row + 8);
       }
     } else {
       alignas(32) float tmp[kMr * kNrWide] = {};
       for (int ii = 0; ii < mr; ++ii) {
-        const float* row = c + c_off + static_cast<std::size_t>(ii) * n;
+        const float* row = c + c_off + static_cast<std::size_t>(ii) * ldc;
         for (int jj = 0; jj < nv; ++jj) tmp[ii * kNrWide + jj] = row[jj];
       }
       for (int ii = 0; ii < kMr; ++ii) {
@@ -217,7 +218,7 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
     const __m256 zero = _mm256_setzero_ps();
     const __m256 slope_v = _mm256_set1_ps(slope);
     for (int ii = 0; ii < kMr; ++ii) {
-      const std::size_t base = c_off + static_cast<std::size_t>(ii) * n;
+      const std::size_t base = c_off + static_cast<std::size_t>(ii) * ldc;
       float* row = c + base;
       const __m256 bias_row = kBias == BiasKind::kRow
                                   ? _mm256_set1_ps(bias[i0 + ii])
@@ -255,7 +256,7 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
     _mm256_store_ps(tmp + ii * kNrWide + 8, acc[ii][1]);
   }
   for (int ii = 0; ii < mr; ++ii) {
-    const std::size_t base = c_off + static_cast<std::size_t>(ii) * n;
+    const std::size_t base = c_off + static_cast<std::size_t>(ii) * ldc;
     float* row = c + base;
     for (int jj = 0; jj < nv; ++jj) {
       float v = tmp[ii * kNrWide + jj];
@@ -275,8 +276,9 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 __attribute__((target("avx2"))) void blocked_loop_avx2(
     int m, int n, int k, const float* a, int lda, bool a_trans,
-    const float* b, int ldb, bool b_trans, float* c, const float* bias,
-    float slope, std::uint8_t* mask, GemmScratch& scratch) {
+    const float* b, int ldb, bool b_trans, float* c, int ldc,
+    const float* bias, float slope, std::uint8_t* mask,
+    GemmScratch& scratch) {
   const int panels = (n + kNrWide - 1) / kNrWide;
   const int mblocks = (m + kMr - 1) / kMr;
   // All of A packed once; the panel loop runs outermost so each B panel
@@ -309,9 +311,9 @@ __attribute__((target("avx2"))) void blocked_loop_avx2(
       const int i0 = ib * kMr;
       const int mr = m - i0 < kMr ? m - i0 : kMr;
       micro_tile_avx2<kMode, kBias, kLrelu, kHasMask>(
-          k, n,
+          k, ldc,
           scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMr,
-          bp, bs, c, static_cast<std::size_t>(i0) * n + j0, mr, nv, bias, i0,
+          bp, bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0,
           j0, slope, mask);
     }
   }
@@ -323,7 +325,7 @@ __attribute__((target("avx2"))) void blocked_loop_avx2(
 /// operands; partial tiles stage C through a local buffer.
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 __attribute__((target("avx512f"))) inline void micro_tile_avx512(
-    int k, int n, const float* ap, const float* bp, int b_stride, float* c,
+    int k, int ldc, const float* ap, const float* bp, int b_stride, float* c,
     std::size_t c_off, int mr, int nv, const float* bias, int i0, int j0,
     float slope, std::uint8_t* mask) {
   const bool full = mr == kMrZ && nv == kNrZ;
@@ -331,14 +333,14 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
   if (kMode == CMode::kLoad) {
     if (full) {
       for (int ii = 0; ii < kMrZ; ++ii) {
-        const float* row = c + c_off + static_cast<std::size_t>(ii) * n;
+        const float* row = c + c_off + static_cast<std::size_t>(ii) * ldc;
         acc[ii][0] = _mm512_loadu_ps(row);
         acc[ii][1] = _mm512_loadu_ps(row + 16);
       }
     } else {
       alignas(64) float tmp[kMrZ * kNrZ] = {};
       for (int ii = 0; ii < mr; ++ii) {
-        const float* row = c + c_off + static_cast<std::size_t>(ii) * n;
+        const float* row = c + c_off + static_cast<std::size_t>(ii) * ldc;
         for (int jj = 0; jj < nv; ++jj) tmp[ii * kNrZ + jj] = row[jj];
       }
       for (int ii = 0; ii < kMrZ; ++ii) {
@@ -369,7 +371,7 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
     const __m512 zero = _mm512_setzero_ps();
     const __m512 slope_v = _mm512_set1_ps(slope);
     for (int ii = 0; ii < kMrZ; ++ii) {
-      const std::size_t base = c_off + static_cast<std::size_t>(ii) * n;
+      const std::size_t base = c_off + static_cast<std::size_t>(ii) * ldc;
       float* row = c + base;
       const __m512 bias_row = kBias == BiasKind::kRow
                                   ? _mm512_set1_ps(bias[i0 + ii])
@@ -404,7 +406,7 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
     _mm512_store_ps(tmp + ii * kNrZ + 16, acc[ii][1]);
   }
   for (int ii = 0; ii < mr; ++ii) {
-    const std::size_t base = c_off + static_cast<std::size_t>(ii) * n;
+    const std::size_t base = c_off + static_cast<std::size_t>(ii) * ldc;
     float* row = c + base;
     for (int jj = 0; jj < nv; ++jj) {
       float v = tmp[ii * kNrZ + jj];
@@ -424,8 +426,9 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 __attribute__((target("avx512f"))) void blocked_loop_avx512(
     int m, int n, int k, const float* a, int lda, bool a_trans,
-    const float* b, int ldb, bool b_trans, float* c, const float* bias,
-    float slope, std::uint8_t* mask, GemmScratch& scratch) {
+    const float* b, int ldb, bool b_trans, float* c, int ldc,
+    const float* bias, float slope, std::uint8_t* mask,
+    GemmScratch& scratch) {
   const int panels = (n + kNrZ - 1) / kNrZ;
   const int mblocks = (m + kMrZ - 1) / kMrZ;
   for (int ib = 0; ib < mblocks; ++ib) {
@@ -452,9 +455,9 @@ __attribute__((target("avx512f"))) void blocked_loop_avx512(
       const int i0 = ib * kMrZ;
       const int mr = m - i0 < kMrZ ? m - i0 : kMrZ;
       micro_tile_avx512<kMode, kBias, kLrelu, kHasMask>(
-          k, n,
+          k, ldc,
           scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMrZ,
-          bp, bs, c, static_cast<std::size_t>(i0) * n + j0, mr, nv, bias, i0,
+          bp, bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0,
           j0, slope, mask);
     }
   }
@@ -479,7 +482,7 @@ bool have_avx2() { return false; }
 
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 void blocked_loop(int m, int n, int k, const float* a, int lda, bool a_trans,
-                  const float* b, int ldb, bool b_trans, float* c,
+                  const float* b, int ldb, bool b_trans, float* c, int ldc,
                   const float* bias, float slope, std::uint8_t* mask,
                   GemmScratch& scratch) {
   const int panels = (n + kNr - 1) / kNr;
@@ -507,9 +510,9 @@ void blocked_loop(int m, int n, int k, const float* a, int lda, bool a_trans,
       const int i0 = ib * kMr;
       const int mr = m - i0 < kMr ? m - i0 : kMr;
       micro_tile<kNr, kMode, kBias, kLrelu, kHasMask>(
-          k, n,
+          k, ldc,
           scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMr,
-          bp, bs, c, static_cast<std::size_t>(i0) * n + j0, mr, nv, bias, i0,
+          bp, bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0,
           j0, slope, mask);
     }
   }
@@ -518,33 +521,35 @@ void blocked_loop(int m, int n, int k, const float* a, int lda, bool a_trans,
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 void blocked_dispatch(int m, int n, int k, const float* a, int lda,
                       bool a_trans, const float* b, int ldb, bool b_trans,
-                      float* c, const float* bias, float slope,
+                      float* c, int ldc, const float* bias, float slope,
                       std::uint8_t* mask, GemmScratch& scratch) {
 #ifdef SMA_GEMM_X86_DISPATCH
   if (have_avx512() && n >= kNrWide) {
     blocked_loop_avx512<kMode, kBias, kLrelu, kHasMask>(
-        m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
+        m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope, mask,
         scratch);
     return;
   }
   if (have_avx2()) {
     blocked_loop_avx2<kMode, kBias, kLrelu, kHasMask>(
-        m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
+        m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope, mask,
         scratch);
     return;
   }
 #endif
   blocked_loop<kMode, kBias, kLrelu, kHasMask>(
-      m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
+      m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope, mask,
       scratch);
 }
 
-/// Blocked driver shared by every optimized form. `c` is row-major with
-/// leading dimension n; `bias`/`lrelu`/`mask` only apply to kOverwrite.
+/// Blocked driver shared by every optimized form. `c` (and `mask`) is
+/// row-major with leading dimension ldc; `bias`/`lrelu`/`mask` only apply
+/// to kOverwrite.
 void blocked_gemm(int m, int n, int k, const float* a, int lda, bool a_trans,
-                  const float* b, int ldb, bool b_trans, float* c, CMode mode,
-                  BiasKind bias_kind, const float* bias, bool lrelu,
-                  float slope, std::uint8_t* mask, GemmScratch& scratch) {
+                  const float* b, int ldb, bool b_trans, float* c, int ldc,
+                  CMode mode, BiasKind bias_kind, const float* bias,
+                  bool lrelu, float slope, std::uint8_t* mask,
+                  GemmScratch& scratch) {
   if (m <= 0 || n <= 0) return;
   // Dispatch count only — never a clock read: this is the hottest entry
   // point in the repo, and one relaxed add per *call* (not per tile) is
@@ -587,48 +592,48 @@ void blocked_gemm(int m, int n, int k, const float* a, int lda, bool a_trans,
   switch (mode) {
     case CMode::kLoad:
       blocked_dispatch<CMode::kLoad, BiasKind::kNone, false, false>(
-          m, n, k, a, lda, a_trans, b, ldb, b_trans, c, nullptr, 0.0f,
+          m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, nullptr, 0.0f,
           nullptr, scratch);
       break;
     case CMode::kOverwrite:
       if (bias_kind == BiasKind::kNone) {
         blocked_dispatch<CMode::kOverwrite, BiasKind::kNone, false, false>(
-            m, n, k, a, lda, a_trans, b, ldb, b_trans, c, nullptr, 0.0f,
+            m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, nullptr, 0.0f,
             nullptr, scratch);
       } else if (bias_kind == BiasKind::kCol) {
         if (lrelu && mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, true, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
-              scratch);
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
+              mask, scratch);
         } else if (lrelu) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, true, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope,
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
               nullptr, scratch);
         } else if (mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, false, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
-              scratch);
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
+              mask, scratch);
         } else {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, false, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope,
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
               nullptr, scratch);
         }
       } else {
         if (lrelu && mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, true, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
-              scratch);
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
+              mask, scratch);
         } else if (lrelu) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, true, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope,
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
               nullptr, scratch);
         } else if (mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, false, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope, mask,
-              scratch);
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
+              mask, scratch);
         } else {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, false, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, bias, slope,
+              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
               nullptr, scratch);
         }
       }
@@ -645,55 +650,118 @@ const char* active_isa() {
 }
 
 // --------------------------------------------------------------------
-// Fused im2col/col2im pack paths. The ONLY thing `Layout` changes is the
-// base offset of each (img, c) input plane — row-major (img*c_in + c) vs
-// channel-major (c*n + img). Same values, same element visit order, same
-// clamp arithmetic: bit-identity is preserved by construction.
+// Tap-table im2col/col2im pack paths (see gemm.hpp). The ONLY thing
+// `Layout` changes is the base offset of each (img, c) plane — row-major
+// (img*c_in + c) vs channel-major (c*n + img). Same values, same element
+// visit order: bit-identity is preserved by construction.
 
-void pack_cm_im2col(const float* x, Layout x_layout, int n, int c_in, int h,
-                    int w, int stride, int ho, int wo, float* cols) {
-  const int rows = n * ho * wo;
-  SMA_COUNT_N("nn.pack_bytes", static_cast<std::size_t>(c_in) * 9 * rows *
-                                   sizeof(float));
+namespace {
+
+/// im2col packs stride-1 planes at least this large as one shifted run
+/// per tap; smaller ones go through the tap table.
+constexpr int kRunMinPixels = 16;
+
+/// Sets live[t] when tap t = ky*3 + kx lands inside the plane at least
+/// once. A tap lands where both its row and its column do, and the two
+/// are independent.
+void live_taps(int h, int w, int stride, int ho, int wo, bool live[9]) {
+  const auto lands = [stride](int k, int in, int out) {
+    for (int o = 0; o < out; ++o) {
+      const int i = o * stride - 1 + k;
+      if (i >= 0 && i < in) return true;
+    }
+    return false;
+  };
+  for (int t = 0; t < 9; ++t) {
+    live[t] = lands(t / 3, h, ho) && lands(t % 3, w, wo);
+  }
+}
+
+/// The 9 x (ho*wo) tap table in scratch.taps — entry
+/// [t * ho*wo + oy*wo + ox] is the offset iy*w + ix that tap t = ky*3 + kx
+/// reads at output pixel (oy, ox), or -1 where it reads padding. It is a
+/// function of the geometry alone, so it is rebuilt only when the
+/// geometry differs from the last build's: a layer's tiles share one.
+const std::int32_t* tap_table(int h, int w, int stride, int ho, int wo,
+                              GemmScratch& scratch) {
+  const std::array<int, 5> geometry{h, w, stride, ho, wo};
+  if (scratch.taps_geometry == geometry) return scratch.taps.data();
+  const int hwo = ho * wo;
+  scratch.taps.resize(static_cast<std::size_t>(9) * hwo);
+  std::int32_t* table = scratch.taps.data();
+  for (int t = 0; t < 9; ++t) {
+    const int ky = t / 3;
+    const int kx = t % 3;
+    std::int32_t* row = table + static_cast<std::size_t>(t) * hwo;
+    for (int oy = 0; oy < ho; ++oy) {
+      const int iy = oy * stride - 1 + ky;
+      for (int ox = 0; ox < wo; ++ox) {
+        const int ix = ox * stride - 1 + kx;
+        const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+        row[oy * wo + ox] = inside ? iy * w + ix : -1;
+      }
+    }
+  }
+  scratch.taps_geometry = geometry;
+  return table;
+}
+
+/// Base of plane (img, c) of a logical [n, c_in, hw] tensor.
+inline std::size_t plane_base(bool channel_major, int n, int c_in, int img,
+                              int c, int hw) {
+  return (channel_major ? static_cast<std::size_t>(c) * n + img
+                        : static_cast<std::size_t>(img) * c_in + c) *
+         static_cast<std::size_t>(hw);
+}
+
+}  // namespace
+
+void pack_cm_im2col(const float* x, Layout x_layout, int n, int img0,
+                    int img1, int c_in, int h, int w, int stride, int ho,
+                    int wo, float* cols, GemmScratch& scratch) {
+  const int hw = h * w;
+  const int hwo = ho * wo;
+  const std::size_t tile_rows = static_cast<std::size_t>(img1 - img0) * hwo;
+  SMA_COUNT_N("nn.pack_bytes",
+              static_cast<std::size_t>(c_in) * 9 * tile_rows * sizeof(float));
+  bool live[9];
+  live_taps(h, w, stride, ho, wo, live);
   const bool cm = x_layout == Layout::kChannelMajor;
+  // Stride 1 keeps the plane's shape (ho = h, wo = w), and output pixel p
+  // reads input pixel p + shift wherever the tap lands.
+  const bool runs = stride == 1 && hw >= kRunMinPixels;
+  const std::int32_t* table =
+      runs ? nullptr : tap_table(h, w, stride, ho, wo, scratch);
   for (int c = 0; c < c_in; ++c) {
-    for (int ky = 0; ky < 3; ++ky) {
-      for (int kx = 0; kx < 3; ++kx) {
-        float* dst =
-            cols + static_cast<std::size_t>((c * 3 + ky) * 3 + kx) * rows;
-        for (int img = 0; img < n; ++img) {
-          const float* plane =
-              x + (cm ? (static_cast<std::size_t>(c) * n + img)
-                      : (static_cast<std::size_t>(img) * c_in + c)) *
-                      h * w;
-          for (int oy = 0; oy < ho; ++oy) {
-            float* out_row =
-                dst + (static_cast<std::size_t>(img) * ho + oy) * wo;
-            const int iy = oy * stride - 1 + ky;
-            if (iy < 0 || iy >= h) {
-              for (int ox = 0; ox < wo; ++ox) out_row[ox] = 0.0f;
-              continue;
-            }
-            const float* src_row = plane + static_cast<std::size_t>(iy) * w;
-            // ix = ox * stride - 1 + kx is in [0, w) exactly for ox in
-            // [ox_lo, ox_hi); edges are padding zeros. The w < kx guard
-            // matters: for a 1-wide row and kx = 2 the naive formula
-            // (w - kx) / stride + 1 truncates -1/stride toward zero and
-            // admitted ox = 0, reading one float past the row (heap
-            // garbage on the last plane — nondeterministic models).
-            const int ox_lo = kx == 0 ? 1 : 0;
-            const int ox_hi_raw = w < kx ? 0 : (w - kx) / stride + 1;
-            const int ox_hi = wo < ox_hi_raw ? wo : ox_hi_raw;
-            for (int ox = 0; ox < ox_lo; ++ox) out_row[ox] = 0.0f;
-            if (stride == 1) {
-              std::memcpy(out_row + ox_lo, src_row + ox_lo - 1 + kx,
-                          sizeof(float) * (ox_hi - ox_lo));
-            } else {
-              for (int ox = ox_lo; ox < ox_hi; ++ox) {
-                out_row[ox] = src_row[ox * stride - 1 + kx];
-              }
-            }
-            for (int ox = ox_hi; ox < wo; ++ox) out_row[ox] = 0.0f;
+    for (int t = 0; t < 9; ++t) {
+      float* dst = cols + static_cast<std::size_t>(c * 9 + t) * tile_rows;
+      if (!live[t]) {
+        std::memset(dst, 0, tile_rows * sizeof(float));
+        continue;
+      }
+      const int kx = t % 3;
+      const int shift = (t / 3 - 1) * w + (kx - 1);
+      const int lo = shift < 0 ? -shift : 0;
+      const int hi = shift > 0 ? hw - shift : hw;
+      for (int img = img0; img < img1; ++img) {
+        const float* plane = x + plane_base(cm, n, c_in, img, c, hw);
+        float* out = dst + static_cast<std::size_t>(img - img0) * hwo;
+        if (runs) {
+          // One shifted copy; pixels whose tap falls off the top or
+          // bottom lie outside [lo, hi), and those whose tap falls off
+          // the left or right edge (copied from the neighbouring row) are
+          // zeroed afterwards.
+          std::memset(out, 0, sizeof(float) * lo);
+          std::memcpy(out + lo, plane + lo + shift, sizeof(float) * (hi - lo));
+          std::memset(out + hi, 0, sizeof(float) * (hw - hi));
+          if (kx != 1) {
+            const int edge = kx == 0 ? 0 : w - 1;
+            for (int oy = 0; oy < h; ++oy) out[oy * w + edge] = 0.0f;
+          }
+        } else {
+          const std::int32_t* tap = table + static_cast<std::size_t>(t) * hwo;
+          for (int p = 0; p < hwo; ++p) {
+            out[p] = tap[p] >= 0 ? plane[tap[p]] : 0.0f;
           }
         }
       }
@@ -701,49 +769,35 @@ void pack_cm_im2col(const float* x, Layout x_layout, int n, int c_in, int h,
   }
 }
 
-void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int c_in,
-                    int h, int w, int stride, int ho, int wo, float* dx) {
-  const int rows = n * ho * wo;
-  SMA_COUNT_N("nn.pack_bytes", static_cast<std::size_t>(c_in) * 9 * rows *
-                                   sizeof(float));
+void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int img0,
+                    int img1, int c_in, int h, int w, int stride, int ho,
+                    int wo, float* dx, GemmScratch& scratch) {
+  const int hw = h * w;
+  const int hwo = ho * wo;
+  const std::size_t tile_rows = static_cast<std::size_t>(img1 - img0) * hwo;
+  SMA_COUNT_N("nn.pack_bytes",
+              static_cast<std::size_t>(c_in) * 9 * tile_rows * sizeof(float));
+  bool live[9];
+  live_taps(h, w, stride, ho, wo, live);
+  const std::int32_t* table = tap_table(h, w, stride, ho, wo, scratch);
   const bool cm = dx_layout == Layout::kChannelMajor;
-  // Loop order (c asc, ky desc, kx desc, img, oy, ox) reproduces the
-  // per-element accumulation order of the direct col2im nest (img, oy,
-  // ox, c, ky, kx — the test oracle's loop): for a fixed dx element each
-  // output position contributes at most one tap, and ky desc <=> oy asc
-  // (resp. kx/ox), so contributions arrive in ascending (oy, ox). The
-  // plane base offset does not participate in that ordering, so both
-  // layouts accumulate identically.
+  // Tap order (c asc, ky desc, kx desc) reproduces the per-element
+  // accumulation order of the direct col2im nest (img, oy, ox, c, ky, kx
+  // — the test oracle's loop): for a fixed dx element each output pixel
+  // contributes through at most one tap, and ky desc <=> oy asc (resp.
+  // kx/ox), so contributions arrive in ascending (oy, ox). Neither the
+  // image range nor the plane base offset takes part in that order.
   for (int c = 0; c < c_in; ++c) {
-    for (int ky = 2; ky >= 0; --ky) {
-      for (int kx = 2; kx >= 0; --kx) {
-        const float* src =
-            dcols + static_cast<std::size_t>((c * 3 + ky) * 3 + kx) * rows;
-        for (int img = 0; img < n; ++img) {
-          float* plane =
-              dx + (cm ? (static_cast<std::size_t>(c) * n + img)
-                       : (static_cast<std::size_t>(img) * c_in + c)) *
-                       h * w;
-          for (int oy = 0; oy < ho; ++oy) {
-            const int iy = oy * stride - 1 + ky;
-            if (iy < 0 || iy >= h) continue;
-            const float* srow =
-                src + (static_cast<std::size_t>(img) * ho + oy) * wo;
-            float* drow = plane + static_cast<std::size_t>(iy) * w;
-            // Same w < kx guard as im2col: without it this loop WROTE one
-            // float past a 1-wide row (silent dx corruption).
-            const int ox_lo = kx == 0 ? 1 : 0;
-            const int ox_hi_raw = w < kx ? 0 : (w - kx) / stride + 1;
-            const int ox_hi = wo < ox_hi_raw ? wo : ox_hi_raw;
-            if (stride == 1) {
-              float* base = drow + kx - 1;
-              for (int ox = ox_lo; ox < ox_hi; ++ox) base[ox] += srow[ox];
-            } else {
-              for (int ox = ox_lo; ox < ox_hi; ++ox) {
-                drow[ox * stride - 1 + kx] += srow[ox];
-              }
-            }
-          }
+    for (int t = 8; t >= 0; --t) {
+      if (!live[t]) continue;
+      const float* src =
+          dcols + static_cast<std::size_t>(c * 9 + t) * tile_rows;
+      const std::int32_t* tap = table + static_cast<std::size_t>(t) * hwo;
+      for (int img = img0; img < img1; ++img) {
+        float* plane = dx + plane_base(cm, n, c_in, img, c, hw);
+        const float* in = src + static_cast<std::size_t>(img - img0) * hwo;
+        for (int p = 0; p < hwo; ++p) {
+          if (tap[p] >= 0) plane[tap[p]] += in[p];
         }
       }
     }
@@ -755,13 +809,13 @@ void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int c_in,
 
 void gemm_acc_tn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch) {
-  blocked_gemm(m, n, k, a, m, true, b, n, false, c, CMode::kLoad,
+  blocked_gemm(m, n, k, a, m, true, b, n, false, c, n, CMode::kLoad,
                BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
 
 void gemm_ovr_nn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch) {
-  blocked_gemm(m, n, k, a, k, false, b, n, false, c, CMode::kOverwrite,
+  blocked_gemm(m, n, k, a, k, false, b, n, false, c, n, CMode::kOverwrite,
                BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
 
@@ -769,28 +823,28 @@ void gemm_forward_nt(int m, int n, int k, const float* a, const float* b,
                      const float* bias, float* c, Epilogue epilogue,
                      float slope, std::uint8_t* mask, GemmScratch& scratch) {
   const bool lrelu = epilogue == Epilogue::kBiasLeakyReLU;
-  blocked_gemm(m, n, k, a, k, false, b, k, true, c, CMode::kOverwrite,
+  blocked_gemm(m, n, k, a, k, false, b, k, true, c, n, CMode::kOverwrite,
                BiasKind::kCol, bias, lrelu, slope, mask, scratch);
 }
 
 void gemm_forward_nn_rowbias(int m, int n, int k, const float* a,
                              const float* b, const float* bias, float* c,
-                             Epilogue epilogue, float slope,
+                             int ldc, Epilogue epilogue, float slope,
                              std::uint8_t* mask, GemmScratch& scratch) {
-  blocked_gemm(m, n, k, a, k, false, b, n, false, c, CMode::kOverwrite,
+  blocked_gemm(m, n, k, a, k, false, b, n, false, c, ldc, CMode::kOverwrite,
                BiasKind::kRow, bias, epilogue == Epilogue::kBiasLeakyReLU,
                slope, mask, scratch);
 }
 
 void gemm_acc_nt(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch) {
-  blocked_gemm(m, n, k, a, k, false, b, k, true, c, CMode::kLoad,
+  blocked_gemm(m, n, k, a, k, false, b, k, true, c, n, CMode::kLoad,
                BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
 
 void gemm_ovr_tn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch) {
-  blocked_gemm(m, n, k, a, m, true, b, n, false, c, CMode::kOverwrite,
+  blocked_gemm(m, n, k, a, m, true, b, n, false, c, n, CMode::kOverwrite,
                BiasKind::kNone, nullptr, false, 0.0f, nullptr, scratch);
 }
 

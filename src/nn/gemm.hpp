@@ -19,6 +19,7 @@
 // against a naive test-only oracle (`tests/nn_oracle.*`).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -26,14 +27,19 @@
 
 namespace sma::nn {
 
-/// Reusable packing buffers. Purely transient within one GEMM call, so
-/// callers share one instance per thread (the layers use their
-/// per-thread staging arena's scratch) — a private scratch per layer
-/// (times 8 lane replicas) would balloon the training working set and
-/// thrash the cache.
+/// Reusable packing buffers. Purely transient within one GEMM or pack
+/// call (the tap table outlives its call, but it depends on nothing
+/// except the geometry it records), so callers share one instance per
+/// thread (the layers use their per-thread staging arena's scratch) — a
+/// private scratch per layer (times 8 lane replicas) would balloon the
+/// training working set and thrash the cache.
 struct GemmScratch {
   std::vector<float> a_panel;
   std::vector<float> b_panel;
+  /// The im2col/col2im tap table: 9 x (ho*wo) in-plane source offsets,
+  /// built for the conv geometry {h, w, stride, ho, wo} in `taps_geometry`.
+  std::vector<std::int32_t> taps;
+  std::array<int, 5> taps_geometry{};
 };
 
 /// Widest SIMD path the blocked kernels can dispatch to on this host:
@@ -72,49 +78,73 @@ void gemm_forward_nt(int m, int n, int k, const float* a, const float* b,
 
 // --- transposed-activation forms (Conv2d) --------------------------------
 // Conv2d stores its im2col matrix transposed ([patch, rows]) and its
-// output channel-major ([out, rows]): the GEMMs then stream huge-n full
-// register panels, and the output needs no reorder at all.
+// output channel-major ([out, rows]): the GEMMs then stream long-n full
+// register panels, and the output needs no reorder at all. Conv2d issues
+// them once per tile of whole images (see Conv2d in nn/layers.hpp).
 
 /// C[M,N] = A[M,K] * B[K,N] + bias[M] (per-ROW bias), optional LeakyReLU,
-/// optional mask (layout [M, N]). Conv forward: A = weights [out, patch],
-/// B = im2col^T [patch, rows], C = output [out, rows].
+/// optional mask. C and mask are row-major with leading dimension `ldc`
+/// (>= N), so the product can land in a column block of a wider matrix.
+/// Conv forward: A = weights [out, patch], B = one tile's im2col^T
+/// [patch, tile rows], C = that tile's columns of the output [out, rows].
 void gemm_forward_nn_rowbias(int m, int n, int k, const float* a,
                              const float* b, const float* bias, float* c,
-                             Epilogue epilogue, float slope,
+                             int ldc, Epilogue epilogue, float slope,
                              std::uint8_t* mask, GemmScratch& scratch);
 
 /// C[M,N] += A[M,K] * B^T[N,K] — conv dW with transposed layouts:
-/// A = dy^T [out, rows], B = im2col^T [patch, rows].
+/// A = one tile's masked dy^T [out, tile rows], B = its im2col^T
+/// [patch, tile rows]. Tiles in ascending row order continue each
+/// element's chain through C.
 void gemm_acc_nt(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch);
 
 /// C[M,N] = A^T[K,M] * B[K,N] — conv dX with transposed layouts:
-/// A = weights [out, patch], B = dy^T [out, rows], C = dcols^T.
+/// A = weights [out, patch], B = one tile's masked dy^T [out, tile rows],
+/// C = its dcols^T [patch, tile rows].
 void gemm_ovr_tn(int m, int n, int k, const float* a, const float* b,
                  float* c, GemmScratch& scratch);
 
-// --- fused im2col/col2im pack paths (Conv2d) ----------------------------
-// The residual im2col work folded into the GEMM pack step: one pass
-// builds the transposed im2col matrix ([patch, rows], rows = (img, oy,
-// ox)) straight from the input tensor in EITHER storage layout — the
-// plane base offset is the only thing the layout changes, so a
-// channel-major input packs with zero preceding transpose. Values and
-// per-element visit order are identical for both layouts (bit-identity:
-// packing moves bytes, never touches arithmetic). Bytes moved are
-// counted on the `nn.pack_bytes` obs counter. The stride clamp for
-// kernels wider than the input (`w < kx`) matches the im2col/col2im
-// guard proven by test_kernels' one-pixel stride-3 cases.
+// --- im2col/col2im pack paths (Conv2d) --------------------------------
+// Both work on an image range [img0, img1) of a logical [n, c_in, h, w]
+// tensor (the whole tensor is [0, n)) and its transposed im2col matrix
+// ([patch, tile rows], patch = (c, ky, kx), rows = (img - img0, oy, ox)),
+// so Conv2d can run them one cache-sized tile at a time. The tensor may
+// be stored in EITHER layout: the plane base offset is the only thing
+// the layout changes, so a channel-major input packs with zero preceding
+// transpose.
+//
+// Per (channel, tap):
+//  - a tap that lands nowhere (most taps of the 1x1 planes) is one
+//    memset in im2col and is skipped in col2im;
+//  - im2col of a stride-1 plane of 16 or more pixels copies one shifted
+//    run and zeros its border;
+//  - everything else goes through a tap table in `scratch.taps`: for
+//    each of the 9 taps and each output pixel, the in-plane offset the
+//    tap reads, or -1 where it reads padding. The table decides validity
+//    per pixel, so no edge formula can admit an out-of-plane tap (a
+//    1-wide stride-3 plane has kernel columns that land nowhere). It is
+//    rebuilt only when the geometry changes, so the tiles of one layer
+//    call share one build.
+// Packing moves bytes and never touches arithmetic; col2im's adds keep
+// the order the bit-identity contract needs (see pack_cm_col2im). Bytes
+// moved are counted on the `nn.pack_bytes` obs counter.
 
-/// cols[patch, rows] = im2col^T of x (logical [n, c_in, h, w], stored
-/// per `x_layout`), patch = c_in*3*3, rows = n*ho*wo, 3x3 kernel.
-void pack_cm_im2col(const float* x, Layout x_layout, int n, int c_in, int h,
-                    int w, int stride, int ho, int wo, float* cols);
+/// cols[patch, (img1 - img0) * ho * wo] = im2col^T of images
+/// [img0, img1) of x (logical [n, c_in, h, w], stored per `x_layout`);
+/// 3x3 kernel, padding 1. Every element of cols is written.
+void pack_cm_im2col(const float* x, Layout x_layout, int n, int img0,
+                    int img1, int c_in, int h, int w, int stride, int ho,
+                    int wo, float* cols, GemmScratch& scratch);
 
-/// dx (logical [n, c_in, h, w], stored per `dx_layout`) += scatter of
-/// dcols^T [patch, rows]; dx must be pre-zeroed. The per-element
-/// accumulation order onto each dx element is independent of dx_layout
-/// (same chain, different plane base), preserving bit-identity.
-void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int c_in,
-                    int h, int w, int stride, int ho, int wo, float* dx);
+/// Images [img0, img1) of dx (logical [n, c_in, h, w], stored per
+/// `dx_layout`) += scatter of dcols^T [patch, (img1 - img0) * ho * wo].
+/// Taps run in (c asc, ky desc, kx desc) order, so each dx element
+/// receives its contributions in ascending (oy, ox) order, as in the
+/// direct col2im nest; a dx element belongs to exactly one image, so
+/// splitting [0, n) into ranges leaves every element's chain unchanged.
+void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int img0,
+                    int img1, int c_in, int h, int w, int stride, int ho,
+                    int wo, float* dx, GemmScratch& scratch);
 
 }  // namespace sma::nn

@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -11,13 +12,14 @@ namespace sma::nn {
 namespace {
 
 /// Per-thread staging arena. Two tenants:
-///  - Call-transient buffers (conv's dy^T / dcols^T staging and the
-///    GEMM packing scratch) for ALL layers, bound or not. They hold no
-///    state across layer calls, so one copy per thread — rather than one
+///  - Call-transient buffers (conv's per-tile im2col, masked dy^T and
+///    dcols^T, the GEMM packing panels and the pack paths' tap table)
+///    for ALL layers, bound or not. They hold no state across layer
+///    calls (the tap table is a function of the conv geometry alone,
+///    kept until that changes), so one copy per thread — rather than one
 ///    per network replica — keeps a lane/replica fleet's working set
 ///    small and cache-hot (with 8 serial gradient lanes, per-replica
-///    staging alone would thrash the cache; the PR-2 measurement that
-///    originally made these buffers thread-shared still holds).
+///    staging alone would thrash the cache).
 ///  - The fallback persistent arena for layers used standalone (tests,
 ///    benches, ad-hoc code) that were never bound by an owning network;
 ///    such a layer must keep running on the thread that first called it.
@@ -25,9 +27,13 @@ namespace {
 /// on one thread, and the transient buffers never outlive the call.
 struct ThreadStaging {
   Arena arena;
-  Arena::Slot dy_rows;
+  Arena::Slot cols;
+  Arena::Slot dy;
   Arena::Slot dcols;
-  ThreadStaging() : dy_rows(arena.add_floats()), dcols(arena.add_floats()) {}
+  ThreadStaging()
+      : cols(arena.add_floats()),
+        dy(arena.add_floats()),
+        dcols(arena.add_floats()) {}
 };
 
 ThreadStaging& thread_staging() {
@@ -200,17 +206,23 @@ Conv2d::Conv2d(int in_channels, int out_channels, int stride,
 
 void Conv2d::bind_arena(Arena& arena) {
   arena_ = &arena;
-  cols_slot_ = arena.add_floats();
   mask_slot_ = arena.add_bytes();
   out_slot_ = arena.add_tensor();
   dx_slot_ = arena.add_tensor();
-  // Transient staging (masked dy^T / dcols^T, live only inside one layer
-  // call) is NOT per-net: it comes from the per-thread staging arena —
-  // see ThreadStaging above.
+  // Tile staging (im2col, masked dy^T and dcols^T, live only inside one
+  // layer call) is NOT per-net: it comes from the per-thread staging
+  // arena — see ThreadStaging above.
 }
 
 void Conv2d::ensure_arena() {
   if (arena_ == nullptr) bind_arena(fallback_arena());
+}
+
+int Conv2d::tile_images(int in_channels, int out_pixels) {
+  const std::size_t image_bytes = static_cast<std::size_t>(in_channels) * 9 *
+                                  out_pixels * sizeof(float);
+  const std::size_t images = kTileBytes / image_bytes;
+  return images > 0 ? static_cast<int>(images) : 1;
 }
 
 Tensor& Conv2d::forward(const Tensor& x) {
@@ -220,60 +232,70 @@ Tensor& Conv2d::forward(const Tensor& x) {
                                 x.shape_string());
   }
   ensure_arena();
-  x_shape_ = shape;
-  x_layout_ = x.layout();
+  // Held by pointer for backward, which rebuilds its im2col tiles from it
+  // (Linear's lifetime contract).
+  x_ = &x;
   SMA_TRACE_SPAN("nn", "conv_fwd");
-  const int n = x_shape_[0];
-  const int h = x_shape_[2];
-  const int w = x_shape_[3];
+  const int n = shape[0];
+  const int h = shape[2];
+  const int w = shape[3];
   const int ho = out_size(h);
   const int wo = out_size(w);
-  const int rows = n * ho * wo;
+  const int hwo = ho * wo;
+  const int rows = n * hwo;
   const int patch = in_channels_ * 9;
-
-  // im2col, transposed: cols[q][row] for patch offset q = (c, ky, kx).
-  // The fused pack path reads x in whichever storage layout its tag says
-  // (channel-major from an upstream conv, row-major from the dataset).
-  // Full overwrite: every element is either a padding zero or a copied
-  // value.
-  float* cols = arena_->floats(
-      cols_slot_, static_cast<std::size_t>(patch) * rows, Arena::Fill::kNone);
-  cols_ = cols;
-  {
-    SMA_TRACE_SPAN_V("nn", "im2col", rows);
-    pack_cm_im2col(x.data(), x.layout(), n, in_channels_, h, w, stride_, ho,
-                   wo, cols);
-  }
+  const int tile = tile_images(in_channels_, hwo);
 
   const bool fused = act_ == Act::kLeakyReLU;
-  // mask: full overwrite — the GEMM epilogue writes one byte per element.
+  // mask: full overwrite — across the tiles the GEMM epilogue writes one
+  // byte per element.
   if (fused) {
     mask_ = arena_->bytes(mask_slot_,
                           static_cast<std::size_t>(out_channels_) * rows);
   }
-
   // The GEMM's [out, rows] output with rows = (img, oy, ox) IS the
-  // [n, out, ho, wo] output stored channel-major, so the kernel writes the
-  // arena slot directly. Full overwrite by the GEMM.
+  // [n, out, ho, wo] output stored channel-major, so each tile's GEMM
+  // writes its columns of the arena slot directly. Full overwrite across
+  // the tiles.
   Tensor& out = arena_->tensor(out_slot_, {n, out_channels_, ho, wo},
                                Arena::Fill::kNone, Layout::kChannelMajor);
-  // y^T[out, rows] = W[out, patch] * cols^T[patch, rows] + bias (+ act).
-  gemm_forward_nn_rowbias(out_channels_, rows, patch, weight().data(), cols,
-                          bias().data(), out.data(),
-                          fused ? Epilogue::kBiasLeakyReLU : Epilogue::kBias,
-                          slope_, fused ? mask_ : nullptr, staging_scratch());
+  ThreadStaging& staging = thread_staging();
+  const std::size_t max_rows =
+      static_cast<std::size_t>(std::min(n, tile)) * hwo;
+  // cols: full overwrite — im2col writes every element of the tile.
+  float* cols = staging.arena.floats(staging.cols, patch * max_rows,
+                                     Arena::Fill::kNone);
+  GemmScratch& scratch = staging.arena.gemm_scratch();
+  for (int img0 = 0; img0 < n; img0 += tile) {
+    const int img1 = std::min(n, img0 + tile);
+    const std::size_t col0 = static_cast<std::size_t>(img0) * hwo;
+    {
+      SMA_TRACE_SPAN_V("nn", "im2col", (img1 - img0) * hwo);
+      pack_cm_im2col(x.data(), x.layout(), n, img0, img1, in_channels_, h, w,
+                     stride_, ho, wo, cols, scratch);
+    }
+    // y^T[out, tile] = W[out, patch] * cols^T[patch, tile] + bias (+ act).
+    gemm_forward_nn_rowbias(
+        out_channels_, (img1 - img0) * hwo, patch, weight().data(), cols,
+        bias().data(), out.data() + col0, rows,
+        fused ? Epilogue::kBiasLeakyReLU : Epilogue::kBias, slope_,
+        fused ? mask_ + col0 : nullptr, scratch);
+  }
   return out;
 }
 
 Tensor& Conv2d::backward(const Tensor& dy) {
   SMA_TRACE_SPAN("nn", "conv_bwd");
-  const int n = x_shape_[0];
-  const int h = x_shape_[2];
-  const int w = x_shape_[3];
+  const Tensor& x = *x_;
+  const int n = x.dim(0);
+  const int h = x.dim(2);
+  const int w = x.dim(3);
   const int ho = out_size(h);
   const int wo = out_size(w);
-  const int rows = n * ho * wo;
+  const int hwo = ho * wo;
+  const int rows = n * hwo;
   const int patch = in_channels_ * 9;
+  const int tile = tile_images(in_channels_, hwo);
 
 #ifndef NDEBUG
   // Element-wise (no temporary vector): this runs on the alloc-free
@@ -291,62 +313,86 @@ Tensor& Conv2d::backward(const Tensor& dy) {
   }
 #endif
 
-  // Channel-major dy is already dy^T [out, rows] linear in storage: with a
-  // fused activation the mask pass is one flat elementwise loop into
-  // staging (full overwrite); without one the GEMMs below read dy's
-  // storage in place.
-  ThreadStaging& staging = thread_staging();
-  const float* dy_rows = dy.data();
-  if (act_ == Act::kLeakyReLU) {
-    const std::size_t total = static_cast<std::size_t>(out_channels_) * rows;
-    float* dm = staging.arena.floats(staging.dy_rows, total,
-                                     Arena::Fill::kNone);
-    for (std::size_t i = 0; i < total; ++i) {
-      dm[i] = mask_[i] ? dy_rows[i] * slope_ : dy_rows[i];
-    }
-    dy_rows = dm;
-  }
-
-  // dw += dy^T * cols (k = rows, ascending — one chain per element).
-  gemm_acc_nt(out_channels_, patch, rows, dy_rows, cols_, dw_.data(),
-              staging_scratch());
-  // db: one ascending-r chain per channel; four channels in flight to
-  // hide the add latency the strict chain ordering imposes.
-  for (int o0 = 0; o0 < out_channels_; o0 += 4) {
-    const int ov = out_channels_ - o0 < 4 ? out_channels_ - o0 : 4;
-    float acc[4];
-    const float* drow[4];
-    for (int j = 0; j < ov; ++j) {
-      acc[j] = db_[o0 + j];
-      drow[j] = dy_rows + static_cast<std::size_t>(o0 + j) * rows;
-    }
-    for (int r = 0; r < rows; ++r) {
-      for (int j = 0; j < ov; ++j) acc[j] += drow[j][r];
-    }
-    for (int j = 0; j < ov; ++j) db_[o0 + j] = acc[j];
-  }
-
-  if (!compute_input_grad_) return empty_;
-
-  // dcols^T[patch, rows] = W^T * dy^T. Full overwrite (gemm_ovr_tn).
-  float* dcols = staging.arena.floats(
-      staging.dcols, static_cast<std::size_t>(patch) * rows,
-      Arena::Fill::kNone);
-  gemm_ovr_tn(patch, rows, out_channels_, weight().data(), dy_rows, dcols,
-              staging_scratch());
-
-  // col2im through the fused pack path, scattering into dx in the SAME
-  // storage layout the forward input had — a channel-major x gets a
+  // dx accumulates (col2im +=), so the slot is acquired zero-filled — the
+  // same bytes a freshly constructed tensor starts from — in the SAME
+  // storage layout the forward input had: a channel-major x gets a
   // channel-major dx, so the gradient flows upstream with no reorder.
-  // The per-element accumulation order is layout-independent (see
-  // pack_cm_col2im). dx accumulates (+=), so the slot is acquired
-  // zero-filled — the same bytes a freshly constructed tensor starts
-  // from.
-  Tensor& dx =
-      arena_->tensor(dx_slot_, x_shape_, Arena::Fill::kZero, x_layout_);
-  pack_cm_col2im(dcols, x_layout_, n, in_channels_, h, w, stride_, ho, wo,
-                 dx.data());
-  return dx;
+  Tensor* dx = compute_input_grad_
+                   ? &arena_->tensor(dx_slot_, x.shape(), Arena::Fill::kZero,
+                                     x.layout())
+                   : nullptr;
+  ThreadStaging& staging = thread_staging();
+  const std::size_t max_rows =
+      static_cast<std::size_t>(std::min(n, tile)) * hwo;
+  // All three staging buffers are fully overwritten per tile: cols by
+  // im2col, dm by the mask pass, dcols by gemm_ovr_tn.
+  float* cols = staging.arena.floats(staging.cols, patch * max_rows,
+                                     Arena::Fill::kNone);
+  float* dm = staging.arena.floats(staging.dy, out_channels_ * max_rows,
+                                   Arena::Fill::kNone);
+  float* dcols =
+      compute_input_grad_
+          ? staging.arena.floats(staging.dcols, patch * max_rows,
+                                 Arena::Fill::kNone)
+          : nullptr;
+  GemmScratch& scratch = staging.arena.gemm_scratch();
+  const bool fused = act_ == Act::kLeakyReLU;
+  // Tiles run in ascending row order, and the dW and db chains of a tile
+  // start from the values the previous tile stored, so every element is
+  // still one ascending-row chain (K-blocking with C as the carry).
+  for (int img0 = 0; img0 < n; img0 += tile) {
+    const int img1 = std::min(n, img0 + tile);
+    const int tile_rows = (img1 - img0) * hwo;
+    const std::size_t col0 = static_cast<std::size_t>(img0) * hwo;
+    {
+      SMA_TRACE_SPAN_V("nn", "im2col", tile_rows);
+      pack_cm_im2col(x.data(), x.layout(), n, img0, img1, in_channels_, h, w,
+                     stride_, ho, wo, cols, scratch);
+    }
+    // Channel-major dy is dy^T [out, rows]: stage this tile's columns
+    // contiguously, applying the activation mask on the way.
+    for (int o = 0; o < out_channels_; ++o) {
+      const std::size_t src = static_cast<std::size_t>(o) * rows + col0;
+      const float* dyo = dy.data() + src;
+      float* dmo = dm + static_cast<std::size_t>(o) * tile_rows;
+      if (fused) {
+        const std::uint8_t* mo = mask_ + src;
+        for (int r = 0; r < tile_rows; ++r) {
+          dmo[r] = mo[r] ? dyo[r] * slope_ : dyo[r];
+        }
+      } else {
+        std::memcpy(dmo, dyo, sizeof(float) * tile_rows);
+      }
+    }
+
+    // dw += dy^T * cols (k = this tile's rows, ascending).
+    gemm_acc_nt(out_channels_, patch, tile_rows, dm, cols, dw_.data(),
+                scratch);
+    // db: one ascending-r chain per channel; four channels in flight to
+    // hide the add latency the strict chain ordering imposes.
+    for (int o0 = 0; o0 < out_channels_; o0 += 4) {
+      const int ov = out_channels_ - o0 < 4 ? out_channels_ - o0 : 4;
+      float acc[4];
+      const float* drow[4];
+      for (int j = 0; j < ov; ++j) {
+        acc[j] = db_[o0 + j];
+        drow[j] = dm + static_cast<std::size_t>(o0 + j) * tile_rows;
+      }
+      for (int r = 0; r < tile_rows; ++r) {
+        for (int j = 0; j < ov; ++j) acc[j] += drow[j][r];
+      }
+      for (int j = 0; j < ov; ++j) db_[o0 + j] = acc[j];
+    }
+
+    if (dx == nullptr) continue;
+    // dcols^T[patch, tile] = W^T * dy^T, scattered into this tile's
+    // images of dx.
+    gemm_ovr_tn(patch, tile_rows, out_channels_, weight().data(), dm, dcols,
+                scratch);
+    pack_cm_col2im(dcols, dx->layout(), n, img0, img1, in_channels_, h, w,
+                   stride_, ho, wo, dx->data(), scratch);
+  }
+  return dx != nullptr ? *dx : empty_;
 }
 
 void Conv2d::collect_params(std::vector<Param>& out) {

@@ -37,16 +37,17 @@
 // construction; a layer used standalone (tests, benches) lazily binds
 // itself to a thread-local fallback arena on first use — such a layer
 // must then keep running on the thread that first called it.
-// Call-transient staging (conv's masked dy^T and dcols^T, GEMM packing
-// panels)
-// is NOT per-network: it lives in a per-thread staging arena
-// (layers.cpp), one hot copy per thread no matter how many replicas run.
+// Call-transient staging (conv's per-tile im2col, masked dy^T and
+// dcols^T, the GEMM packing panels and the pack paths' tap table) is NOT
+// per-network: it lives in a per-thread staging arena (layers.cpp), one
+// hot copy per thread no matter how many replicas run.
 // Every arena slot below is annotated with its overwrite discipline (the
 // no-stale-read audit): `full` slots are completely rewritten by their
 // producer each call and acquired with Fill::kNone; `accum` slots feed
 // += consumers and are acquired with Fill::kZero.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -150,33 +151,48 @@ class LeakyReLU {
 /// blocked GEMM, with bias (+ optional LeakyReLU) fused into the kernel
 /// epilogue.
 ///
-/// Pipeline contract — one persistent activation layout: the im2col
-/// matrix is stored transposed ([patch, rows]) and the GEMM writes its
-/// channel-major [out, rows] output DIRECTLY into the layer's output
+/// Tiles: the layer works through its images in tiles of whole images
+/// whose im2col columns fit kTileBytes (at least one image per tile), so
+/// the columns a GEMM streams stay in L2 at any batch width. Forward
+/// packs each tile's transposed im2col matrix ([patch, tile rows]) into
+/// per-thread staging and runs the GEMM into that tile's columns of the
+/// output. Backward rebuilds each tile's columns from the forward input,
+/// stages the tile's masked dy, accumulates dW and db, and scatters the
+/// tile's dcols into dx; nothing im2col-sized persists between forward
+/// and backward. A single tile is just the degenerate case, and tiling
+/// never changes a bit: forward chains run over the patch, the dW and db
+/// chains continue from the value the previous tile stored in ascending
+/// row order, and each dx element belongs to one image (see
+/// pack_cm_col2im).
+///
+/// Layout contract — one persistent activation layout: the GEMM writes
+/// its channel-major [out, rows] output DIRECTLY into the layer's output
 /// slot, which is tagged Layout::kChannelMajor — for rows = (img, oy, ox)
 /// that [out, rows] matrix IS the [n, out, ho, wo] output stored
 /// channel-major, so there is no reorder and no staging copy at all. The
-/// next conv's im2col reads the channel-major slot through the fused
-/// pack paths in nn/gemm.* (pack_cm_im2col / pack_cm_col2im), which
+/// next conv's im2col reads the channel-major slot through the pack
+/// paths in nn/gemm.* (pack_cm_im2col / pack_cm_col2im), which
 /// parameterize only the plane base offset by the input's Layout tag:
 /// activations stay channel-major across the whole conv trunk, and the
 /// only row-major seams in the network are the dataset input (conv1
 /// reads NCHW natively through the same pack path) and the GlobalAvgPool
 /// output feeding the fc head (a [n+1, C] matrix with no spatial extent —
 /// layout-free by construction). Backward mirrors forward: dy must be
-/// channel-major like the output it is the gradient of ([out, rows]
-/// linear in storage, so the mask pass is a flat elementwise loop, not a
-/// transpose — Debug builds throw std::logic_error on a row-major dy),
-/// and dx is produced in the SAME layout as the forward input, so
-/// gradients flow through the trunk without any reorder either. Every
-/// data movement that remains is counted on the nn.pack_bytes obs
-/// counter. Values are bit-identical to a direct im2col conv over naive
-/// GEMMs (the test oracle, tests/nn_oracle.*): the layout changes where
-/// bytes live, never arithmetic or summation order.
+/// channel-major like the output it is the gradient of (Debug builds
+/// throw std::logic_error on a row-major dy), and dx is produced in the
+/// SAME layout as the forward input, so gradients flow through the trunk
+/// without any reorder either. Every data movement that remains is
+/// counted on the nn.pack_bytes obs counter. Values are bit-identical to
+/// a direct im2col conv over naive GEMMs (the test oracle,
+/// tests/nn_oracle.*): tiles and layouts change where bytes live, never
+/// arithmetic or summation order.
 /// The Layout tag guarantee: any tensor returned by forward/backward
 /// carries the tag describing its actual storage order, and every
 /// consumer dispatches on that tag (Debug builds assert the contract at
 /// each boundary; see Tensor's layout checks).
+///
+/// The input of forward is held by pointer, as in Linear: it must stay
+/// alive and unmodified until the matching backward returns.
 class Conv2d {
  public:
   Conv2d(int in_channels, int out_channels, int stride, util::Pcg32& rng,
@@ -190,6 +206,12 @@ class Conv2d {
   void collect_params(std::vector<Param>& out);
 
   int out_size(int in_size) const { return (in_size + 2 - 3) / stride_ + 1; }
+
+  /// Byte budget of one tile's im2col columns (see the class comment).
+  static constexpr std::size_t kTileBytes = std::size_t{256} << 10;
+  /// Images per tile for `in_channels` input channels and output planes
+  /// of `out_pixels` pixels: as many as fit kTileBytes, at least one.
+  static int tile_images(int in_channels, int out_pixels);
 
   /// When disabled, `backward` accumulates dW/db but skips the input
   /// gradient (dCols + col2im) and returns an empty tensor — the right
@@ -219,23 +241,20 @@ class Conv2d {
   const Tensor* shared_b_ = nullptr;
   Tensor dw_;
   Tensor db_;
-  std::vector<int> x_shape_;
-  /// Storage layout of the last forward's input; backward returns dx in
-  /// it.
-  Layout x_layout_ = Layout::kRowMajor;
   Tensor empty_;  ///< returned when the input gradient is skipped
-  // Arena slots. cols (full: every element is a memcpy run, an explicit
-  // padding zero, or a strided gather) and mask (full: GEMM epilogue)
-  // persist from forward to backward; out (full: direct GEMM writeback)
+  // Arena slots. mask (full: GEMM epilogue, tile by tile) persists from
+  // forward to backward; out (full: direct GEMM writeback, tile by tile)
   // and dx (accum: col2im += — acquired Fill::kZero) are live until the
-  // next call. Backward's masked-dy and dcols staging (both full) is
-  // call-transient and comes from the per-thread staging arena.
+  // next call. The tiles' im2col, masked-dy and dcols staging (all full)
+  // is call-transient and comes from the per-thread staging arena.
   Arena* arena_ = nullptr;
-  Arena::Slot cols_slot_ = 0;
   Arena::Slot mask_slot_ = 0;
   Arena::Slot out_slot_ = 0;
   Arena::Slot dx_slot_ = 0;
-  const float* cols_ = nullptr;      ///< im2col, [patch, rows]
+  /// Input of the last forward, held by pointer (see the class comment);
+  /// backward rebuilds its im2col tiles from it and returns dx in its
+  /// layout.
+  const Tensor* x_ = nullptr;
   std::uint8_t* mask_ = nullptr;     ///< pre-activation < 0, when fused
 };
 

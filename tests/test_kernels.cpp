@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -143,9 +144,25 @@ TEST(Kernels, ForwardEpiloguesMatchOracle) {
         std::vector<float> got(c_size, -77.0f);
         std::vector<std::uint8_t> got_mask(c_size, 3);
         if (row_bias) {
+          // The row-bias form writes a column block of a wider C (Conv2d
+          // tiles): run it at ldc = n + 3 and leave the pad columns alone.
+          const int ldc = s.n + 3;
+          std::vector<float> wide(static_cast<std::size_t>(s.m) * ldc, -77.0f);
+          std::vector<std::uint8_t> wide_mask(wide.size(), 3);
           gemm_forward_nn_rowbias(s.m, s.n, s.k, a.data(), b.data(), bias,
-                                  got.data(), epilogue, 0.01f,
-                                  got_mask.data(), scratch);
+                                  wide.data(), ldc, epilogue, 0.01f,
+                                  wide_mask.data(), scratch);
+          for (int i = 0; i < s.m; ++i) {
+            const std::size_t row = static_cast<std::size_t>(i) * ldc;
+            std::copy(wide.begin() + row, wide.begin() + row + s.n,
+                      got.begin() + static_cast<std::size_t>(i) * s.n);
+            std::copy(wide_mask.begin() + row, wide_mask.begin() + row + s.n,
+                      got_mask.begin() + static_cast<std::size_t>(i) * s.n);
+            for (int j = s.n; j < ldc; ++j) {
+              EXPECT_EQ(wide[row + j], -77.0f) << shape_name(s);
+              EXPECT_EQ(wide_mask[row + j], 3) << shape_name(s);
+            }
+          }
         } else {
           gemm_forward_nt(s.m, s.n, s.k, a.data(), b.data(), bias, got.data(),
                           epilogue, 0.01f, got_mask.data(), scratch);
@@ -197,15 +214,18 @@ TEST(Kernels, LinearMatchesOracle) {
 /// row-major NCHW; the layer takes x stored in `x_layout` (row-major like
 /// the dataset input, or channel-major like every conv after the first)
 /// and dy channel-major, as its contract requires. Output, input gradient
-/// and both parameter gradients must match bit for bit.
+/// and both parameter gradients must match bit for bit. With
+/// `input_grad` off the layer must return an empty dx and still match
+/// dW and db.
 void expect_conv_matches_oracle(int n, int in_ch, int out_ch, int stride,
                                 int size, Act act, Layout x_layout,
-                                std::uint64_t seed) {
+                                std::uint64_t seed, bool input_grad = true) {
   util::Pcg32 data_rng(seed);
   const Tensor x = Tensor::randn({n, in_ch, size, size}, data_rng, 1.0);
   const Tensor x_in = to_layout(x, x_layout);
   util::Pcg32 rng(66);
   Conv2d conv(in_ch, out_ch, stride, rng, "t", act);
+  conv.set_compute_input_grad(input_grad);
   test::oracle::Conv oracle(conv.weight(), conv.bias(), stride,
                             act == Act::kLeakyReLU);
 
@@ -218,16 +238,22 @@ void expect_conv_matches_oracle(int n, int in_ch, int out_ch, int stride,
     dy[i] = static_cast<float>(grad_rng.next_gaussian());
   }
   const Tensor dx = conv.backward(to_layout(dy, Layout::kChannelMajor));
-  EXPECT_EQ(dx.layout(), x_layout);
 
   SCOPED_TRACE("conv " + std::to_string(in_ch) + "->" +
                std::to_string(out_ch) + " s" + std::to_string(stride) + " [" +
                std::to_string(n) + "x" + std::to_string(size) + "x" +
                std::to_string(size) + "]" +
                (x_layout == Layout::kChannelMajor ? " cm" : " rm") +
-               (act == Act::kLeakyReLU ? " lrelu" : ""));
+               (act == Act::kLeakyReLU ? " lrelu" : "") +
+               (input_grad ? "" : " no-dx"));
   EXPECT_TRUE(bit_equal(y_want, to_row_major(y)));
-  EXPECT_TRUE(bit_equal(oracle.backward(dy), to_row_major(dx)));
+  const Tensor dx_want = oracle.backward(dy);
+  if (input_grad) {
+    EXPECT_EQ(dx.layout(), x_layout);
+    EXPECT_TRUE(bit_equal(dx_want, to_row_major(dx)));
+  } else {
+    EXPECT_TRUE(dx.empty());
+  }
   expect_grads_match(conv, oracle);
 }
 
@@ -237,15 +263,51 @@ TEST(Kernels, Conv2dMatchesOracle) {
   };
   for (Act act : {Act::kNone, Act::kLeakyReLU}) {
     for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
-      // Non-multiple-of-tile channel counts and odd image sizes included.
+      // Non-multiple-of-tile channel counts and odd image sizes included,
+      // and large planes: 70x70 at stride 1 (one image per tile) and the
+      // paper profile's 99x99 at stride 3. The 15x15 plane runs at stride
+      // 1 and then at stride 3: the pack paths keep their tap table
+      // across calls, and it must follow the whole geometry, not just the
+      // plane size.
       for (const Case& c :
-           {Case{1, 1, 1, 1, 3}, Case{2, 3, 5, 1, 7}, Case{2, 3, 8, 3, 15},
-            Case{1, 5, 13, 3, 11}}) {
+           {Case{1, 1, 1, 1, 3}, Case{2, 3, 5, 1, 7}, Case{2, 3, 8, 1, 15},
+            Case{2, 3, 8, 3, 15}, Case{1, 5, 13, 3, 11},
+            Case{3, 2, 3, 1, 70}, Case{2, 2, 3, 3, 99}}) {
         expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, c.stride, c.size,
                                    act, layout, 29u + c.in_ch * c.out_ch);
       }
     }
   }
+}
+
+TEST(Kernels, Conv2dMultiTileMatchesOracle) {
+  // Batches of at least three tiles with a ragged last one. Tiling must
+  // not move a bit: forward writes each tile's columns of the output and
+  // mask, dW and db carry their chains from tile to tile, and col2im
+  // scatters each tile's images of dx.
+  struct Case {
+    int n, in_ch, out_ch, stride, size;
+  };
+  const Case cases[] = {
+      {11, 8, 6, 1, 15},   // stride 1, im2col shifted runs: 4 + 4 + 3
+      {21, 32, 5, 3, 15},  // stride 3, table gathers: 9 + 9 + 3
+      {31, 512, 3, 3, 1},  // 1x1 planes, the w < kx edge: 14 + 14 + 3
+  };
+  for (const Case& c : cases) {
+    const int out = (c.size + 2 - 3) / c.stride + 1;
+    const int tile = Conv2d::tile_images(c.in_ch, out * out);
+    ASSERT_GE((c.n + tile - 1) / tile, 3) << "n " << c.n;
+    ASSERT_NE(c.n % tile, 0) << "n " << c.n;
+    for (Act act : {Act::kNone, Act::kLeakyReLU}) {
+      for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
+        expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, c.stride, c.size,
+                                   act, layout, 71u + c.n);
+      }
+    }
+  }
+  // A network's first conv skips its input gradient: dW and db only.
+  expect_conv_matches_oracle(11, 8, 6, 1, 15, Act::kLeakyReLU,
+                             Layout::kRowMajor, 5u, /*input_grad=*/false);
 }
 
 TEST(Kernels, Conv2dStridedOnOnePixelInputIsDeterministic) {

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -130,6 +131,25 @@ TEST(BatchedAttack, BitIdenticalAcrossWidthsAndThreads) {
       expect_selections_equal(f.dl->attack(*f.victim, &pool, width),
                               f.baseline);
     }
+  }
+}
+
+TEST(BatchedAttack, WidthsBeyondTheDatasetMatchBatchOne) {
+  // A width past the query count makes each chunk one batch. The batch
+  // buffer is sized by the chunk, not by the width: INT_MAX must neither
+  // throw std::bad_alloc nor allocate gigabytes for a few hundred queries.
+  ServeFixtureState& f = fixture();
+  const int past_end = static_cast<int>(f.victim->num_queries()) + 1;
+  for (int width : {past_end, std::numeric_limits<int>::max()}) {
+    {
+      SCOPED_TRACE("serial width " + std::to_string(width));
+      expect_selections_equal(f.dl->attack(*f.victim, nullptr, width),
+                              f.baseline);
+    }
+    SCOPED_TRACE("pooled width " + std::to_string(width));
+    runtime::ThreadPool pool(4);
+    expect_selections_equal(f.dl->attack(*f.victim, &pool, width),
+                            f.baseline);
   }
 }
 

@@ -246,8 +246,24 @@ nn::NetConfig tiny_net_config() {
   return config;
 }
 
+/// The tiny net with the fast profile's conv trunk (3 image channels,
+/// conv widths {8, 16, 32, 64}) switched on.
+nn::NetConfig tiny_image_net_config() {
+  nn::NetConfig config = tiny_net_config();
+  config.use_images = true;
+  config.conv_channels = nn::NetConfig::fast().conv_channels;
+  config.image_fc = 16;
+  config.fc6_width = 8;
+  return config;
+}
+
+/// Model bytes after a short DlAttack::train on the tiny corpus. Vector
+/// only by default; with `images` the dataset renders the fast profile's
+/// 15x15 three-scale images for up to 15 candidates, so a query stacks up
+/// to 16 planes through the conv trunk.
 std::string train_model_bytes(const eval::PreparedSplit& prepared,
-                              int batch_size, runtime::ThreadPool* pool) {
+                              int batch_size, runtime::ThreadPool* pool,
+                              bool images = false) {
   DatasetConfig dataset_config;
   dataset_config.candidates.max_candidates = 6;
   dataset_config.build_images = false;
@@ -255,11 +271,15 @@ std::string train_model_bytes(const eval::PreparedSplit& prepared,
   TrainConfig train_config;
   train_config.epochs = 2;
   train_config.batch_size = batch_size;
+  if (images) {
+    dataset_config = eval::ExperimentProfile::fast().dataset;
+    train_config.max_queries_per_design = 20;
+  }
 
   std::vector<QueryDataset> training;
   training.emplace_back(prepared.split.get(), dataset_config);
   std::vector<QueryDataset> validation;
-  DlAttack dl(tiny_net_config());
+  DlAttack dl(images ? tiny_image_net_config() : tiny_net_config());
   TrainStats stats = dl.train(training, validation, train_config, pool);
   // Guard against a vacuous pass: the tiny corpus must actually contain
   // trainable queries, or the bit-identity comparison proves nothing.
@@ -290,6 +310,32 @@ TEST(Training, ModelBytesMatchAcrossThreadsAndPinnedDigests) {
     EXPECT_EQ(util::fnv1a(serial.data(), serial.size()), pin.digest)
         << "model moved at lanes " << pin.lanes;
     EXPECT_TRUE(serial == train_model_bytes(prepared, pin.lanes, &pool))
+        << "pooled != serial at lanes " << pin.lanes;
+  }
+}
+
+TEST(Training, ImageTrunkModelBytesMatchPinnedDigests) {
+  // The conv trunk's forward and backward trained end to end: FNV-1a
+  // digests of the saved models, recorded before Conv2d processed its
+  // images in cache-sized tiles. At 15x15 pixels conv1's im2col columns
+  // span several tiles (and the trunk's 1x1 maps exercise the stride-3
+  // edge clamp). 20 queries per epoch, so batch 8 ends on a partial
+  // batch. Each model must also be identical with and without a pool.
+  struct Pin {
+    int lanes;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {{1, 0xe9164beee7cdfbf3ull},
+                      {8, 0xcf124225cff906c3ull}};
+  const eval::PreparedSplit prepared = tiny_prepared(/*split_layer=*/1);
+  runtime::ThreadPool pool(4);
+  for (const Pin& pin : pins) {
+    const std::string serial =
+        train_model_bytes(prepared, pin.lanes, nullptr, /*images=*/true);
+    EXPECT_EQ(util::fnv1a(serial.data(), serial.size()), pin.digest)
+        << "model moved at lanes " << pin.lanes;
+    EXPECT_TRUE(serial ==
+                train_model_bytes(prepared, pin.lanes, &pool, /*images=*/true))
         << "pooled != serial at lanes " << pin.lanes;
   }
 }
