@@ -40,13 +40,17 @@ class Cursor {
   explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
 
   void read(void* into, std::size_t size, const char* what) {
-    if (bytes_.size() - pos_ < size) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
+    require(size, what);
     // An empty vector's data() may be null, and memcpy's pointer args are
     // declared nonnull even for size 0.
     if (size > 0) std::memcpy(into, bytes_.data() + pos_, size);
+    pos_ += size;
+  }
+
+  /// Advances past `size` bytes, bounds-checked like read(), without
+  /// copying them.
+  void skip(std::size_t size, const char* what) {
+    require(size, what);
     pos_ += size;
   }
 
@@ -79,8 +83,16 @@ class Cursor {
   }
 
   bool done() const { return pos_ == bytes_.size(); }
+  std::size_t position() const { return pos_; }
 
  private:
+  void require(std::size_t size, const char* what) const {
+    if (bytes_.size() - pos_ < size) {
+      throw util::FrameError(std::string("checkpoint payload truncated in ") +
+                             what);
+    }
+  }
+
   const std::string& bytes_;
   std::size_t pos_ = 0;
 };
@@ -105,28 +117,23 @@ void decode_params(const std::string& blob, std::vector<nn::Param>& params) {
                            std::to_string(count) + ", model has " +
                            std::to_string(params.size()));
   }
-  // Validate every size before touching any tensor, so a bad blob leaves
-  // the model unchanged. Two passes over an in-memory string are cheap.
+  // Validate the whole blob — every size, and that nothing follows the
+  // last tensor — before touching any tensor, so a bad blob leaves the
+  // model unchanged.
   std::vector<std::size_t> offsets(params.size());
-  {
-    Cursor scan(blob);
-    scan.read_u64("parameter count");
-    std::size_t offset = sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const std::uint64_t size = scan.read_u64(params[i].name.c_str());
-      if (size != params[i].value->size()) {
-        throw util::FrameError(
-            "checkpoint size mismatch for " + params[i].name + ": blob has " +
-            std::to_string(size) + " floats, model expects " +
-            std::to_string(params[i].value->size()));
-      }
-      offset += sizeof(std::uint64_t);
-      offsets[i] = offset;
-      std::vector<float> discard(static_cast<std::size_t>(size));
-      scan.read(discard.data(), discard.size() * sizeof(float),
-                params[i].name.c_str());
-      offset += static_cast<std::size_t>(size) * sizeof(float);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::uint64_t size = cur.read_u64(params[i].name.c_str());
+    if (size != params[i].value->size()) {
+      throw util::FrameError(
+          "checkpoint size mismatch for " + params[i].name + ": blob has " +
+          std::to_string(size) + " floats, model expects " +
+          std::to_string(params[i].value->size()));
     }
+    offsets[i] = cur.position();
+    cur.skip(params[i].value->size() * sizeof(float), params[i].name.c_str());
+  }
+  if (!cur.done()) {
+    throw util::FrameError("checkpoint model weights have trailing bytes");
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::memcpy(params[i].value->data(), blob.data() + offsets[i],

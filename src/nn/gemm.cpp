@@ -42,65 +42,193 @@ enum class CMode {
 /// row-major conv output) or per output row (channel-major conv output).
 enum class BiasKind { kNone, kCol, kRow };
 
-/// A[i0..i0+MR) x [0..k) packed p-major, rows past m zero-filled. The
-/// zero rows make the micro-kernel branch-free; they never reach C.
-template <int MR>
-void pack_a(int m, int k, int i0, const float* a, int lda, bool a_trans,
-            float* out) {
-  const int mr = m - i0 < MR ? m - i0 : MR;
-  if (!a_trans && mr == MR) {
-    // Row-major A: walk MR contiguous rows in lockstep.
-    const float* rows[MR];
-    for (int ii = 0; ii < MR; ++ii) {
-      rows[ii] = a + static_cast<std::size_t>(i0 + ii) * lda;
+// --- The pack stage ------------------------------------------------------
+// Every operand the micro-kernels do not read in place is copied into
+// R-wide, k-major panels: panel[p * R + r] is lane r at k = p, and lanes
+// past the valid count are zero (the zero lanes make the micro-kernels
+// branch-free; they never reach C). A's row panels are R = MR wide, B's
+// column panels R = NR wide. A source holds its lanes one of two ways.
+
+enum class PanelSource {
+  /// Lane r is a source row, contiguous in k: src[r * ld + p]. Packing
+  /// transposes (row-major A, B^T).
+  kRows,
+  /// The lanes of each k are contiguous: src[p * ld + r]. Packing copies
+  /// (A^T, the ragged tail panel of row-major B).
+  kLanes,
+};
+
+/// Panel row p of a kRows source, one lane at a time: the scalar
+/// transposing gather.
+template <int R>
+inline void gather_row(const float* src, int ld, int valid, int p,
+                       float* dst) {
+  for (int r = 0; r < valid; ++r) {
+    dst[r] = src[static_cast<std::size_t>(r) * ld + p];
+  }
+  for (int r = valid; r < R; ++r) dst[r] = 0.0f;
+}
+
+#ifdef SMA_GEMM_X86_DISPATCH
+
+/// Transposes the 8 x 8 block v in registers: row i in, column i out.
+/// Unpack, shuffle and lane permutes only, so every float's bit pattern
+/// moves unchanged.
+__attribute__((target("avx2"))) inline void transpose8x8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+/// The kRows case for R a multiple of 8: each group of 8 lanes moves
+/// through 8 x 8 in-register transposes, one 8-column block of k at a
+/// time (all groups of a block before the next, so the block's stores
+/// fill whole panel rows). A ragged group loads zero vectors for its
+/// missing rows, an all-padding group is stored as vector zeros, and only
+/// the k % 8 tail is copied lane by lane.
+template <int R>
+__attribute__((target("avx2"))) void pack_rows_avx2(const float* src, int ld,
+                                                    int valid, int k,
+                                                    float* out) {
+  static_assert(R % 8 == 0, "8 x 8 blocks tile the panel width");
+  const __m256 zero = _mm256_setzero_ps();
+  const int k8 = k - k % 8;
+  for (int p0 = 0; p0 < k8; p0 += 8) {
+    float* dst = out + static_cast<std::size_t>(p0) * R;
+    for (int g = 0; g < R; g += 8) {
+      const int rows = valid - g;
+      __m256 v[8];
+      if (rows >= 8) {
+        for (int i = 0; i < 8; ++i) {
+          v[i] = _mm256_loadu_ps(src + static_cast<std::size_t>(g + i) * ld +
+                                 p0);
+        }
+      } else if (rows > 0) {
+        for (int i = 0; i < 8; ++i) {
+          v[i] = i < rows ? _mm256_loadu_ps(
+                                src + static_cast<std::size_t>(g + i) * ld + p0)
+                          : zero;
+        }
+      } else {
+        for (int c = 0; c < 8; ++c) _mm256_storeu_ps(dst + c * R + g, zero);
+        continue;
+      }
+      transpose8x8(v);
+      for (int c = 0; c < 8; ++c) _mm256_storeu_ps(dst + c * R + g, v[c]);
+    }
+  }
+  for (int p = k8; p < k; ++p) {
+    gather_row<R>(src, ld, valid, p, out + static_cast<std::size_t>(p) * R);
+  }
+}
+
+#endif  // SMA_GEMM_X86_DISPATCH
+
+/// Packs one R-wide panel of `valid` lanes from `src` (see PanelSource).
+/// `vector` selects the AVX2 block transposes for the kRows case (x86
+/// only, R a multiple of 8); otherwise kRows is a scalar gather — the
+/// 4-row A panels and the only path without AVX2. Moves bytes only:
+/// every path writes the same panel.
+template <int R>
+void pack_panel(PanelSource source, const float* src, int ld, int valid,
+                int k, [[maybe_unused]] bool vector, float* out) {
+  if (source == PanelSource::kLanes) {
+    for (int p = 0; p < k; ++p) {
+      const float* s = src + static_cast<std::size_t>(p) * ld;
+      float* dst = out + static_cast<std::size_t>(p) * R;
+      if (valid == R) {
+        for (int r = 0; r < R; ++r) dst[r] = s[r];
+      } else {
+        for (int r = 0; r < valid; ++r) dst[r] = s[r];
+        for (int r = valid; r < R; ++r) dst[r] = 0.0f;
+      }
+    }
+    return;
+  }
+#ifdef SMA_GEMM_X86_DISPATCH
+  if constexpr (R % 8 == 0) {
+    if (vector) {
+      pack_rows_avx2<R>(src, ld, valid, k, out);
+      return;
+    }
+  }
+#endif
+  if (valid == R) {
+    // Walk the R rows in lockstep.
+    const float* rows[R];
+    for (int r = 0; r < R; ++r) {
+      rows[r] = src + static_cast<std::size_t>(r) * ld;
     }
     for (int p = 0; p < k; ++p) {
-      float* dst = out + static_cast<std::size_t>(p) * MR;
-      for (int ii = 0; ii < MR; ++ii) dst[ii] = rows[ii][p];
+      float* dst = out + static_cast<std::size_t>(p) * R;
+      for (int r = 0; r < R; ++r) dst[r] = rows[r][p];
     }
     return;
   }
   for (int p = 0; p < k; ++p) {
-    float* dst = out + static_cast<std::size_t>(p) * MR;
-    for (int ii = 0; ii < MR; ++ii) {
-      const int i = i0 + ii;
-      dst[ii] = i < m ? (a_trans ? a[static_cast<std::size_t>(p) * lda + i]
-                                 : a[static_cast<std::size_t>(i) * lda + p])
-                      : 0.0f;
-    }
+    gather_row<R>(src, ld, valid, p, out + static_cast<std::size_t>(p) * R);
   }
 }
 
-/// All of B packed into ceil(n / NR) panels of K x NR, columns past n
-/// zero-filled. B is packed once per GEMM (it is the operand every row
-/// block of A streams through).
-template <int NR>
-void pack_b(int n, int k, const float* b, int ldb, bool b_trans, float* out) {
-  const int panels = (n + NR - 1) / NR;
-  for (int jp = 0; jp < panels; ++jp) {
-    float* panel = out + static_cast<std::size_t>(jp) * k * NR;
-    const int j0 = jp * NR;
-    const int nv = n - j0 < NR ? n - j0 : NR;
-    if (!b_trans && nv == NR) {
-      // Row-major B: each packed row is a contiguous NR-float copy.
-      for (int p = 0; p < k; ++p) {
-        const float* src = b + static_cast<std::size_t>(p) * ldb + j0;
-        float* dst = panel + static_cast<std::size_t>(p) * NR;
-        for (int jj = 0; jj < NR; ++jj) dst[jj] = src[jj];
-      }
-      continue;
-    }
-    for (int p = 0; p < k; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * NR;
-      for (int jj = 0; jj < NR; ++jj) {
-        const int j = j0 + jj;
-        dst[jj] = j < n ? (b_trans ? b[static_cast<std::size_t>(j) * ldb + p]
-                                   : b[static_cast<std::size_t>(p) * ldb + j])
-                        : 0.0f;
-      }
-    }
+/// pack_panel at a run-time panel width, one of the tile widths.
+void pack_panel(int width, PanelSource source, const float* src, int ld,
+                int valid, int k, bool vector, float* out) {
+  static_assert(kMr == 4 && kNr == 8 && kMrZ == 8 && kNrWide == 16 &&
+                    kNrZ == 32,
+                "one case per tile width");
+  switch (width) {
+    case 4: pack_panel<4>(source, src, ld, valid, k, vector, out); return;
+    case 8: pack_panel<8>(source, src, ld, valid, k, vector, out); return;
+    case 16: pack_panel<16>(source, src, ld, valid, k, vector, out); return;
+    default: pack_panel<32>(source, src, ld, valid, k, vector, out); return;
   }
 }
+
+/// What a compute loop reads: A's packed row panels, and B either in
+/// place (row-major, full panels) or from its packed column panels.
+struct Operands {
+  const float* a_panels;  ///< ceil(m / MR) panels of k x MR
+  const float* b;         ///< row-major B read in place; null for B^T
+  int ldb;
+  const float* b_panels;  ///< every panel when b is null, else the tail
+
+  /// Column panel jp of an NR-wide tile (nv valid lanes) and its row
+  /// stride.
+  template <int NR>
+  const float* b_panel(int jp, int k, int nv, int* stride) const {
+    if (b == nullptr) {
+      *stride = NR;
+      return b_panels + static_cast<std::size_t>(jp) * k * NR;
+    }
+    if (nv == NR) {
+      *stride = ldb;
+      return b + jp * NR;
+    }
+    *stride = NR;
+    return b_panels;
+  }
+};
 
 /// The register tile: acc[ii][jj] += A[ii][p] * B[p][jj], p ascending.
 /// One accumulator chain per output element — the bit-identity invariant.
@@ -275,46 +403,26 @@ __attribute__((target("avx2"))) inline void micro_tile_avx2(
 
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 __attribute__((target("avx2"))) void blocked_loop_avx2(
-    int m, int n, int k, const float* a, int lda, bool a_trans,
-    const float* b, int ldb, bool b_trans, float* c, int ldc,
-    const float* bias, float slope, std::uint8_t* mask,
-    GemmScratch& scratch) {
+    int m, int n, int k, const Operands& ops, float* c, int ldc,
+    const float* bias, float slope, std::uint8_t* mask) {
   const int panels = (n + kNrWide - 1) / kNrWide;
   const int mblocks = (m + kMr - 1) / kMr;
-  // All of A packed once; the panel loop runs outermost so each B panel
-  // is streamed through every row block while it is cache-hot (the
-  // matrices with a large m here are activations whose packed form is
-  // small next to the B operand).
-  for (int ib = 0; ib < mblocks; ++ib) {
-    pack_a<kMr>(m, k, ib * kMr, a, lda, a_trans,
-           scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMr);
-  }
+  // The panel loop runs outermost so each B panel is streamed through
+  // every row block while it is cache-hot (the matrices with a large m
+  // here are activations whose packed form is small next to the B
+  // operand).
   for (int jp = 0; jp < panels; ++jp) {
     const int j0 = jp * kNrWide;
     const int nv = n - j0 < kNrWide ? n - j0 : kNrWide;
-    // Row-major B is consumed in place (each panel row is already
-    // contiguous); only transposed B and the ragged tail panel read
-    // from the packed copy.
-    const float* bp;
-    int bs;
-    if (b_trans) {
-      bp = scratch.b_panel.data() + static_cast<std::size_t>(jp) * k * kNrWide;
-      bs = kNrWide;
-    } else if (nv == kNrWide) {
-      bp = b + j0;
-      bs = ldb;
-    } else {
-      bp = scratch.b_panel.data();
-      bs = kNrWide;
-    }
+    int bs = 0;
+    const float* bp = ops.b_panel<kNrWide>(jp, k, nv, &bs);
     for (int ib = 0; ib < mblocks; ++ib) {
       const int i0 = ib * kMr;
       const int mr = m - i0 < kMr ? m - i0 : kMr;
       micro_tile_avx2<kMode, kBias, kLrelu, kHasMask>(
-          k, ldc,
-          scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMr,
-          bp, bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0,
-          j0, slope, mask);
+          k, ldc, ops.a_panels + static_cast<std::size_t>(ib) * k * kMr, bp,
+          bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0, j0,
+          slope, mask);
     }
   }
 }
@@ -425,46 +533,31 @@ __attribute__((target("avx512f"))) inline void micro_tile_avx512(
 
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 __attribute__((target("avx512f"))) void blocked_loop_avx512(
-    int m, int n, int k, const float* a, int lda, bool a_trans,
-    const float* b, int ldb, bool b_trans, float* c, int ldc,
-    const float* bias, float slope, std::uint8_t* mask,
-    GemmScratch& scratch) {
+    int m, int n, int k, const Operands& ops, float* c, int ldc,
+    const float* bias, float slope, std::uint8_t* mask) {
   const int panels = (n + kNrZ - 1) / kNrZ;
   const int mblocks = (m + kMrZ - 1) / kMrZ;
-  for (int ib = 0; ib < mblocks; ++ib) {
-    pack_a<kMrZ>(m, k, ib * kMrZ, a, lda, a_trans,
-                 scratch.a_panel.data() +
-                     static_cast<std::size_t>(ib) * k * kMrZ);
-  }
   for (int jp = 0; jp < panels; ++jp) {
     const int j0 = jp * kNrZ;
     const int nv = n - j0 < kNrZ ? n - j0 : kNrZ;
-    const float* bp;
-    int bs;
-    if (b_trans) {
-      bp = scratch.b_panel.data() + static_cast<std::size_t>(jp) * k * kNrZ;
-      bs = kNrZ;
-    } else if (nv == kNrZ) {
-      bp = b + j0;
-      bs = ldb;
-    } else {
-      bp = scratch.b_panel.data();
-      bs = kNrZ;
-    }
+    int bs = 0;
+    const float* bp = ops.b_panel<kNrZ>(jp, k, nv, &bs);
     for (int ib = 0; ib < mblocks; ++ib) {
       const int i0 = ib * kMrZ;
       const int mr = m - i0 < kMrZ ? m - i0 : kMrZ;
       micro_tile_avx512<kMode, kBias, kLrelu, kHasMask>(
-          k, ldc,
-          scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMrZ,
-          bp, bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0,
-          j0, slope, mask);
+          k, ldc, ops.a_panels + static_cast<std::size_t>(ib) * k * kMrZ, bp,
+          bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0, j0,
+          slope, mask);
     }
   }
 }
 
+/// The AVX-512 tile packs with AVX2 block transposes, so it requires
+/// both (every AVX-512F host has AVX2).
 bool have_avx512() {
-  static const bool value = __builtin_cpu_supports("avx512f");
+  static const bool value =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
   return value;
 }
 
@@ -481,160 +574,158 @@ bool have_avx2() { return false; }
 #endif  // SMA_GEMM_X86_DISPATCH
 
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
-void blocked_loop(int m, int n, int k, const float* a, int lda, bool a_trans,
-                  const float* b, int ldb, bool b_trans, float* c, int ldc,
-                  const float* bias, float slope, std::uint8_t* mask,
-                  GemmScratch& scratch) {
+void blocked_loop(int m, int n, int k, const Operands& ops, float* c, int ldc,
+                  const float* bias, float slope, std::uint8_t* mask) {
   const int panels = (n + kNr - 1) / kNr;
   const int mblocks = (m + kMr - 1) / kMr;
-  for (int ib = 0; ib < mblocks; ++ib) {
-    pack_a<kMr>(m, k, ib * kMr, a, lda, a_trans,
-           scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMr);
-  }
   for (int jp = 0; jp < panels; ++jp) {
     const int j0 = jp * kNr;
     const int nv = n - j0 < kNr ? n - j0 : kNr;
-    const float* bp;
-    int bs;
-    if (b_trans) {
-      bp = scratch.b_panel.data() + static_cast<std::size_t>(jp) * k * kNr;
-      bs = kNr;
-    } else if (nv == kNr) {
-      bp = b + j0;
-      bs = ldb;
-    } else {
-      bp = scratch.b_panel.data();
-      bs = kNr;
-    }
+    int bs = 0;
+    const float* bp = ops.b_panel<kNr>(jp, k, nv, &bs);
     for (int ib = 0; ib < mblocks; ++ib) {
       const int i0 = ib * kMr;
       const int mr = m - i0 < kMr ? m - i0 : kMr;
       micro_tile<kNr, kMode, kBias, kLrelu, kHasMask>(
-          k, ldc,
-          scratch.a_panel.data() + static_cast<std::size_t>(ib) * k * kMr,
-          bp, bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0,
-          j0, slope, mask);
+          k, ldc, ops.a_panels + static_cast<std::size_t>(ib) * k * kMr, bp,
+          bs, c, static_cast<std::size_t>(i0) * ldc + j0, mr, nv, bias, i0, j0,
+          slope, mask);
     }
   }
 }
 
-template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
-void blocked_dispatch(int m, int n, int k, const float* a, int lda,
-                      bool a_trans, const float* b, int ldb, bool b_trans,
-                      float* c, int ldc, const float* bias, float slope,
-                      std::uint8_t* mask, GemmScratch& scratch) {
-#ifdef SMA_GEMM_X86_DISPATCH
-  if (have_avx512() && n >= kNrWide) {
-    blocked_loop_avx512<kMode, kBias, kLrelu, kHasMask>(
-        m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope, mask,
-        scratch);
-    return;
-  }
-  if (have_avx2()) {
-    blocked_loop_avx2<kMode, kBias, kLrelu, kHasMask>(
-        m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope, mask,
-        scratch);
-    return;
-  }
-#endif
-  blocked_loop<kMode, kBias, kLrelu, kHasMask>(
-      m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope, mask,
-      scratch);
+/// The register tile of one call, chosen once in blocked_gemm: the pack
+/// stage packs panels of its widths and the compute loop of its ISA runs.
+/// The AVX-512 tile covers n >= 16 (a narrower product would run mostly
+/// padding lanes); below that the 4 x 16 AVX2 tile runs.
+struct Tile {
+  enum class Isa { kPortable, kAvx2, kAvx512 } isa;
+  int mr;
+  int nr;
+};
+
+Tile choose_tile(int n) {
+  if (have_avx512() && n >= kNrWide) return {Tile::Isa::kAvx512, kMrZ, kNrZ};
+  if (have_avx2()) return {Tile::Isa::kAvx2, kMr, kNrWide};
+  return {Tile::Isa::kPortable, kMr, kNr};
 }
 
-/// Blocked driver shared by every optimized form. `c` (and `mask`) is
-/// row-major with leading dimension ldc; `bias`/`lrelu`/`mask` only apply
-/// to kOverwrite.
+/// The pack stage of one call: every row panel of A, then B's column
+/// panels where B is not read in place — all of them for B^T, only the
+/// ragged tail panel for row-major B (full row-major panels are already
+/// contiguous rows). The wide tiles transpose with AVX2 blocks; the
+/// AVX-512 tile implies AVX2 (see have_avx512).
+Operands pack_operands(const Tile& tile, int m, int n, int k, const float* a,
+                       int lda, bool a_trans, const float* b, int ldb,
+                       bool b_trans, GemmScratch& scratch) {
+  SMA_TRACE_SPAN("nn", "gemm.pack");
+  const bool vector = tile.isa != Tile::Isa::kPortable;
+  const int mblocks = (m + tile.mr - 1) / tile.mr;
+  scratch.a_panel.resize(static_cast<std::size_t>(mblocks) * k * tile.mr);
+  for (int ib = 0; ib < mblocks; ++ib) {
+    const int i0 = ib * tile.mr;
+    pack_panel(tile.mr, a_trans ? PanelSource::kLanes : PanelSource::kRows,
+               a_trans ? a + i0 : a + static_cast<std::size_t>(i0) * lda, lda,
+               m - i0 < tile.mr ? m - i0 : tile.mr, k, vector,
+               scratch.a_panel.data() +
+                   static_cast<std::size_t>(ib) * k * tile.mr);
+  }
+  const int panels = (n + tile.nr - 1) / tile.nr;
+  if (b_trans) {
+    scratch.b_panel.resize(static_cast<std::size_t>(panels) * k * tile.nr);
+    for (int jp = 0; jp < panels; ++jp) {
+      const int j0 = jp * tile.nr;
+      pack_panel(tile.nr, PanelSource::kRows,
+                 b + static_cast<std::size_t>(j0) * ldb, ldb,
+                 n - j0 < tile.nr ? n - j0 : tile.nr, k, vector,
+                 scratch.b_panel.data() +
+                     static_cast<std::size_t>(jp) * k * tile.nr);
+    }
+  } else if (n % tile.nr != 0) {
+    scratch.b_panel.resize(static_cast<std::size_t>(k) * tile.nr);
+    const int tail_j0 = (panels - 1) * tile.nr;
+    pack_panel(tile.nr, PanelSource::kLanes, b + tail_j0, ldb, n - tail_j0, k,
+               vector, scratch.b_panel.data());
+  }
+  return {scratch.a_panel.data(), b_trans ? nullptr : b, ldb,
+          scratch.b_panel.data()};
+}
+
+template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
+void blocked_dispatch(Tile::Isa isa, int m, int n, int k, const Operands& ops,
+                      float* c, int ldc, const float* bias, float slope,
+                      std::uint8_t* mask) {
+  switch (isa) {
+#ifdef SMA_GEMM_X86_DISPATCH
+    case Tile::Isa::kAvx512:
+      blocked_loop_avx512<kMode, kBias, kLrelu, kHasMask>(m, n, k, ops, c, ldc,
+                                                         bias, slope, mask);
+      return;
+    case Tile::Isa::kAvx2:
+      blocked_loop_avx2<kMode, kBias, kLrelu, kHasMask>(m, n, k, ops, c, ldc,
+                                                       bias, slope, mask);
+      return;
+#endif
+    default:
+      blocked_loop<kMode, kBias, kLrelu, kHasMask>(m, n, k, ops, c, ldc, bias,
+                                                  slope, mask);
+      return;
+  }
+}
+
+/// Blocked driver shared by every optimized form: choose the tile, run the
+/// pack stage, then the compute loop. `c` (and `mask`) is row-major with
+/// leading dimension ldc; `bias`/`lrelu`/`mask` only apply to kOverwrite.
 void blocked_gemm(int m, int n, int k, const float* a, int lda, bool a_trans,
                   const float* b, int ldb, bool b_trans, float* c, int ldc,
                   CMode mode, BiasKind bias_kind, const float* bias,
                   bool lrelu, float slope, std::uint8_t* mask,
                   GemmScratch& scratch) {
   if (m <= 0 || n <= 0) return;
-  // Dispatch count only — never a clock read: this is the hottest entry
-  // point in the repo, and one relaxed add per *call* (not per tile) is
-  // noise next to the GEMM itself.
+  // Per call, never per tile: one relaxed add for the dispatch count, and
+  // the gemm.pack span, which costs one relaxed load unless tracing is on.
+  // This is the hottest entry point in the repo.
   SMA_COUNT("gemm.blocked_calls");
-  const bool use_z = have_avx512() && n >= kNrWide;
-  const int nr = use_z ? kNrZ : (have_avx2() ? kNrWide : kNr);
-  const int mr_tile = use_z ? kMrZ : kMr;
-  const int panels = (n + nr - 1) / nr;
-  scratch.a_panel.resize(
-      static_cast<std::size_t>((m + mr_tile - 1) / mr_tile) * k * mr_tile);
-  if (b_trans) {
-    // Transposed B: pack every panel (column gathers would otherwise
-    // defeat the vector loads).
-    scratch.b_panel.resize(static_cast<std::size_t>(panels) * k * nr);
-    if (nr == kNrZ) {
-      pack_b<kNrZ>(n, k, b, ldb, b_trans, scratch.b_panel.data());
-    } else if (nr == kNrWide) {
-      pack_b<kNrWide>(n, k, b, ldb, b_trans, scratch.b_panel.data());
-    } else {
-      pack_b<kNr>(n, k, b, ldb, b_trans, scratch.b_panel.data());
-    }
-  } else if (n % nr != 0) {
-    // Row-major B is read in place; only the ragged tail panel is packed
-    // (zero-padded so the micro-kernel can run full-width).
-    scratch.b_panel.resize(static_cast<std::size_t>(k) * nr);
-    const int tail_j0 = (panels - 1) * nr;
-    if (nr == kNrZ) {
-      pack_b<kNrZ>(n - tail_j0, k, b + tail_j0, ldb, false,
-                   scratch.b_panel.data());
-    } else if (nr == kNrWide) {
-      pack_b<kNrWide>(n - tail_j0, k, b + tail_j0, ldb, false,
-                      scratch.b_panel.data());
-    } else {
-      pack_b<kNr>(n - tail_j0, k, b + tail_j0, ldb, false,
-                  scratch.b_panel.data());
-    }
-  }
+  const Tile tile = choose_tile(n);
+  const Operands ops = pack_operands(tile, m, n, k, a, lda, a_trans, b, ldb,
+                                     b_trans, scratch);
 
   switch (mode) {
     case CMode::kLoad:
       blocked_dispatch<CMode::kLoad, BiasKind::kNone, false, false>(
-          m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, nullptr, 0.0f,
-          nullptr, scratch);
+          tile.isa, m, n, k, ops, c, ldc, nullptr, 0.0f, nullptr);
       break;
     case CMode::kOverwrite:
       if (bias_kind == BiasKind::kNone) {
         blocked_dispatch<CMode::kOverwrite, BiasKind::kNone, false, false>(
-            m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, nullptr, 0.0f,
-            nullptr, scratch);
+            tile.isa, m, n, k, ops, c, ldc, nullptr, 0.0f, nullptr);
       } else if (bias_kind == BiasKind::kCol) {
         if (lrelu && mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, true, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              mask, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, mask);
         } else if (lrelu) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, true, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              nullptr, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, nullptr);
         } else if (mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, false, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              mask, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, mask);
         } else {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kCol, false, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              nullptr, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, nullptr);
         }
       } else {
         if (lrelu && mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, true, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              mask, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, mask);
         } else if (lrelu) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, true, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              nullptr, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, nullptr);
         } else if (mask != nullptr) {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, false, true>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              mask, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, mask);
         } else {
           blocked_dispatch<CMode::kOverwrite, BiasKind::kRow, false, false>(
-              m, n, k, a, lda, a_trans, b, ldb, b_trans, c, ldc, bias, slope,
-              nullptr, scratch);
+              tile.isa, m, n, k, ops, c, ldc, bias, slope, nullptr);
         }
       }
       break;

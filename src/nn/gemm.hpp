@@ -2,9 +2,20 @@
 //
 // The conv and dense layers lower onto six GEMM entry points — exactly
 // the forms they issue (see "Entry points" below). The kernels are
-// cache-blocked and register-tiled: B is packed once per call into
-// K x kNr column panels, A into kMr x K row panels, and a kMr x kNr
-// micro-kernel keeps the accumulators in registers.
+// cache-blocked and register-tiled. Each call chooses its MR x NR
+// register tile once (4 x 8 portable, 4 x 16 AVX2, 8 x 32 AVX-512 for
+// n >= 16), runs one pack stage (the `gemm.pack` trace span), then the
+// compute loop, whose micro-kernel keeps the accumulators in registers.
+//
+// The pack stage copies operands into k-major panels, zero-filling the
+// lanes past m or n: A into MR-wide row panels, B into NR-wide column
+// panels. Row-major B is read in place; only its ragged tail panel is
+// packed. A source whose lanes are rows contiguous in k — row-major A
+// (the forward weights, dW's dy) and B^T (Linear's W, conv dW's im2col
+// columns) — is transposed; on x86 with AVX2 that runs as 8 x 8
+// in-register block transposes, one kernel for 8-, 16- and 32-wide
+// panels. Only the k % 8 tail, the 4-row A panels and hosts without AVX2
+// gather lane by lane. A^T and the row-major B tail are plain copies.
 //
 // Bit-identity contract: for every output element C[i][j], the kernels
 // perform exactly the same sequence of float operations as a naive

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iomanip>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -163,6 +164,12 @@ void write_json_string(std::ostream& out, const char* s) {
 
 void write_chrome_trace(std::ostream& out) {
   const std::vector<TraceEvent> events = collect_events();
+  // Microseconds to the nanosecond, whatever the stream's own format: the
+  // default 6 significant digits would round a timestamp one second into
+  // the session to 10 us, coarser than the spans it places.
+  const std::ios_base::fmtflags flags = out.flags();
+  const std::streamsize precision = out.precision();
+  out << std::fixed << std::setprecision(3);
   out << "{\"traceEvents\": [";
   bool first = true;
   for (const TraceEvent& e : events) {
@@ -181,12 +188,12 @@ void write_chrome_trace(std::ostream& out) {
   }
   out << "], \"displayTimeUnit\": \"ms\", \"otherData\": {\"dropped_events\": "
       << dropped_events() << "}}";
+  out.flags(flags);
+  out.precision(precision);
 }
 
 std::string chrome_trace_json() {
   std::ostringstream out;
-  out.precision(3);
-  out << std::fixed;
   write_chrome_trace(out);
   return out.str();
 }

@@ -295,6 +295,20 @@ TEST_F(DurabilityTest, EncodeDecodeParamsTransplantsWeightsExactly) {
   std::ostringstream sb2;
   b.save(sb2);
   EXPECT_EQ(sb.str(), sb2.str()) << "failed decode mutated the weights";
+
+  // So must a blob with trailing bytes: c (a third init) keeps its own
+  // weights through a decode of a's blob plus 4 bytes.
+  nn::NetConfig third = config;
+  third.seed ^= 0x85ebca6bu;
+  nn::AttackNet c(third);
+  std::vector<nn::Param> c_params = c.params();
+  std::ostringstream sc;
+  c.save(sc);
+  EXPECT_THROW(attack::decode_params(blob + std::string(4, '\0'), c_params),
+               util::FrameError);
+  std::ostringstream sc2;
+  c.save(sc2);
+  EXPECT_EQ(sc.str(), sc2.str()) << "trailing-bytes decode mutated the weights";
 }
 
 /// Shared training fixture for the resume tests: one small vector-only

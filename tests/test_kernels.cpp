@@ -50,13 +50,19 @@ bool bit_equal(const Tensor& a, const std::vector<float>& b) {
 
 // Shapes straddling the register tiles (4x8 portable, 4x16 AVX2, 8x32
 // AVX-512): exact multiples, off-by-one tails, single rows/columns, k = 1.
+// The last six sit on the pack stage's block boundaries: n of 24, 32,
+// 48 and 64 (whole, part-padded and all-padding 8-lane groups of 32-wide
+// panels), k of 8, 9, 16 and 24 (whole 8 x 8 blocks, a 1-column tail),
+// m of 8, 9 and 16 (a full and a ragged 8-row A panel).
 struct Shape {
   int m, n, k;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},   {1, 8, 4},    {4, 8, 16},  {5, 9, 7},    {3, 17, 1},
-    {8, 16, 32}, {13, 31, 29}, {17, 5, 64}, {33, 40, 13}, {6, 128, 130},
+    {1, 1, 1},   {1, 8, 4},    {4, 8, 16},   {5, 9, 7},    {3, 17, 1},
+    {8, 16, 32}, {13, 31, 29}, {17, 5, 64},  {33, 40, 13}, {6, 128, 130},
     {40, 33, 57},
+    {8, 24, 9},  {9, 32, 8},   {16, 48, 24}, {9, 64, 16},  {16, 24, 8},
+    {8, 48, 9},
 };
 
 std::string shape_name(const Shape& s) {
@@ -177,6 +183,83 @@ TEST(Kernels, ForwardEpiloguesMatchOracle) {
   }
 }
 
+/// The pack stage's panels, read back from the caller's GemmScratch: every
+/// valid lane holds its operand value and every padding lane is +0.0,
+/// whatever the buffers held before. Padding never reaches C, so the form
+/// tests cannot see it. `lanes` is the operand as the pack reads it
+/// (lane r at k = p is lanes(r, p)); `count` lanes are valid.
+template <typename Lanes>
+void expect_panels(const std::vector<float>& panels, int width, int count,
+                   int k, Lanes lanes, const std::string& what) {
+  const int blocks = (count + width - 1) / width;
+  ASSERT_EQ(panels.size(), static_cast<std::size_t>(blocks) * k * width)
+      << what;
+  int wrong = 0;
+  for (int blk = 0; blk < blocks; ++blk) {
+    for (int p = 0; p < k; ++p) {
+      for (int r = 0; r < width; ++r) {
+        const int lane = blk * width + r;
+        const float want = lane < count ? lanes(lane, p) : 0.0f;
+        const float got =
+            panels[(static_cast<std::size_t>(blk) * k + p) * width + r];
+        if (!bit_equal(&want, &got, 1)) ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << what;
+}
+
+TEST(Kernels, PackedPanelsHoldOperandsAndZeroPadding) {
+  const std::string isa = active_isa();
+  GemmScratch scratch;
+  for (const Shape& s : kShapes) {
+    // The register tile blocked_gemm runs (see nn/gemm.hpp).
+    const int nr = isa == "avx512" && s.n >= 16 ? 32
+                   : isa == "portable"          ? 8
+                                                : 16;
+    const int mr = nr == 32 ? 8 : 4;
+    util::Pcg32 rng(9000u + s.m * 31 + s.n * 7 + s.k);
+    const std::vector<float> a =
+        random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
+    const std::vector<float> b =
+        random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
+    std::vector<float> c(static_cast<std::size_t>(s.m) * s.n);
+    const std::size_t stale = 4 * (a.size() + b.size()) + 4096;
+
+    // Transposing sources: row-major A [m, k], B^T [n, k].
+    scratch.a_panel.assign(stale, 777.0f);
+    scratch.b_panel.assign(stale, -777.0f);
+    gemm_acc_nt(s.m, s.n, s.k, a.data(), b.data(), c.data(), scratch);
+    expect_panels(
+        scratch.a_panel, mr, s.m, s.k,
+        [&](int i, int p) { return a[static_cast<std::size_t>(i) * s.k + p]; },
+        shape_name(s) + " A rows");
+    expect_panels(
+        scratch.b_panel, nr, s.n, s.k,
+        [&](int j, int p) { return b[static_cast<std::size_t>(j) * s.k + p]; },
+        shape_name(s) + " B^T rows");
+
+    // Copying sources: A^T [k, m], and the ragged tail panel of row-major
+    // B [k, n].
+    scratch.a_panel.assign(stale, 777.0f);
+    scratch.b_panel.assign(stale, -777.0f);
+    gemm_ovr_tn(s.m, s.n, s.k, a.data(), b.data(), c.data(), scratch);
+    expect_panels(
+        scratch.a_panel, mr, s.m, s.k,
+        [&](int i, int p) { return a[static_cast<std::size_t>(p) * s.m + i]; },
+        shape_name(s) + " A^T lanes");
+    if (s.n % nr != 0) {
+      const int tail = s.n - s.n % nr;
+      expect_panels(
+          scratch.b_panel, nr, s.n - tail, s.k,
+          [&](int j, int p) {
+            return b[static_cast<std::size_t>(p) * s.n + tail + j];
+          },
+          shape_name(s) + " B tail lanes");
+    }
+  }
+}
+
 // ---- layer-level identity ----------------------------------------------
 
 /// A layer's weight and bias gradients must equal the oracle's.
@@ -193,7 +276,8 @@ TEST(Kernels, LinearMatchesOracle) {
   for (Act act : {Act::kNone, Act::kLeakyReLU}) {
     for (const auto& [rows, in, out] :
          {std::tuple{1, 1, 1}, std::tuple{5, 9, 13}, std::tuple{16, 128, 32},
-          std::tuple{3, 27, 128}}) {
+          std::tuple{3, 27, 128}, std::tuple{15, 128, 128},
+          std::tuple{16, 256, 128}}) {
       util::Pcg32 data_rng(17u + rows + in + out);
       const Tensor x = Tensor::randn({rows, in}, data_rng, 1.0);
       const Tensor dy = Tensor::randn({rows, out}, data_rng, 1.0);

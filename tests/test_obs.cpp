@@ -278,6 +278,22 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
   EXPECT_TRUE(json_balanced(out.str())) << out.str();
 }
 
+TEST(Trace, ChromeTraceKeepsNanosecondTimestamps) {
+  // Late in a long run a default-formatted stream would print
+  // 1.23457e+06 and lose the nesting of microsecond spans.
+  TraceSession session;
+  record_span("test", "late", 1234567.891, 2.5);
+  std::ostringstream out;
+  out << 0.123456789;  // the caller's own format must survive the export
+  write_chrome_trace(out);
+  out << ' ' << 0.123456789;
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"ts\": 1234567.891, \"dur\": 2.500"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.rfind(" 0.123457"), text.size() - 9) << text;
+}
+
 TEST(Trace, TimedSpanMeasuresRegardlessOfTracing) {
   set_tracing_enabled(false);
   TimedSpan span("test", "timed");
