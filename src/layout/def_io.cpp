@@ -142,6 +142,18 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
       std::make_unique<tech::LayerStack>(tech::LayerStack::nangate45_like());
   netlist::Netlist& nl = *design.netlist;
 
+  // The grid goes up before any section parses, so a hostile DIEAREA or
+  // GCELL fails fast; RoutingGrid rejects an empty die, a non-positive
+  // gcell and any grid larger than the router can address.
+  route::RoutingGrid::Config grid_config;
+  grid_config.gcell_size = gcell;
+  try {
+    design.grid = std::make_unique<route::RoutingGrid>(design.stack.get(), die,
+                                                       grid_config);
+  } catch (const std::invalid_argument& e) {
+    fail(std::string("bad DIEAREA/GCELL: ") + e.what());
+  }
+
   expect_keyword(in, "COMPONENTS");
   const int num_components = expect_count(in, "COMPONENTS");
   std::vector<util::Point> cell_positions;  // indexed by CellId
@@ -233,10 +245,6 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
     design.placement->set_cell_origin(c, cell_positions[c]);
   }
 
-  route::RoutingGrid::Config grid_config;
-  grid_config.gcell_size = gcell;
-  design.grid = std::make_unique<route::RoutingGrid>(design.stack.get(), die,
-                                                     grid_config);
   design.routing.routes = std::move(routes);
   for (route::NetRoute& route : design.routing.routes) {
     design.routing.total_wirelength += route.total_wirelength();

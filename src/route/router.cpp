@@ -1,10 +1,10 @@
 #include "route/router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -23,13 +23,38 @@ using netlist::PinRef;
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// One open-list entry: f = g + h, the node's id, and its coordinates,
+/// carried so that a pop never divides the id back into (layer, x, y).
+/// RoutingGrid's size bounds guarantee that every node fits these widths.
+struct QueueEntry {
+  float f;
+  std::uint32_t node;
+  std::uint16_t x;
+  std::uint16_t y;
+  std::uint8_t layer;
+};
+static_assert(RoutingGrid::kMaxNodes <=
+              std::numeric_limits<std::uint32_t>::max());
+static_assert(RoutingGrid::kMaxGcellsPerAxis - 1 <=
+              std::numeric_limits<std::uint16_t>::max());
+static_assert(RoutingGrid::kMaxLayers <=
+              std::numeric_limits<std::uint8_t>::max());
+
+/// Min-heap order of the open list: by f, ties by node id. A total order
+/// on the entries' values, so the pop sequence is fixed.
+bool pops_after(const QueueEntry& a, const QueueEntry& b) {
+  if (a.f != b.f) return a.f > b.f;
+  return a.node > b.node;  // deterministic tie-break
+}
+
 /// Scratch arrays for repeated A* searches, epoch-stamped so they never
-/// need clearing between searches.
+/// need clearing between searches, plus the open list every search reuses.
 struct SearchScratch {
   std::vector<float> g;
   std::vector<std::uint8_t> arrival;    ///< Dir + 1; 0 = tree seed
   std::vector<std::uint32_t> epoch;     ///< search stamp
   std::vector<std::uint32_t> tree_mark; ///< per-net tree membership stamp
+  std::vector<QueueEntry> open;         ///< binary heap under pops_after
   std::uint32_t current_epoch = 0;
   std::uint32_t current_net_mark = 0;
 
@@ -40,15 +65,6 @@ struct SearchScratch {
         tree_mark(nodes, 0) {}
 };
 
-struct QueueEntry {
-  float f;
-  std::size_t node;
-  friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-    if (a.f != b.f) return a.f > b.f;
-    return a.node > b.node;  // deterministic tie-break
-  }
-};
-
 /// Routes one net at a time against a *read-only* grid view. A NetRouter
 /// never mutates grid usage — commits and rip-ups are the wave scheduler's
 /// job — so several NetRouters (one per concurrent task, each with its own
@@ -56,25 +72,80 @@ struct QueueEntry {
 class NetRouter {
  public:
   NetRouter(const RoutingGrid& grid, const RouterConfig& config)
-      : grid_(grid), config_(config), scratch_(grid.num_nodes()) {}
-
-  /// Cost of traversing the edge leaving `c` in direction `d`.
-  float edge_cost(const GridCoord& c, Dir d) const {
-    const bool via = d == Dir::kUp || d == Dir::kDown;
-    double base;
-    if (via) {
-      base = config_.via_cost;
-    } else {
-      base = grid_.is_preferred(c.layer, d) ? 1.0 : config_.wrongway_mult;
-      if (c.layer == 1) base *= config_.m1_cost_mult;
-      if (c.layer > 3) {
-        base *= 1.0 + config_.layer_height_cost * (c.layer - 3);
+      : grid_(grid),
+        config_(config),
+        scratch_(grid.num_nodes()),
+        edge_classes_(static_cast<std::size_t>(grid.num_layers())) {
+    for (int layer = 1; layer <= grid.num_layers(); ++layer) {
+      for (int d = 0; d < kNumDirs; ++d) {
+        const Dir dir = static_cast<Dir>(d);
+        edge_classes_[layer - 1][d] = {base_cost(layer, dir),
+                                       grid.layer_capacity(layer, dir)};
       }
     }
-    const int usage = grid_.usage(c, d);
-    const int cap = grid_.capacity(c, d);
-    double cost = base;
-    cost += config_.history_weight * grid_.history(c, d);
+  }
+
+  /// Route one net against the current grid snapshot. Does NOT commit
+  /// usage — the caller commits `route.grid_edges` in fixed net order.
+  void route_net(NetRoute& route, int& fallbacks) {
+    route.grid_edges.clear();
+    if (route.pin_nodes.size() < 2) return;
+
+    ++scratch_.current_net_mark;
+    const std::uint32_t mark = scratch_.current_net_mark;
+    std::vector<GridCoord> tree_nodes;
+    add_tree_node(route.pin_nodes.front(), mark, tree_nodes);
+
+    // Targets in increasing distance from the driver pin.
+    std::vector<GridCoord> targets(route.pin_nodes.begin() + 1,
+                                   route.pin_nodes.end());
+    const GridCoord root = route.pin_nodes.front();
+    std::stable_sort(targets.begin(), targets.end(),
+                     [&](const GridCoord& a, const GridCoord& b) {
+                       int da = std::abs(a.x - root.x) + std::abs(a.y - root.y);
+                       int db = std::abs(b.x - root.x) + std::abs(b.y - root.y);
+                       return da < db;
+                     });
+
+    std::size_t searches = 0;
+    std::size_t expansions = 0;
+    for (const GridCoord& target : targets) {
+      std::size_t target_index = grid_.node_index(target);
+      if (scratch_.tree_mark[target_index] == mark) continue;  // already on tree
+      ++searches;
+      if (!astar_to_tree(target, mark, tree_nodes, route, expansions)) {
+        fallback_route(target, mark, tree_nodes, route);
+        ++fallbacks;
+      }
+    }
+    SMA_COUNT_N("route.astar_searches", searches);
+    SMA_COUNT_N("route.astar_expansions", expansions);
+  }
+
+ private:
+  /// Base cost and capacity shared by every edge leaving one layer in one
+  /// direction; usage and history are the only per-edge cost terms.
+  struct EdgeClass {
+    double base;
+    int capacity;
+  };
+
+  double base_cost(int layer, Dir d) const {
+    if (d == Dir::kUp || d == Dir::kDown) return config_.via_cost;
+    double base = grid_.is_preferred(layer, d) ? 1.0 : config_.wrongway_mult;
+    if (layer == 1) base *= config_.m1_cost_mult;
+    if (layer > 3) {
+      base *= 1.0 + config_.layer_height_cost * (layer - 3);
+    }
+    return base;
+  }
+
+  /// Cost of traversing an edge of class `edge` with the given usage and
+  /// history.
+  float edge_cost(const EdgeClass& edge, int usage, float history) const {
+    const int cap = edge.capacity;
+    double cost = edge.base;
+    cost += config_.history_weight * history;
     if (cap > 0) {
       cost += config_.present_weight * (static_cast<double>(usage) / cap);
       if (usage >= cap) {
@@ -97,116 +168,103 @@ class NetRouter {
     return static_cast<float>(planar + vias);
   }
 
-  /// Route one net against the current grid snapshot. Does NOT commit
-  /// usage — the caller commits `route.grid_edges` in fixed net order.
-  void route_net(NetRoute& route, int& fallbacks) {
-    route.grid_edges.clear();
-    if (route.pin_nodes.size() < 2) return;
-
-    ++scratch_.current_net_mark;
-    const std::uint32_t mark = scratch_.current_net_mark;
-    std::vector<std::size_t> tree_nodes;
-
-    auto add_tree_node = [&](const GridCoord& c) {
-      std::size_t index = grid_.node_index(c);
-      if (scratch_.tree_mark[index] != mark) {
-        scratch_.tree_mark[index] = mark;
-        tree_nodes.push_back(index);
-      }
-    };
-    add_tree_node(route.pin_nodes.front());
-
-    // Targets in increasing distance from the driver pin.
-    std::vector<GridCoord> targets(route.pin_nodes.begin() + 1,
-                                   route.pin_nodes.end());
-    const GridCoord root = route.pin_nodes.front();
-    std::stable_sort(targets.begin(), targets.end(),
-                     [&](const GridCoord& a, const GridCoord& b) {
-                       int da = std::abs(a.x - root.x) + std::abs(a.y - root.y);
-                       int db = std::abs(b.x - root.x) + std::abs(b.y - root.y);
-                       return da < db;
-                     });
-
-    for (const GridCoord& target : targets) {
-      std::size_t target_index = grid_.node_index(target);
-      if (scratch_.tree_mark[target_index] == mark) continue;  // already on tree
-      if (!astar_to_tree(target, mark, tree_nodes, route)) {
-        fallback_route(target, mark, tree_nodes, route);
-        ++fallbacks;
-      }
+  void add_tree_node(const GridCoord& c, std::uint32_t mark,
+                     std::vector<GridCoord>& tree_nodes) {
+    const std::size_t index = grid_.node_index(c);
+    if (scratch_.tree_mark[index] != mark) {
+      scratch_.tree_mark[index] = mark;
+      tree_nodes.push_back(c);
     }
   }
 
- private:
   /// Multi-source A* from the current tree to `target`. On success, appends
-  /// the path's edges and adds its nodes to the tree.
+  /// the path's edges and adds its nodes to the tree. Adds the nodes it
+  /// expanded to `expansions`; at most `max_expansions` per search.
   bool astar_to_tree(const GridCoord& target, std::uint32_t mark,
-                     std::vector<std::size_t>& tree_nodes, NetRoute& route) {
+                     std::vector<GridCoord>& tree_nodes, NetRoute& route,
+                     std::size_t& expansions) {
     ++scratch_.current_epoch;
     const std::uint32_t epoch = scratch_.current_epoch;
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>
-        open;
+    std::vector<QueueEntry>& open = scratch_.open;
+    open.clear();
 
-    auto visit = [&](std::size_t index, float g, std::uint8_t arrival) {
+    auto visit = [&](std::size_t index, const GridCoord& c, float g,
+                     std::uint8_t arrival) {
       if (scratch_.epoch[index] == epoch && scratch_.g[index] <= g) return;
       scratch_.epoch[index] = epoch;
       scratch_.g[index] = g;
       scratch_.arrival[index] = arrival;
-      GridCoord c = grid_.coord_of(index);
-      open.push({g + heuristic(c, target), index});
+      open.push_back({g + heuristic(c, target),
+                      static_cast<std::uint32_t>(index),
+                      static_cast<std::uint16_t>(c.x),
+                      static_cast<std::uint16_t>(c.y),
+                      static_cast<std::uint8_t>(c.layer)});
+      std::push_heap(open.begin(), open.end(), pops_after);
     };
 
-    for (std::size_t index : tree_nodes) {
-      visit(index, 0.0f, 0);
+    for (const GridCoord& c : tree_nodes) {
+      visit(grid_.node_index(c), c, 0.0f, 0);
     }
 
     const std::size_t target_index = grid_.node_index(target);
-    std::size_t expansions = 0;
+    const int nx = grid_.nx();
+    const int ny = grid_.ny();
+    const int layers = grid_.num_layers();
+    std::size_t expanded = 0;
+    bool found = false;
 
     while (!open.empty()) {
-      auto [f, index] = open.top();
-      open.pop();
-      GridCoord c = grid_.coord_of(index);
-      float g = scratch_.g[index];
-      if (f > g + heuristic(c, target)) continue;  // stale entry
+      std::pop_heap(open.begin(), open.end(), pops_after);
+      const QueueEntry top = open.back();
+      open.pop_back();
+      const std::size_t index = top.node;
+      const GridCoord c{top.layer, top.x, top.y};
+      const float g = scratch_.g[index];
+      if (top.f > g + heuristic(c, target)) continue;  // stale entry
 
       if (index == target_index) {
-        backtrack(index, mark, tree_nodes, route);
-        return true;
+        backtrack(c, mark, tree_nodes, route);
+        found = true;
+        break;
       }
-      if (++expansions > config_.max_expansions) return false;
+      if (expanded == config_.max_expansions) break;
+      ++expanded;
 
-      for (int d = 0; d < kNumDirs; ++d) {
-        Dir dir = static_cast<Dir>(d);
-        if (!grid_.has_neighbor(c, dir)) continue;
-        float ng = g + edge_cost(c, dir);
-        std::size_t ni = grid_.node_index(grid_.neighbor(c, dir));
-        visit(ni, ng, static_cast<std::uint8_t>(d + 1));
-      }
+      // Neighbours in Dir order (E, W, N, S, Up, Down), stepped from the
+      // carried coordinates.
+      const std::array<EdgeClass, kNumDirs>& edges = edge_classes_[c.layer - 1];
+      auto relax = [&](Dir d, const GridCoord& next) {
+        const float ng =
+            g + edge_cost(edges[static_cast<int>(d)], grid_.usage_at(index, d),
+                          grid_.history_at(index, d));
+        visit(grid_.neighbor_index(index, d), next, ng,
+              static_cast<std::uint8_t>(static_cast<int>(d) + 1));
+      };
+      if (c.x + 1 < nx) relax(Dir::kEast, {c.layer, c.x + 1, c.y});
+      if (c.x > 0) relax(Dir::kWest, {c.layer, c.x - 1, c.y});
+      if (c.y + 1 < ny) relax(Dir::kNorth, {c.layer, c.x, c.y + 1});
+      if (c.y > 0) relax(Dir::kSouth, {c.layer, c.x, c.y - 1});
+      if (c.layer < layers) relax(Dir::kUp, {c.layer + 1, c.x, c.y});
+      if (c.layer > 1) relax(Dir::kDown, {c.layer - 1, c.x, c.y});
     }
-    return false;
+    expansions += expanded;
+    return found;
   }
 
-  /// Walk parents from `index` back to a tree seed, recording edges and
+  /// Walk parents from `at` back to a tree seed, recording edges and
   /// enlarging the tree.
-  void backtrack(std::size_t index, std::uint32_t mark,
-                 std::vector<std::size_t>& tree_nodes, NetRoute& route) {
+  void backtrack(GridCoord at, std::uint32_t mark,
+                 std::vector<GridCoord>& tree_nodes, NetRoute& route) {
+    std::size_t index = grid_.node_index(at);
     while (scratch_.arrival[index] != 0) {
       Dir arrival_dir = static_cast<Dir>(scratch_.arrival[index] - 1);
-      GridCoord here = grid_.coord_of(index);
-      GridCoord prev = grid_.neighbor(here, reverse(arrival_dir));
+      GridCoord prev = grid_.neighbor(at, reverse(arrival_dir));
       route.grid_edges.push_back({prev, arrival_dir});
-      if (scratch_.tree_mark[index] != mark) {
-        scratch_.tree_mark[index] = mark;
-        tree_nodes.push_back(index);
-      }
-      index = grid_.node_index(prev);
+      add_tree_node(at, mark, tree_nodes);
+      at = prev;
+      index = grid_.node_index(at);
     }
-    if (scratch_.tree_mark[index] != mark) {
-      scratch_.tree_mark[index] = mark;
-      tree_nodes.push_back(index);
-    }
+    add_tree_node(at, mark, tree_nodes);
   }
 
   /// Guaranteed connection, ignoring congestion: climbs toward M3/M2, runs
@@ -216,17 +274,13 @@ class NetRouter {
   /// fewer than 3 metal layers, or a target on the die edge, used to make
   /// the old unconditional `while` legs loop forever.
   void fallback_route(const GridCoord& target, std::uint32_t mark,
-                      std::vector<std::size_t>& tree_nodes, NetRoute& route) {
-    GridCoord from = grid_.coord_of(tree_nodes.front());
+                      std::vector<GridCoord>& tree_nodes, NetRoute& route) {
+    GridCoord from = tree_nodes.front();
     auto step = [&](GridCoord& c, Dir d) -> bool {
       if (!grid_.has_neighbor(c, d)) return false;
       route.grid_edges.push_back({c, d});
       c = grid_.neighbor(c, d);
-      std::size_t index = grid_.node_index(c);
-      if (scratch_.tree_mark[index] != mark) {
-        scratch_.tree_mark[index] = mark;
-        tree_nodes.push_back(index);
-      }
+      add_tree_node(c, mark, tree_nodes);
       return true;
     };
 
@@ -245,6 +299,7 @@ class NetRouter {
   const RoutingGrid& grid_;
   const RouterConfig& config_;
   SearchScratch scratch_;
+  std::vector<std::array<EdgeClass, kNumDirs>> edge_classes_;  ///< by layer
 };
 
 /// Lends NetRouters (each carrying O(num_nodes) scratch) to concurrent

@@ -5,7 +5,8 @@
 // growing route tree with multi-source A*), preferred-direction and via
 // costs shape the paths, and a few rip-up-and-reroute rounds with history
 // costs resolve overflows. The output geometry feeds the split model and
-// the attack features.
+// the attack features. The counters `route.astar_searches` and
+// `route.astar_expansions` (updated once per net) record the search work.
 //
 // Nets are scheduled in deterministic *waves* of `RouterConfig::wave_size`
 // nets: every net of a wave runs A* against an immutable snapshot of grid

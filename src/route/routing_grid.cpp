@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sma::route {
 
@@ -50,14 +51,38 @@ RoutingGrid::RoutingGrid(const tech::LayerStack* stack, const util::Rect& die,
     throw std::invalid_argument(
         "RoutingGrid: track_utilization must be positive");
   }
-  nx_ = std::max<int>(
-      1, static_cast<int>((die_.width() + config_.gcell_size - 1) /
-                          config_.gcell_size));
-  ny_ = std::max<int>(
-      1, static_cast<int>((die_.height() + config_.gcell_size - 1) /
-                          config_.gcell_size));
-
+  // Dimensions in 64 bits: a hostile die or gcell size must be rejected,
+  // not wrapped through int into a small grid or allocated as a huge one.
+  const auto gcells = [&](std::int64_t lo, std::int64_t hi) {
+    // hi >= lo (the die is not empty), so the unsigned difference is exact.
+    const std::uint64_t extent =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    const auto size = static_cast<std::uint64_t>(config_.gcell_size);
+    return std::max<std::uint64_t>(1, extent / size + (extent % size != 0));
+  };
+  const std::uint64_t nx = gcells(die_.lo.x, die_.hi.x);
+  const std::uint64_t ny = gcells(die_.lo.y, die_.hi.y);
   const int layers = num_layers();
+  const auto max_axis = static_cast<std::uint64_t>(kMaxGcellsPerAxis);
+  if (nx > max_axis || ny > max_axis) {
+    throw std::invalid_argument(
+        "RoutingGrid: " + std::to_string(nx) + " x " + std::to_string(ny) +
+        " gcells exceeds " + std::to_string(max_axis) + " per axis");
+  }
+  if (layers < 1 || layers > kMaxLayers) {
+    throw std::invalid_argument("RoutingGrid: " + std::to_string(layers) +
+                                " metal layers is outside 1.." +
+                                std::to_string(kMaxLayers));
+  }
+  if (nx * ny * static_cast<std::uint64_t>(layers) > kMaxNodes) {
+    throw std::invalid_argument(
+        "RoutingGrid: " + std::to_string(nx) + " x " + std::to_string(ny) +
+        " x " + std::to_string(layers) + " nodes exceeds " +
+        std::to_string(kMaxNodes));
+  }
+  nx_ = static_cast<int>(nx);
+  ny_ = static_cast<int>(ny);
+
   pref_capacity_.resize(layers);
   for (int m = 1; m <= layers; ++m) {
     int tracks =
@@ -135,66 +160,17 @@ bool RoutingGrid::is_preferred(int layer, Dir d) const {
 }
 
 int RoutingGrid::capacity(const GridCoord& c, Dir d) const {
-  if (!has_neighbor(c, d)) return 0;
-  if (d == Dir::kUp || d == Dir::kDown) return config_.via_capacity;
-  return is_preferred(c.layer, d) ? pref_capacity_[c.layer - 1]
-                                  : config_.wrongway_capacity;
-}
-
-std::size_t RoutingGrid::x_edge_index(int layer, int x, int y) const {
-  return (static_cast<std::size_t>(layer - 1) * ny_ + y) * nx_ + x;
-}
-std::size_t RoutingGrid::y_edge_index(int layer, int x, int y) const {
-  return (static_cast<std::size_t>(layer - 1) * ny_ + y) * nx_ + x;
-}
-std::size_t RoutingGrid::via_edge_index(int layer, int x, int y) const {
-  return (static_cast<std::size_t>(layer - 1) * ny_ + y) * nx_ + x;
-}
-
-std::pair<RoutingGrid::EdgeArrays*, std::size_t> RoutingGrid::edge_slot(
-    const GridCoord& c, Dir d) {
-  auto const_result =
-      static_cast<const RoutingGrid*>(this)->edge_slot(c, d);
-  return {const_cast<EdgeArrays*>(const_result.first), const_result.second};
-}
-
-std::pair<const RoutingGrid::EdgeArrays*, std::size_t>
-RoutingGrid::edge_slot(const GridCoord& c, Dir d) const {
-  switch (d) {
-    case Dir::kEast:
-      return {&x_edges_, x_edge_index(c.layer, c.x, c.y)};
-    case Dir::kWest:
-      return {&x_edges_, x_edge_index(c.layer, c.x - 1, c.y)};
-    case Dir::kNorth:
-      return {&y_edges_, y_edge_index(c.layer, c.x, c.y)};
-    case Dir::kSouth:
-      return {&y_edges_, y_edge_index(c.layer, c.x, c.y - 1)};
-    case Dir::kUp:
-      return {&via_edges_, via_edge_index(c.layer, c.x, c.y)};
-    case Dir::kDown:
-      return {&via_edges_, via_edge_index(c.layer - 1, c.x, c.y)};
-  }
-  return {&x_edges_, 0};
-}
-
-int RoutingGrid::usage(const GridCoord& c, Dir d) const {
-  auto [arr, idx] = edge_slot(c, d);
-  return arr->usage[idx];
+  return has_neighbor(c, d) ? layer_capacity(c.layer, d) : 0;
 }
 
 void RoutingGrid::add_usage(const GridCoord& c, Dir d, int delta) {
-  auto [arr, idx] = edge_slot(c, d);
-  int value = static_cast<int>(arr->usage[idx]) + delta;
-  arr->usage[idx] = static_cast<std::uint16_t>(std::max(0, value));
-}
-
-float RoutingGrid::history(const GridCoord& c, Dir d) const {
-  auto [arr, idx] = edge_slot(c, d);
-  return arr->history[idx];
+  auto [arr, idx] = edge_at(node_index(c), d);
+  // edge_at is const; the arrays are this (non-const) grid's own.
+  std::uint16_t& slot = const_cast<EdgeArrays*>(arr)->usage[idx];
+  slot = static_cast<std::uint16_t>(std::max(0, slot + delta));
 }
 
 void RoutingGrid::bump_history_on_overflow(float increment) {
-  const int layers = num_layers();
   auto bump = [&](EdgeArrays& edges, auto capacity_of) {
     for (std::size_t i = 0; i < edges.usage.size(); ++i) {
       if (edges.usage[i] > capacity_of(i)) edges.history[i] += increment;
@@ -202,17 +178,12 @@ void RoutingGrid::bump_history_on_overflow(float increment) {
   };
   const std::size_t per_layer = static_cast<std::size_t>(nx_) * ny_;
   bump(x_edges_, [&](std::size_t i) {
-    int layer = static_cast<int>(i / per_layer) + 1;
-    return is_preferred(layer, Dir::kEast) ? pref_capacity_[layer - 1]
-                                           : config_.wrongway_capacity;
+    return layer_capacity(static_cast<int>(i / per_layer) + 1, Dir::kEast);
   });
   bump(y_edges_, [&](std::size_t i) {
-    int layer = static_cast<int>(i / per_layer) + 1;
-    return is_preferred(layer, Dir::kNorth) ? pref_capacity_[layer - 1]
-                                            : config_.wrongway_capacity;
+    return layer_capacity(static_cast<int>(i / per_layer) + 1, Dir::kNorth);
   });
   bump(via_edges_, [&](std::size_t) { return config_.via_capacity; });
-  (void)layers;
 }
 
 int RoutingGrid::overflow_count() const {
@@ -220,15 +191,11 @@ int RoutingGrid::overflow_count() const {
   const std::size_t per_layer = static_cast<std::size_t>(nx_) * ny_;
   for (std::size_t i = 0; i < x_edges_.usage.size(); ++i) {
     int layer = static_cast<int>(i / per_layer) + 1;
-    int cap = is_preferred(layer, Dir::kEast) ? pref_capacity_[layer - 1]
-                                              : config_.wrongway_capacity;
-    if (x_edges_.usage[i] > cap) ++overflow;
+    if (x_edges_.usage[i] > layer_capacity(layer, Dir::kEast)) ++overflow;
   }
   for (std::size_t i = 0; i < y_edges_.usage.size(); ++i) {
     int layer = static_cast<int>(i / per_layer) + 1;
-    int cap = is_preferred(layer, Dir::kNorth) ? pref_capacity_[layer - 1]
-                                               : config_.wrongway_capacity;
-    if (y_edges_.usage[i] > cap) ++overflow;
+    if (y_edges_.usage[i] > layer_capacity(layer, Dir::kNorth)) ++overflow;
   }
   for (std::size_t i = 0; i < via_edges_.usage.size(); ++i) {
     if (via_edges_.usage[i] > config_.via_capacity) ++overflow;

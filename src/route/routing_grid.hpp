@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "place/placement.hpp"
@@ -57,6 +58,13 @@ class RoutingGrid {
     double track_utilization = 0.65;
   };
 
+  /// Largest grid the router can address, checked at construction
+  /// (std::invalid_argument): its A* queue entries hold a node as a 32-bit
+  /// id, 16-bit gcell coordinates and an 8-bit layer number.
+  static constexpr std::int64_t kMaxGcellsPerAxis = std::int64_t{1} << 16;
+  static constexpr int kMaxLayers = 255;
+  static constexpr std::uint64_t kMaxNodes = 0xffffffffu;
+
   RoutingGrid(const tech::LayerStack* stack, const util::Rect& die,
               const Config& config);
   RoutingGrid(const tech::LayerStack* stack, const util::Rect& die);
@@ -90,13 +98,48 @@ class RoutingGrid {
   /// Capacity of the edge leaving `c` in direction `d` (0 = no edge).
   int capacity(const GridCoord& c, Dir d) const;
 
+  /// Capacity of every edge leaving a node of `layer` in direction `d`
+  /// (for the nodes that have that neighbour).
+  int layer_capacity(int layer, Dir d) const {
+    if (d == Dir::kUp || d == Dir::kDown) return config_.via_capacity;
+    return is_preferred(layer, d) ? pref_capacity_[layer - 1]
+                                  : config_.wrongway_capacity;
+  }
+
   /// Current usage of that edge.
-  int usage(const GridCoord& c, Dir d) const;
+  int usage(const GridCoord& c, Dir d) const {
+    return usage_at(node_index(c), d);
+  }
   void add_usage(const GridCoord& c, Dir d, int delta);
 
   /// Congestion history (PathFinder-style), bumped on overflowed edges.
-  float history(const GridCoord& c, Dir d) const;
+  float history(const GridCoord& c, Dir d) const {
+    return history_at(node_index(c), d);
+  }
   void bump_history_on_overflow(float increment);
+
+  /// Index-based reads for the router's inner loop. `node` is the
+  /// node_index() of the edge's source, and its neighbour in direction `d`
+  /// must exist.
+  std::size_t neighbor_index(std::size_t node, Dir d) const {
+    switch (d) {
+      case Dir::kEast: return node + 1;
+      case Dir::kWest: return node - 1;
+      case Dir::kNorth: return node + nx_;
+      case Dir::kSouth: return node - nx_;
+      case Dir::kUp: return node + layer_nodes();
+      case Dir::kDown: return node - layer_nodes();
+    }
+    return node;
+  }
+  int usage_at(std::size_t node, Dir d) const {
+    const auto [edges, index] = edge_at(node, d);
+    return edges->usage[index];
+  }
+  float history_at(std::size_t node, Dir d) const {
+    const auto [edges, index] = edge_at(node, d);
+    return edges->history[index];
+  }
 
   /// Number of edges with usage > capacity.
   int overflow_count() const;
@@ -113,16 +156,27 @@ class RoutingGrid {
     std::vector<float> history;
   };
 
-  // Edge storage: for each layer, x-edges (node -> east neighbour) and
-  // y-edges (node -> north neighbour); plus via edges (node -> up).
-  std::size_t x_edge_index(int layer, int x, int y) const;
-  std::size_t y_edge_index(int layer, int x, int y) const;
-  std::size_t via_edge_index(int layer, int x, int y) const;
+  std::size_t layer_nodes() const {
+    return static_cast<std::size_t>(nx_) * ny_;
+  }
 
-  /// Maps (c, d) onto canonical edge storage; returns array + index.
-  std::pair<EdgeArrays*, std::size_t> edge_slot(const GridCoord& c, Dir d);
-  std::pair<const EdgeArrays*, std::size_t> edge_slot(const GridCoord& c,
-                                                      Dir d) const;
+  // Edge storage: for each layer, x-edges (node -> east neighbour) and
+  // y-edges (node -> north neighbour); plus via edges (node -> up). Each
+  // array is indexed by the node the edge leaves in its canonical
+  // direction, so a west, south or down edge is stored at its neighbour.
+  /// Maps (node, d) onto canonical edge storage; returns array + index.
+  std::pair<const EdgeArrays*, std::size_t> edge_at(std::size_t node,
+                                                    Dir d) const {
+    switch (d) {
+      case Dir::kEast: return {&x_edges_, node};
+      case Dir::kWest: return {&x_edges_, node - 1};
+      case Dir::kNorth: return {&y_edges_, node};
+      case Dir::kSouth: return {&y_edges_, node - nx_};
+      case Dir::kUp: return {&via_edges_, node};
+      case Dir::kDown: return {&via_edges_, node - layer_nodes()};
+    }
+    return {&x_edges_, node};
+  }
 
   const tech::LayerStack* stack_;
   util::Rect die_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "split/split_design.hpp"
 #include "test_support.hpp"
 
@@ -79,6 +83,27 @@ TEST(DefIo, RejectsMalformedInput) {
                                "COMPONENTS 2000000000\n",
                                &test::library()),
                std::runtime_error);
+  // Hostile grid dimensions end in the parser's own error, not in
+  // RoutingGrid's std::invalid_argument (non-positive gcell, empty die),
+  // a 4e9-gcell axis truncated through int into a 1x1 grid, or
+  // std::bad_alloc (a 4e7 x 4e7 grid).
+  auto with_grid = [](const std::string& die, const std::string& gcell) {
+    return "DESIGN x\nDIEAREA " + die + "\nROWS 1 4 1400 190\nGCELL " +
+           gcell + "\nCOMPONENTS 0\nPINS 0\nNETS 0\nEND\n";
+  };
+  EXPECT_NO_THROW(read_def_string(with_grid("0 0 100 100", "700"),
+                                  &test::library()));
+  for (const auto& [die, gcell] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"0 0 100 100", "0"},
+           {"0 0 100 100", "-5"},
+           {"1000 1000 0 0", "700"},
+           {"0 0 4000000000 4000000000", "1"},
+           {"0 0 400000000 400000000", "10"}}) {
+    SCOPED_TRACE("DIEAREA " + die + " GCELL " + gcell);
+    EXPECT_THROW(read_def_string(with_grid(die, gcell), &test::library()),
+                 std::runtime_error);
+  }
 }
 
 TEST(DefIo, RejectsUnknownMaster) {

@@ -4,11 +4,14 @@
 
 #include <map>
 #include <set>
+#include <utility>
 
 #include "netlist/generator.hpp"
+#include "obs/obs.hpp"
 #include "place/global_placer.hpp"
 #include "place/legalizer.hpp"
 #include "test_support.hpp"
+#include "util/hash.hpp"
 
 namespace sma::route {
 namespace {
@@ -24,7 +27,8 @@ struct Routed {
 
 Routed route_small(int gates = 80, std::uint64_t seed = 5,
                    runtime::ThreadPool* pool = nullptr,
-                   const RouterConfig& config = {}) {
+                   const RouterConfig& config = {},
+                   const RoutingGrid::Config& grid_config = {}) {
   netlist::GeneratorConfig generator;
   generator.num_inputs = 8;
   generator.num_outputs = 4;
@@ -37,7 +41,7 @@ Routed route_small(int gates = 80, std::uint64_t seed = 5,
   r.placement = std::make_unique<place::Placement>(&r.nl, r.fp);
   place::run_global_placement(*r.placement);
   place::run_legalization(*r.placement);
-  r.grid = std::make_unique<RoutingGrid>(&r.stack, r.fp.die);
+  r.grid = std::make_unique<RoutingGrid>(&r.stack, r.fp.die, grid_config);
   r.result = route_design(*r.placement, *r.grid, config, pool);
   return r;
 }
@@ -221,17 +225,130 @@ TEST(Router, WaveScheduleStableAcrossRuns) {
   expect_identical(first.result, second.result);
 }
 
-TEST(Router, WaveSizeOneMatchesLegacySequentialSchedule) {
-  // wave_size = 1 is the pre-wave router: every net sees all previously
-  // committed nets. It differs from the default wave schedule in general
-  // but must itself be deterministic and parallel-invariant (each wave
-  // holds a single net, so the pool has nothing to reorder).
+TEST(Router, WaveSizeOneSerialMatchesPooled) {
+  // wave_size = 1: every net sees all previously committed nets. It
+  // differs from the default wave schedule in general but must itself be
+  // deterministic and parallel-invariant (each wave holds a single net, so
+  // the pool has nothing to reorder).
   RouterConfig sequential;
   sequential.wave_size = 1;
   Routed serial = route_small(100, 21, nullptr, sequential);
   runtime::ThreadPool pool(2);
   Routed parallel = route_small(100, 21, &pool, sequential);
   expect_identical(serial.result, parallel.result);
+}
+
+// --- pinned route digests ----------------------------------------------
+
+/// FNV-1a digest of every net's grid edges plus the routing totals.
+std::uint64_t route_digest(const RoutingResult& result) {
+  util::ContentHash h;
+  for (const NetRoute& route : result.routes) {
+    h.add(static_cast<std::uint64_t>(route.grid_edges.size()));
+    for (const GridEdge& e : route.grid_edges) {
+      h.add(e.from.layer).add(e.from.x).add(e.from.y);
+      h.add(static_cast<int>(e.dir));
+    }
+  }
+  h.add(result.total_wirelength).add(result.total_vias);
+  h.add(result.final_overflow).add(result.fallback_routes);
+  return h.digest();
+}
+
+TEST(Router, RoutesMatchPinnedDigests) {
+  // Digests recorded before the A* expansion was reworked (per-layer cost
+  // tables, coordinates carried in queue entries, a reused open list); the
+  // search must keep reproducing them edge for edge, serial and pooled.
+  // One 250-gate design under four configs that each pin a different
+  // part of the search; in every case its first pass overflows, so
+  // negotiation rounds run too.
+  constexpr int kGates = 250;
+  constexpr std::uint64_t kSeed = 21;
+
+  struct Case {
+    const char* name;
+    RouterConfig config;
+    RoutingGrid::Config grid;
+    std::uint64_t digest;
+  };
+  std::vector<Case> cases(4);
+  cases[0].name = "default config, negotiation rounds";
+  cases[0].digest = 0x3e7d2170a98c8b51;
+  // Small enough that some searches give up part-way and take the
+  // fallback: pins that stale pops do not count toward the budget.
+  cases[1].name = "max_expansions = 300";
+  cases[1].config.max_expansions = 300;
+  cases[1].digest = 0x5a3b55e60547a3e8;
+  cases[2].name = "wrongway_capacity = 0";
+  cases[2].grid.wrongway_capacity = 0;
+  cases[2].digest = 0x979571a10029c8a7;
+  // The legacy strictly sequential schedule with bulk negotiation rip-up.
+  cases[3].name = "wave_size = 1, bulk_negotiation_ripup";
+  cases[3].config.wave_size = 1;
+  cases[3].config.bulk_negotiation_ripup = true;
+  cases[3].digest = 0x14ae0b3d48658c0d;
+
+  runtime::ThreadPool pool(3);  // 4 threads with the caller
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RouterConfig first_pass_only = c.config;
+    first_pass_only.max_iterations = 1;
+    EXPECT_GT(route_small(kGates, kSeed, nullptr, first_pass_only, c.grid)
+                  .result.final_overflow,
+              0);
+    Routed serial = route_small(kGates, kSeed, nullptr, c.config, c.grid);
+    Routed pooled = route_small(kGates, kSeed, &pool, c.config, c.grid);
+    EXPECT_EQ(route_digest(serial.result), c.digest)
+        << std::hex << "0x" << route_digest(serial.result);
+    EXPECT_EQ(route_digest(pooled.result), c.digest)
+        << std::hex << "0x" << route_digest(pooled.result);
+    if (c.config.max_expansions < RouterConfig{}.max_expansions) {
+      EXPECT_GT(serial.result.fallback_routes, 0);
+    }
+  }
+
+  // Every budget from 1 to 64 on a small design: some search then reaches
+  // its target on the first pop after its last allowed expansion, which
+  // pins that the budget is checked after the target test.
+  const Routed small = route_small(80, 5);
+  util::ContentHash serial_sweep;
+  util::ContentHash pooled_sweep;
+  for (std::size_t budget = 1; budget <= 64; ++budget) {
+    RouterConfig config;
+    config.max_expansions = budget;
+    RoutingGrid serial_grid(&small.stack, small.fp.die);
+    serial_sweep.add(
+        route_digest(route_design(*small.placement, serial_grid, config)));
+    RoutingGrid pooled_grid(&small.stack, small.fp.die);
+    pooled_sweep.add(route_digest(
+        route_design(*small.placement, pooled_grid, config, &pool)));
+  }
+  EXPECT_EQ(serial_sweep.digest(), 0x1b3a9eab003f3a0eu)
+      << std::hex << "0x" << serial_sweep.digest();
+  EXPECT_EQ(pooled_sweep.digest(), 0x1b3a9eab003f3a0eu)
+      << std::hex << "0x" << pooled_sweep.digest();
+}
+
+TEST(Router, SearchWorkCountersMatchSerialAndPooled) {
+  // route.astar_searches / route.astar_expansions count the A* work behind
+  // the route seconds. Both are sums over nets of a per-net count, so they
+  // must not depend on the thread count.
+  if (!obs::compiled()) GTEST_SKIP() << "built with -DSMA_OBS=OFF";
+  obs::Registry& registry = obs::Registry::global();
+  obs::Counter& searches = registry.counter("route.astar_searches");
+  obs::Counter& expansions = registry.counter("route.astar_expansions");
+  auto work = [&](runtime::ThreadPool* pool) {
+    const std::uint64_t s0 = searches.value();
+    const std::uint64_t e0 = expansions.value();
+    route_small(150, 9, pool);
+    return std::pair(searches.value() - s0, expansions.value() - e0);
+  };
+  const auto serial = work(nullptr);
+  runtime::ThreadPool pool(3);  // 4 threads with the caller
+  const auto pooled = work(&pool);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_GT(serial.second, serial.first);
+  EXPECT_EQ(serial, pooled);
 }
 
 TEST(Router, RejectsNonPositiveWaveSize) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace sma::route {
@@ -152,6 +153,34 @@ TEST_F(RoutingGridTest, RejectsDegenerateCapacities) {
   // zero capacity.
   EXPECT_EQ(no_wrongway.capacity({1, 5, 5}, Dir::kNorth), 0);
   EXPECT_GT(no_wrongway.capacity({1, 5, 5}, Dir::kEast), 0);
+
+  // Grid dimensions are computed in 64 bits and bounded before anything is
+  // allocated: an axis wider than kMaxGcellsPerAxis must not wrap through
+  // int (4e9 gcells into a 1-wide grid), and a grid whose node count
+  // exceeds kMaxNodes must not reach the allocator.
+  RoutingGrid::Config unit;
+  unit.gcell_size = 1;
+  auto nx_of = [&](const util::Rect& area, const RoutingGrid::Config& c) {
+    return RoutingGrid(&stack_, area, c).nx();
+  };
+  const std::int64_t axis = RoutingGrid::kMaxGcellsPerAxis;
+  EXPECT_EQ(nx_of({{0, 0}, {axis, 1}}, unit), axis);
+  EXPECT_THROW(nx_of({{0, 0}, {axis + 1, 1}}, unit), std::invalid_argument);
+  EXPECT_THROW(nx_of({{0, 0}, {1, axis + 1}}, unit), std::invalid_argument);
+  // Both axes in bounds, but 6 x 2^32 nodes.
+  EXPECT_THROW(nx_of({{0, 0}, {axis, axis}}, unit), std::invalid_argument);
+  EXPECT_THROW(nx_of({{0, 0}, {4000000000, 4000000000}}, unit),
+               std::invalid_argument);
+  RoutingGrid::Config ten;
+  ten.gcell_size = 10;
+  EXPECT_THROW(nx_of({{0, 0}, {400000000, 400000000}}, ten),
+               std::invalid_argument);
+  // A die whose width overflows int64 subtraction, and an empty die.
+  const std::int64_t far = std::int64_t{1} << 62;
+  EXPECT_THROW(nx_of({{-far, 0}, {far, 10}}, RoutingGrid::Config{}),
+               std::invalid_argument);
+  EXPECT_THROW(nx_of({{1000, 1000}, {0, 0}}, RoutingGrid::Config{}),
+               std::invalid_argument);
 }
 
 }  // namespace
