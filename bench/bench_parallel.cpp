@@ -152,7 +152,9 @@ int main(int argc, char** argv) {
   struct Run {
     int threads = 0;
     double seconds = 0.0;
+    double prepare_seconds = 0.0;
     double train_seconds = 0.0;
+    double attack_seconds = 0.0;
   };
   std::vector<Run> runs;
   Table3Result baseline;
@@ -169,7 +171,9 @@ int main(int argc, char** argv) {
     Run run;
     run.threads = threads[i];
     run.seconds = timer.seconds();
+    run.prepare_seconds = result.prepare_seconds;
     run.train_seconds = result.train_seconds;
+    run.attack_seconds = result.attack_seconds;
     runs.push_back(run);
 
     if (i == 0) {
@@ -179,8 +183,9 @@ int main(int argc, char** argv) {
       deterministic = false;
     }
     std::cerr << "  threads=" << run.threads << ": " << run.seconds
-              << "s total (train " << run.train_seconds << "s), speedup "
-              << baseline_seconds / run.seconds << "x\n";
+              << "s total (prepare " << run.prepare_seconds << "s, train "
+              << run.train_seconds << "s, attack " << run.attack_seconds
+              << "s), speedup " << baseline_seconds / run.seconds << "x\n";
   }
 
   std::ostringstream json;
@@ -198,7 +203,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     json << (i ? ", " : "") << "{\"threads\": " << runs[i].threads
          << ", \"seconds\": " << runs[i].seconds
+         << ", \"prepare_seconds\": " << runs[i].prepare_seconds
          << ", \"train_seconds\": " << runs[i].train_seconds
+         << ", \"attack_seconds\": " << runs[i].attack_seconds
          << ", \"speedup\": " << baseline_seconds / runs[i].seconds << "}";
   }
   // Top-level summary: the datapoint every run contributes, even when the

@@ -105,8 +105,13 @@ int main(int argc, char** argv) {
                               designs, /*seed=*/2019);
 
     std::cout << "=== Split after Metal " << layer << " ===\n";
-    std::cout << "(training took " << format_double(result.train_seconds, 1)
-              << "s; designs marked * are scaled down for single-core runtime)\n";
+    std::cout << "(layouts, features and flow attacks took "
+              << format_double(result.prepare_seconds, 1) << "s, training "
+              << format_double(result.train_seconds, 1)
+              << "s, DL attacks "
+              << format_double(result.attack_seconds, 1)
+              << "s; designs marked * are scaled down for single-core "
+                 "runtime)\n";
     sma::util::Table table({"Design", "#Sk", "#Sc", "CCR%[1]", "CCR%ours",
                             "Time[1](s)", "Time ours(s)", "hit%"});
     for (const Table3Row& row : result.rows) {

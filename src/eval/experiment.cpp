@@ -1,8 +1,10 @@
 #include "eval/experiment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -83,37 +85,48 @@ attack::QueryDataset make_dataset(const PreparedSplit& prepared,
   return attack::QueryDataset(prepared.split.get(), config);
 }
 
-/// Train a DL attack over the standard training corpus at `split_layer`.
-/// Layout generation and feature extraction run per-design in parallel;
-/// training itself parallelizes over gradient lanes (see DlAttack).
-attack::DlAttack train_attack(int split_layer,
-                              const ExperimentProfile& profile,
-                              const layout::FlowConfig& flow,
-                              std::uint64_t seed, double* train_seconds,
-                              runtime::ThreadPool* pool) {
-  util::Timer timer;
-  const std::vector<netlist::DesignProfile>& profiles =
-      netlist::training_profiles();
+/// The per-design seeds every experiment derives from its master seed.
+std::uint64_t corpus_seed(std::uint64_t seed,
+                          const netlist::DesignProfile& design) {
+  return seed ^ (design.num_gates * 31ull);
+}
+std::uint64_t victim_seed(std::uint64_t seed,
+                          const netlist::DesignProfile& design) {
+  return seed ^ 0x5151u ^ (design.num_gates * 131ull);
+}
 
-  // One task per training design covers layout generation and feature
-  // extraction; designs are independent, so no barrier between stages.
-  struct TrainingDesign {
-    PreparedSplit prepared;
-    std::unique_ptr<attack::QueryDataset> dataset;
-  };
-  std::vector<TrainingDesign> corpus = runtime::parallel_map(
-      pool, profiles.size(), /*grain=*/1, [&](std::size_t i) {
-        TrainingDesign design;
-        design.prepared =
-            prepare_split(profiles[i], split_layer, flow,
-                          seed ^ (profiles[i].num_gates * 31ull), pool);
-        design.dataset = std::make_unique<attack::QueryDataset>(
-            make_dataset(design.prepared, profile, true, pool));
-        return design;
-      });
+/// One training design, laid out, split and featurized. The dataset
+/// points into `prepared`, which must outlive it.
+struct CorpusDesign {
+  PreparedSplit prepared;
+  std::unique_ptr<attack::QueryDataset> dataset;
+};
+
+CorpusDesign prepare_corpus_design(const netlist::DesignProfile& design,
+                                   int split_layer,
+                                   const ExperimentProfile& profile,
+                                   const layout::FlowConfig& flow,
+                                   std::uint64_t seed,
+                                   runtime::ThreadPool* pool) {
+  CorpusDesign out;
+  out.prepared = prepare_split(design, split_layer, flow,
+                               corpus_seed(seed, design), pool);
+  out.dataset = std::make_unique<attack::QueryDataset>(
+      make_dataset(out.prepared, profile, true, pool));
+  return out;
+}
+
+/// Train a DL attack on the corpus datasets in corpus order (moved out of
+/// `corpus`). Training parallelizes over gradient lanes (see DlAttack).
+/// `train_seconds`, when non-null, receives the wall time of
+/// `DlAttack::train` alone.
+attack::DlAttack train_on(std::vector<CorpusDesign>& corpus,
+                          const ExperimentProfile& profile,
+                          std::uint64_t seed, runtime::ThreadPool* pool,
+                          double* train_seconds = nullptr) {
   std::vector<attack::QueryDataset> training;
   training.reserve(corpus.size());
-  for (TrainingDesign& design : corpus) {
+  for (CorpusDesign& design : corpus) {
     training.push_back(std::move(*design.dataset));
   }
   std::vector<attack::QueryDataset> validation;  // optional; unused by default
@@ -123,9 +136,28 @@ attack::DlAttack train_attack(int split_layer,
       static_cast<int>(profile.dataset.images.pixel_sizes.size());
   net_config.seed ^= seed;
   attack::DlAttack dl(net_config);
+  util::Timer timer;
   dl.train(training, validation, profile.train, pool);
   if (train_seconds != nullptr) *train_seconds = timer.seconds();
   return dl;
+}
+
+/// Train a DL attack over the standard training corpus at `split_layer`.
+/// One task per training design covers layout generation and feature
+/// extraction; designs are independent, so no barrier between stages.
+attack::DlAttack train_attack(int split_layer,
+                              const ExperimentProfile& profile,
+                              const layout::FlowConfig& flow,
+                              std::uint64_t seed,
+                              runtime::ThreadPool* pool) {
+  const std::vector<netlist::DesignProfile>& profiles =
+      netlist::training_profiles();
+  std::vector<CorpusDesign> corpus = runtime::parallel_map(
+      pool, profiles.size(), /*grain=*/1, [&](std::size_t i) {
+        return prepare_corpus_design(profiles[i], split_layer, profile, flow,
+                                     seed, pool);
+      });
+  return train_on(corpus, profile, seed, pool);
 }
 
 /// ------------------------------------------------------------------
@@ -198,11 +230,11 @@ std::uint64_t experiment_digest(const char* what, int split_layer,
     h.add(design_cache_key(d, flow_config, design_seed));
   };
   for (const netlist::DesignProfile& d : netlist::training_profiles()) {
-    add_design(d, seed ^ (d.num_gates * 31ull));
+    add_design(d, corpus_seed(seed, d));
   }
   h.add(designs.size());
   for (const netlist::DesignProfile& d : designs) {
-    add_design(d, seed ^ 0x5151u ^ (d.num_gates * 131ull));
+    add_design(d, victim_seed(seed, d));
   }
   return h.digest();
 }
@@ -262,6 +294,26 @@ class WorkCursor {
     return s;
   }
 
+  /// A non-negative count that must fit an `int`.
+  int read_count(const char* what) {
+    const std::uint64_t v = read_u64(what);
+    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      throw util::FrameError(std::string("work unit ") + what +
+                             " out of range");
+    }
+    return static_cast<int>(v);
+  }
+
+  /// Every byte must have been consumed: a payload with trailing bytes
+  /// came from a different encoder.
+  void expect_end() const {
+    if (pos_ != bytes_.size()) {
+      throw util::FrameError("work unit has " +
+                             std::to_string(bytes_.size() - pos_) +
+                             " trailing bytes");
+    }
+  }
+
  private:
   const std::string& bytes_;
   std::size_t pos_ = 0;
@@ -293,9 +345,12 @@ Table3Row decode_t3_row(const std::string& payload, std::uint64_t digest,
   }
   Table3Row row;
   row.design = cur.read_str("design name");
-  row.num_sink_fragments = static_cast<int>(cur.read_u64("sink count"));
-  row.num_source_fragments = static_cast<int>(cur.read_u64("source count"));
+  row.num_sink_fragments = cur.read_count("sink count");
+  row.num_source_fragments = cur.read_count("source count");
   const std::uint64_t flags = cur.read_u64("flags");
+  if ((flags & ~std::uint64_t{3}) != 0) {
+    throw util::FrameError("work unit has unknown flag bits");
+  }
   row.flow_timed_out = (flags & 1u) != 0;
   row.scaled_down = (flags & 2u) != 0;
   row.flow_ccr = cur.read_bits("flow ccr");
@@ -303,6 +358,7 @@ Table3Row decode_t3_row(const std::string& payload, std::uint64_t digest,
   row.dl_ccr = cur.read_bits("dl ccr");
   row.dl_seconds = cur.read_bits("dl seconds");
   row.hit_rate = cur.read_bits("hit rate");
+  cur.expect_end();
   return row;
 }
 
@@ -327,6 +383,7 @@ AblationRow decode_f5_row(const std::string& payload, std::uint64_t digest,
   row.setting = cur.read_str("setting name");
   row.avg_ccr = cur.read_bits("avg ccr");
   row.avg_inference_seconds = cur.read_bits("avg inference seconds");
+  cur.expect_end();
   return row;
 }
 
@@ -435,68 +492,121 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
   std::unique_ptr<runtime::ThreadPool> owned_pool =
       profile.runtime.make_pool();
   runtime::ThreadPool* pool = owned_pool.get();
-
   Table3Result result;
-  attack::DlAttack dl = train_attack(split_layer, profile, flow, seed,
-                                     &result.train_seconds, pool);
+
+  // Phase 1: everything that does not need the model, as one task list —
+  // each training design's layout and dataset, and each victim's layout,
+  // dataset and flow attack. Largest design first, so the longest layouts
+  // start early and the small ones fill in behind them (a stable sort, so
+  // ties keep corpus-then-victim order). Every job writes only its own
+  // slot, and a design's results are a pure function of its profile, seed
+  // and config, so the schedule never changes a row.
+  const std::vector<netlist::DesignProfile>& corpus_profiles =
+      netlist::training_profiles();
+  const std::size_t num_corpus = corpus_profiles.size();
+  struct Victim {
+    PreparedSplit prepared;
+    std::unique_ptr<attack::QueryDataset> dataset;
+    Table3Row row;  ///< all but dl_ccr; dl_seconds holds the feature time
+  };
+  std::vector<CorpusDesign> corpus(num_corpus);
+  std::vector<Victim> victims(designs.size());
+  std::vector<std::size_t> jobs;  // corpus index, or num_corpus + victim
+  for (std::size_t i = 0; i < num_corpus; ++i) jobs.push_back(i);
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    if (!cached[d].has_value()) jobs.push_back(num_corpus + d);
+  }
+  const auto job_profile =
+      [&](std::size_t job) -> const netlist::DesignProfile& {
+    return job < num_corpus ? corpus_profiles[job] : designs[job - num_corpus];
+  };
+  std::stable_sort(jobs.begin(), jobs.end(), [&](std::size_t a, std::size_t b) {
+    return job_profile(a).num_gates > job_profile(b).num_gates;
+  });
+
+  util::Timer prepare_timer;
+  runtime::parallel_for(pool, 0, jobs.size(), /*grain=*/1, [&](std::size_t k) {
+    const std::size_t job = jobs[k];
+    if (job < num_corpus) {
+      corpus[job] = prepare_corpus_design(corpus_profiles[job], split_layer,
+                                          profile, flow, seed, pool);
+      return;
+    }
+    const netlist::DesignProfile& design_profile = job_profile(job);
+    Victim& victim = victims[job - num_corpus];
+    victim.prepared =
+        prepare_split(design_profile, split_layer, flow,
+                      victim_seed(seed, design_profile), pool);
+
+    Table3Row& row = victim.row;
+    row.design = design_profile.name;
+    row.scaled_down = design_profile.scaled_down;
+    row.num_sink_fragments =
+        static_cast<int>(victim.prepared.split->sink_fragments().size());
+    row.num_source_fragments =
+        static_cast<int>(victim.prepared.split->source_fragments().size());
+
+    // Dataset construction is feature extraction, so its time counts
+    // toward the DL attack's runtime (as in the paper).
+    util::Timer feature_timer;
+    victim.dataset = std::make_unique<attack::QueryDataset>(
+        make_dataset(victim.prepared, profile, true, pool));
+    row.dl_seconds = feature_timer.seconds();
+    row.hit_rate = victim.dataset->candidate_hit_rate();
+
+    attack::AttackResult flow_result =
+        attack::run_flow_attack(*victim.prepared.split, profile.flow_attack);
+    row.flow_ccr = flow_result.ccr;
+    row.flow_seconds = flow_result.seconds;
+    row.flow_timed_out = flow_result.timed_out;
+  });
+  result.prepare_seconds = prepare_timer.seconds();
+  util::log_info() << "table3 M" << split_layer << ": " << jobs.size()
+                   << " designs laid out, featurized and flow-attacked in "
+                   << result.prepare_seconds << "s";
+
+  // Phase 2: train on the corpus datasets, in corpus order.
+  attack::DlAttack dl =
+      train_on(corpus, profile, seed, pool, &result.train_seconds);
   util::log_info() << "M" << split_layer << " model trained in "
                    << result.train_seconds << "s ("
                    << profile.runtime.resolved() << " threads)";
 
-  // One task per victim design: layout generation, feature extraction,
-  // both attacks. Rows land in design order; every task that touches the
-  // network does so through a replica, so the rows match a serial run.
+  // Phase 3: the victims' DL attacks in design order, one at a time, each
+  // over the whole pool (attack() is byte-identical at any thread count).
   // Caveat: with threads > 1 the per-row *_seconds are wall-clock times
-  // of a contended run — use threads = 1 for paper-comparable runtimes.
-  result.rows = runtime::parallel_map(
-      pool, designs.size(), /*grain=*/1, [&](std::size_t d) {
-        if (use_work && cached[d].has_value()) return *cached[d];
-        const netlist::DesignProfile& design_profile = designs[d];
-        PreparedSplit prepared = prepare_split(
-            design_profile, split_layer, flow,
-            seed ^ 0x5151u ^ (design_profile.num_gates * 131ull), pool);
+  // measured on a shared pool — use threads = 1 for paper-comparable
+  // runtimes.
+  util::Timer attack_timer;
+  result.rows.resize(designs.size());
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    if (cached[d].has_value()) {
+      result.rows[d] = std::move(*cached[d]);
+      continue;
+    }
+    Victim& victim = victims[d];
+    Table3Row& row = victim.row;
+    util::Timer dl_timer;
+    row.dl_ccr = dl.attack(*victim.dataset, pool).ccr;
+    row.dl_seconds += dl_timer.seconds();
 
-        Table3Row row;
-        row.design = design_profile.name;
-        row.scaled_down = design_profile.scaled_down;
-        row.num_sink_fragments =
-            static_cast<int>(prepared.split->sink_fragments().size());
-        row.num_source_fragments =
-            static_cast<int>(prepared.split->source_fragments().size());
-
-        // DL attack: dataset construction is feature extraction, so its
-        // time counts toward the attack runtime (as in the paper).
-        util::Timer dl_timer;
-        attack::QueryDataset dataset =
-            make_dataset(prepared, profile, true, pool);
-        attack::AttackResult dl_result = dl.attack(dataset, pool);
-        row.dl_ccr = dl_result.ccr;
-        row.dl_seconds = dl_timer.seconds();
-        row.hit_rate = dataset.candidate_hit_rate();
-
-        attack::AttackResult flow_result =
-            attack::run_flow_attack(*prepared.split, profile.flow_attack);
-        row.flow_ccr = flow_result.ccr;
-        row.flow_seconds = flow_result.seconds;
-        row.flow_timed_out = flow_result.timed_out;
-
-        // Log as each design completes (interleaved under parallelism,
-        // but immediate — long runs need a liveness signal). Rows still
-        // land in design order.
-        util::log_info() << row.design << ": #Sk " << row.num_sink_fragments
-                         << ", #Sc " << row.num_source_fragments << ", DL "
-                         << row.dl_ccr * 100 << "% in " << row.dl_seconds
-                         << "s, flow "
-                         << (row.flow_timed_out
-                                 ? std::string("timeout")
-                                 : std::to_string(row.flow_ccr * 100) + "%")
-                         << " in " << row.flow_seconds << "s";
-        if (use_work) {
-          save_work_unit(work_unit_path(profile.work_dir, digest, d),
-                         encode_t3_row(digest, d, row));
-        }
-        return row;
-      });
+    util::log_info() << row.design << ": #Sk " << row.num_sink_fragments
+                     << ", #Sc " << row.num_source_fragments << ", DL "
+                     << row.dl_ccr * 100 << "% in " << row.dl_seconds
+                     << "s, flow "
+                     << (row.flow_timed_out
+                             ? std::string("timeout")
+                             : std::to_string(row.flow_ccr * 100) + "%")
+                     << " in " << row.flow_seconds << "s";
+    if (use_work) {
+      save_work_unit(work_unit_path(profile.work_dir, digest, d),
+                     encode_t3_row(digest, d, row));
+    }
+    result.rows[d] = std::move(row);
+  }
+  result.attack_seconds = attack_timer.seconds();
+  util::log_info() << "table3 M" << split_layer << ": victims attacked in "
+                   << result.attack_seconds << "s";
 
   finalize_averages(result);
   return result;
@@ -573,8 +683,7 @@ std::vector<AblationRow> run_figure5(
     variant.train.epochs = std::max(variant.train.epochs, 36);
     variant.train.decay_every = 12;
 
-    attack::DlAttack dl =
-        train_attack(kSplitLayer, variant, flow, seed, nullptr, pool);
+    attack::DlAttack dl = train_attack(kSplitLayer, variant, flow, seed, pool);
 
     struct PerDesign {
       double ccr = 0.0;
@@ -582,9 +691,9 @@ std::vector<AblationRow> run_figure5(
     };
     std::vector<PerDesign> per_design = runtime::parallel_map(
         pool, designs.size(), /*grain=*/1, [&](std::size_t d) {
-          PreparedSplit prepared = prepare_split(
-              designs[d], kSplitLayer, flow,
-              seed ^ 0x5151u ^ (designs[d].num_gates * 131ull), pool);
+          PreparedSplit prepared =
+              prepare_split(designs[d], kSplitLayer, flow,
+                            victim_seed(seed, designs[d]), pool);
           util::Timer timer;
           attack::QueryDataset dataset =
               make_dataset(prepared, variant, setting.use_images, pool);
@@ -639,11 +748,10 @@ std::vector<AblationRow> run_figure5(
           [&](std::size_t i) {
             if (i < corpus.size()) {
               prepare_split(corpus[i], kSplitLayer, flow,
-                            seed ^ (corpus[i].num_gates * 31ull), pool);
+                            corpus_seed(seed, corpus[i]), pool);
             } else {
               const netlist::DesignProfile& d = designs[i - corpus.size()];
-              prepare_split(d, kSplitLayer, flow,
-                            seed ^ 0x5151u ^ (d.num_gates * 131ull), pool);
+              prepare_split(d, kSplitLayer, flow, victim_seed(seed, d), pool);
             }
           });
     }

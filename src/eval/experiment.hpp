@@ -59,11 +59,13 @@ struct ExperimentProfile {
   nn::NetConfig net;
   attack::TrainConfig train;
   attack::FlowAttackConfig flow_attack;
-  /// Thread count for every stage (0 = hardware concurrency). Any value
-  /// yields bit-identical DL models and CCRs; only wall-clock time
-  /// changes. Sole exception: network-flow attack *timeouts* are
+  /// Thread count for every stage (0 = hardware concurrency): one pool
+  /// runs the layouts, features and flow attacks side by side, then
+  /// training, then each victim's DL attack in turn (see `run_table3`).
+  /// Any value yields bit-identical DL models and CCRs; only wall-clock
+  /// time changes. Sole exception: network-flow attack *timeouts* are
   /// wall-clock budgets, so flow rows sitting near the timeout can flip
-  /// under contention.
+  /// when the flow attack shares the pool with other designs' layouts.
   runtime::Config runtime;
   /// Directory for durable experiment work units (empty = disabled). Each
   /// completed Table-3 row / Figure-5 setting is written there as a
@@ -96,7 +98,11 @@ struct Table3Row {
 
 struct Table3Result {
   std::vector<Table3Row> rows;
-  double train_seconds = 0.0;
+  /// Wall time of each phase of the pass (see `run_table3`); all zero when
+  /// every row was loaded from a work unit.
+  double prepare_seconds = 0.0;  ///< layouts, features and flow attacks
+  double train_seconds = 0.0;    ///< `DlAttack::train` alone
+  double attack_seconds = 0.0;   ///< the victims' DL attacks
   /// Averages over rows where the flow attack finished (paper protocol).
   double avg_flow_ccr = 0.0;
   double avg_dl_ccr = 0.0;
@@ -108,7 +114,16 @@ struct Table3Result {
 void finalize_averages(Table3Result& result);
 
 /// Train once on the training corpus, then attack every design of
-/// `attack_profiles` at `split_layer`.
+/// `designs` at `split_layer`, on one pool in three phases:
+///  1. one task per design, largest first: each training design is laid
+///     out, split and featurized; each victim is laid out, split,
+///     featurized and attacked with the network-flow baseline;
+///  2. the model trains on the corpus datasets, in corpus order;
+///  3. each victim's DL attack runs over the whole pool, in design order.
+/// Rows are bit-identical at any thread count. A row's `dl_seconds` is its
+/// phase-1 feature time plus its phase-3 attack time and its
+/// `flow_seconds` comes from phase 1; both are wall-clock times measured
+/// on the shared pool. Rows loaded from work units skip phases 1 and 3.
 Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
                         const layout::FlowConfig& flow,
                         const std::vector<netlist::DesignProfile>& designs,

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -697,6 +698,125 @@ TEST_F(DurabilityTest, Figure5RerunLoadsWorkUnitsBitIdenticallyAndSkips) {
     EXPECT_EQ(third[i].avg_ccr, first[i].avg_ccr)
         << "recomputed row diverged for " << first[i].setting;
   }
+}
+
+/// The work-unit file of `slot` in `dir` (one unit per slot is written).
+std::string unit_for_slot(const std::string& dir, std::size_t slot) {
+  char suffix[16];
+  std::snprintf(suffix, sizeof(suffix), "_%03zu.sma", slot);
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().ends_with(suffix)) {
+      return entry.path().string();
+    }
+  }
+  ADD_FAILURE() << "no work unit for slot " << slot << " in " << dir;
+  return "";
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST_F(DurabilityTest, Table3ResumeRecomputesOnlyTheMissingVictim) {
+  const std::string dir = test_dir();
+  eval::ExperimentProfile profile = eval::ExperimentProfile::fast();
+  profile.dataset.candidates.max_candidates = 6;
+  profile.dataset.images.size = 9;
+  profile.dataset.images.pixel_sizes = {200, 400};
+  profile.net.hidden = 16;
+  profile.net.vector_res_blocks = 1;
+  profile.net.merged_res_blocks = 1;
+  profile.net.conv_channels = {4, 6, 8, 10};
+  profile.net.image_fc = 16;
+  profile.train.epochs = 1;
+  profile.train.max_queries_per_design = 20;
+  profile.flow_attack.timeout_seconds = 1e6;  // no time-dependent rows
+  profile.work_dir = dir;
+
+  netlist::DesignProfile a;
+  a.name = "tiny_a";
+  a.num_inputs = 8;
+  a.num_outputs = 4;
+  a.num_gates = 300;
+  netlist::DesignProfile b = a;
+  b.name = "tiny_b";
+  b.num_gates = 260;
+  const std::vector<netlist::DesignProfile> victims = {a, b};
+  const std::size_t corpus = netlist::training_profiles().size();
+  layout::FlowConfig flow;
+
+  eval::SplitCache::global().clear();
+  const eval::Table3Result first =
+      eval::run_table3(3, profile, flow, victims, 2019);
+  ASSERT_EQ(first.rows.size(), 2u);
+
+  // Rerun on a cleared split cache with the same pass configuration;
+  // returns the split-cache misses of that rerun.
+  const auto rerun = [&](eval::Table3Result& out) {
+    eval::SplitCache::global().clear();
+    out = eval::run_table3(3, profile, flow, victims, 2019);
+    return eval::SplitCache::global().stats().misses;
+  };
+  // The row's counts, CCRs and hit rate equal the first run's.
+  const auto expect_row_matches = [&](const eval::Table3Result& r,
+                                      std::size_t slot) {
+    ASSERT_EQ(r.rows.size(), 2u);
+    const eval::Table3Row& want = first.rows[slot];
+    const eval::Table3Row& got = r.rows[slot];
+    EXPECT_EQ(got.design, want.design);
+    EXPECT_EQ(got.num_sink_fragments, want.num_sink_fragments);
+    EXPECT_EQ(got.num_source_fragments, want.num_source_fragments);
+    EXPECT_EQ(got.flow_timed_out, want.flow_timed_out);
+    EXPECT_TRUE(same_bits(got.dl_ccr, want.dl_ccr)) << want.design;
+    EXPECT_TRUE(same_bits(got.flow_ccr, want.flow_ccr)) << want.design;
+    EXPECT_TRUE(same_bits(got.hit_rate, want.hit_rate)) << want.design;
+  };
+
+  // Slot 1's unit is lost: only victim 1 is laid out again (plus the
+  // training corpus, which the model needs), and row 0 comes from its file
+  // — its wall-clock fields are bit-equal only if they were loaded.
+  ASSERT_EQ(std::remove(unit_for_slot(dir, 1).c_str()), 0);
+  eval::Table3Result resumed;
+  EXPECT_EQ(rerun(resumed), corpus + 1);
+  ASSERT_EQ(resumed.rows.size(), 2u);
+  expect_row_matches(resumed, 0);
+  EXPECT_TRUE(same_bits(resumed.rows[0].dl_seconds, first.rows[0].dl_seconds));
+  EXPECT_TRUE(
+      same_bits(resumed.rows[0].flow_seconds, first.rows[0].flow_seconds));
+  expect_row_matches(resumed, 1);
+
+  // A unit whose frame is intact but whose payload another encoder wrote
+  // is rejected and recomputed: first one trailing byte, then a sink count
+  // that does not fit an int.
+  const auto reframe = [](const std::string& path, auto&& edit) {
+    std::string payload =
+        util::read_frame_file(path, "sma-work-unit", /*version=*/1);
+    edit(payload);
+    util::write_frame_file(path, "sma-work-unit", /*version=*/1, payload);
+  };
+  reframe(unit_for_slot(dir, 0), [](std::string& p) { p.push_back('\0'); });
+  eval::Table3Result trailing;
+  EXPECT_EQ(rerun(trailing), corpus + 1);
+  expect_row_matches(trailing, 0);
+  expect_row_matches(trailing, 1);
+
+  reframe(unit_for_slot(dir, 1), [&](std::string& p) {
+    // digest, slot, name length, name, then the sink count.
+    const std::size_t offset = 3 * sizeof(std::uint64_t) + b.name.size();
+    ASSERT_LE(offset + sizeof(std::uint64_t), p.size());
+    const std::uint64_t huge = std::uint64_t{1} << 32;
+    std::memcpy(p.data() + offset, &huge, sizeof(huge));
+  });
+  eval::Table3Result oversized;
+  EXPECT_EQ(rerun(oversized), corpus + 1);
+  expect_row_matches(oversized, 0);
+  expect_row_matches(oversized, 1);
+
+  // Both repaired units load: nothing is laid out and training is skipped.
+  eval::Table3Result loaded;
+  EXPECT_EQ(rerun(loaded), 0u);
+  expect_row_matches(loaded, 0);
+  expect_row_matches(loaded, 1);
 }
 
 // ---------------------------------------------------------------------

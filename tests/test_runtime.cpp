@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "eval/experiment.hpp"
+#include "util/hash.hpp"
+#include "util/timer.hpp"
 
 namespace sma::runtime {
 namespace {
@@ -207,14 +210,56 @@ std::vector<netlist::DesignProfile> determinism_designs() {
   return designs;
 }
 
+/// Digest of every field of the rows that the determinism contract pins:
+/// design, fragment counts, the timeout flag and the bit patterns of the
+/// two CCRs and the hit rate. The wall-clock fields are left out.
+std::uint64_t table3_rows_digest(const eval::Table3Result& result) {
+  util::ContentHash h;
+  for (const eval::Table3Row& row : result.rows) {
+    h.add(row.design)
+        .add(row.num_sink_fragments)
+        .add(row.num_source_fragments)
+        .add(row.flow_timed_out)
+        .add(row.dl_ccr)
+        .add(row.flow_ccr)
+        .add(row.hit_rate);
+  }
+  return h.digest();
+}
+
+/// `table3_rows_digest` of the rows above, recorded from the three-phase
+/// schedule (corpus, training, victims) that preceded the largest-first
+/// task list.
+constexpr std::uint64_t kTable3RowsDigest = 0xa14552f05a84af3cull;
+
 TEST(Determinism, ParallelTable3MatchesSerialRowForRow) {
   const std::vector<netlist::DesignProfile> designs = determinism_designs();
   layout::FlowConfig flow;
 
+  util::Timer serial_timer;
   eval::Table3Result serial =
       eval::run_table3(3, determinism_profile(1), flow, designs, 2019);
+  const double serial_wall = serial_timer.seconds();
+  util::Timer parallel_timer;
   eval::Table3Result parallel =
       eval::run_table3(3, determinism_profile(4), flow, designs, 2019);
+  const double parallel_wall = parallel_timer.seconds();
+
+  // The phase walls are real, disjoint parts of each call.
+  for (const auto& [result, wall] : {std::pair{&serial, serial_wall},
+                                     std::pair{&parallel, parallel_wall}}) {
+    EXPECT_GT(result->prepare_seconds, 0.0);
+    EXPECT_GT(result->train_seconds, 0.0);
+    EXPECT_GT(result->attack_seconds, 0.0);
+    EXPECT_LE(result->prepare_seconds + result->train_seconds +
+                  result->attack_seconds,
+              wall);
+  }
+
+  // Pinned: any schedule of the pass must reproduce these rows bit for bit,
+  // serial and pooled alike.
+  EXPECT_EQ(table3_rows_digest(serial), kTable3RowsDigest);
+  EXPECT_EQ(table3_rows_digest(parallel), kTable3RowsDigest);
 
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {

@@ -203,16 +203,25 @@ TEST_F(SplitCacheTest, Table3RowsUnchangedByCache) {
   SplitCache::global().set_enabled(false);
   Table3Result uncached = run_table3(3, profile, flow, designs, 2019);
 
+  // A cold pooled pass prepares every design exactly once: one miss per
+  // training design and victim, and no hit.
   SplitCache::global().set_enabled(true);
-  Table3Result warmup = run_table3(3, profile, flow, designs, 2019);
+  SplitCache::global().clear();
+  ExperimentProfile pooled = profile;
+  pooled.runtime.threads = 3;
+  Table3Result warmup = run_table3(3, pooled, flow, designs, 2019);
   const SplitCache::Stats warm_stats = SplitCache::global().stats();
-  EXPECT_GT(warm_stats.misses, 0u);
+  const std::size_t num_designs =
+      netlist::training_profiles().size() + designs.size();
+  EXPECT_EQ(warm_stats.hits, 0u);
+  EXPECT_EQ(warm_stats.misses, num_designs);
 
   Table3Result cached = run_table3(3, profile, flow, designs, 2019);
   const SplitCache::Stats hit_stats = SplitCache::global().stats();
-  // Second cached run rebuilt nothing: training corpus + victim all hit.
+  // The cached rerun rebuilt nothing: training corpus and victim each hit
+  // exactly once.
   EXPECT_EQ(hit_stats.misses, warm_stats.misses);
-  EXPECT_GE(hit_stats.hits, warm_stats.hits + designs.size());
+  EXPECT_EQ(hit_stats.hits, warm_stats.hits + num_designs);
 
   ASSERT_EQ(uncached.rows.size(), cached.rows.size());
   for (std::size_t i = 0; i < uncached.rows.size(); ++i) {
