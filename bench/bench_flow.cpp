@@ -19,7 +19,9 @@
 //
 // Flags:
 //   --threads=1,2,4    thread counts to sweep (1 always measured first)
-//   --designs=c432,... design profiles (default: two small/mid designs)
+//   --designs=c432,... design profiles (default: c432 and b13, small and
+//                      mid, plus c3540, large enough that the router's A*
+//                      dominates the flow)
 //   --wave=N           wave_size for the wave runs (default: RouterConfig)
 //   --seed=2019        flow seed
 //   --smoke            minimal sweep (c432, threads 1,2) for CI
@@ -113,7 +115,7 @@ int main(int argc, char** argv) {
   sma::benchutil::init_observability();
 
   std::vector<int> threads = {1, 2, 4};
-  std::vector<std::string> design_names = {"c432", "b13"};
+  std::vector<std::string> design_names = {"c432", "b13", "c3540"};
   int wave_size = sma::route::RouterConfig{}.wave_size;
   std::uint64_t seed = 2019;
   bool smoke = false;

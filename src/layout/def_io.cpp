@@ -42,9 +42,50 @@ int expect_count(std::istream& in, const char* context) {
   return static_cast<int>(value);
 }
 
+/// Largest coordinate magnitude a file may give DIEAREA, GCELL and the
+/// ROWS sizes: 2^40 DBU, about 550 m at 2,000 DBU per micron. Every
+/// placed or routed coordinate must then lie in the routing grid's area
+/// (DIEAREA rounded up to whole gcells), within +-2^41, where the sums and
+/// differences the flow takes of a few coordinates cannot overflow.
+constexpr std::int64_t kMaxCoordinate = std::int64_t{1} << 40;
+
+std::int64_t expect_int_in(std::istream& in, const char* context,
+                           std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = expect_int(in, context);
+  if (value < lo || value > hi) {
+    fail(std::string("value out of range in ") + context + ": " +
+         std::to_string(value));
+  }
+  return value;
+}
+
+/// A point that must lie in `area` (inclusive).
+util::Point expect_point(std::istream& in, const char* context,
+                         const util::Rect& area) {
+  util::Point p;
+  p.x = expect_int(in, context);
+  p.y = expect_int(in, context);
+  if (!area.contains(p)) {
+    fail(std::string(context) + " at (" + std::to_string(p.x) + ", " +
+         std::to_string(p.y) + ") lies outside the routing grid");
+  }
+  return p;
+}
+
 void expect_keyword(std::istream& in, const std::string& keyword) {
   std::string token = expect_token(in, keyword.c_str());
   if (token != keyword) fail("expected '" + keyword + "', got '" + token + "'");
+}
+
+/// Runs a Netlist mutation, turning the std::logic_error it throws on a
+/// duplicate name or a pin connected twice into the parser's own error.
+template <typename Mutation>
+auto netlist_edit(Mutation&& mutation) -> decltype(mutation()) {
+  try {
+    return mutation();
+  } catch (const std::logic_error& e) {
+    fail(e.what());
+  }
 }
 
 }  // namespace
@@ -120,21 +161,22 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
 
   expect_keyword(in, "DIEAREA");
   util::Rect die;
-  die.lo.x = expect_int(in, "DIEAREA");
-  die.lo.y = expect_int(in, "DIEAREA");
-  die.hi.x = expect_int(in, "DIEAREA");
-  die.hi.y = expect_int(in, "DIEAREA");
+  die.lo.x = expect_int_in(in, "DIEAREA", -kMaxCoordinate, kMaxCoordinate);
+  die.lo.y = expect_int_in(in, "DIEAREA", -kMaxCoordinate, kMaxCoordinate);
+  die.hi.x = expect_int_in(in, "DIEAREA", -kMaxCoordinate, kMaxCoordinate);
+  die.hi.y = expect_int_in(in, "DIEAREA", -kMaxCoordinate, kMaxCoordinate);
 
   expect_keyword(in, "ROWS");
   place::Floorplan fp;
   fp.die = die;
-  fp.num_rows = static_cast<int>(expect_int(in, "ROWS"));
-  fp.num_sites = static_cast<int>(expect_int(in, "ROWS"));
-  fp.row_height = expect_int(in, "ROWS");
-  fp.site_width = expect_int(in, "ROWS");
+  fp.num_rows = expect_count(in, "ROWS");
+  fp.num_sites = expect_count(in, "ROWS");
+  fp.row_height = expect_int_in(in, "ROWS", 1, kMaxCoordinate);
+  fp.site_width = expect_int_in(in, "ROWS", 1, kMaxCoordinate);
 
   expect_keyword(in, "GCELL");
-  std::int64_t gcell = expect_int(in, "GCELL");
+  std::int64_t gcell = expect_int_in(in, "GCELL", -kMaxCoordinate,
+                                     kMaxCoordinate);
 
   Design design;
   design.netlist = std::make_unique<netlist::Netlist>(design_name, library);
@@ -153,6 +195,12 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
   } catch (const std::invalid_argument& e) {
     fail(std::string("bad DIEAREA/GCELL: ") + e.what());
   }
+  // Routed centre lines may sit past DIEAREA's high edge (the last gcell
+  // runs over it), so coordinates are checked against the grid's area.
+  const route::RoutingGrid& grid = *design.grid;
+  const util::Rect area{die.lo, {die.lo.x + grid.nx() * gcell,
+                                 die.lo.y + grid.ny() * gcell}};
+  const int num_layers = design.stack->num_layers();
 
   expect_keyword(in, "COMPONENTS");
   const int num_components = expect_count(in, "COMPONENTS");
@@ -162,10 +210,8 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
     std::string master = expect_token(in, "component");
     auto lib_index = library->find(master);
     if (!lib_index) fail("unknown master: " + master);
-    nl.add_cell(cell_name, *lib_index);
-    util::Point& position = cell_positions.emplace_back();
-    position.x = expect_int(in, "component");
-    position.y = expect_int(in, "component");
+    netlist_edit([&] { return nl.add_cell(cell_name, *lib_index); });
+    cell_positions.push_back(expect_point(in, "component", area));
   }
 
   expect_keyword(in, "PINS");
@@ -175,18 +221,22 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
     std::string direction = expect_token(in, "pin");
     expect_int(in, "pin");  // x: re-derived by Placement's perimeter rule
     expect_int(in, "pin");  // y
-    nl.add_port(port_name, direction == "IN"
-                               ? netlist::PortDirection::kInput
-                               : netlist::PortDirection::kOutput);
+    netlist_edit([&] {
+      return nl.add_port(port_name, direction == "IN"
+                                        ? netlist::PortDirection::kInput
+                                        : netlist::PortDirection::kOutput);
+    });
   }
 
   expect_keyword(in, "NETS");
   const int num_nets = expect_count(in, "NETS");
   std::vector<route::NetRoute> routes;  // indexed by NetId
+  // Summed as segments parse, so no net's or design's total can overflow.
+  std::int64_t total_wirelength = 0;
   for (int i = 0; i < num_nets; ++i) {
     expect_keyword(in, "NET");
     std::string net_name = expect_token(in, "net");
-    NetId net = nl.add_net(net_name);
+    NetId net = netlist_edit([&] { return nl.add_net(net_name); });
     route::NetRoute& net_route = routes.emplace_back();
     net_route.net = net;
 
@@ -196,7 +246,7 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
         std::string port_name = expect_token(in, "PORT");
         auto port = nl.find_port(port_name);
         if (!port) fail("unknown port: " + port_name);
-        nl.connect(net, PinRef::port(*port));
+        netlist_edit([&] { nl.connect(net, PinRef::port(*port)); });
       } else if (token == "PIN") {
         std::string cell_name = expect_token(in, "PIN");
         std::string pin_name = expect_token(in, "PIN");
@@ -211,25 +261,30 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
           }
         }
         if (lib_pin < 0) fail("unknown pin " + pin_name + " on " + cell_name);
-        nl.connect(net, PinRef::cell_pin(*cell, lib_pin));
+        netlist_edit(
+            [&] { nl.connect(net, PinRef::cell_pin(*cell, lib_pin)); });
       } else if (token == "SEGMENTS") {
         const int count = expect_count(in, "SEGMENTS");
         for (int s = 0; s < count; ++s) {
           route::RouteSegment seg;
-          seg.layer = static_cast<int>(expect_int(in, "segment"));
-          seg.a.x = expect_int(in, "segment");
-          seg.a.y = expect_int(in, "segment");
-          seg.b.x = expect_int(in, "segment");
-          seg.b.y = expect_int(in, "segment");
+          seg.layer =
+              static_cast<int>(expect_int_in(in, "segment", 1, num_layers));
+          seg.a = expect_point(in, "segment", area);
+          seg.b = expect_point(in, "segment", area);
+          if (seg.length() >
+              std::numeric_limits<std::int64_t>::max() - total_wirelength) {
+            fail("total wirelength overflows");
+          }
+          total_wirelength += seg.length();
           net_route.segments.push_back(seg);
         }
       } else if (token == "VIAS") {
         const int count = expect_count(in, "VIAS");
         for (int v = 0; v < count; ++v) {
           route::RouteVia via;
-          via.cut = static_cast<int>(expect_int(in, "via"));
-          via.at.x = expect_int(in, "via");
-          via.at.y = expect_int(in, "via");
+          via.cut =
+              static_cast<int>(expect_int_in(in, "via", 1, num_layers - 1));
+          via.at = expect_point(in, "via", area);
           net_route.vias.push_back(via);
         }
         break;  // VIAS is the last section of a net
@@ -246,8 +301,8 @@ Design read_def(std::istream& in, const tech::CellLibrary* library) {
   }
 
   design.routing.routes = std::move(routes);
-  for (route::NetRoute& route : design.routing.routes) {
-    design.routing.total_wirelength += route.total_wirelength();
+  design.routing.total_wirelength = total_wirelength;
+  for (const route::NetRoute& route : design.routing.routes) {
     design.routing.total_vias += static_cast<int>(route.vias.size());
   }
   return design;

@@ -21,7 +21,12 @@ std::string to_def_string(const Design& design);
 /// Reconstruct a design from DEF-lite text. The cell `library` must contain
 /// every master referenced by the file. Routed geometry is restored;
 /// router-internal grid-edge lists are not (all consumers work from
-/// geometry). Throws std::runtime_error on malformed input.
+/// geometry). Throws std::runtime_error on malformed or hostile input,
+/// among others on a duplicate name or a pin connected twice, a DIEAREA, GCELL or ROWS size beyond 2^40 DBU, a
+/// component, segment or via coordinate outside the routing grid's area
+/// (DIEAREA rounded up to whole gcells), a segment layer outside
+/// 1..num_layers, a via cut outside 1..num_layers-1, or a total
+/// wirelength that overflows.
 Design read_def(std::istream& in, const tech::CellLibrary* library);
 Design read_def_string(const std::string& text,
                        const tech::CellLibrary* library);

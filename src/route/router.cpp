@@ -6,8 +6,11 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/obs.hpp"
+#include "route/open_list.hpp"
 #include "runtime/parallel.hpp"
 #include "util/logging.hpp"
 #include "util/mutex.hpp"
@@ -23,29 +26,14 @@ using netlist::PinRef;
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-/// One open-list entry: f = g + h, the node's id, and its coordinates,
-/// carried so that a pop never divides the id back into (layer, x, y).
-/// RoutingGrid's size bounds guarantee that every node fits these widths.
-struct QueueEntry {
-  float f;
-  std::uint32_t node;
-  std::uint16_t x;
-  std::uint16_t y;
-  std::uint8_t layer;
-};
+// RoutingGrid's size bounds guarantee that every node fits the widths of
+// an open-list entry.
 static_assert(RoutingGrid::kMaxNodes <=
               std::numeric_limits<std::uint32_t>::max());
 static_assert(RoutingGrid::kMaxGcellsPerAxis - 1 <=
               std::numeric_limits<std::uint16_t>::max());
 static_assert(RoutingGrid::kMaxLayers <=
               std::numeric_limits<std::uint8_t>::max());
-
-/// Min-heap order of the open list: by f, ties by node id. A total order
-/// on the entries' values, so the pop sequence is fixed.
-bool pops_after(const QueueEntry& a, const QueueEntry& b) {
-  if (a.f != b.f) return a.f > b.f;
-  return a.node > b.node;  // deterministic tie-break
-}
 
 /// Scratch arrays for repeated A* searches, epoch-stamped so they never
 /// need clearing between searches, plus the open list every search reuses.
@@ -54,7 +42,7 @@ struct SearchScratch {
   std::vector<std::uint8_t> arrival;    ///< Dir + 1; 0 = tree seed
   std::vector<std::uint32_t> epoch;     ///< search stamp
   std::vector<std::uint32_t> tree_mark; ///< per-net tree membership stamp
-  std::vector<QueueEntry> open;         ///< binary heap under pops_after
+  OpenList open;                        ///< reused by every search
   std::uint32_t current_epoch = 0;
   std::uint32_t current_net_mark = 0;
 
@@ -107,22 +95,31 @@ class NetRouter {
                        return da < db;
                      });
 
-    std::size_t searches = 0;
-    std::size_t expansions = 0;
+    SearchWork work;
     for (const GridCoord& target : targets) {
       std::size_t target_index = grid_.node_index(target);
       if (scratch_.tree_mark[target_index] == mark) continue;  // already on tree
-      ++searches;
-      if (!astar_to_tree(target, mark, tree_nodes, route, expansions)) {
+      ++work.searches;
+      if (!astar_to_tree(target, mark, tree_nodes, route, work)) {
         fallback_route(target, mark, tree_nodes, route);
         ++fallbacks;
       }
     }
-    SMA_COUNT_N("route.astar_searches", searches);
-    SMA_COUNT_N("route.astar_expansions", expansions);
+    SMA_COUNT_N("route.astar_searches", work.searches);
+    SMA_COUNT_N("route.astar_expansions", work.expansions);
+    SMA_COUNT_N("route.astar_pushes", work.pushes);
+    SMA_COUNT_N("route.astar_stale_pops", work.stale_pops);
   }
 
  private:
+  /// One net's A* work, added to the route.astar_* counters once per net.
+  struct SearchWork {
+    std::size_t searches = 0;
+    std::size_t expansions = 0;  ///< nodes expanded
+    std::size_t pushes = 0;      ///< open-list pushes
+    std::size_t stale_pops = 0;  ///< pops of superseded entries
+  };
+
   /// Base cost and capacity shared by every edge leaving one layer in one
   /// direction; usage and history are the only per-edge cost terms.
   struct EdgeClass {
@@ -178,28 +175,34 @@ class NetRouter {
   }
 
   /// Multi-source A* from the current tree to `target`. On success, appends
-  /// the path's edges and adds its nodes to the tree. Adds the nodes it
-  /// expanded to `expansions`; at most `max_expansions` per search.
+  /// the path's edges and adds its nodes to the tree. Adds its expansions,
+  /// pushes and stale pops to `work`; at most `max_expansions` expansions
+  /// per search.
   bool astar_to_tree(const GridCoord& target, std::uint32_t mark,
                      std::vector<GridCoord>& tree_nodes, NetRoute& route,
-                     std::size_t& expansions) {
+                     SearchWork& work) {
     ++scratch_.current_epoch;
     const std::uint32_t epoch = scratch_.current_epoch;
-    std::vector<QueueEntry>& open = scratch_.open;
+    OpenList& open = scratch_.open;
     open.clear();
+    std::size_t pushes = 0;
+    std::size_t stale_pops = 0;
 
+    // f = g + h is >= +0.0 and never NaN (g starts at +0.0f; validate()
+    // keeps every cost term and the heuristic >= 0), as the open list's key
+    // requires.
     auto visit = [&](std::size_t index, const GridCoord& c, float g,
                      std::uint8_t arrival) {
       if (scratch_.epoch[index] == epoch && scratch_.g[index] <= g) return;
       scratch_.epoch[index] = epoch;
       scratch_.g[index] = g;
       scratch_.arrival[index] = arrival;
-      open.push_back({g + heuristic(c, target),
-                      static_cast<std::uint32_t>(index),
-                      static_cast<std::uint16_t>(c.x),
-                      static_cast<std::uint16_t>(c.y),
-                      static_cast<std::uint8_t>(c.layer)});
-      std::push_heap(open.begin(), open.end(), pops_after);
+      open.push({open_key(g + heuristic(c, target),
+                          static_cast<std::uint32_t>(index)),
+                 static_cast<std::uint16_t>(c.x),
+                 static_cast<std::uint16_t>(c.y),
+                 static_cast<std::uint8_t>(c.layer)});
+      ++pushes;
     };
 
     for (const GridCoord& c : tree_nodes) {
@@ -214,13 +217,14 @@ class NetRouter {
     bool found = false;
 
     while (!open.empty()) {
-      std::pop_heap(open.begin(), open.end(), pops_after);
-      const QueueEntry top = open.back();
-      open.pop_back();
-      const std::size_t index = top.node;
+      const OpenEntry top = open.pop();
+      const std::size_t index = key_node(top.key);
       const GridCoord c{top.layer, top.x, top.y};
       const float g = scratch_.g[index];
-      if (top.f > g + heuristic(c, target)) continue;  // stale entry
+      if (key_f(top.key) > g + heuristic(c, target)) {  // stale entry
+        ++stale_pops;
+        continue;
+      }
 
       if (index == target_index) {
         backtrack(c, mark, tree_nodes, route);
@@ -247,7 +251,9 @@ class NetRouter {
       if (c.layer < layers) relax(Dir::kUp, {c.layer + 1, c.x, c.y});
       if (c.layer > 1) relax(Dir::kDown, {c.layer - 1, c.x, c.y});
     }
-    expansions += expanded;
+    work.expansions += expanded;
+    work.pushes += pushes;
+    work.stale_pops += stale_pops;
     return found;
   }
 
@@ -399,14 +405,37 @@ void route_waves(const std::vector<NetId>& nets, RoutingResult& result,
   for (int f : fallbacks) result.fallback_routes += f;
 }
 
+/// Rejects a config the search cannot order: a negative or non-finite
+/// weight gives a negative or NaN f (and a negative via_cost makes the
+/// heuristic inadmissible).
+void validate(const RouterConfig& config) {
+  if (config.wave_size < 1) {
+    throw std::invalid_argument("RouterConfig::wave_size must be >= 1");
+  }
+  const std::pair<const char*, double> weights[] = {
+      {"via_cost", config.via_cost},
+      {"wrongway_mult", config.wrongway_mult},
+      {"m1_cost_mult", config.m1_cost_mult},
+      {"present_weight", config.present_weight},
+      {"history_weight", config.history_weight},
+      {"overflow_penalty", config.overflow_penalty},
+      {"layer_height_cost", config.layer_height_cost},
+  };
+  for (const auto& [name, value] : weights) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw std::invalid_argument(std::string("RouterConfig::") + name +
+                                  " must be finite and >= 0, got " +
+                                  std::to_string(value));
+    }
+  }
+}
+
 }  // namespace
 
 RoutingResult route_design(const place::Placement& placement,
                            RoutingGrid& grid, const RouterConfig& config,
                            runtime::ThreadPool* pool) {
-  if (config.wave_size < 1) {
-    throw std::invalid_argument("RouterConfig::wave_size must be >= 1");
-  }
+  validate(config);
   const netlist::Netlist& nl = placement.netlist();
   RoutingResult result;
   result.routes.resize(nl.num_nets());

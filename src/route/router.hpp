@@ -5,8 +5,13 @@
 // growing route tree with multi-source A*), preferred-direction and via
 // costs shape the paths, and a few rip-up-and-reroute rounds with history
 // costs resolve overflows. The output geometry feeds the split model and
-// the attack features. The counters `route.astar_searches` and
-// `route.astar_expansions` (updated once per net) record the search work.
+// the attack features. Four counters, updated once per net, record the
+// search work: `route.astar_searches` (two-pin connections searched),
+// `route.astar_expansions` (nodes expanded), `route.astar_pushes`
+// (open-list pushes) and `route.astar_stale_pops` (popped entries that a
+// cheaper push of the same node had superseded). Every pop is an
+// expansion, a stale pop, or the one that ends a search, so
+// pushes >= expansions.
 //
 // Nets are scheduled in deterministic *waves* of `RouterConfig::wave_size`
 // nets: every net of a wave runs A* against an immutable snapshot of grid
@@ -85,7 +90,10 @@ struct RoutingResult {
 /// populated so callers can inspect congestion. A non-null `pool` routes
 /// each wave's nets concurrently; the result is bit-identical to the
 /// serial run at any thread count (see the wave contract above). Throws
-/// std::invalid_argument on a non-positive `wave_size`.
+/// std::invalid_argument, naming the field, on a non-positive `wave_size`
+/// or on a cost weight (`via_cost`, `wrongway_mult`, `m1_cost_mult`,
+/// `present_weight`, `history_weight`, `overflow_penalty`,
+/// `layer_height_cost`) that is negative or not finite; zero is legal.
 RoutingResult route_design(const place::Placement& placement,
                            RoutingGrid& grid, const RouterConfig& config = {},
                            runtime::ThreadPool* pool = nullptr);

@@ -2,16 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <map>
+#include <queue>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "netlist/generator.hpp"
 #include "obs/obs.hpp"
 #include "place/global_placer.hpp"
 #include "place/legalizer.hpp"
+#include "route/open_list.hpp"
 #include "test_support.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace sma::route {
 namespace {
@@ -330,28 +337,37 @@ TEST(Router, RoutesMatchPinnedDigests) {
 }
 
 TEST(Router, SearchWorkCountersMatchSerialAndPooled) {
-  // route.astar_searches / route.astar_expansions count the A* work behind
-  // the route seconds. Both are sums over nets of a per-net count, so they
-  // must not depend on the thread count.
+  // The route.astar_* counters count the A* work behind the route seconds:
+  // searches, expansions, open-list pushes and stale pops. Each is a sum
+  // over nets of a per-net count, so none may depend on the thread count.
   if (!obs::compiled()) GTEST_SKIP() << "built with -DSMA_OBS=OFF";
   obs::Registry& registry = obs::Registry::global();
   obs::Counter& searches = registry.counter("route.astar_searches");
   obs::Counter& expansions = registry.counter("route.astar_expansions");
+  obs::Counter& pushes = registry.counter("route.astar_pushes");
+  obs::Counter& stale_pops = registry.counter("route.astar_stale_pops");
   auto work = [&](runtime::ThreadPool* pool) {
     const std::uint64_t s0 = searches.value();
     const std::uint64_t e0 = expansions.value();
+    const std::uint64_t p0 = pushes.value();
+    const std::uint64_t st0 = stale_pops.value();
     route_small(150, 9, pool);
-    return std::pair(searches.value() - s0, expansions.value() - e0);
+    return std::tuple(searches.value() - s0, expansions.value() - e0,
+                      pushes.value() - p0, stale_pops.value() - st0);
   };
   const auto serial = work(nullptr);
   runtime::ThreadPool pool(3);  // 4 threads with the caller
   const auto pooled = work(&pool);
-  EXPECT_GT(serial.first, 0u);
-  EXPECT_GT(serial.second, serial.first);
+  const auto [serial_searches, serial_expansions, serial_pushes,
+              serial_stale_pops] = serial;
+  EXPECT_GT(serial_searches, 0u);
+  EXPECT_GT(serial_expansions, serial_searches);
+  // Every pop is an expansion, a stale pop or a search's last pop.
+  EXPECT_GE(serial_pushes, serial_expansions + serial_stale_pops);
   EXPECT_EQ(serial, pooled);
 }
 
-TEST(Router, RejectsNonPositiveWaveSize) {
+TEST(Router, RejectsInvalidConfig) {
   netlist::GeneratorConfig generator;
   generator.num_inputs = 4;
   generator.num_outputs = 2;
@@ -362,10 +378,139 @@ TEST(Router, RejectsNonPositiveWaveSize) {
   place::Placement placement(&nl, fp);
   place::run_global_placement(placement);
   tech::LayerStack stack = tech::LayerStack::nangate45_like();
-  RoutingGrid grid(&stack, fp.die);
-  RouterConfig config;
-  config.wave_size = 0;
-  EXPECT_THROW(route_design(placement, grid, config), std::invalid_argument);
+  auto route_with = [&](const RouterConfig& config) {
+    RoutingGrid grid(&stack, fp.die);
+    return route_design(placement, grid, config);
+  };
+  RouterConfig zero_wave;
+  zero_wave.wave_size = 0;
+  EXPECT_THROW(route_with(zero_wave), std::invalid_argument);
+
+  // A negative or NaN cost weight would give a negative or NaN f, which
+  // the open list's key cannot order; each is rejected by name. Zero is a
+  // legal weight.
+  const std::pair<const char*, double RouterConfig::*> weights[] = {
+      {"via_cost", &RouterConfig::via_cost},
+      {"wrongway_mult", &RouterConfig::wrongway_mult},
+      {"m1_cost_mult", &RouterConfig::m1_cost_mult},
+      {"present_weight", &RouterConfig::present_weight},
+      {"history_weight", &RouterConfig::history_weight},
+      {"overflow_penalty", &RouterConfig::overflow_penalty},
+      {"layer_height_cost", &RouterConfig::layer_height_cost},
+  };
+  for (const auto& [name, field] : weights) {
+    for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(std::string(name) + " = " + std::to_string(bad));
+      RouterConfig config;
+      config.*field = bad;
+      try {
+        route_with(config);
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+    RouterConfig zero;
+    zero.*field = 0.0;
+    EXPECT_NO_THROW(route_with(zero)) << name;
+  }
+}
+
+// --- the open list ------------------------------------------------------
+
+/// The open list's order before the packed key: by f, ties by node id
+/// (a greater-than, as std::priority_queue takes it).
+struct ReferenceEntry {
+  float f;
+  std::uint32_t node;
+};
+bool pops_after(const ReferenceEntry& a, const ReferenceEntry& b) {
+  if (a.f != b.f) return a.f > b.f;
+  return a.node > b.node;
+}
+
+TEST(OpenList, PopsInExactFNodeOrder) {
+  // Random interleaved pushes and pops, mirrored into a std::priority_queue
+  // under the old comparator, must pop the same (f, node) sequence bit for
+  // bit. The values cover what the router can push: +0, subnormal f, many
+  // equal f at different nodes, repeated (f, node) pairs (a node pushed
+  // twice at one f) and f up to 1e30.
+  util::Pcg32 rng(2019);
+  std::vector<ReferenceEntry> pushed;
+  auto random_entry = [&]() -> ReferenceEntry {
+    if (!pushed.empty() && rng.next_below(8) == 0) {
+      return pushed[rng.next_below(static_cast<std::uint32_t>(pushed.size()))];
+    }
+    float f = 0.0f;
+    switch (rng.next_below(6)) {
+      case 0: f = 0.0f; break;
+      case 1:
+        f = std::numeric_limits<float>::denorm_min() *
+            static_cast<float>(1 + rng.next_below(1000));
+        break;
+      case 2: f = static_cast<float>(rng.next_below(8)); break;
+      case 3: f = static_cast<float>(rng.next_double() * 500.0); break;
+      case 4: f = static_cast<float>(rng.next_double() * 1e30); break;
+      default: f = 1e30f; break;
+    }
+    const std::uint32_t node =
+        rng.next_below(4) == 0 ? rng.next_u32() : rng.next_below(64);
+    return {f, node};
+  };
+  // The router carries a node's coordinates in its entry; here they are
+  // a function of the node, as they are there.
+  auto entry_of = [](const ReferenceEntry& e) {
+    return OpenEntry{open_key(e.f, e.node),
+                     static_cast<std::uint16_t>(e.node),
+                     static_cast<std::uint16_t>(e.node >> 16),
+                     static_cast<std::uint8_t>(e.node % 251)};
+  };
+
+  OpenList open;
+  std::size_t pops = 0;
+  for (int round = 0; round < 40; ++round) {
+    open.clear();  // reused across rounds, as across searches
+    std::priority_queue<ReferenceEntry, std::vector<ReferenceEntry>,
+                        decltype(&pops_after)>
+        reference(&pops_after);
+    pushed.clear();
+    // Alternate growing and draining phases so the heap is exercised at
+    // every size, including the one-child last parent.
+    const std::uint32_t push_percent = round % 2 == 0 ? 70 : 45;
+    for (int step = 0; step < 3000; ++step) {
+      if (reference.empty() || rng.next_below(100) < push_percent) {
+        const ReferenceEntry e = random_entry();
+        pushed.push_back(e);
+        reference.push(e);
+        open.push(entry_of(e));
+      } else {
+        const ReferenceEntry want = reference.top();
+        reference.pop();
+        const OpenEntry got = open.pop();
+        ++pops;
+        ASSERT_EQ(key_node(got.key), want.node) << "pop " << pops;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(key_f(got.key)),
+                  std::bit_cast<std::uint32_t>(want.f))
+            << "pop " << pops;
+        const OpenEntry coords = entry_of(want);
+        ASSERT_EQ(got.x, coords.x);
+        ASSERT_EQ(got.y, coords.y);
+        ASSERT_EQ(got.layer, coords.layer);
+      }
+      ASSERT_EQ(open.size(), reference.size());
+    }
+    while (!reference.empty()) {  // drain: the tail order must match too
+      const ReferenceEntry want = reference.top();
+      reference.pop();
+      const OpenEntry got = open.pop();
+      ++pops;
+      ASSERT_EQ(got.key, open_key(want.f, want.node)) << "pop " << pops;
+    }
+    EXPECT_TRUE(open.empty());
+  }
+  EXPECT_GT(pops, 50000u);
 }
 
 // --- fallback-route termination (regression) ---------------------------
