@@ -1,17 +1,14 @@
 // Cache-cold physical-design-flow bench: per-phase timings and the wave
-// router's determinism + quality contract (the tentpole measurement for
+// router's determinism + quality contract (the measurement for
 // intra-flow parallelism).
 //
-// For every requested design the bench runs:
-//   1. the legacy strictly-sequential flow (wave_size = 1, relax_lanes =
-//      1) — the quality baseline the wave schedule replaced, and
-//   2. the wave-scheduled flow at each requested thread count, verifying
-//      that every count produces a byte-identical layout (DEF string) and
-//      reporting global-place / legalize / detailed-place / route /
-//      negotiation seconds per run.
-// Quality deltas (wirelength, vias, final overflow, fallbacks) between
-// the wave schedule and the legacy schedule go into the JSON — the wave
-// router is a deliberate algorithm change and its cost must stay visible.
+// For every requested design the bench runs the wave-scheduled flow at
+// each requested thread count, verifies that every count produces a
+// byte-identical layout (DEF string), and reports global-place /
+// legalize / detailed-place / route / negotiation seconds per run. The
+// serial run's routing quality (wirelength, vias, final overflow,
+// fallbacks) goes into the JSON, so a change to the wave schedule shows
+// its cost against the committed BENCH_flow.json.
 //
 // Human-readable progress goes to stderr; stdout carries exactly one JSON
 // object (scripts/bench.sh redirects it to BENCH_flow.json). Exit status
@@ -178,17 +175,10 @@ int main(int argc, char** argv) {
   sma::layout::FlowConfig wave_flow;
   wave_flow.seed = seed;
   wave_flow.router.wave_size = wave_size;
-  // The quality baseline: the pre-wave strictly-sequential flow
-  // (single-net "waves" with bulk offender rip-up, single-lane relax).
-  sma::layout::FlowConfig legacy_flow = wave_flow;
-  legacy_flow.router.wave_size = 1;
-  legacy_flow.router.bulk_negotiation_ripup = true;
-  legacy_flow.global_placer.relax_lanes = 1;
 
   std::cerr << "bench_flow: " << designs.size() << " designs, wave_size "
-            << wave_size << ", relax_lanes "
-            << wave_flow.global_placer.relax_lanes << ", host concurrency "
-            << host_concurrency << (smoke ? ", smoke" : "") << "\n";
+            << wave_size << ", host concurrency " << host_concurrency
+            << (smoke ? ", smoke" : "") << "\n";
 
   bool deterministic = true;
   sma::obs::RunReport report("flow", threads.back());
@@ -199,12 +189,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t d = 0; d < designs.size(); ++d) {
     const sma::netlist::DesignProfile& profile = designs[d];
-    std::cerr << profile.name << ": legacy sequential flow...\n";
-    FlowRun legacy = run_flow_once(profile, legacy_flow, 1);
-    std::cerr << "  legacy: " << legacy.seconds << "s, WL "
-              << legacy.wirelength << ", vias " << legacy.vias
-              << ", overflow " << legacy.overflow << "\n";
-
+    std::cerr << profile.name << ":\n";
     std::vector<FlowRun> runs;
     bool design_identical = true;
     for (int t : threads) {
@@ -243,35 +228,17 @@ int main(int argc, char** argv) {
       }
     }
 
-    const FlowRun& wave_serial = runs.front();
     body << (d ? ", " : "") << "{\"design\": \""
-         << json_escape(profile.name) << "\", \"legacy\": {";
-    append_quality_json(body, legacy);
-    body << "}, \"wave\": {\"wave_size\": " << wave_size
-         << ", \"relax_lanes\": " << wave_flow.global_placer.relax_lanes
-         << ", ";
-    append_quality_json(body, wave_serial);
+         << json_escape(profile.name) << "\", \"wave\": {\"wave_size\": "
+         << wave_size << ", ";
+    append_quality_json(body, runs.front());
     body << ", \"identical_across_threads\": "
          << (design_identical ? "true" : "false") << ", \"runs\": [";
     for (std::size_t r = 0; r < runs.size(); ++r) {
       if (r) body << ", ";
       append_run_json(body, runs[r], baseline_seconds);
     }
-    body << "]}, \"delta_vs_legacy\": {\"wirelength_pct\": "
-         << (legacy.wirelength > 0
-                 ? 100.0 * (wave_serial.wirelength - legacy.wirelength) /
-                       static_cast<double>(legacy.wirelength)
-                 : 0.0)
-         << ", \"vias_pct\": "
-         << (legacy.vias > 0 ? 100.0 * (wave_serial.vias - legacy.vias) /
-                                   static_cast<double>(legacy.vias)
-                             : 0.0)
-         << ", \"overflow\": " << wave_serial.overflow - legacy.overflow
-         << ", \"fallbacks\": " << wave_serial.fallbacks - legacy.fallbacks
-         << ", \"serial_seconds_ratio\": "
-         << (legacy.seconds > 0.0 ? wave_serial.seconds / legacy.seconds
-                                  : 0.0)
-         << "}}";
+    body << "]}}";
   }
 
   std::ostringstream json;

@@ -1,10 +1,13 @@
 #include "eval/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 
@@ -74,15 +77,15 @@ ExperimentProfile ExperimentProfile::paper() {
 
 namespace {
 
-/// Build a dataset for one prepared design under `profile`.
-attack::QueryDataset make_dataset(const PreparedSplit& prepared,
-                                  const ExperimentProfile& profile,
-                                  bool build_images,
-                                  runtime::ThreadPool* pool) {
+/// Build a dataset for one prepared design under `profile`, with or
+/// without images.
+std::unique_ptr<attack::QueryDataset> make_dataset(
+    const PreparedSplit& prepared, const ExperimentProfile& profile,
+    bool build_images, runtime::ThreadPool* pool) {
   attack::DatasetConfig config = profile.dataset;
-  config.build_images = build_images && profile.net.use_images;
+  config.build_images = build_images;
   config.pool = pool;
-  return attack::QueryDataset(prepared.split.get(), config);
+  return std::make_unique<attack::QueryDataset>(prepared.split.get(), config);
 }
 
 /// The per-design seeds every experiment derives from its master seed.
@@ -95,42 +98,37 @@ std::uint64_t victim_seed(std::uint64_t seed,
   return seed ^ 0x5151u ^ (design.num_gates * 131ull);
 }
 
-/// One training design, laid out, split and featurized. The dataset
-/// points into `prepared`, which must outlive it.
-struct CorpusDesign {
-  PreparedSplit prepared;
-  std::unique_ptr<attack::QueryDataset> dataset;
-};
-
-CorpusDesign prepare_corpus_design(const netlist::DesignProfile& design,
-                                   int split_layer,
-                                   const ExperimentProfile& profile,
-                                   const layout::FlowConfig& flow,
-                                   std::uint64_t seed,
-                                   runtime::ThreadPool* pool) {
-  CorpusDesign out;
-  out.prepared = prepare_split(design, split_layer, flow,
-                               corpus_seed(seed, design), pool);
-  out.dataset = std::make_unique<attack::QueryDataset>(
-      make_dataset(out.prepared, profile, true, pool));
-  return out;
+/// Phase 1's task list for a pass over the training corpus and `designs`:
+/// job j < corpus.size() is corpus design j, and job corpus.size() + d is
+/// victim d. Largest design first, so the longest layouts start early and
+/// the small ones fill in behind them; the sort is stable, so ties keep
+/// corpus-then-victim order. A design's results are a pure function of
+/// its profile, seed and config, so the order never changes a row.
+std::vector<std::size_t> largest_first(
+    const std::vector<netlist::DesignProfile>& corpus,
+    const std::vector<netlist::DesignProfile>& designs) {
+  const auto gates = [&](std::size_t job) {
+    return job < corpus.size() ? corpus[job].num_gates
+                               : designs[job - corpus.size()].num_gates;
+  };
+  std::vector<std::size_t> jobs(corpus.size() + designs.size());
+  std::iota(jobs.begin(), jobs.end(), std::size_t{0});
+  std::stable_sort(jobs.begin(), jobs.end(), [&](std::size_t a, std::size_t b) {
+    return gates(a) > gates(b);
+  });
+  return jobs;
 }
 
-/// Train a DL attack on the corpus datasets in corpus order (moved out of
-/// `corpus`). Training parallelizes over gradient lanes (see DlAttack).
-/// `train_seconds`, when non-null, receives the wall time of
-/// `DlAttack::train` alone.
-attack::DlAttack train_on(std::vector<CorpusDesign>& corpus,
+/// Train a DL attack on `training`, in order. Training parallelizes over
+/// gradient lanes (see DlAttack). Concurrent calls may share `training`
+/// when its datasets were built with a pool: their image caches are then
+/// complete, and training only reads them. `train_seconds`, when non-null,
+/// receives the wall time of `DlAttack::train` alone.
+attack::DlAttack train_on(std::vector<attack::QueryDataset>& training,
                           const ExperimentProfile& profile,
                           std::uint64_t seed, runtime::ThreadPool* pool,
                           double* train_seconds = nullptr) {
-  std::vector<attack::QueryDataset> training;
-  training.reserve(corpus.size());
-  for (CorpusDesign& design : corpus) {
-    training.push_back(std::move(*design.dataset));
-  }
   std::vector<attack::QueryDataset> validation;  // optional; unused by default
-
   nn::NetConfig net_config = profile.net;
   net_config.image_channels =
       static_cast<int>(profile.dataset.images.pixel_sizes.size());
@@ -140,24 +138,6 @@ attack::DlAttack train_on(std::vector<CorpusDesign>& corpus,
   dl.train(training, validation, profile.train, pool);
   if (train_seconds != nullptr) *train_seconds = timer.seconds();
   return dl;
-}
-
-/// Train a DL attack over the standard training corpus at `split_layer`.
-/// One task per training design covers layout generation and feature
-/// extraction; designs are independent, so no barrier between stages.
-attack::DlAttack train_attack(int split_layer,
-                              const ExperimentProfile& profile,
-                              const layout::FlowConfig& flow,
-                              std::uint64_t seed,
-                              runtime::ThreadPool* pool) {
-  const std::vector<netlist::DesignProfile>& profiles =
-      netlist::training_profiles();
-  std::vector<CorpusDesign> corpus = runtime::parallel_map(
-      pool, profiles.size(), /*grain=*/1, [&](std::size_t i) {
-        return prepare_corpus_design(profiles[i], split_layer, profile, flow,
-                                     seed, pool);
-      });
-  return train_on(corpus, profile, seed, pool);
 }
 
 /// ------------------------------------------------------------------
@@ -417,6 +397,27 @@ void save_work_unit(const std::string& path, const std::string& payload) {
   }
 }
 
+/// Load the work units of slots [0, slots); a slot whose unit is missing
+/// or does not decode stays empty and is recomputed.
+template <typename Row>
+std::vector<std::optional<Row>> load_work_units(
+    const std::string& dir, std::uint64_t digest, std::size_t slots,
+    Row (*decode)(const std::string&, std::uint64_t, std::size_t)) {
+  std::vector<std::optional<Row>> cached(slots);
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::optional<std::string> payload =
+        load_work_unit(work_unit_path(dir, digest, s));
+    if (!payload.has_value()) continue;
+    try {
+      cached[s] = decode(*payload, digest, s);
+      SMA_COUNT("work.units_loaded");
+    } catch (const util::FrameError& e) {
+      util::log_warn() << "recomputing work unit " << s << ": " << e.what();
+    }
+  }
+  return cached;
+}
+
 }  // namespace
 
 void finalize_averages(Table3Result& result) {
@@ -424,10 +425,8 @@ void finalize_averages(Table3Result& result) {
   double flow_ccr = 0.0;
   double flow_secs = 0.0;
   double dl_ccr_on_flow_rows = 0.0;
-  double dl_ccr_all = 0.0;
   double dl_secs = 0.0;
   for (const Table3Row& row : result.rows) {
-    dl_ccr_all += row.dl_ccr;
     dl_secs += row.dl_seconds;
     if (!row.flow_timed_out) {
       ++flow_rows;
@@ -436,7 +435,6 @@ void finalize_averages(Table3Result& result) {
       dl_ccr_on_flow_rows += row.dl_ccr;
     }
   }
-  (void)dl_ccr_all;
   // Paper protocol: averages exclude designs where [1] timed out.
   result.avg_flow_ccr = flow_rows > 0 ? flow_ccr / flow_rows : std::nan("");
   result.avg_dl_ccr =
@@ -461,22 +459,13 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
     util::ensure_dir(profile.work_dir);
     digest = experiment_digest("table3", split_layer, profile, flow, designs,
                                seed);
-    bool all_cached = !designs.empty();
-    for (std::size_t d = 0; d < designs.size(); ++d) {
-      const std::optional<std::string> payload =
-          load_work_unit(work_unit_path(profile.work_dir, digest, d));
-      if (payload.has_value()) {
-        try {
-          cached[d] = decode_t3_row(*payload, digest, d);
-          SMA_COUNT("work.units_loaded");
-        } catch (const util::FrameError& e) {
-          util::log_warn() << "recomputing work unit " << d << ": "
-                           << e.what();
-        }
-      }
-      if (!cached[d].has_value()) all_cached = false;
-    }
-    if (all_cached) {
+    cached = load_work_units(profile.work_dir, digest, designs.size(),
+                             decode_t3_row);
+    if (!designs.empty() &&
+        std::all_of(cached.begin(), cached.end(),
+                    [](const std::optional<Table3Row>& row) {
+                      return row.has_value();
+                    })) {
       util::log_info() << "table3 M" << split_layer << ": all "
                        << designs.size()
                        << " rows loaded from work units, skipping training";
@@ -494,13 +483,10 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
   runtime::ThreadPool* pool = owned_pool.get();
   Table3Result result;
 
-  // Phase 1: everything that does not need the model, as one task list —
-  // each training design's layout and dataset, and each victim's layout,
-  // dataset and flow attack. Largest design first, so the longest layouts
-  // start early and the small ones fill in behind them (a stable sort, so
-  // ties keep corpus-then-victim order). Every job writes only its own
-  // slot, and a design's results are a pure function of its profile, seed
-  // and config, so the schedule never changes a row.
+  // Phase 1: everything that does not need the model, as one largest-first
+  // task list — each training design's layout and dataset, and each
+  // uncached victim's layout, dataset and flow attack. Every job writes
+  // only its own slot.
   const std::vector<netlist::DesignProfile>& corpus_profiles =
       netlist::training_profiles();
   const std::size_t num_corpus = corpus_profiles.size();
@@ -509,30 +495,26 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
     std::unique_ptr<attack::QueryDataset> dataset;
     Table3Row row;  ///< all but dl_ccr; dl_seconds holds the feature time
   };
-  std::vector<CorpusDesign> corpus(num_corpus);
+  std::vector<PreparedSplit> corpus(num_corpus);
+  std::vector<std::unique_ptr<attack::QueryDataset>> corpus_data(num_corpus);
   std::vector<Victim> victims(designs.size());
-  std::vector<std::size_t> jobs;  // corpus index, or num_corpus + victim
-  for (std::size_t i = 0; i < num_corpus; ++i) jobs.push_back(i);
-  for (std::size_t d = 0; d < designs.size(); ++d) {
-    if (!cached[d].has_value()) jobs.push_back(num_corpus + d);
-  }
-  const auto job_profile =
-      [&](std::size_t job) -> const netlist::DesignProfile& {
-    return job < num_corpus ? corpus_profiles[job] : designs[job - num_corpus];
-  };
-  std::stable_sort(jobs.begin(), jobs.end(), [&](std::size_t a, std::size_t b) {
-    return job_profile(a).num_gates > job_profile(b).num_gates;
+  std::vector<std::size_t> jobs = largest_first(corpus_profiles, designs);
+  std::erase_if(jobs, [&](std::size_t job) {
+    return job >= num_corpus && cached[job - num_corpus].has_value();
   });
 
   util::Timer prepare_timer;
   runtime::parallel_for(pool, 0, jobs.size(), /*grain=*/1, [&](std::size_t k) {
     const std::size_t job = jobs[k];
     if (job < num_corpus) {
-      corpus[job] = prepare_corpus_design(corpus_profiles[job], split_layer,
-                                          profile, flow, seed, pool);
+      corpus[job] =
+          prepare_split(corpus_profiles[job], split_layer, flow,
+                        corpus_seed(seed, corpus_profiles[job]), pool);
+      corpus_data[job] =
+          make_dataset(corpus[job], profile, profile.net.use_images, pool);
       return;
     }
-    const netlist::DesignProfile& design_profile = job_profile(job);
+    const netlist::DesignProfile& design_profile = designs[job - num_corpus];
     Victim& victim = victims[job - num_corpus];
     victim.prepared =
         prepare_split(design_profile, split_layer, flow,
@@ -549,8 +531,8 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
     // Dataset construction is feature extraction, so its time counts
     // toward the DL attack's runtime (as in the paper).
     util::Timer feature_timer;
-    victim.dataset = std::make_unique<attack::QueryDataset>(
-        make_dataset(victim.prepared, profile, true, pool));
+    victim.dataset =
+        make_dataset(victim.prepared, profile, profile.net.use_images, pool);
     row.dl_seconds = feature_timer.seconds();
     row.hit_rate = victim.dataset->candidate_hit_rate();
 
@@ -565,9 +547,13 @@ Table3Result run_table3(int split_layer, const ExperimentProfile& profile,
                    << " designs laid out, featurized and flow-attacked in "
                    << result.prepare_seconds << "s";
 
-  // Phase 2: train on the corpus datasets, in corpus order.
-  attack::DlAttack dl =
-      train_on(corpus, profile, seed, pool, &result.train_seconds);
+  // Phase 2: train on the corpus datasets, in corpus order (freed once
+  // the model is trained).
+  attack::DlAttack dl = [&] {
+    std::vector<attack::QueryDataset> training;
+    for (auto& data : corpus_data) training.push_back(std::move(*data));
+    return train_on(training, profile, seed, pool, &result.train_seconds);
+  }();
   util::log_info() << "M" << split_layer << " model trained in "
                    << result.train_seconds << "s ("
                    << profile.runtime.resolved() << " threads)";
@@ -616,41 +602,46 @@ std::vector<AblationRow> run_figure5(
     const ExperimentProfile& profile, const layout::FlowConfig& flow,
     const std::vector<netlist::DesignProfile>& designs, std::uint64_t seed) {
   constexpr int kSplitLayer = 3;  // the paper's Figure-5 baseline is M3
-  constexpr std::size_t kNumSettings = 3;
+  struct Setting {
+    const char* name;
+    bool two_class;
+    bool use_images;
+  };
+  constexpr Setting kSettings[] = {
+      {"two-class", true, false},
+      {"vec", false, false},
+      {"vec+img", false, true},
+  };
+  constexpr std::size_t kNumSettings = std::size(kSettings);
 
   // Durable work units, one per setting: a rerun retrains only the
   // settings whose unit is missing or damaged.
   const bool use_work = !profile.work_dir.empty();
   std::uint64_t digest = 0;
   std::vector<std::optional<AblationRow>> cached(kNumSettings);
-  bool all_cached = false;
   if (use_work) {
     util::ensure_dir(profile.work_dir);
     digest =
         experiment_digest("figure5", kSplitLayer, profile, flow, designs, seed);
-    all_cached = true;
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      const std::optional<std::string> payload =
-          load_work_unit(work_unit_path(profile.work_dir, digest, s));
-      if (payload.has_value()) {
-        try {
-          cached[s] = decode_f5_row(*payload, digest, s);
-          SMA_COUNT("work.units_loaded");
-        } catch (const util::FrameError& e) {
-          util::log_warn() << "recomputing work unit " << s << ": "
-                           << e.what();
-        }
-      }
-      if (!cached[s].has_value()) all_cached = false;
-    }
+    cached = load_work_units(profile.work_dir, digest, kNumSettings,
+                             decode_f5_row);
   }
-  if (all_cached) {
+  std::vector<AblationRow> rows(kNumSettings);
+  std::vector<std::size_t> pending;  // the settings to train
+  // The dataset kinds (0: vector-only, 1: with images) the pending
+  // settings need; two-class and vec share the vector-only datasets.
+  std::array<bool, 2> needed{};
+  for (std::size_t s = 0; s < kNumSettings; ++s) {
+    if (cached[s].has_value()) {
+      rows[s] = std::move(*cached[s]);
+      continue;
+    }
+    pending.push_back(s);
+    needed[kSettings[s].use_images] = true;
+  }
+  if (pending.empty()) {
     util::log_info()
         << "figure5: all settings loaded from work units, skipping training";
-    std::vector<AblationRow> rows;
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      rows.push_back(std::move(*cached[s]));
-    }
     return rows;
   }
 
@@ -658,22 +649,57 @@ std::vector<AblationRow> run_figure5(
       profile.runtime.make_pool();
   runtime::ThreadPool* pool = owned_pool.get();
 
-  struct Setting {
-    const char* name;
-    bool two_class;
-    bool use_images;
+  // Phase 1: as in run_table3, one largest-first task list. Each training
+  // design and each victim is laid out and split once, then featurized
+  // once per needed dataset kind. The datasets point into `prepared`.
+  struct Featurized {
+    PreparedSplit prepared;
+    std::array<std::unique_ptr<attack::QueryDataset>, 2> datasets;
+    std::array<double, 2> seconds{};  ///< each dataset's build time
   };
-  const Setting settings[] = {
-      {"two-class", true, false},
-      {"vec", false, false},
-      {"vec+img", false, true},
-  };
+  const std::vector<netlist::DesignProfile>& corpus_profiles =
+      netlist::training_profiles();
+  const std::size_t num_corpus = corpus_profiles.size();
+  std::vector<Featurized> featurized(num_corpus + designs.size());
+  const std::vector<std::size_t> jobs = largest_first(corpus_profiles, designs);
+  util::Timer prepare_timer;
+  runtime::parallel_for(pool, 0, jobs.size(), /*grain=*/1, [&](std::size_t k) {
+    const std::size_t job = jobs[k];
+    Featurized& design = featurized[job];
+    design.prepared =
+        job < num_corpus
+            ? prepare_split(corpus_profiles[job], kSplitLayer, flow,
+                            corpus_seed(seed, corpus_profiles[job]), pool)
+            : prepare_split(designs[job - num_corpus], kSplitLayer, flow,
+                            victim_seed(seed, designs[job - num_corpus]),
+                            pool);
+    for (const bool images : {false, true}) {
+      if (!needed[images]) continue;
+      util::Timer feature_timer;
+      design.datasets[images] =
+          make_dataset(design.prepared, profile, images, pool);
+      design.seconds[images] = feature_timer.seconds();
+    }
+  });
+  util::log_info() << "figure5: " << jobs.size()
+                   << " designs laid out and featurized in "
+                   << prepare_timer.seconds() << "s";
+  std::array<std::vector<attack::QueryDataset>, 2> corpus;
+  for (const bool images : {false, true}) {
+    if (!needed[images]) continue;
+    for (std::size_t i = 0; i < num_corpus; ++i) {
+      corpus[images].push_back(std::move(*featurized[i].datasets[images]));
+    }
+  }
 
-  // One setting end-to-end: train, then evaluate every victim design.
-  // Each setting is fully independent (own model, own per-design
-  // datasets, deterministic pipeline), so the result is the same whether
-  // settings run back-to-back or concurrently.
-  auto run_setting = [&](const Setting& setting) {
+  // Phase 2: the pending settings side by side. Each trains on its corpus
+  // datasets, which the settings only read, then attacks every victim in
+  // design order. Rows are slot-addressed, so they equal a serial run's.
+  // As in run_table3, a victim's time is its feature time plus its attack
+  // time.
+  const auto run_setting = [&](std::size_t k) {
+    const std::size_t s = pending[k];
+    const Setting& setting = kSettings[s];
     ExperimentProfile variant = profile;
     variant.net.two_class = setting.two_class;
     variant.net.use_images = setting.use_images;
@@ -682,31 +708,18 @@ std::vector<AblationRow> run_figure5(
     variant.train.max_queries_per_design = 0;
     variant.train.epochs = std::max(variant.train.epochs, 36);
     variant.train.decay_every = 12;
+    attack::DlAttack dl =
+        train_on(corpus[setting.use_images], variant, seed, pool);
 
-    attack::DlAttack dl = train_attack(kSplitLayer, variant, flow, seed, pool);
-
-    struct PerDesign {
-      double ccr = 0.0;
-      double seconds = 0.0;
-    };
-    std::vector<PerDesign> per_design = runtime::parallel_map(
-        pool, designs.size(), /*grain=*/1, [&](std::size_t d) {
-          PreparedSplit prepared =
-              prepare_split(designs[d], kSplitLayer, flow,
-                            victim_seed(seed, designs[d]), pool);
-          util::Timer timer;
-          attack::QueryDataset dataset =
-              make_dataset(prepared, variant, setting.use_images, pool);
-          attack::AttackResult result = dl.attack(dataset, pool);
-          return PerDesign{result.ccr, timer.seconds()};
-        });
-
-    // Deterministic reduction: sum in design order on this thread.
+    // Deterministic reduction: sum in design order.
     double ccr_sum = 0.0;
     double secs_sum = 0.0;
-    for (const PerDesign& p : per_design) {
-      ccr_sum += p.ccr;
-      secs_sum += p.seconds;
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+      const Featurized& victim = featurized[num_corpus + d];
+      attack::QueryDataset& dataset = *victim.datasets[setting.use_images];
+      util::Timer attack_timer;
+      ccr_sum += dl.attack(dataset, pool).ccr;
+      secs_sum += victim.seconds[setting.use_images] + attack_timer.seconds();
     }
     AblationRow row;
     row.setting = setting.name;
@@ -716,60 +729,13 @@ std::vector<AblationRow> run_figure5(
     util::log_info() << "figure5 " << row.setting << ": avg CCR "
                      << row.avg_ccr * 100 << "%, avg inference "
                      << row.avg_inference_seconds << "s";
-    return row;
-  };
-
-  // Work-unit wrapper: a cached setting returns immediately (its training
-  // run never starts); a computed one is persisted before it lands in its
-  // slot.
-  auto run_setting_cached = [&](std::size_t s) {
-    if (use_work && cached[s].has_value()) return *cached[s];
-    AblationRow row = run_setting(settings[s]);
     if (use_work) {
       save_work_unit(work_unit_path(profile.work_dir, digest, s),
                      encode_f5_row(digest, s, row));
     }
-    return row;
+    rows[s] = std::move(row);
   };
-
-  static_assert(kNumSettings == sizeof(settings) / sizeof(settings[0]));
-  std::vector<AblationRow> rows(kNumSettings);
-  if (pool != nullptr) {
-    // Pre-warm the split cache: all three settings want the same layouts,
-    // and concurrent first requests would all miss the same key and each
-    // rebuild the flow (SplitCache builds outside its lock and discards
-    // duplicate inserts). One parallel pass per distinct design here means
-    // the settings below hit the cache instead of racing to fill it.
-    {
-      const std::vector<netlist::DesignProfile>& corpus =
-          netlist::training_profiles();
-      runtime::parallel_for(
-          pool, 0, corpus.size() + designs.size(), /*grain=*/1,
-          [&](std::size_t i) {
-            if (i < corpus.size()) {
-              prepare_split(corpus[i], kSplitLayer, flow,
-                            corpus_seed(seed, corpus[i]), pool);
-            } else {
-              const netlist::DesignProfile& d = designs[i - corpus.size()];
-              prepare_split(d, kSplitLayer, flow, victim_seed(seed, d), pool);
-            }
-          });
-    }
-    // The three settings train as one TaskGroup: setting-level tasks keep
-    // every thread busy across the serial stretches of a single training
-    // run, and rows land in setting order (slot-addressed), so the output
-    // matches the sequential loop row-for-row.
-    runtime::TaskGroup group(pool);
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      group.run(
-          [s, &rows, &run_setting_cached] { rows[s] = run_setting_cached(s); });
-    }
-    group.wait();
-  } else {
-    for (std::size_t s = 0; s < kNumSettings; ++s) {
-      rows[s] = run_setting_cached(s);
-    }
-  }
+  runtime::parallel_for(pool, 0, pending.size(), /*grain=*/1, run_setting);
   return rows;
 }
 

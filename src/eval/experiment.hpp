@@ -26,8 +26,8 @@ namespace sma::eval {
 /// A design taken through generation -> flow -> split, with stable
 /// addresses (everything heap-allocated). The layout is shared and
 /// immutable: several PreparedSplits (e.g. the same design split at
-/// different layers, or the three Figure-5 settings) may reference one
-/// cached `Design`.
+/// different layers, or prepared by a Table-3 and a Figure-5 pass) may
+/// reference one cached `Design`.
 struct PreparedSplit {
   std::string name;
   std::shared_ptr<const layout::Design> design;
@@ -139,7 +139,18 @@ struct AblationRow {
 
 /// Reproduce Figure 5: split at M3, compare two-class loss (vector
 /// features), softmax loss (vector features), softmax loss (vector +
-/// image features).
+/// image features). Runs on `run_table3`'s schedule, without a flow
+/// attack, on one pool in two phases:
+///  1. one task per design, largest first: each training design and each
+///     victim is laid out and split once, then featurized once per dataset
+///     kind a setting to be trained needs (two-class and vec share the
+///     vector-only datasets, vec+img has its own with images);
+///  2. the settings not loaded from work units run side by side: each
+///     trains on its corpus datasets, then attacks every victim in design
+///     order over the whole pool.
+/// Rows are bit-identical at any thread count. A row's
+/// `avg_inference_seconds` averages each victim's phase-1 feature time
+/// plus its attack time, as `run_table3`'s `dl_seconds` does.
 std::vector<AblationRow> run_figure5(const ExperimentProfile& profile,
                                      const layout::FlowConfig& flow,
                                      const std::vector<netlist::DesignProfile>& designs,

@@ -99,11 +99,7 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       .add(gp.pull)
       .add(gp.refine_iterations)
       .add(gp.refine_pull)
-      .add(gp.seed)
-      // Lane count fixes how the centroid sums associate, so it shapes
-      // the layout. The thread count does NOT (bit-identical contract)
-      // and is deliberately absent from this digest.
-      .add(gp.relax_lanes);
+      .add(gp.seed);
 
   const place::DetailedPlacerConfig& dp = flow.detailed_placer;
   h.add(dp.passes)
@@ -130,11 +126,9 @@ std::uint64_t design_cache_key(const netlist::DesignProfile& profile,
       .add(rt.max_iterations)
       .add(static_cast<std::uint64_t>(rt.max_expansions))
       .add(rt.layer_height_cost)
-      // Wave width and rip-up policy decide which nets share a usage
-      // snapshot, so they shape the routes; the thread count does not
-      // and is absent.
-      .add(rt.wave_size)
-      .add(rt.bulk_negotiation_ripup);
+      // Wave width decides which nets share a usage snapshot, so it
+      // shapes the routes; the thread count does not and is absent.
+      .add(rt.wave_size);
 
   return h.digest();
 }

@@ -23,11 +23,38 @@ std::string upper(std::string s) {
   return s;
 }
 
+[[noreturn]] void fail(int line_no, const std::string& what) {
+  throw std::runtime_error("line " + std::to_string(line_no) + ": " + what);
+}
+
+/// An INPUT or OUTPUT declaration.
+struct PortSpec {
+  std::string name;
+  int line_no = 0;
+};
+
 struct GateSpec {
   std::string output;
-  std::string func;
+  tech::Function func{};
   std::vector<std::string> inputs;
+  int line_no = 0;
 };
+
+/// Runs the Netlist edits for the statement on `line_no`, turning what they
+/// throw into the parser's own error: the std::logic_error of a port name
+/// used twice (an OUTPUT's `<name>_po` port can meet an INPUT of that
+/// name) or of a signal that collides with a decomposition temporary, and
+/// the std::runtime_error of a gate the library cannot build.
+template <typename Edit>
+void netlist_edit(int line_no, Edit&& edit) {
+  try {
+    edit();
+  } catch (const std::logic_error& e) {
+    fail(line_no, e.what());
+  } catch (const std::runtime_error& e) {
+    fail(line_no, e.what());
+  }
+}
 
 /// Incremental builder that owns gate decomposition.
 class BenchBuilder {
@@ -165,10 +192,7 @@ tech::Function function_from_bench(const std::string& token, int line_no) {
       {"DFF", tech::Function::kDff},
   };
   auto it = kMap.find(token);
-  if (it == kMap.end()) {
-    throw std::runtime_error("line " + std::to_string(line_no) +
-                             ": unknown bench gate '" + token + "'");
-  }
+  if (it == kMap.end()) fail(line_no, "unknown bench gate '" + token + "'");
   return it->second;
 }
 
@@ -179,12 +203,23 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
   Netlist nl(design_name, library);
   BenchBuilder builder(nl);
 
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
+  std::vector<PortSpec> inputs;
+  std::vector<PortSpec> outputs;
   std::vector<GateSpec> gates;
+  // Every signal an INPUT or a gate defines, with its line: a signal is
+  // defined once, and a gate may read only defined signals.
+  std::map<std::string, int> defined;
 
   std::string line;
   int line_no = 0;
+  const auto define = [&](const std::string& name) {
+    if (name.empty()) fail(line_no, "empty signal name");
+    const auto [it, fresh] = defined.emplace(name, line_no);
+    if (!fresh) {
+      fail(line_no, "signal '" + name + "' already defined on line " +
+                        std::to_string(it->second));
+    }
+  };
   while (std::getline(in, line)) {
     ++line_no;
     std::size_t hash = line.find('#');
@@ -199,18 +234,18 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
       auto close = line.rfind(')');
       if (paren == std::string::npos || close == std::string::npos ||
           close < paren) {
-        throw std::runtime_error("line " + std::to_string(line_no) +
-                                 ": malformed declaration");
+        fail(line_no, "malformed declaration");
       }
       std::string kind = upper(trim(line.substr(0, paren)));
       std::string name = trim(line.substr(paren + 1, close - paren - 1));
       if (kind == "INPUT") {
-        input_names.push_back(name);
+        define(name);
+        inputs.push_back({name, line_no});
       } else if (kind == "OUTPUT") {
-        output_names.push_back(name);
+        if (name.empty()) fail(line_no, "empty signal name");
+        outputs.push_back({name, line_no});
       } else {
-        throw std::runtime_error("line " + std::to_string(line_no) +
-                                 ": unknown declaration '" + kind + "'");
+        fail(line_no, "unknown declaration '" + kind + "'");
       }
       continue;
     }
@@ -218,50 +253,59 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
     // name = FUNC(a, b, ...)
     GateSpec gate;
     gate.output = trim(line.substr(0, equals));
+    gate.line_no = line_no;
     auto close = line.rfind(')');
     paren = line.find('(', equals);
     if (paren == std::string::npos || close == std::string::npos ||
         close < paren) {
-      throw std::runtime_error("line " + std::to_string(line_no) +
-                               ": malformed gate");
+      fail(line_no, "malformed gate");
     }
-    gate.func = upper(trim(line.substr(equals + 1, paren - equals - 1)));
-    std::string args = line.substr(paren + 1, close - paren - 1);
-    std::stringstream ss(args);
+    gate.func = function_from_bench(
+        upper(trim(line.substr(equals + 1, paren - equals - 1))), line_no);
+    std::string args = trim(line.substr(paren + 1, close - paren - 1));
+    if (args.empty()) fail(line_no, "gate with no inputs");
+    std::stringstream ss(args + ',');
     std::string arg;
     while (std::getline(ss, arg, ',')) {
       arg = trim(arg);
-      if (!arg.empty()) gate.inputs.push_back(arg);
+      if (arg.empty()) fail(line_no, "empty signal name");
+      gate.inputs.push_back(arg);
     }
-    if (gate.inputs.empty()) {
-      throw std::runtime_error("line " + std::to_string(line_no) +
-                               ": gate with no inputs");
-    }
-    // Validate the function name early for a good error message.
-    function_from_bench(gate.func, line_no);
+    define(gate.output);
     gates.push_back(std::move(gate));
   }
 
-  for (const std::string& name : input_names) {
-    PortId port = nl.add_port(name, PortDirection::kInput);
-    nl.connect(builder.net_for(name), PinRef::port(port));
+  for (const PortSpec& input : inputs) {
+    netlist_edit(input.line_no, [&] {
+      PortId port = nl.add_port(input.name, PortDirection::kInput);
+      nl.connect(builder.net_for(input.name), PinRef::port(port));
+    });
   }
   for (const GateSpec& gate : gates) {
-    std::vector<NetId> fanin;
-    fanin.reserve(gate.inputs.size());
     for (const std::string& in_name : gate.inputs) {
-      fanin.push_back(builder.net_for(in_name));
+      if (defined.count(in_name) == 0) {
+        fail(gate.line_no, "undefined signal '" + in_name + "'");
+      }
     }
-    builder.build_gate(function_from_bench(gate.func, 0), std::move(fanin),
-                       builder.net_for(gate.output));
+    netlist_edit(gate.line_no, [&] {
+      std::vector<NetId> fanin;
+      fanin.reserve(gate.inputs.size());
+      for (const std::string& in_name : gate.inputs) {
+        fanin.push_back(builder.net_for(in_name));
+      }
+      builder.build_gate(gate.func, std::move(fanin),
+                         builder.net_for(gate.output));
+    });
   }
-  for (const std::string& name : output_names) {
-    PortId port = nl.add_port(name + "_po", PortDirection::kOutput);
-    auto net = nl.find_net(name);
-    if (!net) {
-      throw std::runtime_error("OUTPUT of undefined signal: " + name);
+  for (const PortSpec& output : outputs) {
+    if (defined.count(output.name) == 0) {
+      fail(output.line_no,
+           "OUTPUT of undefined signal '" + output.name + "'");
     }
-    nl.connect(*net, PinRef::port(port));
+    netlist_edit(output.line_no, [&] {
+      PortId port = nl.add_port(output.name + "_po", PortDirection::kOutput);
+      nl.connect(*nl.find_net(output.name), PinRef::port(port));
+    });
   }
   return nl;
 }

@@ -20,7 +20,10 @@
 namespace sma::netlist {
 
 /// Parse a .bench stream into a netlist named `design_name`.
-/// Throws std::runtime_error with a line number on malformed input.
+/// Throws std::runtime_error with a line number on malformed input: bad
+/// syntax, an empty signal name, a signal that INPUTs and gates define
+/// more than once, a gate input or OUTPUT that none defines, or a port
+/// name used twice.
 Netlist parse_bench(std::istream& in, const std::string& design_name,
                     const tech::CellLibrary* library);
 

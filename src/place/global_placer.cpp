@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -21,6 +20,12 @@ struct Vec2 {
   double x = 0.0;
   double y = 0.0;
 };
+
+/// Accumulation lanes of the centroid relaxation (see `relax`). The lane
+/// count fixes how the floating-point sums associate, so it shapes every
+/// layout (and the layout-cache entries keyed on them); the thread count
+/// never does.
+constexpr int kRelaxLanes = 8;
 
 /// Per-lane accumulation arrays for `relax`, allocated once per placement
 /// run and zeroed per iteration (the zeroing is cheap next to the net
@@ -51,8 +56,7 @@ struct RelaxScratch {
 /// private arrays; the per-cell reduction then adds lane partials in lane
 /// order. The association of the floating-point sums is fixed by the lane
 /// count alone — never by the thread count — which is what makes the
-/// parallel run bit-identical to the serial one, and lanes = 1 identical
-/// to the legacy single-array accumulation.
+/// parallel run bit-identical to the serial one.
 void relax(const netlist::Netlist& nl, const Placement& placement,
            std::vector<Vec2>& pos, double pull, RelaxScratch& scratch,
            runtime::ThreadPool* pool) {
@@ -174,10 +178,6 @@ void spread_by_rank(const Placement& placement, std::vector<Vec2>& pos,
 void run_global_placement(Placement& placement,
                           const GlobalPlacerConfig& config,
                           runtime::ThreadPool* pool) {
-  if (config.relax_lanes < 1) {
-    throw std::invalid_argument(
-        "GlobalPlacerConfig::relax_lanes must be >= 1");
-  }
   const netlist::Netlist& nl = placement.netlist();
   const Floorplan& fp = placement.floorplan();
   if (nl.num_cells() == 0) return;
@@ -204,8 +204,7 @@ void run_global_placement(Placement& placement,
                std::max(1, rows_needed) * die_h;
   }
 
-  RelaxScratch scratch(config.relax_lanes,
-                       static_cast<std::size_t>(nl.num_cells()));
+  RelaxScratch scratch(kRelaxLanes, static_cast<std::size_t>(nl.num_cells()));
 
   // Alternate quadratic relaxation (clusters connected cells) with
   // order-preserving spreading (restores uniform density). Early rounds

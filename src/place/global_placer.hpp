@@ -29,21 +29,14 @@ struct GlobalPlacerConfig {
   int refine_iterations = 4;
   double refine_pull = 0.2;
   std::uint64_t seed = 7;
-  /// Accumulation lanes for the centroid relaxation: nets are split into
-  /// this many contiguous blocks whose per-cell pulls accumulate into
-  /// private arrays, reduced in fixed lane order (the gradient-lane
-  /// pattern). Part of the algorithm — it decides how the floating-point
-  /// sums associate and therefore feeds the layout-cache digest — and
-  /// independent of the thread count, so any pool size is bit-identical
-  /// to serial. 1 reproduces the legacy single-pass accumulation.
-  int relax_lanes = 8;
 };
 
 /// Runs global placement in-place; positions are continuous (not yet
-/// legalized) but inside the die. A non-null `pool` parallelizes the
-/// relaxation lanes and the spreading's per-band sorts; the result is
-/// bit-identical at any thread count. Throws std::invalid_argument on a
-/// non-positive `relax_lanes`.
+/// legalized) but inside the die. The centroid relaxation accumulates its
+/// nets in a fixed number of lanes, private per-cell arrays reduced in
+/// lane order (the gradient-lane pattern). A non-null `pool` runs the
+/// lanes and the spreading's per-band sorts concurrently; the result is
+/// bit-identical at any thread count.
 void run_global_placement(Placement& placement,
                           const GlobalPlacerConfig& config = {},
                           runtime::ThreadPool* pool = nullptr);

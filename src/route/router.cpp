@@ -491,11 +491,6 @@ RoutingResult route_design(const place::Placement& placement,
                       << grid.overflow_count() << " overflowed edges, "
                       << offenders.size() << " nets to reroute";
     SMA_COUNT_N("route.offender_nets", offenders.size());
-    if (config.bulk_negotiation_ripup) {
-      for (NetId n : offenders) {
-        apply_route_usage(grid, result.routes[n], -1);
-      }
-    }
     // The negotiation wave width starts at half the first-pass width and
     // halves again every round (never below 1), so late rounds approach
     // the sequential schedule whose full usage visibility PathFinder's
@@ -505,7 +500,7 @@ RoutingResult route_design(const place::Placement& placement,
         1, static_cast<std::size_t>(config.wave_size) >>
                std::min(iter, 30));  // clamped: shifting by >= width is UB
     route_waves(offenders, result, grid, loaner, pool, negotiation_wave,
-                /*rip_up_first=*/!config.bulk_negotiation_ripup);
+                /*rip_up_first=*/true);
   }
   result.negotiation_seconds = negotiation_timer.seconds();
 

@@ -18,9 +18,9 @@
 // usage/history (no commits happen mid-wave), then usage is committed in
 // fixed net order before the next wave starts. The schedule is a property
 // of the config alone — never of the thread count — so routing a design
-// with a thread pool is bit-identical to routing it serially, and
-// `wave_size = 1` with `bulk_negotiation_ripup` reproduces the
-// strictly-sequential legacy router edge-for-edge.
+// with a thread pool is bit-identical to routing it serially. Negotiation
+// rounds reroute the nets on overflowed edges in narrower waves, each
+// wave ripping up only its own nets just before rerouting them.
 #pragma once
 
 #include <cstdint>
@@ -45,26 +45,15 @@ struct RouterConfig {
 
   /// Nets routed concurrently against one usage snapshot before their
   /// usage is committed (in net order). Part of the routing algorithm, so
-  /// it feeds the layout-cache digest; 1 = the legacy sequential schedule
-  /// where every net sees every previously routed net. Must be >= 1.
+  /// it feeds the layout-cache digest; 1 = the sequential schedule where
+  /// every net sees every previously routed net. Must be >= 1.
   /// Default 4: measured on the small/mid profiles, waves of 4-8 keep
   /// final overflow at the sequential router's level and BEOL-excursion
   /// counts (the M3 attack's raw material) within a few percent of the
-  /// sequential schedule, while 16+ starts leaving residual overflow
-  /// (see BENCH_flow.json deltas). Raise it on many-core hosts routing
-  /// large designs; quality deltas are reported by `bench_flow`.
+  /// sequential schedule, while 16+ starts leaving residual overflow.
+  /// Raise it on many-core hosts routing large designs; `bench_flow
+  /// --wave=N` reports a width's routing quality.
   int wave_size = 4;
-
-  /// Negotiation rip-up policy. false (default): each negotiation wave
-  /// rips up only its own nets immediately before rerouting them, so
-  /// offenders awaiting later waves keep their usage visible — close to
-  /// canonical per-net PathFinder, and what keeps the wave schedule's
-  /// extra negotiation cost small. true: all offenders are ripped up
-  /// before any rerouting starts — the pre-wave router's policy, kept so
-  /// `wave_size = 1 && bulk_negotiation_ripup` reproduces the legacy
-  /// strictly-sequential router edge-for-edge (the quality baseline
-  /// `bench_flow` reports deltas against).
-  bool bulk_negotiation_ripup = false;
 
   /// Per-layer height surcharge: planar cost is multiplied by
   /// 1 + layer_height_cost * (layer - 3) above M3. Together with via cost

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "netlist/stats.hpp"
 #include "test_support.hpp"
 
@@ -108,6 +110,49 @@ TEST(BenchIo, ErrorsOnMalformedLine) {
   EXPECT_THROW(
       parse_bench_string("z = NAND(a\n", "bad", &test::library()),
       std::runtime_error);
+}
+
+TEST(BenchIo, HostileInputParsesOrThrowsParserError) {
+  // Every input must either parse or throw the parser's own error, exactly
+  // std::runtime_error: not Netlist's std::logic_error for a net driven
+  // twice, nor its std::invalid_argument for a port name used twice.
+  // Returns whether `text` was rejected.
+  auto rejects = [](const std::string& text) {
+    SCOPED_TRACE(text);
+    try {
+      parse_bench_string(text, "hostile", &test::library());
+    } catch (const std::exception& e) {
+      EXPECT_TRUE(typeid(e) == typeid(std::runtime_error))
+          << typeid(e).name() << ": " << e.what();
+      return true;
+    }
+    return false;
+  };
+  const std::string c17 = test::kC17Bench;
+  for (std::size_t cut = 0; cut <= c17.size(); ++cut) {
+    rejects(c17.substr(0, cut));
+  }
+
+  const std::string header = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n";
+  // A signal named like a decomposition temporary may parse or not.
+  rejects(header + "INPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(_dec0)\n" +
+          "z = AND(a, b, c, d, e, _dec0)\n");
+  for (const std::string& text : {
+           header + "z = NOT(a)\nz = BUF(b)\n",   // gate defined twice
+           header + "z = NOT(a)\na = NOT(b)\n",   // INPUT redefined as a gate
+           header + "z = NOT(a)\nINPUT(z)\n",     // gate redefined as INPUT
+           header + "INPUT(a)\nz = NOT(a)\n",     // repeated INPUT
+           header + "OUTPUT(z)\nz = NOT(a)\n",    // repeated OUTPUT
+           header + "INPUT(z_po)\nz = NOT(a)\n",  // OUTPUT's port name taken
+           header + "INPUT()\nz = NOT(a)\n",      // empty INPUT name
+           header + "OUTPUT()\nz = NOT(a)\n",     // empty OUTPUT name
+           header + " = NOT(a)\nz = NOT(a)\n",    // empty gate output
+           header + "z = AND(a, )\n",             // empty gate input
+           header + "z = AND(a, c)\n",            // undefined gate input
+           header + "z = DFF(a, b)\n",            // no library cell
+       }) {
+    EXPECT_TRUE(rejects(text)) << text;
+  }
 }
 
 TEST(BenchIo, C17LevelizationDepth) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.hpp"
+#include "util/hash.hpp"
 
 namespace sma::eval {
 namespace {
@@ -94,10 +95,23 @@ TEST(Experiment, Table3EndToEndTiny) {
   EXPECT_FALSE(flow_result.timed_out);
 }
 
+/// Digest of what the determinism contract pins in Figure-5 rows: each
+/// setting's name and the bit pattern of its average CCR. The wall-clock
+/// field is left out.
+std::uint64_t figure5_rows_digest(const std::vector<AblationRow>& rows) {
+  util::ContentHash h;
+  for (const AblationRow& row : rows) h.add(row.setting).add(row.avg_ccr);
+  return h.digest();
+}
+
+/// `figure5_rows_digest` of the rows below, recorded from the schedule
+/// that prepared every design once per setting.
+constexpr std::uint64_t kFigure5RowsDigest = 0xcd9051bf0a18e7e0ull;
+
 TEST(Experiment, Figure5ConcurrentSettingsMatchSerial) {
-  // run_figure5 trains its three settings as one TaskGroup when the
-  // profile resolves > 1 thread; the rows must match a 1-thread run
-  // bitwise (settings are independent and slot-addressed).
+  // run_figure5 trains its three settings side by side when the profile
+  // resolves > 1 thread; the rows must match a 1-thread run bitwise
+  // (settings are independent and slot-addressed).
   layout::FlowConfig flow;
   std::vector<netlist::DesignProfile> victims = {tiny_designs()[0]};
 
@@ -111,6 +125,10 @@ TEST(Experiment, Figure5ConcurrentSettingsMatchSerial) {
   std::vector<AblationRow> parallel =
       run_figure5(parallel_profile, flow, victims, 2019);
 
+  // Pinned: any schedule of the pass must reproduce these rows bit for
+  // bit, serial and pooled alike.
+  EXPECT_EQ(figure5_rows_digest(serial), kFigure5RowsDigest);
+  EXPECT_EQ(figure5_rows_digest(parallel), kFigure5RowsDigest);
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);
   EXPECT_EQ(serial[0].setting, "two-class");

@@ -100,33 +100,6 @@ TEST(GlobalPlacer, ParallelStableAcrossRuns) {
   }
 }
 
-TEST(GlobalPlacer, RejectsNonPositiveRelaxLanes) {
-  netlist::Netlist nl = medium_netlist();
-  Floorplan fp = make_floorplan(nl);
-  Placement placement(&nl, fp);
-  GlobalPlacerConfig config;
-  config.relax_lanes = 0;
-  EXPECT_THROW(run_global_placement(placement, config), std::invalid_argument);
-}
-
-TEST(GlobalPlacer, SingleLaneMatchesLegacyAccumulationShape) {
-  // relax_lanes = 1 is the legacy accumulation order. It generally
-  // differs from the default lane count in last-ulp ways, but it must be
-  // self-consistent and parallel-invariant like any other lane count.
-  netlist::Netlist nl = medium_netlist(5);
-  Floorplan fp = make_floorplan(nl);
-  GlobalPlacerConfig config;
-  config.relax_lanes = 1;
-  Placement serial(&nl, fp);
-  run_global_placement(serial, config);
-  runtime::ThreadPool pool(2);
-  Placement parallel(&nl, fp);
-  run_global_placement(parallel, config, &pool);
-  for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
-    ASSERT_EQ(serial.cell_origin(c), parallel.cell_origin(c));
-  }
-}
-
 TEST(Legalizer, ProducesLegalPlacement) {
   netlist::Netlist nl = medium_netlist();
   Floorplan fp = make_floorplan(nl);

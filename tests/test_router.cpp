@@ -289,11 +289,12 @@ TEST(Router, RoutesMatchPinnedDigests) {
   cases[2].name = "wrongway_capacity = 0";
   cases[2].grid.wrongway_capacity = 0;
   cases[2].digest = 0x979571a10029c8a7;
-  // The legacy strictly sequential schedule with bulk negotiation rip-up.
-  cases[3].name = "wave_size = 1, bulk_negotiation_ripup";
+  // The sequential schedule: every net sees every earlier net's usage.
+  // Its digest was recorded from the reworked search, which the cases
+  // above tie to the earlier one.
+  cases[3].name = "wave_size = 1";
   cases[3].config.wave_size = 1;
-  cases[3].config.bulk_negotiation_ripup = true;
-  cases[3].digest = 0x14ae0b3d48658c0d;
+  cases[3].digest = 0x3c4d691fd508a1fb;
 
   runtime::ThreadPool pool(3);  // 4 threads with the caller
   for (const Case& c : cases) {

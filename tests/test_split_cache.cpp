@@ -11,6 +11,7 @@
 #include "eval/experiment.hpp"
 #include "layout/def_io.hpp"
 #include "netlist/profiles.hpp"
+#include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
 #include "split/split_design.hpp"
 
@@ -59,16 +60,9 @@ TEST_F(SplitCacheTest, KeySeparatesFlowInputs) {
   other = flow;
   other.grid.m2_capacity += 1;
   EXPECT_NE(base, design_cache_key(a, other, 7));
-  // The wave schedule and the relaxation lane count shape the layout, so
-  // they must separate keys...
+  // The wave schedule shapes the layout, so it must separate keys...
   other = flow;
   other.router.wave_size = 1;
-  EXPECT_NE(base, design_cache_key(a, other, 7));
-  other = flow;
-  other.router.bulk_negotiation_ripup = true;
-  EXPECT_NE(base, design_cache_key(a, other, 7));
-  other = flow;
-  other.global_placer.relax_lanes = 1;
   EXPECT_NE(base, design_cache_key(a, other, 7));
 }
 
@@ -239,6 +233,45 @@ TEST_F(SplitCacheTest, Table3RowsUnchangedByCache) {
   }
   EXPECT_EQ(uncached.avg_dl_ccr, cached.avg_dl_ccr);
   EXPECT_EQ(uncached.avg_flow_ccr, cached.avg_flow_ccr);
+}
+
+TEST_F(SplitCacheTest, Figure5PreparesEachDesignOnce) {
+  // A cold pooled Figure-5 pass lays out and splits every training design
+  // and victim once for all three settings: one miss each and no hit.
+  // Two-class and vec share each design's vector-only dataset and vec+img
+  // has its own with images, so every design gets two datasets. With a
+  // pool, the settings train side by side, two of them on the same
+  // datasets (which the thread-sanitizer leg checks).
+  ExperimentProfile profile = ExperimentProfile::fast();
+  profile.dataset.candidates.max_candidates = 6;
+  profile.dataset.images.size = 9;
+  profile.dataset.images.pixel_sizes = {200, 400};
+  profile.net.hidden = 16;
+  profile.net.vector_res_blocks = 1;
+  profile.net.merged_res_blocks = 1;
+  profile.net.conv_channels = {4, 6, 8, 10};
+  profile.net.image_fc = 16;
+  profile.runtime.threads = 4;
+  const std::vector<netlist::DesignProfile> victims = {
+      tiny_profile("tiny_a", 300)};
+
+  obs::Counter& extractions =
+      obs::Registry::global().counter("split.extractions");
+  obs::Counter& builds = obs::Registry::global().counter("dataset.builds");
+  const std::uint64_t extractions_before = extractions.value();
+  const std::uint64_t builds_before = builds.value();
+  const std::vector<AblationRow> rows =
+      run_figure5(profile, layout::FlowConfig{}, victims, 2019);
+  ASSERT_EQ(rows.size(), 3u);
+
+  const std::size_t num_designs =
+      netlist::training_profiles().size() + victims.size();
+  EXPECT_EQ(SplitCache::global().stats().misses, num_designs);
+  EXPECT_EQ(SplitCache::global().stats().hits, 0u);
+  if (obs::compiled()) {
+    EXPECT_EQ(extractions.value() - extractions_before, num_designs);
+    EXPECT_EQ(builds.value() - builds_before, 2 * num_designs);
+  }
 }
 
 }  // namespace
