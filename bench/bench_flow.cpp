@@ -8,7 +8,9 @@
 // legalize / detailed-place / route / negotiation seconds per run. The
 // serial run's routing quality (wirelength, vias, final overflow,
 // fallbacks) goes into the JSON, so a change to the wave schedule shows
-// its cost against the committed BENCH_flow.json.
+// its cost against the committed BENCH_flow.json. The embedded run report
+// covers the serial runs only, so its counters (route.astar_* and the
+// rest) do not depend on the thread list.
 //
 // Human-readable progress goes to stderr; stdout carries exactly one JSON
 // object (scripts/bench.sh redirects it to BENCH_flow.json). Exit status
@@ -181,45 +183,51 @@ int main(int argc, char** argv) {
             << (smoke ? ", smoke" : "") << "\n";
 
   bool deterministic = true;
-  sma::obs::RunReport report("flow", threads.back());
+  sma::obs::RunReport report("flow", 1);
+  const auto log_run = [](const sma::netlist::DesignProfile& profile,
+                          const FlowRun& run, const FlowRun& serial) {
+    std::cerr << profile.name << " wave threads=" << run.threads << ": "
+              << run.seconds << "s (place " << run.timings.global_place_seconds
+              << "s, route " << run.timings.route_seconds << "s, negotiation "
+              << run.negotiation_seconds << "s), speedup "
+              << (run.seconds > 0.0 ? serial.seconds / run.seconds : 0.0)
+              << "x\n";
+  };
+
+  // Every design's serial run first: it is the speedup denominator and the
+  // identity witness. The report reads the process-global metrics, so it
+  // is frozen before any pooled run adds to them.
+  std::vector<std::vector<FlowRun>> runs(designs.size());
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    runs[d].push_back(run_flow_once(designs[d], wave_flow, 1, &report));
+    log_run(designs[d], runs[d].front(), runs[d].front());
+  }
+  const std::string report_json = sma::benchutil::report_fragment(report);
+
   std::ostringstream body;
   double summary_baseline = 0.0;
   double best_speedup = 0.0;
   int best_threads = 1;
-
   for (std::size_t d = 0; d < designs.size(); ++d) {
     const sma::netlist::DesignProfile& profile = designs[d];
-    std::cerr << profile.name << ":\n";
-    std::vector<FlowRun> runs;
+    std::vector<FlowRun>& design_runs = runs[d];
     bool design_identical = true;
-    for (int t : threads) {
-      FlowRun run = run_flow_once(profile, wave_flow, t,
-                                  runs.empty() ? &report : nullptr);
-      if (!runs.empty()) {
-        if (run.def != runs.front().def) {
-          design_identical = false;
-          deterministic = false;
-          std::cerr << "  DETERMINISM FAILURE: threads=" << t
-                    << " layout differs from threads=" << runs.front().threads
-                    << "\n";
-        }
-        run.def.clear();  // only the serial witness is ever compared against
+    for (std::size_t i = 1; i < threads.size(); ++i) {
+      FlowRun run = run_flow_once(profile, wave_flow, threads[i]);
+      if (run.def != design_runs.front().def) {
+        design_identical = false;
+        deterministic = false;
+        std::cerr << "  DETERMINISM FAILURE: " << profile.name
+                  << " threads=" << run.threads
+                  << " layout differs from threads=1\n";
       }
-      std::cerr << "  wave threads=" << t << ": " << run.seconds
-                << "s (place " << run.timings.global_place_seconds
-                << "s, route " << run.timings.route_seconds
-                << "s, negotiation " << run.negotiation_seconds
-                << "s), speedup "
-                << (run.seconds > 0.0 ? runs.empty()
-                                            ? 1.0
-                                            : runs.front().seconds / run.seconds
-                                      : 0.0)
-                << "x\n";
-      runs.push_back(std::move(run));
+      run.def.clear();  // only the serial witness is ever compared against
+      log_run(profile, run, design_runs.front());
+      design_runs.push_back(std::move(run));
     }
-    const double baseline_seconds = runs.front().seconds;
+    const double baseline_seconds = design_runs.front().seconds;
     if (d == 0) summary_baseline = baseline_seconds;
-    for (const FlowRun& run : runs) {
+    for (const FlowRun& run : design_runs) {
       const double speedup =
           run.seconds > 0.0 ? baseline_seconds / run.seconds : 0.0;
       if (speedup > best_speedup) {
@@ -231,12 +239,12 @@ int main(int argc, char** argv) {
     body << (d ? ", " : "") << "{\"design\": \""
          << json_escape(profile.name) << "\", \"wave\": {\"wave_size\": "
          << wave_size << ", ";
-    append_quality_json(body, runs.front());
+    append_quality_json(body, design_runs.front());
     body << ", \"identical_across_threads\": "
          << (design_identical ? "true" : "false") << ", \"runs\": [";
-    for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (std::size_t r = 0; r < design_runs.size(); ++r) {
       if (r) body << ", ";
-      append_run_json(body, runs[r], baseline_seconds);
+      append_run_json(body, design_runs[r], baseline_seconds);
     }
     body << "]}}";
   }
@@ -254,7 +262,7 @@ int main(int argc, char** argv) {
        << ", \"best_speedup_threads\": " << best_threads
        << ", \"measured_counts\": " << threads.size() << "}"
        << ", \"deterministic\": " << (deterministic ? "true" : "false")
-       << sma::benchutil::report_fragment(report) << "}";
+       << report_json << "}";
   std::cout << json.str() << "\n";
   sma::benchutil::flush_trace();
   std::cerr << (deterministic

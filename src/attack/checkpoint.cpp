@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -19,99 +21,21 @@ std::atomic<long> g_saves{0};
 std::atomic<long> g_resumes{0};
 std::atomic<long> g_corrupt_discards{0};
 
-void append_pod(std::string& out, const void* data, std::size_t size) {
-  // data may be an empty vector's null data(); append requires a valid range.
-  if (size > 0) out.append(static_cast<const char*>(data), size);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  append_pod(out, &v, sizeof(v));
-}
-
-void append_doubles(std::string& out, const std::vector<double>& v) {
-  append_u64(out, v.size());
-  append_pod(out, v.data(), v.size() * sizeof(double));
-}
-
-/// Bounds-checked sequential reader over a payload. Doubles round-trip as
-/// raw bit patterns, so histories compare bit-equal across save/load.
-class Cursor {
- public:
-  explicit Cursor(const std::string& bytes) : bytes_(bytes) {}
-
-  void read(void* into, std::size_t size, const char* what) {
-    require(size, what);
-    // An empty vector's data() may be null, and memcpy's pointer args are
-    // declared nonnull even for size 0.
-    if (size > 0) std::memcpy(into, bytes_.data() + pos_, size);
-    pos_ += size;
-  }
-
-  /// Advances past `size` bytes, bounds-checked like read(), without
-  /// copying them.
-  void skip(std::size_t size, const char* what) {
-    require(size, what);
-    pos_ += size;
-  }
-
-  std::uint64_t read_u64(const char* what) {
-    std::uint64_t v = 0;
-    read(&v, sizeof(v), what);
-    return v;
-  }
-
-  std::vector<double> read_doubles(const char* what) {
-    const std::uint64_t count = read_u64(what);
-    if (count > (bytes_.size() - pos_) / sizeof(double)) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
-    std::vector<double> v(static_cast<std::size_t>(count));
-    read(v.data(), v.size() * sizeof(double), what);
-    return v;
-  }
-
-  std::string read_blob(const char* what) {
-    const std::uint64_t size = read_u64(what);
-    if (size > bytes_.size() - pos_) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
-    std::string blob(bytes_.data() + pos_, static_cast<std::size_t>(size));
-    pos_ += static_cast<std::size_t>(size);
-    return blob;
-  }
-
-  bool done() const { return pos_ == bytes_.size(); }
-  std::size_t position() const { return pos_; }
-
- private:
-  void require(std::size_t size, const char* what) const {
-    if (bytes_.size() - pos_ < size) {
-      throw util::FrameError(std::string("checkpoint payload truncated in ") +
-                             what);
-    }
-  }
-
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string encode_params(const std::vector<nn::Param>& params) {
-  std::string out;
-  append_u64(out, params.size());
+  util::ByteWriter out;
+  out.u64(params.size());
   for (const nn::Param& p : params) {
-    append_u64(out, p.value->size());
-    append_pod(out, p.value->data(), p.value->size() * sizeof(float));
+    out.u64(p.value->size())
+        .bytes(p.value->data(), p.value->size() * sizeof(float));
   }
-  return out;
+  return out.take();
 }
 
 void decode_params(const std::string& blob, std::vector<nn::Param>& params) {
-  Cursor cur(blob);
-  const std::uint64_t count = cur.read_u64("parameter count");
+  util::ByteReader in(blob, "checkpoint model weights");
+  const std::uint64_t count = in.u64("parameter count");
   if (count != params.size()) {
     throw util::FrameError("checkpoint parameter count mismatch: blob has " +
                            std::to_string(count) + ", model has " +
@@ -120,65 +44,68 @@ void decode_params(const std::string& blob, std::vector<nn::Param>& params) {
   // Validate the whole blob — every size, and that nothing follows the
   // last tensor — before touching any tensor, so a bad blob leaves the
   // model unchanged.
-  std::vector<std::size_t> offsets(params.size());
+  std::vector<std::string_view> values(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    const std::uint64_t size = cur.read_u64(params[i].name.c_str());
+    const std::uint64_t size = in.u64(params[i].name.c_str());
     if (size != params[i].value->size()) {
       throw util::FrameError(
           "checkpoint size mismatch for " + params[i].name + ": blob has " +
           std::to_string(size) + " floats, model expects " +
           std::to_string(params[i].value->size()));
     }
-    offsets[i] = cur.position();
-    cur.skip(params[i].value->size() * sizeof(float), params[i].name.c_str());
+    values[i] = in.bytes(params[i].value->size() * sizeof(float),
+                         params[i].name.c_str());
   }
-  if (!cur.done()) {
-    throw util::FrameError("checkpoint model weights have trailing bytes");
-  }
+  in.expect_end();
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i].value->data(), blob.data() + offsets[i],
-                params[i].value->size() * sizeof(float));
+    if (!values[i].empty()) {
+      std::memcpy(params[i].value->data(), values[i].data(), values[i].size());
+    }
   }
 }
 
 std::string encode_checkpoint(const TrainCheckpoint& ckpt) {
-  std::string out;
-  append_u64(out, ckpt.compat_digest);
-  append_u64(out, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(ckpt.epochs_done)));
-  append_u64(out, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(ckpt.queries_seen)));
-  append_u64(out, ckpt.rng.state);
-  append_u64(out, ckpt.rng.inc);
-  append_doubles(out, ckpt.epoch_loss);
-  append_doubles(out, ckpt.validation_ccr);
-  append_u64(out, ckpt.model_blob.size());
-  out.append(ckpt.model_blob);
-  append_u64(out, ckpt.adam_blob.size());
-  out.append(ckpt.adam_blob);
-  return out;
+  util::ByteWriter out;
+  const auto write_doubles = [&out](const std::vector<double>& v) {
+    out.u64(v.size()).bytes(v.data(), v.size() * sizeof(double));
+  };
+  out.u64(ckpt.compat_digest)
+      .u64(static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(ckpt.epochs_done)))
+      .u64(static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(ckpt.queries_seen)))
+      .u64(ckpt.rng.state)
+      .u64(ckpt.rng.inc);
+  write_doubles(ckpt.epoch_loss);
+  write_doubles(ckpt.validation_ccr);
+  out.blob(ckpt.model_blob).blob(ckpt.adam_blob);
+  return out.take();
 }
 
 TrainCheckpoint decode_checkpoint(const std::string& payload) {
-  Cursor cur(payload);
+  util::ByteReader in(payload, "checkpoint payload");
+  // Doubles round-trip as raw bit patterns, so histories compare bit-equal
+  // across save/load.
+  const auto read_doubles = [&in](const char* field) {
+    std::vector<double> v(in.count(sizeof(double), field));
+    in.read(v.data(), v.size() * sizeof(double), field);
+    return v;
+  };
   TrainCheckpoint ckpt;
-  ckpt.compat_digest = cur.read_u64("compat digest");
-  ckpt.epochs_done = static_cast<int>(
-      static_cast<std::int64_t>(cur.read_u64("epoch counter")));
-  ckpt.queries_seen =
-      static_cast<long>(static_cast<std::int64_t>(cur.read_u64("query count")));
-  if (ckpt.epochs_done < 0 || ckpt.queries_seen < 0) {
-    throw util::FrameError("checkpoint payload has negative counters");
-  }
-  ckpt.rng.state = cur.read_u64("rng state");
-  ckpt.rng.inc = cur.read_u64("rng stream");
-  ckpt.epoch_loss = cur.read_doubles("epoch losses");
-  ckpt.validation_ccr = cur.read_doubles("validation history");
-  ckpt.model_blob = cur.read_blob("model weights");
-  ckpt.adam_blob = cur.read_blob("optimizer state");
-  if (!cur.done()) {
-    throw util::FrameError("checkpoint payload has trailing bytes");
-  }
+  ckpt.compat_digest = in.u64("compat digest");
+  ckpt.epochs_done = static_cast<int>(in.u64_at_most(
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
+      "epoch counter"));
+  ckpt.queries_seen = static_cast<long>(in.u64_at_most(
+      static_cast<std::uint64_t>(std::numeric_limits<long>::max()),
+      "query count"));
+  ckpt.rng.state = in.u64("rng state");
+  ckpt.rng.inc = in.u64("rng stream");
+  ckpt.epoch_loss = read_doubles("epoch losses");
+  ckpt.validation_ccr = read_doubles("validation history");
+  ckpt.model_blob = in.blob("model weights");
+  ckpt.adam_blob = in.blob("optimizer state");
+  in.expect_end();
   return ckpt;
 }
 

@@ -41,7 +41,7 @@ struct TrainCheckpoint {
   std::vector<double> validation_ccr;   ///< stats history so far
   util::Pcg32::State rng;               ///< training RNG after epoch `epochs_done`
   std::string model_blob;               ///< weights (encode_params format)
-  std::string adam_blob;                ///< Adam::serialize output
+  std::string adam_blob;                ///< optimizer state (Adam::serialize)
 };
 
 /// Serialize parameter *values* (in `params` order) into a blob:
@@ -55,7 +55,8 @@ void decode_params(const std::string& blob, std::vector<nn::Param>& params);
 
 /// Flat binary payload encoding (framed and checksummed by save/load).
 std::string encode_checkpoint(const TrainCheckpoint& ckpt);
-/// Throws util::FrameError on truncation or malformed fields.
+/// Throws util::FrameError on truncation, an out-of-range counter or
+/// length, or trailing bytes.
 TrainCheckpoint decode_checkpoint(const std::string& payload);
 
 /// Write `ckpt` to `path` via durable_io's atomic replace. Throws

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 
 #include "attack/checkpoint.hpp"
 #include "nn/train_step.hpp"
@@ -153,19 +152,16 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       // impossible; defends the invariant anyway) rolls back cleanly to
       // a fresh start instead of leaving weights and optimizer mixed.
       const std::string fresh_weights = encode_params(ckpt_params);
-      std::ostringstream fresh_adam;
-      engine.optimizer().serialize(fresh_adam);
+      const std::string fresh_adam = engine.optimizer().serialize();
       try {
         decode_params(ckpt.model_blob, ckpt_params);
-        std::istringstream adam_in(ckpt.adam_blob);
-        engine.optimizer().deserialize(adam_in);
+        engine.optimizer().deserialize(ckpt.adam_blob);
         start_epoch = ckpt.epochs_done;
       } catch (const std::exception& e) {
         util::log_warn() << "checkpoint " << config.checkpoint_path
                          << " failed to decode, starting fresh: " << e.what();
         decode_params(fresh_weights, ckpt_params);
-        std::istringstream adam_in(fresh_adam.str());
-        engine.optimizer().deserialize(adam_in);
+        engine.optimizer().deserialize(fresh_adam);
         start_epoch = 0;
       }
       if (start_epoch > 0) {
@@ -377,9 +373,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
       ckpt.validation_ccr = stats.validation_ccr;
       ckpt.rng = rng.save_state();
       ckpt.model_blob = encode_params(ckpt_params);
-      std::ostringstream adam_out;
-      engine.optimizer().serialize(adam_out);
-      ckpt.adam_blob = adam_out.str();
+      ckpt.adam_blob = engine.optimizer().serialize();
       try {
         save_checkpoint(config.checkpoint_path, ckpt);
         ++stats.checkpoints_saved;

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <numeric>
@@ -227,143 +226,75 @@ std::string work_unit_path(const std::string& dir, std::uint64_t digest,
   return dir + "/" + name;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void append_bits(std::string& out, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  append_u64(out, bits);
-}
-
-void append_str(std::string& out, const std::string& s) {
-  append_u64(out, s.size());
-  out.append(s);
-}
-
-/// Bounds-checked reader for work-unit payloads.
-class WorkCursor {
- public:
-  explicit WorkCursor(const std::string& bytes) : bytes_(bytes) {}
-
-  std::uint64_t read_u64(const char* what) {
-    std::uint64_t v = 0;
-    if (bytes_.size() - pos_ < sizeof(v)) {
-      throw util::FrameError(std::string("work unit truncated in ") + what);
-    }
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
-    pos_ += sizeof(v);
-    return v;
-  }
-
-  double read_bits(const char* what) {
-    const std::uint64_t bits = read_u64(what);
-    double d = 0.0;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  }
-
-  std::string read_str(const char* what) {
-    const std::uint64_t size = read_u64(what);
-    if (size > bytes_.size() - pos_) {
-      throw util::FrameError(std::string("work unit truncated in ") + what);
-    }
-    std::string s(bytes_.data() + pos_, static_cast<std::size_t>(size));
-    pos_ += static_cast<std::size_t>(size);
-    return s;
-  }
-
-  /// A non-negative count that must fit an `int`.
-  int read_count(const char* what) {
-    const std::uint64_t v = read_u64(what);
-    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-      throw util::FrameError(std::string("work unit ") + what +
-                             " out of range");
-    }
-    return static_cast<int>(v);
-  }
-
-  /// Every byte must have been consumed: a payload with trailing bytes
-  /// came from a different encoder.
-  void expect_end() const {
-    if (pos_ != bytes_.size()) {
-      throw util::FrameError("work unit has " +
-                             std::to_string(bytes_.size() - pos_) +
-                             " trailing bytes");
-    }
-  }
-
- private:
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
-
 std::string encode_t3_row(std::uint64_t digest, std::size_t slot,
                           const Table3Row& row) {
-  std::string out;
-  append_u64(out, digest);
-  append_u64(out, slot);
-  append_str(out, row.design);
-  append_u64(out, static_cast<std::uint64_t>(row.num_sink_fragments));
-  append_u64(out, static_cast<std::uint64_t>(row.num_source_fragments));
-  append_u64(out, (row.flow_timed_out ? 1u : 0u) |
-                      (row.scaled_down ? 2u : 0u));
-  append_bits(out, row.flow_ccr);
-  append_bits(out, row.flow_seconds);
-  append_bits(out, row.dl_ccr);
-  append_bits(out, row.dl_seconds);
-  append_bits(out, row.hit_rate);
-  return out;
+  util::ByteWriter out;
+  out.u64(digest)
+      .u64(slot)
+      .blob(row.design)
+      .u64(static_cast<std::uint64_t>(row.num_sink_fragments))
+      .u64(static_cast<std::uint64_t>(row.num_source_fragments))
+      .u64((row.flow_timed_out ? 1u : 0u) | (row.scaled_down ? 2u : 0u))
+      .f64(row.flow_ccr)
+      .f64(row.flow_seconds)
+      .f64(row.dl_ccr)
+      .f64(row.dl_seconds)
+      .f64(row.hit_rate);
+  return out.take();
 }
 
 Table3Row decode_t3_row(const std::string& payload, std::uint64_t digest,
                         std::size_t slot) {
-  WorkCursor cur(payload);
-  if (cur.read_u64("digest") != digest || cur.read_u64("slot") != slot) {
+  util::ByteReader in(payload, "work unit");
+  if (in.u64("digest") != digest || in.u64("slot") != slot) {
     throw util::FrameError("work unit belongs to a different run or slot");
   }
   Table3Row row;
-  row.design = cur.read_str("design name");
-  row.num_sink_fragments = cur.read_count("sink count");
-  row.num_source_fragments = cur.read_count("source count");
-  const std::uint64_t flags = cur.read_u64("flags");
+  row.design = in.blob("design name");
+  // Fragment counts are stored in an `int`.
+  constexpr auto kMaxCount =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  row.num_sink_fragments =
+      static_cast<int>(in.u64_at_most(kMaxCount, "sink count"));
+  row.num_source_fragments =
+      static_cast<int>(in.u64_at_most(kMaxCount, "source count"));
+  const std::uint64_t flags = in.u64("flags");
   if ((flags & ~std::uint64_t{3}) != 0) {
     throw util::FrameError("work unit has unknown flag bits");
   }
   row.flow_timed_out = (flags & 1u) != 0;
   row.scaled_down = (flags & 2u) != 0;
-  row.flow_ccr = cur.read_bits("flow ccr");
-  row.flow_seconds = cur.read_bits("flow seconds");
-  row.dl_ccr = cur.read_bits("dl ccr");
-  row.dl_seconds = cur.read_bits("dl seconds");
-  row.hit_rate = cur.read_bits("hit rate");
-  cur.expect_end();
+  row.flow_ccr = in.f64("flow ccr");
+  row.flow_seconds = in.f64("flow seconds");
+  row.dl_ccr = in.f64("dl ccr");
+  row.dl_seconds = in.f64("dl seconds");
+  row.hit_rate = in.f64("hit rate");
+  in.expect_end();
   return row;
 }
 
 std::string encode_f5_row(std::uint64_t digest, std::size_t slot,
                           const AblationRow& row) {
-  std::string out;
-  append_u64(out, digest);
-  append_u64(out, slot);
-  append_str(out, row.setting);
-  append_bits(out, row.avg_ccr);
-  append_bits(out, row.avg_inference_seconds);
-  return out;
+  util::ByteWriter out;
+  out.u64(digest)
+      .u64(slot)
+      .blob(row.setting)
+      .f64(row.avg_ccr)
+      .f64(row.avg_inference_seconds);
+  return out.take();
 }
 
 AblationRow decode_f5_row(const std::string& payload, std::uint64_t digest,
                           std::size_t slot) {
-  WorkCursor cur(payload);
-  if (cur.read_u64("digest") != digest || cur.read_u64("slot") != slot) {
+  util::ByteReader in(payload, "work unit");
+  if (in.u64("digest") != digest || in.u64("slot") != slot) {
     throw util::FrameError("work unit belongs to a different run or slot");
   }
   AblationRow row;
-  row.setting = cur.read_str("setting name");
-  row.avg_ccr = cur.read_bits("avg ccr");
-  row.avg_inference_seconds = cur.read_bits("avg inference seconds");
-  cur.expect_end();
+  row.setting = in.blob("setting name");
+  row.avg_ccr = in.f64("avg ccr");
+  row.avg_inference_seconds = in.f64("avg inference seconds");
+  in.expect_end();
   return row;
 }
 

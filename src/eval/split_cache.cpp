@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "layout/def_io.hpp"
 #include "tech/cell_library.hpp"
@@ -31,44 +30,26 @@ std::string cache_file_path(const std::string& dir, std::uint64_t key) {
 /// counts from geometry, but overflow and fallback counts are router
 /// history), followed by the DEF text itself.
 std::string encode_entry(std::uint64_t key, const layout::Design& design) {
-  std::string out;
-  const auto append_u64 = [&out](std::uint64_t v) {
-    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  append_u64(key);
-  append_u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(design.routing.final_overflow)));
-  append_u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(design.routing.fallback_routes)));
-  const std::string def = layout::to_def_string(design);
-  append_u64(def.size());
-  out.append(def);
-  return out;
+  util::ByteWriter out;
+  out.u64(key)
+      .u64(static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(design.routing.final_overflow)))
+      .u64(static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(design.routing.fallback_routes)))
+      .blob(layout::to_def_string(design));
+  return out.take();
 }
 
 layout::Design decode_entry(const std::string& payload, std::uint64_t key,
                             const tech::CellLibrary* library) {
-  std::size_t pos = 0;
-  const auto read_u64 = [&payload, &pos](const char* what) {
-    std::uint64_t v = 0;
-    if (payload.size() - pos < sizeof(v)) {
-      throw util::FrameError(std::string("cache entry truncated in ") + what);
-    }
-    std::memcpy(&v, payload.data() + pos, sizeof(v));
-    pos += sizeof(v);
-    return v;
-  };
-  const std::uint64_t stored_key = read_u64("key");
-  if (stored_key != key) {
+  util::ByteReader in(payload, "cache entry");
+  if (in.u64("key") != key) {
     throw util::FrameError("cache entry key mismatch (file renamed?)");
   }
-  const auto overflow = static_cast<std::int64_t>(read_u64("overflow"));
-  const auto fallback = static_cast<std::int64_t>(read_u64("fallback count"));
-  const std::uint64_t def_size = read_u64("DEF length");
-  if (def_size != payload.size() - pos) {
-    throw util::FrameError("cache entry DEF length mismatch");
-  }
-  const std::string def = payload.substr(pos);
+  const auto overflow = static_cast<std::int64_t>(in.u64("overflow"));
+  const auto fallback = static_cast<std::int64_t>(in.u64("fallback count"));
+  const std::string def(in.blob("DEF text"));
+  in.expect_end();
   layout::Design design = layout::read_def_string(def, library);
   design.routing.final_overflow = static_cast<int>(overflow);
   design.routing.fallback_routes = static_cast<int>(fallback);
@@ -213,16 +194,14 @@ std::shared_ptr<const layout::Design> SplitCache::get_or_build(
   const tech::CellLibrary* library = nullptr;
   {
     util::MutexLock lock(mutex_);
-    if (enabled_) {
-      auto it = entries_.find(key);
-      if (it != entries_.end()) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return it->second.design;
-      }
-      dir = disk_dir_;
-      library = library_;
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++stats_.hits;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      return it->second.design;
     }
+    dir = disk_dir_;
+    library = library_;
     ++stats_.misses;
   }
 
@@ -242,23 +221,12 @@ std::shared_ptr<const layout::Design> SplitCache::get_or_build(
   if (built && use_disk) spill_to_disk(dir, key, *design);
 
   util::MutexLock lock(mutex_);
-  if (!enabled_) return design;
   auto it = entries_.find(key);
   if (it != entries_.end()) return it->second.design;
   lru_.push_front(key);
   entries_.emplace(key, Entry{design, lru_.begin()});
   evict_to_capacity_locked();
   return design;
-}
-
-void SplitCache::set_enabled(bool enabled) {
-  util::MutexLock lock(mutex_);
-  enabled_ = enabled;
-}
-
-bool SplitCache::enabled() const {
-  util::MutexLock lock(mutex_);
-  return enabled_;
 }
 
 void SplitCache::set_capacity(std::size_t capacity) {

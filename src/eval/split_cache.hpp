@@ -15,7 +15,7 @@
 // (`SplitDesign`, feature extraction, the attacks) only read, so one
 // cached layout may back many concurrent experiments. An LRU bound keeps
 // memory in check; eviction order depends only on the call sequence, so
-// cached and uncached runs stay deterministic either way.
+// cold and warm runs stay deterministic either way.
 #pragma once
 
 #include <cstdint>
@@ -62,15 +62,11 @@ class SplitCache {
 
   explicit SplitCache(std::size_t capacity = 32) : capacity_(capacity) {}
 
-  /// Look up `key`, building (and storing) via `build` on a miss. When the
-  /// cache is disabled every call builds and nothing is stored.
+  /// Look up `key`, building (and storing) via `build` on a miss.
   std::shared_ptr<const layout::Design> get_or_build(
       std::uint64_t key,
       const std::function<std::shared_ptr<const layout::Design>()>& build)
       SMA_EXCLUDES(mutex_);
-
-  void set_enabled(bool enabled) SMA_EXCLUDES(mutex_);
-  bool enabled() const SMA_EXCLUDES(mutex_);
 
   /// Max resident designs; shrinking evicts immediately (LRU order).
   void set_capacity(std::size_t capacity) SMA_EXCLUDES(mutex_);
@@ -105,7 +101,6 @@ class SplitCache {
                      const layout::Design& design) SMA_EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;
-  bool enabled_ SMA_GUARDED_BY(mutex_) = true;
   std::size_t capacity_ SMA_GUARDED_BY(mutex_);
   std::string disk_dir_ SMA_GUARDED_BY(mutex_);
   const tech::CellLibrary* library_ SMA_GUARDED_BY(mutex_) = nullptr;

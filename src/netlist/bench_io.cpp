@@ -41,10 +41,8 @@ struct GateSpec {
 };
 
 /// Runs the Netlist edits for the statement on `line_no`, turning what they
-/// throw into the parser's own error: the std::logic_error of a port name
-/// used twice (an OUTPUT's `<name>_po` port can meet an INPUT of that
-/// name) or of a signal that collides with a decomposition temporary, and
-/// the std::runtime_error of a gate the library cannot build.
+/// throw into the parser's own error: the std::runtime_error of a gate the
+/// library cannot build, and any std::logic_error of a Netlist invariant.
 template <typename Edit>
 void netlist_edit(int line_no, Edit&& edit) {
   try {
@@ -56,10 +54,13 @@ void netlist_edit(int line_no, Edit&& edit) {
   }
 }
 
-/// Incremental builder that owns gate decomposition.
+/// Incremental builder that owns gate decomposition. `defined` holds every
+/// signal the file defines; decomposition temporaries never take one of
+/// those names.
 class BenchBuilder {
  public:
-  BenchBuilder(Netlist& nl) : nl_(nl) {}
+  BenchBuilder(Netlist& nl, const std::map<std::string, int>& defined)
+      : nl_(nl), defined_(defined) {}
 
   NetId net_for(const std::string& signal) {
     if (auto id = nl_.find_net(signal)) return *id;
@@ -170,7 +171,11 @@ class BenchBuilder {
   }
 
   NetId temp_net() {
-    return nl_.add_net("_dec" + std::to_string(temp_counter_++));
+    std::string name;
+    do {
+      name = "_dec" + std::to_string(temp_counter_++);
+    } while (defined_.count(name) != 0);
+    return nl_.add_net(name);
   }
 
   std::string unique_cell_name(const std::string& lib_name) {
@@ -178,6 +183,7 @@ class BenchBuilder {
   }
 
   Netlist& nl_;
+  const std::map<std::string, int>& defined_;
   int temp_counter_ = 0;
   int cell_counter_ = 0;
 };
@@ -201,7 +207,6 @@ tech::Function function_from_bench(const std::string& token, int line_no) {
 Netlist parse_bench(std::istream& in, const std::string& design_name,
                     const tech::CellLibrary* library) {
   Netlist nl(design_name, library);
-  BenchBuilder builder(nl);
 
   std::vector<PortSpec> inputs;
   std::vector<PortSpec> outputs;
@@ -209,6 +214,8 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
   // Every signal an INPUT or a gate defines, with its line: a signal is
   // defined once, and a gate may read only defined signals.
   std::map<std::string, int> defined;
+  // Every signal an OUTPUT declares, with its line: declared once.
+  std::map<std::string, int> declared_outputs;
 
   std::string line;
   int line_no = 0;
@@ -243,6 +250,11 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
         inputs.push_back({name, line_no});
       } else if (kind == "OUTPUT") {
         if (name.empty()) fail(line_no, "empty signal name");
+        const auto [it, fresh] = declared_outputs.emplace(name, line_no);
+        if (!fresh) {
+          fail(line_no, "signal '" + name + "' already an OUTPUT on line " +
+                            std::to_string(it->second));
+        }
         outputs.push_back({name, line_no});
       } else {
         fail(line_no, "unknown declaration '" + kind + "'");
@@ -275,6 +287,7 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
     gates.push_back(std::move(gate));
   }
 
+  BenchBuilder builder(nl, defined);
   for (const PortSpec& input : inputs) {
     netlist_edit(input.line_no, [&] {
       PortId port = nl.add_port(input.name, PortDirection::kInput);
@@ -303,7 +316,14 @@ Netlist parse_bench(std::istream& in, const std::string& design_name,
            "OUTPUT of undefined signal '" + output.name + "'");
     }
     netlist_edit(output.line_no, [&] {
-      PortId port = nl.add_port(output.name + "_po", PortDirection::kOutput);
+      // The port is `<signal>_po`, or `<signal>_po<N>` for the first N that
+      // no port (an INPUT of that name) already uses.
+      const std::string base = output.name + "_po";
+      std::string port_name = base;
+      for (int n = 1; nl.find_port(port_name).has_value(); ++n) {
+        port_name = base + std::to_string(n);
+      }
+      PortId port = nl.add_port(port_name, PortDirection::kOutput);
       nl.connect(*nl.find_net(output.name), PinRef::port(port));
     });
   }

@@ -19,11 +19,12 @@
 
 namespace sma::netlist {
 
-/// Parse a .bench stream into a netlist named `design_name`.
-/// Throws std::runtime_error with a line number on malformed input: bad
-/// syntax, an empty signal name, a signal that INPUTs and gates define
-/// more than once, a gate input or OUTPUT that none defines, or a port
-/// name used twice.
+/// Parse a .bench stream into a netlist named `design_name`. An OUTPUT's
+/// port is named `<signal>_po` (`<signal>_po<N>` when an INPUT already
+/// uses that name). Throws std::runtime_error with a line number on
+/// malformed input: bad syntax, an empty signal name, a signal that
+/// INPUTs and gates define more than once, a repeated OUTPUT, or a gate
+/// input or OUTPUT that none defines.
 Netlist parse_bench(std::istream& in, const std::string& design_name,
                     const tech::CellLibrary* library);
 

@@ -2,12 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "runtime/parallel.hpp"
+#include "util/durable_io.hpp"
 
 namespace sma::nn {
 
@@ -64,70 +62,45 @@ std::size_t Adam::num_parameters() const {
   return total;
 }
 
-namespace {
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in, const char* what) {
-  T value;
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) {
-    throw std::runtime_error(std::string("Adam state truncated in ") + what);
-  }
-  return value;
-}
-
-}  // namespace
-
-void Adam::serialize(std::ostream& out) const {
-  write_pod(out, lr_);
-  write_pod(out, static_cast<std::int64_t>(t_));
-  write_pod(out, static_cast<std::uint64_t>(params_.size()));
+std::string Adam::serialize() const {
+  util::ByteWriter out;
+  out.f64(lr_)
+      .u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(t_)))
+      .u64(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    write_pod(out, static_cast<std::uint64_t>(m_[i].size()));
-    out.write(reinterpret_cast<const char*>(m_[i].data()),
-              static_cast<std::streamsize>(m_[i].size() * sizeof(float)));
-    out.write(reinterpret_cast<const char*>(v_[i].data()),
-              static_cast<std::streamsize>(v_[i].size() * sizeof(float)));
+    out.u64(m_[i].size())
+        .bytes(m_[i].data(), m_[i].size() * sizeof(float))
+        .bytes(v_[i].data(), v_[i].size() * sizeof(float));
   }
-  if (!out) throw std::runtime_error("Adam::serialize: stream write failed");
+  return out.take();
 }
 
-void Adam::deserialize(std::istream& in) {
-  const double lr = read_pod<double>(in, "learning rate");
-  const auto t = read_pod<std::int64_t>(in, "step counter");
-  const auto count = read_pod<std::uint64_t>(in, "parameter count");
+void Adam::deserialize(std::string_view state) {
+  util::ByteReader in(state, "Adam state");
+  const double lr = in.f64("learning rate");
+  const auto t = static_cast<long>(in.u64("step counter"));
+  const std::uint64_t count = in.u64("parameter count");
   if (count != params_.size()) {
-    throw std::runtime_error("Adam state parameter count mismatch: state has " +
-                             std::to_string(count) + ", optimizer has " +
-                             std::to_string(params_.size()));
+    in.fail("parameter count mismatch: state has " + std::to_string(count) +
+            ", optimizer has " + std::to_string(params_.size()));
   }
-  // Stage into scratch so a truncated stream leaves this optimizer intact.
+  // Stage into scratch so a failed decode leaves this optimizer intact.
   std::vector<std::vector<float>> m(params_.size());
   std::vector<std::vector<float>> v(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    const auto size = read_pod<std::uint64_t>(in, params_[i].name.c_str());
+    const char* name = params_[i].name.c_str();
+    const std::uint64_t size = in.u64(name);
     if (size != m_[i].size()) {
-      throw std::runtime_error("Adam state size mismatch for " +
-                               params_[i].name + ": state has " +
-                               std::to_string(size) + ", expected " +
-                               std::to_string(m_[i].size()));
+      in.fail("size mismatch for " + params_[i].name + ": state has " +
+              std::to_string(size) + ", expected " +
+              std::to_string(m_[i].size()));
     }
-    m[i].resize(static_cast<std::size_t>(size));
-    v[i].resize(static_cast<std::size_t>(size));
-    in.read(reinterpret_cast<char*>(m[i].data()),
-            static_cast<std::streamsize>(size * sizeof(float)));
-    in.read(reinterpret_cast<char*>(v[i].data()),
-            static_cast<std::streamsize>(size * sizeof(float)));
-    if (!in) {
-      throw std::runtime_error("Adam state truncated in moments of " +
-                               params_[i].name);
-    }
+    m[i].resize(m_[i].size());
+    v[i].resize(m_[i].size());
+    in.read(m[i].data(), m[i].size() * sizeof(float), name);
+    in.read(v[i].data(), v[i].size() * sizeof(float), name);
   }
+  in.expect_end();
   lr_ = lr;
   t_ = t;
   m_ = std::move(m);

@@ -3,7 +3,8 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -64,13 +65,14 @@ class Adam {
   /// so far), step counter, and both moment vectors per parameter. The
   /// config itself is not serialized — it comes from the TrainConfig the
   /// resuming run was constructed with.
-  void serialize(std::ostream& out) const;
+  std::string serialize() const;
 
   /// Restore state written by `serialize` into this optimizer. The
   /// parameter count and every moment-vector size must match this
-  /// optimizer's parameters; throws std::runtime_error (naming the
-  /// mismatch) otherwise, leaving the state untouched.
-  void deserialize(std::istream& in);
+  /// optimizer's parameters, and nothing may follow the last moment
+  /// vector; otherwise throws util::FrameError (naming the mismatch),
+  /// leaving the state untouched.
+  void deserialize(std::string_view state);
 
  private:
   std::vector<Param> params_;

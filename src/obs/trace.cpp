@@ -32,8 +32,7 @@ struct Slot {
 /// published events; a concurrently writing thread can at worst tear one
 /// in-flight slot of the *report* — the traced computation is untouched.
 struct ThreadBuffer {
-  explicit ThreadBuffer(int tid_in, std::size_t capacity)
-      : tid(tid_in), ring(capacity) {}
+  explicit ThreadBuffer(int tid_in) : tid(tid_in), ring(kRingCapacity) {}
 
   int tid;
   std::vector<Slot> ring;
@@ -43,7 +42,6 @@ struct ThreadBuffer {
 struct Tracer {
   std::atomic<bool> enabled{false};
   std::atomic<std::uint32_t> epoch{0};
-  std::atomic<std::size_t> ring_capacity{std::size_t{1} << 16};
   /// Events written to a full ring in the current session, per epoch —
   /// approximated by summing per-buffer overflow at collect time.
   util::Mutex mutex;
@@ -61,8 +59,7 @@ Tracer& tracer() {
 ThreadBuffer& local_buffer() {
   thread_local std::shared_ptr<ThreadBuffer> buffer = [] {
     Tracer& t = tracer();
-    auto created = std::make_shared<ThreadBuffer>(
-        util::thread_ordinal(), t.ring_capacity.load(std::memory_order_relaxed));
+    auto created = std::make_shared<ThreadBuffer>(util::thread_ordinal());
     util::MutexLock lock(t.mutex);
     t.buffers.push_back(created);
     return created;
@@ -93,11 +90,6 @@ void set_tracing_enabled(bool enabled) {
 
 bool tracing_enabled() {
   return tracer().enabled.load(std::memory_order_relaxed);
-}
-
-void set_ring_capacity(std::size_t events) {
-  tracer().ring_capacity.store(std::max<std::size_t>(events, 8),
-                               std::memory_order_relaxed);
 }
 
 void record_span(const char* cat, const char* name, double ts_us,

@@ -21,6 +21,7 @@
 // the traced computation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -51,10 +52,9 @@ double now_us();
 void set_tracing_enabled(bool enabled);
 bool tracing_enabled();
 
-/// Events per thread ring (default 1 << 16). Applies to buffers created
-/// after the call; a full ring wraps, overwriting the oldest events of the
-/// thread and counting the loss in `dropped_events()`.
-void set_ring_capacity(std::size_t events);
+/// Events per thread ring. A full ring wraps, overwriting the oldest
+/// events of the thread and counting the loss in `dropped_events()`.
+inline constexpr std::size_t kRingCapacity = std::size_t{1} << 16;
 
 /// Record one complete span. Normally called by SpanGuard, not directly.
 void record_span(const char* cat, const char* name, double ts_us,

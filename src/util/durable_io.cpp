@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace sma::util {
 
@@ -20,61 +21,14 @@ namespace {
 constexpr std::uint32_t kMagic = 0x464d5341;  // "SMAF" little-endian
 constexpr std::uint32_t kContainerVersion = 1;
 
-void append_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-/// Bounds-checked little-endian reads over the frame bytes.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T read(const char* what) {
-    if (bytes_.size() - pos_ < sizeof(T)) {
-      throw FrameError(std::string("frame truncated in ") + what);
-    }
-    T v;
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::string_view read_bytes(std::size_t n, const char* what) {
-    if (bytes_.size() - pos_ < n) {
-      throw FrameError(std::string("frame truncated in ") + what);
-    }
-    std::string_view v = bytes_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  std::size_t pos() const { return pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
 std::uint64_t frame_checksum(std::string_view kind, std::uint32_t version,
                              std::string_view payload) {
-  // Chain FNV over the pieces the checksum covers, in frame order.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(kind.data(), kind.size());
-  mix(&version, sizeof(version));
-  mix(payload.data(), payload.size());
-  return h;
+  // FNV-1a over the pieces the checksum covers, in frame order.
+  return ContentHash()
+      .add_bytes(kind.data(), kind.size())
+      .add_bytes(&version, sizeof(version))
+      .add_bytes(payload.data(), payload.size())
+      .digest();
 }
 
 [[noreturn]] void throw_errno(const std::string& op, const std::string& path) {
@@ -83,68 +37,117 @@ std::uint64_t frame_checksum(std::string_view kind, std::uint32_t version,
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
+ByteWriter& ByteWriter::f64(double v) {
+  std::uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  return u64(bits);
+}
+
+ByteWriter& ByteWriter::bytes(const void* data, std::size_t size) {
+  // An empty vector's data() may be null; append needs a valid range.
+  if (size > 0) out_.append(static_cast<const char*>(data), size);
+  return *this;
+}
+
+std::uint32_t ByteReader::u32(const char* field) {
+  std::uint32_t v = 0;
+  read(&v, sizeof(v), field);
+  return v;
+}
+
+std::uint64_t ByteReader::u64(const char* field) {
+  std::uint64_t v = 0;
+  read(&v, sizeof(v), field);
+  return v;
+}
+
+double ByteReader::f64(const char* field) {
+  const std::uint64_t bits = u64(field);
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+std::uint64_t ByteReader::u64_at_most(std::uint64_t max, const char* field) {
+  const std::uint64_t v = u64(field);
+  if (v > max) fail(std::string(field) + " out of range");
+  return v;
+}
+
+std::size_t ByteReader::count(std::size_t elem_size, const char* field) {
+  const std::uint64_t n = u64(field);
+  if (n > remaining() / elem_size) fail(std::string("truncated in ") + field);
+  return static_cast<std::size_t>(n);
+}
+
+std::string_view ByteReader::bytes(std::size_t size, const char* field) {
+  if (size > remaining()) fail(std::string("truncated in ") + field);
+  const std::string_view v = bytes_.substr(pos_, size);
+  pos_ += size;
+  return v;
+}
+
+void ByteReader::read(void* into, std::size_t size, const char* field) {
+  const std::string_view v = bytes(size, field);
+  // memcpy's pointer arguments must be valid even for size 0.
+  if (size > 0) std::memcpy(into, v.data(), size);
+}
+
+void ByteReader::expect_end() const {
+  if (remaining() != 0) {
+    fail("has " + std::to_string(remaining()) + " trailing bytes");
   }
-  return h;
+}
+
+void ByteReader::fail(const std::string& what) const {
+  throw FrameError(std::string(payload_) + " " + what);
 }
 
 std::string frame_encode(std::string_view kind, std::uint32_t version,
                          std::string_view payload) {
-  std::string out;
+  ByteWriter out;
   out.reserve(4 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t) +
               kind.size() + payload.size());
-  append_u32(out, kMagic);
-  append_u32(out, kContainerVersion);
-  append_u32(out, static_cast<std::uint32_t>(kind.size()));
-  out.append(kind.data(), kind.size());
-  append_u32(out, version);
-  append_u64(out, static_cast<std::uint64_t>(payload.size()));
-  out.append(payload.data(), payload.size());
-  append_u64(out, frame_checksum(kind, version, payload));
-  return out;
+  out.u32(kMagic)
+      .u32(kContainerVersion)
+      .u32(static_cast<std::uint32_t>(kind.size()))
+      .bytes(kind.data(), kind.size())
+      .u32(version)
+      .blob(payload)
+      .u64(frame_checksum(kind, version, payload));
+  return out.take();
 }
 
 std::string frame_decode(std::string_view bytes, std::string_view kind,
                          std::uint32_t version) {
-  Cursor cursor(bytes);
-  if (cursor.read<std::uint32_t>("magic") != kMagic) {
+  ByteReader in(bytes, "frame");
+  if (in.u32("magic") != kMagic) {
     throw FrameError("not a durable frame (bad magic)");
   }
-  const auto container = cursor.read<std::uint32_t>("container version");
+  const auto container = in.u32("container version");
   if (container != kContainerVersion) {
     throw FrameError("unsupported container version " +
                      std::to_string(container));
   }
-  const auto kind_len = cursor.read<std::uint32_t>("kind length");
+  const auto kind_len = in.u32("kind length");
   if (kind_len > 256) {
     throw FrameError("implausible kind length " + std::to_string(kind_len));
   }
-  const std::string_view got_kind = cursor.read_bytes(kind_len, "kind");
+  const std::string_view got_kind = in.bytes(kind_len, "kind");
   if (got_kind != kind) {
     throw FrameError("frame kind mismatch: expected '" + std::string(kind) +
                      "', got '" + std::string(got_kind) + "'");
   }
-  const auto got_version = cursor.read<std::uint32_t>("schema version");
+  const auto got_version = in.u32("schema version");
   if (got_version != version) {
     throw FrameError("frame schema version mismatch: expected " +
                      std::to_string(version) + ", got " +
                      std::to_string(got_version));
   }
-  const auto payload_len = cursor.read<std::uint64_t>("payload length");
-  if (payload_len > bytes.size() - cursor.pos()) {
-    throw FrameError("frame truncated: payload claims " +
-                     std::to_string(payload_len) + " bytes, " +
-                     std::to_string(bytes.size() - cursor.pos()) +
-                     " remain");
-  }
-  const std::string_view payload = cursor.read_bytes(
-      static_cast<std::size_t>(payload_len), "payload");
-  const auto checksum = cursor.read<std::uint64_t>("checksum");
+  const std::string_view payload = in.blob("payload");
+  const auto checksum = in.u64("checksum");
+  in.expect_end();
   if (checksum != frame_checksum(kind, version, payload)) {
     throw FrameError("frame checksum mismatch (torn write or corruption)");
   }

@@ -17,15 +17,23 @@
 //     bit rot, a fault-injected short_write/corrupt) is rejected with a
 //     typed error at `frame_decode` time, never silently consumed.
 //
+// Every payload inside a frame (checkpoints and their weight and Adam
+// blobs, split-cache entries, experiment work units) and the frame itself
+// are written by one ByteWriter and read back by one ByteReader: host-order
+// fixed-width fields and u64-length-prefixed blobs, with every read checked
+// against the bytes left.
+//
 // Errors are typed so callers can distinguish "this file is damaged,
 // recompute it" (FrameError) from "the storage itself is failing"
 // (IoError); both derive from DurableIoError.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace sma::util {
 
@@ -35,9 +43,10 @@ class DurableIoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The bytes are not a valid frame: bad magic, wrong kind, unsupported
-/// version, truncation, or checksum mismatch. The file is damaged or
-/// foreign — discard or recompute it.
+/// The bytes are not a valid frame or payload: bad magic, wrong kind,
+/// unsupported version, truncation, an out-of-range count, trailing bytes,
+/// or checksum mismatch. The file is damaged or foreign — discard or
+/// recompute it.
 class FrameError : public DurableIoError {
  public:
   using DurableIoError::DurableIoError;
@@ -50,9 +59,69 @@ class IoError : public DurableIoError {
   using DurableIoError::DurableIoError;
 };
 
-/// FNV-1a 64-bit over a byte range (the frame checksum; same function as
-/// util::ContentHash so digests stay consistent repo-wide).
-std::uint64_t fnv1a(const void* data, std::size_t size);
+/// Appends fields in host byte order. Doubles are stored as their bit
+/// pattern, so they round-trip bit-equal.
+class ByteWriter {
+ public:
+  ByteWriter& u32(std::uint32_t v) { return bytes(&v, sizeof(v)); }
+  ByteWriter& u64(std::uint64_t v) { return bytes(&v, sizeof(v)); }
+  ByteWriter& f64(double v);
+  /// Raw bytes, no length prefix. `data` may be null when `size` is 0.
+  ByteWriter& bytes(const void* data, std::size_t size);
+  /// u64 length, then the bytes.
+  ByteWriter& blob(std::string_view s) {
+    return u64(s.size()).bytes(s.data(), s.size());
+  }
+
+  void reserve(std::size_t size) { out_.reserve(size); }
+  std::string take() { return std::move(out_); }
+
+ private:
+  std::string out_;
+};
+
+/// Reads what ByteWriter wrote. Every read is checked against the bytes
+/// left before it touches them; a failed check throws FrameError naming
+/// the payload and the field ("<payload> truncated in <field>").
+class ByteReader {
+ public:
+  /// `payload` names the bytes in error messages; it must outlive the
+  /// reader, as must `bytes`.
+  ByteReader(std::string_view bytes, const char* payload)
+      : bytes_(bytes), payload_(payload) {}
+
+  std::uint32_t u32(const char* field);
+  std::uint64_t u64(const char* field);
+  double f64(const char* field);
+  /// A u64 that must not exceed `max` (a count or counter stored in a
+  /// narrower or signed type).
+  std::uint64_t u64_at_most(std::uint64_t max, const char* field);
+  /// A u64 element count whose `elem_size`-byte elements fit in the bytes
+  /// left, checked before the caller multiplies or allocates with it.
+  std::size_t count(std::size_t elem_size, const char* field);
+
+  /// The next `size` bytes, as a view into the input.
+  std::string_view bytes(std::size_t size, const char* field);
+  /// Copies the next `size` bytes to `into` (may be null when `size` is 0).
+  void read(void* into, std::size_t size, const char* field);
+  /// A blob written by ByteWriter::blob, as a view into the input.
+  std::string_view blob(const char* field) {
+    return bytes(count(1, field), field);
+  }
+
+  /// Throws FrameError unless every byte has been read: trailing bytes
+  /// mean another encoder wrote the payload.
+  void expect_end() const;
+  /// Throws FrameError("<payload> <what>").
+  [[noreturn]] void fail(const std::string& what) const;
+
+ private:
+  std::size_t remaining() const { return bytes_.size() - pos_; }
+
+  std::string_view bytes_;
+  const char* payload_;
+  std::size_t pos_ = 0;
+};
 
 /// Wrap `payload` in a framed container:
 ///   u32 magic "SMAF" | u32 container version | u32 kind length |
@@ -62,7 +131,8 @@ std::string frame_encode(std::string_view kind, std::uint32_t version,
                          std::string_view payload);
 
 /// Validate a frame and return its payload. Throws FrameError naming the
-/// violated rule (magic, kind, version, truncation, checksum).
+/// violated rule (magic, kind, version, truncation, trailing bytes,
+/// checksum).
 std::string frame_decode(std::string_view bytes, std::string_view kind,
                          std::uint32_t version);
 

@@ -4,8 +4,10 @@
 
 #include <typeinfo>
 
+#include "netlist/simulate.hpp"
 #include "netlist/stats.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace sma::netlist {
 namespace {
@@ -134,16 +136,40 @@ TEST(BenchIo, HostileInputParsesOrThrowsParserError) {
   }
 
   const std::string header = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\n";
-  // A signal named like a decomposition temporary may parse or not.
-  rejects(header + "INPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(_dec0)\n" +
-          "z = AND(a, b, c, d, e, _dec0)\n");
+  // Signals named like the parser's own nets parse, and compute what the
+  // same file computes with that signal renamed: `_dec0` like a
+  // decomposition temporary of the six-input AND, `z_po` like the port of
+  // OUTPUT(z).
+  struct Renamed {
+    std::string text;
+    std::string renamed;
+  };
+  const Renamed own_names[] = {
+      {header + "INPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(_dec0)\n" +
+           "z = AND(a, b, c, d, e, _dec0)\n",
+       header + "INPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\n" +
+           "z = AND(a, b, c, d, e, f)\n"},
+      {header + "INPUT(z_po)\nz = AND(a, b, z_po)\n",
+       header + "INPUT(y)\nz = AND(a, b, y)\n"},
+  };
+  for (const Renamed& pair : own_names) {
+    if (rejects(pair.text)) {
+      ADD_FAILURE() << "rejected a legal file:\n" << pair.text;
+      continue;
+    }
+    const Netlist got = parse_bench_string(pair.text, "own", &test::library());
+    const Netlist want =
+        parse_bench_string(pair.renamed, "renamed", &test::library());
+    EXPECT_TRUE(got.validate().empty()) << pair.text;
+    util::Pcg32 rng(17);
+    EXPECT_TRUE(random_equivalence(got, want, 64, rng)) << pair.text;
+  }
   for (const std::string& text : {
            header + "z = NOT(a)\nz = BUF(b)\n",   // gate defined twice
            header + "z = NOT(a)\na = NOT(b)\n",   // INPUT redefined as a gate
            header + "z = NOT(a)\nINPUT(z)\n",     // gate redefined as INPUT
            header + "INPUT(a)\nz = NOT(a)\n",     // repeated INPUT
            header + "OUTPUT(z)\nz = NOT(a)\n",    // repeated OUTPUT
-           header + "INPUT(z_po)\nz = NOT(a)\n",  // OUTPUT's port name taken
            header + "INPUT()\nz = NOT(a)\n",      // empty INPUT name
            header + "OUTPUT()\nz = NOT(a)\n",     // empty OUTPUT name
            header + " = NOT(a)\nz = NOT(a)\n",    // empty gate output

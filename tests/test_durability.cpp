@@ -15,10 +15,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "attack/checkpoint.hpp"
@@ -27,9 +29,12 @@
 #include "eval/experiment.hpp"
 #include "eval/split_cache.hpp"
 #include "layout/def_io.hpp"
+#include "nn/attack_net.hpp"
+#include "nn/optimizer.hpp"
 #include "test_support.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace sma {
 namespace {
@@ -225,10 +230,9 @@ TEST_F(DurabilityTest, SilentCorruptionIsDetectedAtLoad) {
 // Training checkpoints
 // ---------------------------------------------------------------------
 
-TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
-  const std::string dir = test_dir();
-  const std::string path = dir + "/ckpt.sma";
-
+/// A checkpoint with every field set: three epoch losses, one validation
+/// entry, an 11-byte model blob and a 10-byte optimizer blob.
+attack::TrainCheckpoint fixed_checkpoint() {
   attack::TrainCheckpoint ckpt;
   ckpt.compat_digest = 0xfeedbeefcafe1234ULL;
   ckpt.epochs_done = 7;
@@ -238,6 +242,54 @@ TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
   ckpt.rng = util::Pcg32(123).save_state();
   ckpt.model_blob = "model-bytes";
   ckpt.adam_blob = "adam-bytes";
+  return ckpt;
+}
+
+/// A vector-only net small enough to fuzz its weight blob byte by byte.
+nn::NetConfig tiny_net_config() {
+  nn::NetConfig config;
+  config.hidden = 16;
+  config.vector_res_blocks = 1;
+  config.merged_res_blocks = 1;
+  config.use_images = false;
+  return config;
+}
+
+/// Two small parameters and their optimizer. `train` takes three Adam
+/// steps on fixed gradients.
+struct AdamFixture {
+  nn::Tensor a{std::vector<int>{3}};
+  nn::Tensor ga{std::vector<int>{3}};
+  nn::Tensor b{std::vector<int>{2, 2}};
+  nn::Tensor gb{std::vector<int>{2, 2}};
+  nn::Adam adam{std::vector<nn::Param>{{"a", &a, &ga}, {"b", &b, &gb}}};
+
+  AdamFixture() {
+    set(a, {1.0f, -2.0f, 0.5f});
+    set(b, {0.25f, -0.75f, 1.5f, -1.25f});
+  }
+  AdamFixture(const AdamFixture&) = delete;
+  AdamFixture& operator=(const AdamFixture&) = delete;
+
+  void train() {
+    for (int step = 0; step < 3; ++step) {
+      set(ga, {0.1f, -0.3f, 0.2f});
+      set(gb, {-0.05f, 0.4f, 0.0f, 0.25f});
+      adam.step();
+    }
+  }
+
+  static void set(nn::Tensor& t, std::initializer_list<float> values) {
+    std::size_t i = 0;
+    for (float v : values) t[i++] = v;
+  }
+};
+
+TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
+  const std::string dir = test_dir();
+  const std::string path = dir + "/ckpt.sma";
+
+  const attack::TrainCheckpoint ckpt = fixed_checkpoint();
   attack::save_checkpoint(path, ckpt);
 
   attack::TrainCheckpoint loaded;
@@ -267,11 +319,7 @@ TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
 }
 
 TEST_F(DurabilityTest, EncodeDecodeParamsTransplantsWeightsExactly) {
-  nn::NetConfig config;
-  config.hidden = 16;
-  config.vector_res_blocks = 1;
-  config.merged_res_blocks = 1;
-  config.use_images = false;
+  const nn::NetConfig config = tiny_net_config();
   nn::AttackNet a(config);
   nn::NetConfig other = config;
   other.seed ^= 0x9e3779b9u;  // different random init
@@ -310,6 +358,221 @@ TEST_F(DurabilityTest, EncodeDecodeParamsTransplantsWeightsExactly) {
   std::ostringstream sc2;
   c.save(sc2);
   EXPECT_EQ(sc.str(), sc2.str()) << "trailing-bytes decode mutated the weights";
+}
+
+std::uint64_t digest_of(const std::string& bytes) {
+  return util::ContentHash().add_bytes(bytes.data(), bytes.size()).digest();
+}
+
+std::string cache_entry_path(const std::string& dir, std::uint64_t key) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "%016llx.sma",
+                static_cast<unsigned long long>(key));
+  return dir + "/" + name;
+}
+
+TEST_F(DurabilityTest, PersistedBytesMatchPinnedDigests) {
+  // FNV-1a digests of each persisted payload, recorded before the frame,
+  // checkpoint, weight, optimizer and cache-entry encoders shared one
+  // codec: files written by older builds must stay readable, so their
+  // bytes may not move.
+  const std::string frame_payload("ab\0\xff\n\x01zz", 8);
+  EXPECT_EQ(digest_of(util::frame_encode("unit-test", 3, frame_payload)),
+            0xb4c5e9b5e2dc5019ull);
+  EXPECT_EQ(digest_of(attack::encode_checkpoint(fixed_checkpoint())),
+            0x72877309c618d1cfull);
+
+  nn::AttackNet net(tiny_net_config());
+  EXPECT_EQ(digest_of(attack::encode_params(net.params())),
+            0xc56dbe47472a1b36ull);
+
+  AdamFixture fixture;
+  fixture.train();
+  EXPECT_EQ(digest_of(fixture.adam.serialize()), 0xb7200d74156928faull);
+
+  const std::string dir = test_dir();
+  constexpr std::uint64_t kKey = 0x51a1ca5e00001234ULL;
+  eval::SplitCache cache(4);
+  cache.set_disk_dir(dir, &test::library());
+  cache.get_or_build(kKey, [] {
+    return std::make_shared<const layout::Design>(
+        test::small_routed_design(60, 3));
+  });
+  EXPECT_EQ(digest_of(util::read_file(cache_entry_path(dir, kKey))),
+            0xe80b186fb0780e68ull);
+}
+
+/// Calls `visit(bytes, what)` with every hostile variant of `payload`:
+/// every cut, every single-byte flip, and, for each u64 length or count
+/// field at an offset in `u64_fields`, the field set to 2^64 - 1 and to
+/// one more than the bytes that follow it.
+template <typename Visit>
+void for_each_hostile_variant(const std::string& payload,
+                              const std::vector<std::size_t>& u64_fields,
+                              Visit&& visit) {
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    visit(payload.substr(0, cut), "cut at " + std::to_string(cut));
+  }
+  std::string flipped = payload;
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x5a);
+    visit(flipped, "flip at " + std::to_string(i));
+    flipped[i] = payload[i];
+  }
+  for (std::size_t offset : u64_fields) {
+    const std::size_t after = offset + sizeof(std::uint64_t);
+    ASSERT_LE(after, payload.size());
+    const std::uint64_t values[] = {~std::uint64_t{0},
+                                    payload.size() - after + 1};
+    for (std::uint64_t value : values) {
+      std::string edited = payload;
+      std::memcpy(edited.data() + offset, &value, sizeof(value));
+      visit(edited, "field at " + std::to_string(offset) + " = " +
+                        std::to_string(value));
+    }
+  }
+}
+
+/// Runs `decode()`: true when it threw util::FrameError, false when it
+/// decoded. Any other exception fails the test.
+template <typename Decode>
+bool throws_frame_error(Decode&& decode, const std::string& what) {
+  try {
+    decode();
+    return false;
+  } catch (const util::FrameError&) {
+    return true;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": escaped as " << typeid(e).name() << ": "
+                  << e.what();
+    return true;
+  }
+}
+
+/// The u64 value at `offset` of `bytes`.
+std::uint64_t u64_at(const std::string& bytes, std::size_t offset) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + offset, sizeof(v));
+  return v;
+}
+
+TEST_F(DurabilityTest, HostilePayloadsDecodeOrThrowFrameError) {
+  // Checkpoint payload: compat digest, epoch and query counters, the RNG,
+  // two double histories, then the weight and optimizer blobs.
+  const std::string ckpt = attack::encode_checkpoint(fixed_checkpoint());
+  const std::vector<std::size_t> ckpt_fields = {8, 16, 40, 72, 88, 107};
+  ASSERT_EQ(u64_at(ckpt, 40), 3u);    // epoch losses
+  ASSERT_EQ(u64_at(ckpt, 72), 1u);    // validation history
+  ASSERT_EQ(u64_at(ckpt, 88), 11u);   // model blob
+  ASSERT_EQ(u64_at(ckpt, 107), 10u);  // optimizer blob
+  for_each_hostile_variant(
+      ckpt, ckpt_fields,
+      [](const std::string& bytes, const std::string& what) {
+        throws_frame_error([&] { attack::decode_checkpoint(bytes); },
+                           "checkpoint " + what);
+      });
+
+  // Weight blob: parameter count, then each parameter's float count and
+  // floats. A failed decode leaves the target's weights untouched.
+  nn::AttackNet source(tiny_net_config());
+  nn::NetConfig other = tiny_net_config();
+  other.seed ^= 0x9e3779b9u;
+  nn::AttackNet target(other);
+  std::vector<nn::Param> target_params = target.params();
+  const std::string params = attack::encode_params(source.params());
+  std::vector<std::size_t> param_fields = {0};
+  std::size_t offset = sizeof(std::uint64_t);
+  for (const nn::Param& p : target_params) {
+    ASSERT_EQ(u64_at(params, offset), p.value->size()) << p.name;
+    param_fields.push_back(offset);
+    offset += sizeof(std::uint64_t) + p.value->size() * sizeof(float);
+  }
+  ASSERT_EQ(offset, params.size());
+  const std::string target_bytes = attack::encode_params(target_params);
+  for_each_hostile_variant(
+      params, param_fields,
+      [&](const std::string& bytes, const std::string& what) {
+        if (throws_frame_error(
+                [&] { attack::decode_params(bytes, target_params); },
+                "weights " + what)) {
+          if (attack::encode_params(target_params) != target_bytes) {
+            ADD_FAILURE() << "weights " << what << ": failed decode wrote";
+          }
+        } else {
+          attack::decode_params(target_bytes, target_params);
+        }
+      });
+
+  // Optimizer state: learning rate, step counter, parameter count, then
+  // each parameter's size and both moment vectors. A failed decode leaves
+  // the target optimizer untouched.
+  AdamFixture trained;
+  trained.train();
+  const std::string adam = trained.adam.serialize();
+  const std::vector<std::size_t> adam_fields = {16, 24, 56};
+  ASSERT_EQ(u64_at(adam, 16), 2u);
+  ASSERT_EQ(u64_at(adam, 24), 3u);
+  ASSERT_EQ(u64_at(adam, 56), 4u);
+  AdamFixture fresh;
+  const std::string fresh_state = fresh.adam.serialize();
+  for_each_hostile_variant(
+      adam, adam_fields,
+      [&](const std::string& bytes, const std::string& what) {
+        if (throws_frame_error([&] { fresh.adam.deserialize(bytes); },
+                               "Adam state " + what)) {
+          if (fresh.adam.serialize() != fresh_state) {
+            ADD_FAILURE() << "Adam state " << what << ": failed decode wrote";
+          }
+        } else {
+          fresh.adam.deserialize(fresh_state);
+        }
+      });
+  // The intact blobs still decode.
+  attack::decode_params(params, target_params);
+  fresh.adam.deserialize(adam);
+  EXPECT_EQ(fresh.adam.serialize(), adam);
+
+  // A split-cache entry whose payload was cut, then re-framed with a valid
+  // checksum: key, overflow, fallback count, DEF length, then the DEF
+  // text. At every field boundary and 64 cuts spread over the DEF text,
+  // the entry is discarded, deleted and rebuilt, never served.
+  const std::string dir = test_dir();
+  constexpr std::uint64_t kKey = 0xcafe0000c0ffee00ULL;
+  const auto built = std::make_shared<const layout::Design>(
+      test::small_routed_design(60, 3));
+  {
+    eval::SplitCache cache(4);
+    cache.set_disk_dir(dir, &test::library());
+    cache.get_or_build(kKey, [&] { return built; });
+  }
+  const std::string path = cache_entry_path(dir, kKey);
+  const std::string entry = util::read_file(path);
+  const std::string payload =
+      util::frame_decode(entry, "sma-design-cache", /*version=*/1);
+  constexpr std::size_t kDefStart = 4 * sizeof(std::uint64_t);
+  ASSERT_EQ(u64_at(payload, 3 * sizeof(std::uint64_t)),
+            payload.size() - kDefStart);
+
+  std::vector<std::size_t> cuts = {0, 8, 16, 24, kDefStart};
+  for (std::size_t k = 1; k <= 64; ++k) {
+    cuts.push_back(kDefStart + (payload.size() - kDefStart) * k / 65);
+  }
+  for (std::size_t cut : cuts) {
+    util::write_frame_file(path, "sma-design-cache", 1, payload.substr(0, cut));
+    eval::SplitCache cache(4);
+    cache.set_disk_dir(dir, &test::library());
+    bool rebuilt = false;
+    cache.get_or_build(kKey, [&] {
+      rebuilt = true;
+      return built;
+    });
+    EXPECT_TRUE(rebuilt) << "cut at " << cut << " was served";
+    EXPECT_EQ(cache.stats().disk_corrupt, 1u) << "cut at " << cut;
+    EXPECT_EQ(cache.stats().disk_hits, 0u) << "cut at " << cut;
+    // The damaged file was deleted and the rebuild's spill replaced it.
+    EXPECT_EQ(cache.stats().disk_spills, 1u) << "cut at " << cut;
+    EXPECT_EQ(util::read_file(path), entry) << "cut at " << cut;
+  }
 }
 
 /// Shared training fixture for the resume tests: one small vector-only
@@ -482,13 +745,6 @@ TEST_F(CheckpointTrainTest, CorruptCheckpointFallsBackToFreshStart) {
 // ---------------------------------------------------------------------
 // Split-cache disk tier
 // ---------------------------------------------------------------------
-
-std::string cache_entry_path(const std::string& dir, std::uint64_t key) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.sma",
-                static_cast<unsigned long long>(key));
-  return dir + "/" + name;
-}
 
 TEST_F(DurabilityTest, DiskCacheServesSecondProcessByteIdenticalDesign) {
   const std::string dir = test_dir();

@@ -27,18 +27,12 @@ netlist::DesignProfile tiny_profile(const char* name, int gates) {
   return p;
 }
 
-/// Each test starts from an empty, enabled global cache and leaves it
-/// that way (other test binaries have their own process).
+/// Each test starts from an empty global cache and leaves it that way
+/// (other test binaries have their own process).
 class SplitCacheTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SplitCache::global().clear();
-    SplitCache::global().set_enabled(true);
-  }
-  void TearDown() override {
-    SplitCache::global().clear();
-    SplitCache::global().set_enabled(true);
-  }
+  void SetUp() override { SplitCache::global().clear(); }
+  void TearDown() override { SplitCache::global().clear(); }
 };
 
 TEST_F(SplitCacheTest, KeySeparatesFlowInputs) {
@@ -143,18 +137,6 @@ TEST_F(SplitCacheTest, HitIsByteIdenticalToFreshFlow) {
   EXPECT_EQ(cached_def, layout::to_def_string(*fresh.design));
 }
 
-TEST_F(SplitCacheTest, DisabledCacheBuildsEveryTime) {
-  SplitCache::global().set_enabled(false);
-  const netlist::DesignProfile profile = tiny_profile("tiny_a", 260);
-  layout::FlowConfig flow;
-  PreparedSplit first = prepare_split(profile, 3, flow, 5);
-  PreparedSplit second = prepare_split(profile, 3, flow, 5);
-  EXPECT_NE(first.design.get(), second.design.get());
-  EXPECT_EQ(SplitCache::global().size(), 0u);
-  EXPECT_EQ(layout::to_def_string(*first.design),
-            layout::to_def_string(*second.design));
-}
-
 TEST_F(SplitCacheTest, LruEvictsLeastRecentlyUsed) {
   SplitCache::global().set_capacity(2);
   const netlist::DesignProfile a = tiny_profile("tiny_a", 260);
@@ -194,19 +176,20 @@ TEST_F(SplitCacheTest, Table3RowsUnchangedByCache) {
   std::vector<netlist::DesignProfile> designs = {tiny_profile("tiny_a", 300)};
   layout::FlowConfig flow;
 
-  SplitCache::global().set_enabled(false);
-  Table3Result uncached = run_table3(3, profile, flow, designs, 2019);
-
-  // A cold pooled pass prepares every design exactly once: one miss per
+  // A cold pass builds every layout through the flow: one miss per
   // training design and victim, and no hit.
-  SplitCache::global().set_enabled(true);
+  const std::size_t num_designs =
+      netlist::training_profiles().size() + designs.size();
+  Table3Result uncached = run_table3(3, profile, flow, designs, 2019);
+  EXPECT_EQ(SplitCache::global().stats().hits, 0u);
+  EXPECT_EQ(SplitCache::global().stats().misses, num_designs);
+
+  // So does a cold pooled pass: it prepares every design exactly once.
   SplitCache::global().clear();
   ExperimentProfile pooled = profile;
   pooled.runtime.threads = 3;
   Table3Result warmup = run_table3(3, pooled, flow, designs, 2019);
   const SplitCache::Stats warm_stats = SplitCache::global().stats();
-  const std::size_t num_designs =
-      netlist::training_profiles().size() + designs.size();
   EXPECT_EQ(warm_stats.hits, 0u);
   EXPECT_EQ(warm_stats.misses, num_designs);
 

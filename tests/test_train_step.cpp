@@ -20,7 +20,7 @@
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
 #include "runtime/parallel.hpp"
-#include "util/durable_io.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace sma::nn {
@@ -307,7 +307,9 @@ TEST(Training, ModelBytesMatchAcrossThreadsAndPinnedDigests) {
   runtime::ThreadPool pool(4);
   for (const Pin& pin : pins) {
     const std::string serial = train_model_bytes(prepared, pin.lanes, nullptr);
-    EXPECT_EQ(util::fnv1a(serial.data(), serial.size()), pin.digest)
+    EXPECT_EQ(
+        util::ContentHash().add_bytes(serial.data(), serial.size()).digest(),
+        pin.digest)
         << "model moved at lanes " << pin.lanes;
     EXPECT_TRUE(serial == train_model_bytes(prepared, pin.lanes, &pool))
         << "pooled != serial at lanes " << pin.lanes;
@@ -332,7 +334,9 @@ TEST(Training, ImageTrunkModelBytesMatchPinnedDigests) {
   for (const Pin& pin : pins) {
     const std::string serial =
         train_model_bytes(prepared, pin.lanes, nullptr, /*images=*/true);
-    EXPECT_EQ(util::fnv1a(serial.data(), serial.size()), pin.digest)
+    EXPECT_EQ(
+        util::ContentHash().add_bytes(serial.data(), serial.size()).digest(),
+        pin.digest)
         << "model moved at lanes " << pin.lanes;
     EXPECT_TRUE(serial ==
                 train_model_bytes(prepared, pin.lanes, &pool, /*images=*/true))
