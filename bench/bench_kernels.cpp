@@ -7,25 +7,39 @@
 // rows through the dense layers. A conv GEMM row is one tile's call
 // (Conv2d::tile_images images). Every conv layer is timed twice: at one
 // query's planes and at kWideQueries queries' planes stacked, the width
-// batched inference runs. Bit-identity of these kernels against the
-// naive oracle is gated by tests/test_kernels.cpp, not here. Every time is
-// the fastest of ~0.2 s of individually timed calls (see time_call).
+// batched inference runs. The non-GEMM stages of training get rows of
+// their own: per conv at one query's planes, col2im (stride-1 convs that
+// compute dX) and the masked-dy staging, both over the layer's tiles as
+// Conv2d::backward runs them; and the fused training step
+// (TrainStep::step: lane reduce + Adam) of the fast-profile network at
+// its 8 lanes, on 1 and on 3 threads. Bit-identity of these kernels
+// against the naive oracle is gated by tests/test_kernels.cpp,
+// tests/test_optimizer.cpp and tests/test_train_step.cpp, not here.
+// Every time is the fastest of ~0.2 s of individually timed calls (see
+// time_call).
 //
 // Human-readable progress goes to stderr; stdout carries exactly one JSON
 // object (scripts/bench.sh redirects it to BENCH_kernels.json).
 //
 // Flags:
-//   --smoke   run every GEMM form and layer once, no timing (CI mode)
+//   --smoke   run every GEMM form, layer and stage once, no timing (CI
+//             mode)
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "eval/experiment.hpp"
+#include "nn/attack_net.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
+#include "nn/train_step.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -278,6 +292,135 @@ LayerResult run_layer(const LayerSpec& spec, bool timed) {
   return result;
 }
 
+/// The non-GEMM backward stages of one conv layer at one query's planes.
+struct StageResult {
+  std::string name;
+  std::string shape;
+  bool col2im = false;  ///< a stride-1 conv that computes dX
+  double col2im_us = 0.0;
+  double mask_us = 0.0;
+};
+
+/// Times `spec`'s col2im and masked-dy staging over its tiles, with the
+/// calls Conv2d::backward makes: per tile, apply_leaky_mask per output
+/// channel from channel-major dy into the tile's staging, and
+/// pack_cm_col2im from the tile's dcols into channel-major dx. The mask
+/// is random 0/1 bytes.
+StageResult run_stages(const LayerSpec& spec, bool timed) {
+  StageResult result{spec.name, describe(spec)};
+  result.col2im = spec.stride == 1 && !spec.first;
+  const int ho = (spec.size + 2 - 3) / spec.stride + 1;
+  const int hwo = ho * ho;
+  const int n = spec.batch;
+  const int rows = n * hwo;
+  const int patch = spec.in * 9;
+  const int tile = sma::nn::Conv2d::tile_images(spec.in, hwo);
+  const int max_rows = std::min(n, tile) * hwo;
+  sma::util::Pcg32 rng(0x51a6e5u ^ spec.in ^ (spec.size << 8));
+  const std::vector<float> dy =
+      random_vec(static_cast<std::size_t>(spec.out) * rows, rng);
+  std::vector<std::uint8_t> mask(dy.size());
+  for (std::uint8_t& m : mask) m = static_cast<std::uint8_t>(rng.next_below(2));
+  std::vector<float> staged(static_cast<std::size_t>(spec.out) * max_rows);
+  const std::vector<float> dcols =
+      random_vec(static_cast<std::size_t>(patch) * max_rows, rng);
+  std::vector<float> dx(static_cast<std::size_t>(n) * spec.in * spec.size *
+                        spec.size);
+  sma::nn::GemmScratch scratch;
+  const auto stage_mask = [&] {
+    for (int img0 = 0; img0 < n; img0 += tile) {
+      const int tile_rows = (std::min(n, img0 + tile) - img0) * hwo;
+      const std::size_t col0 = static_cast<std::size_t>(img0) * hwo;
+      for (int o = 0; o < spec.out; ++o) {
+        const std::size_t src = static_cast<std::size_t>(o) * rows + col0;
+        sma::nn::apply_leaky_mask(
+            dy.data() + src, mask.data() + src, 0.01f, tile_rows,
+            staged.data() + static_cast<std::size_t>(o) * tile_rows);
+      }
+    }
+  };
+  const auto col2im = [&] {
+    for (int img0 = 0; img0 < n; img0 += tile) {
+      sma::nn::pack_cm_col2im(dcols.data(), sma::nn::Layout::kChannelMajor,
+                              n, img0, std::min(n, img0 + tile), spec.in,
+                              spec.size, spec.size, spec.stride, ho, ho,
+                              dx.data(), scratch);
+    }
+  };
+  stage_mask();
+  if (result.col2im) col2im();
+  if (timed) {
+    result.mask_us = time_call(stage_mask) * 1e6;
+    if (result.col2im) result.col2im_us = time_call(col2im) * 1e6;
+  }
+  return result;
+}
+
+/// One fused training step (TrainStep::step) of the fast-profile network
+/// at its batch_size lanes.
+struct StepResult {
+  int threads = 1;
+  int lanes = 0;
+  std::size_t params = 0;
+  double ms = 0.0;
+};
+
+/// Times TrainStep::step on `threads` threads: lane gradients are
+/// refilled from one random draw before every call, untimed, so each
+/// timed call reduces and applies the same gradients.
+StepResult run_train_step(int threads, bool timed) {
+  const sma::eval::ExperimentProfile profile =
+      sma::eval::ExperimentProfile::fast();
+  sma::nn::NetConfig config = profile.net;
+  config.use_images = true;
+  config.image_channels =
+      static_cast<int>(profile.dataset.images.pixel_sizes.size());
+  const int lanes = profile.train.batch_size;
+  sma::nn::AttackNet master(config);
+  std::vector<sma::nn::AttackNet> lane_nets;
+  std::vector<std::vector<sma::nn::Param>> lane_params;
+  for (int l = 0; l < lanes; ++l) lane_nets.push_back(master.clone_shared());
+  for (sma::nn::AttackNet& net : lane_nets) lane_params.push_back(net.params());
+  sma::nn::TrainStep engine(master.params(), profile.train.adam);
+  engine.attach_lanes(lane_params);
+  sma::util::Pcg32 rng(0x7e57u);
+  std::vector<std::vector<float>> draws;
+  for (const auto& params : lane_params) {
+    for (const sma::nn::Param& p : params) {
+      draws.push_back(random_vec(p.grad->size(), rng));
+    }
+  }
+  const auto refill = [&] {
+    std::size_t d = 0;
+    for (const auto& params : lane_params) {
+      for (const sma::nn::Param& p : params) {
+        std::memcpy(p.grad->data(), draws[d].data(),
+                    draws[d].size() * sizeof(float));
+        ++d;
+      }
+    }
+  };
+  std::unique_ptr<sma::runtime::ThreadPool> pool =
+      sma::runtime::Config{threads}.make_pool();
+  StepResult result{threads, lanes, engine.optimizer().num_parameters()};
+  refill();
+  engine.step(lanes, pool.get());
+  if (!timed) return result;
+  sma::util::Timer budget;
+  double best = 0.0;
+  int reps = 0;
+  do {
+    refill();
+    sma::util::Timer call;
+    engine.step(lanes, pool.get());
+    const double seconds = call.seconds();
+    if (reps == 0 || seconds < best) best = seconds;
+    ++reps;
+  } while ((budget.seconds() < 0.2 || reps < 3) && reps < 10000);
+  result.ms = best * 1e3;
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -325,6 +468,31 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Training-step stages: every conv at one query's planes, then the
+  // fused step at 1 and 3 threads.
+  std::vector<StageResult> stages;
+  for (const LayerSpec& spec : layers) {
+    if (!spec.conv) continue;
+    stages.push_back(run_stages(spec, timed));
+    const StageResult& r = stages.back();
+    if (timed) {
+      std::cerr << r.name << " (" << r.shape << "): mask " << r.mask_us
+                << " us";
+      if (r.col2im) std::cerr << ", col2im " << r.col2im_us << " us";
+      std::cerr << "\n";
+    }
+  }
+  std::vector<StepResult> steps;
+  for (int threads : {1, 3}) {
+    steps.push_back(run_train_step(threads, timed));
+    const StepResult& r = steps.back();
+    if (timed) {
+      std::cerr << "train_step (" << r.lanes << " lanes, " << r.params
+                << " params, " << r.threads << " threads): " << r.ms
+                << " ms\n";
+    }
+  }
+
   std::ostringstream json;
   json << "{\"bench\": \"kernels\", \"smoke\": " << (smoke ? "true" : "false")
        << ", \"gemm\": [";
@@ -341,6 +509,21 @@ int main(int argc, char** argv) {
     json << (i ? ", " : "") << "{\"layer\": \"" << r.name
          << "\", \"shape\": \"" << r.shape << "\", \"fwd_us\": " << r.fwd_us
          << ", \"bwd_us\": " << r.bwd_us << "}";
+  }
+  json << "], \"stages\": [";
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const StageResult& r = stages[i];
+    json << (i ? ", " : "") << "{\"layer\": \"" << r.name
+         << "\", \"shape\": \"" << r.shape << "\", \"mask_us\": " << r.mask_us;
+    if (r.col2im) json << ", \"col2im_us\": " << r.col2im_us;
+    json << "}";
+  }
+  json << "], \"train_step\": [";
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const StepResult& r = steps[i];
+    json << (i ? ", " : "") << "{\"threads\": " << r.threads
+         << ", \"lanes\": " << r.lanes << ", \"params\": " << r.params
+         << ", \"train_step_ms\": " << r.ms << "}";
   }
   json << "]";
   sma::obs::RunReport report("kernels", 1);

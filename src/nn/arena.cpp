@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 namespace sma::nn {
 
@@ -73,8 +74,9 @@ std::uint8_t* Arena::bytes(Slot slot, std::size_t n) {
 void Arena::reconcile_scratch() const {
   const std::size_t now[] = {scratch_.a_panel.capacity(),
                              scratch_.b_panel.capacity(),
-                             scratch_.taps.capacity()};
-  for (std::size_t i = 0; i < 3; ++i) {
+                             scratch_.taps.capacity(),
+                             scratch_.edge.capacity()};
+  for (std::size_t i = 0; i < std::size(now); ++i) {
     if (now[i] > scratch_seen_[i]) ++allocs_;
     scratch_seen_[i] = now[i];
   }
@@ -94,6 +96,7 @@ ArenaStats Arena::stats() const {
   s.bytes_pinned += scratch_.a_panel.capacity() * sizeof(float);
   s.bytes_pinned += scratch_.b_panel.capacity() * sizeof(float);
   s.bytes_pinned += scratch_.taps.capacity() * sizeof(std::int32_t);
+  s.bytes_pinned += scratch_.edge.capacity() * sizeof(float);
   s.slots = tensors_.size() + floats_.size() + bytes_.size();
   s.allocs = allocs_;
   s.requests = requests_;

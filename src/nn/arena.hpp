@@ -86,11 +86,12 @@ class Arena {
   float* floats(Slot slot, std::size_t n, Fill fill);
   std::uint8_t* bytes(Slot slot, std::size_t n);
 
-  /// This arena's GEMM packing scratch (panels and tap table). Growth
-  /// happens inside the kernels and pack paths (which know the geometry);
-  /// the arena detects capacity changes lazily on the next acquisition or
-  /// stats() call and folds them into `allocs`/`bytes_pinned`, so the
-  /// zero-allocs-once-warm assertion covers those buffers too.
+  /// This arena's GEMM packing scratch (panels, tap table and col2im's
+  /// edge column). Growth happens inside the kernels and pack paths
+  /// (which know the geometry); the arena detects capacity changes lazily
+  /// on the next acquisition or stats() call and folds them into
+  /// `allocs`/`bytes_pinned`, so the zero-allocs-once-warm assertion
+  /// covers those buffers too.
   GemmScratch& gemm_scratch();
 
   ArenaStats stats() const;
@@ -103,9 +104,9 @@ class Arena {
   std::deque<std::vector<std::uint8_t>> bytes_;
   std::vector<std::pair<std::string, Slot>> shared_floats_;  ///< few entries
   GemmScratch scratch_;
-  // Lazily-observed capacities of the scratch's a_panel, b_panel and
-  // taps; mutable so stats() can reconcile.
-  mutable std::size_t scratch_seen_[3] = {};
+  // Lazily-observed capacities of the scratch's a_panel, b_panel, taps
+  // and edge; mutable so stats() can reconcile.
+  mutable std::size_t scratch_seen_[4] = {};
   mutable long allocs_ = 0;
   long requests_ = 0;
 };

@@ -6,8 +6,7 @@
 
 #include "obs/obs.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define SMA_GEMM_X86_DISPATCH 1
+#ifdef SMA_NN_X86_DISPATCH
 #include <immintrin.h>
 #endif
 
@@ -69,7 +68,7 @@ inline void gather_row(const float* src, int ld, int valid, int p,
   for (int r = valid; r < R; ++r) dst[r] = 0.0f;
 }
 
-#ifdef SMA_GEMM_X86_DISPATCH
+#ifdef SMA_NN_X86_DISPATCH
 
 /// Transposes the 8 x 8 block v in registers: row i in, column i out.
 /// Unpack, shuffle and lane permutes only, so every float's bit pattern
@@ -143,7 +142,7 @@ __attribute__((target("avx2"))) void pack_rows_avx2(const float* src, int ld,
   }
 }
 
-#endif  // SMA_GEMM_X86_DISPATCH
+#endif  // SMA_NN_X86_DISPATCH
 
 /// Packs one R-wide panel of `valid` lanes from `src` (see PanelSource).
 /// `vector` selects the AVX2 block transposes for the kRows case (x86
@@ -166,7 +165,7 @@ void pack_panel(PanelSource source, const float* src, int ld, int valid,
     }
     return;
   }
-#ifdef SMA_GEMM_X86_DISPATCH
+#ifdef SMA_NN_X86_DISPATCH
   if constexpr (R % 8 == 0) {
     if (vector) {
       pack_rows_avx2<R>(src, ld, valid, k, out);
@@ -290,7 +289,7 @@ inline void micro_tile(int k, int ldc, const float* ap, const float* bp,
   }
 }
 
-#ifdef SMA_GEMM_X86_DISPATCH
+#ifdef SMA_NN_X86_DISPATCH
 
 /// AVX2 tile (4 x 16): eight ymm accumulators, explicit mul + add (never
 /// FMA — see the tile-size comment above). Bitwise equal to the portable
@@ -553,25 +552,7 @@ __attribute__((target("avx512f"))) void blocked_loop_avx512(
   }
 }
 
-/// The AVX-512 tile packs with AVX2 block transposes, so it requires
-/// both (every AVX-512F host has AVX2).
-bool have_avx512() {
-  static const bool value =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
-  return value;
-}
-
-bool have_avx2() {
-  static const bool value = __builtin_cpu_supports("avx2");
-  return value;
-}
-
-#else
-
-bool have_avx512() { return false; }
-bool have_avx2() { return false; }
-
-#endif  // SMA_GEMM_X86_DISPATCH
+#endif  // SMA_NN_X86_DISPATCH
 
 template <CMode kMode, BiasKind kBias, bool kLrelu, bool kHasMask>
 void blocked_loop(int m, int n, int k, const Operands& ops, float* c, int ldc,
@@ -656,7 +637,7 @@ void blocked_dispatch(Tile::Isa isa, int m, int n, int k, const Operands& ops,
                       float* c, int ldc, const float* bias, float slope,
                       std::uint8_t* mask) {
   switch (isa) {
-#ifdef SMA_GEMM_X86_DISPATCH
+#ifdef SMA_NN_X86_DISPATCH
     case Tile::Isa::kAvx512:
       blocked_loop_avx512<kMode, kBias, kLrelu, kHasMask>(m, n, k, ops, c, ldc,
                                                          bias, slope, mask);
@@ -734,6 +715,28 @@ void blocked_gemm(int m, int n, int k, const float* a, int lda, bool a_trans,
 
 }  // namespace
 
+#ifdef SMA_NN_X86_DISPATCH
+
+/// The AVX-512 tile packs with AVX2 block transposes, so it requires
+/// both (every AVX-512F host has AVX2).
+bool have_avx512() {
+  static const bool value =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
+  return value;
+}
+
+bool have_avx2() {
+  static const bool value = __builtin_cpu_supports("avx2");
+  return value;
+}
+
+#else
+
+bool have_avx512() { return false; }
+bool have_avx2() { return false; }
+
+#endif  // SMA_NN_X86_DISPATCH
+
 const char* active_isa() {
   if (have_avx512()) return "avx512";
   if (have_avx2()) return "avx2";
@@ -748,8 +751,8 @@ const char* active_isa() {
 
 namespace {
 
-/// im2col packs stride-1 planes at least this large as one shifted run
-/// per tap; smaller ones go through the tap table.
+/// im2col and col2im move stride-1 planes at least this large as one
+/// shifted run per tap; smaller ones go through the tap table.
 constexpr int kRunMinPixels = 16;
 
 /// Sets live[t] when tap t = ky*3 + kx lands inside the plane at least
@@ -870,25 +873,58 @@ void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int img0,
               static_cast<std::size_t>(c_in) * 9 * tile_rows * sizeof(float));
   bool live[9];
   live_taps(h, w, stride, ho, wo, live);
-  const std::int32_t* table = tap_table(h, w, stride, ho, wo, scratch);
   const bool cm = dx_layout == Layout::kChannelMajor;
+  // Stride 1: output pixel p adds onto input pixel p + shift wherever the
+  // tap lands (the im2col runs, read backwards).
+  const bool runs = stride == 1 && hw >= kRunMinPixels;
+  const std::int32_t* table =
+      runs ? nullptr : tap_table(h, w, stride, ho, wo, scratch);
+  if (runs && scratch.edge.size() < static_cast<std::size_t>(h)) {
+    scratch.edge.resize(h);
+  }
+  float* saved = scratch.edge.data();
   // Tap order (c asc, ky desc, kx desc) reproduces the per-element
   // accumulation order of the direct col2im nest (img, oy, ox, c, ky, kx
   // — the test oracle's loop): for a fixed dx element each output pixel
   // contributes through at most one tap, and ky desc <=> oy asc (resp.
   // kx/ox), so contributions arrive in ascending (oy, ox). Neither the
-  // image range nor the plane base offset takes part in that order.
+  // image range nor the plane base offset takes part in that order, and
+  // neither does the order of the adds within one (c, tap, image) pass,
+  // which reaches each element at most once.
   for (int c = 0; c < c_in; ++c) {
     for (int t = 8; t >= 0; --t) {
       if (!live[t]) continue;
       const float* src =
           dcols + static_cast<std::size_t>(c * 9 + t) * tile_rows;
-      const std::int32_t* tap = table + static_cast<std::size_t>(t) * hwo;
+      const int kx = t % 3;
+      const int shift = (t / 3 - 1) * w + (kx - 1);
+      const int lo = shift < 0 ? -shift : 0;
+      const int hi = shift > 0 ? hw - shift : hw;
+      // Pixels whose tap falls off the top or bottom lie outside
+      // [lo, hi). Those whose tap falls off the left (right) edge wrap
+      // onto the last (first) column of the neighbouring row: a column
+      // this tap never reaches otherwise, so it is saved before the run
+      // and restored after it.
+      const int edge = kx == 0 ? w - 1 : 0;
+      const std::int32_t* tap =
+          runs ? nullptr : table + static_cast<std::size_t>(t) * hwo;
       for (int img = img0; img < img1; ++img) {
         float* plane = dx + plane_base(cm, n, c_in, img, c, hw);
         const float* in = src + static_cast<std::size_t>(img - img0) * hwo;
-        for (int p = 0; p < hwo; ++p) {
-          if (tap[p] >= 0) plane[tap[p]] += in[p];
+        if (runs) {
+          if (kx != 1) {
+            for (int y = 0; y < h; ++y) saved[y] = plane[y * w + edge];
+          }
+          float* __restrict out = plane + (lo + shift);
+          const float* __restrict add = in + lo;
+          for (int p = 0; p < hi - lo; ++p) out[p] += add[p];
+          if (kx != 1) {
+            for (int y = 0; y < h; ++y) plane[y * w + edge] = saved[y];
+          }
+        } else {
+          for (int p = 0; p < hwo; ++p) {
+            if (tap[p] >= 0) plane[tap[p]] += in[p];
+          }
         }
       }
     }

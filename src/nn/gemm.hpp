@@ -51,7 +51,23 @@ struct GemmScratch {
   /// built for the conv geometry {h, w, stride, ho, wo} in `taps_geometry`.
   std::vector<std::int32_t> taps;
   std::array<int, 5> taps_geometry{};
+  /// col2im's saved edge column: h floats of one dx plane.
+  std::vector<float> edge;
 };
+
+/// Defined where the compiler can build x86 vector kernels (GCC-style
+/// `target` attributes and <immintrin.h>); the nn/ TUs compile their
+/// AVX2/AVX-512 paths only then.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define SMA_NN_X86_DISPATCH 1
+#endif
+
+/// The host ISA probe, evaluated once per process. Every vector kernel in
+/// nn/ dispatches on these two answers (both false without
+/// SMA_NN_X86_DISPATCH). AVX-512 here means AVX-512F and AVX2 both (the
+/// AVX-512 GEMM tile packs with AVX2 transposes).
+bool have_avx2();
+bool have_avx512();
 
 /// Widest SIMD path the blocked kernels can dispatch to on this host:
 /// "avx512", "avx2" or "portable". Reported by RunReport so a bench JSON
@@ -128,8 +144,10 @@ void gemm_ovr_tn(int m, int n, int k, const float* a, const float* b,
 // Per (channel, tap):
 //  - a tap that lands nowhere (most taps of the 1x1 planes) is one
 //    memset in im2col and is skipped in col2im;
-//  - im2col of a stride-1 plane of 16 or more pixels copies one shifted
-//    run and zeros its border;
+//  - a stride-1 plane of 16 or more pixels moves as one shifted run per
+//    image: im2col copies it and zeros its border; col2im adds it onto
+//    the plane, around a save and restore of the one edge column the
+//    run's row wrap-around reaches (see pack_cm_col2im);
 //  - everything else goes through a tap table in `scratch.taps`: for
 //    each of the 9 taps and each output pixel, the in-plane offset the
 //    tap reads, or -1 where it reads padding. The table decides validity
@@ -154,6 +172,8 @@ void pack_cm_im2col(const float* x, Layout x_layout, int n, int img0,
 /// receives its contributions in ascending (oy, ox) order, as in the
 /// direct col2im nest; a dx element belongs to exactly one image, so
 /// splitting [0, n) into ranges leaves every element's chain unchanged.
+/// A (c, tap, image) pass adds at most once to each element, so the
+/// shifted runs keep every chain too.
 void pack_cm_col2im(const float* dcols, Layout dx_layout, int n, int img0,
                     int img1, int c_in, int h, int w, int stride, int ho,
                     int wo, float* dx, GemmScratch& scratch);

@@ -7,9 +7,35 @@
 
 #include "obs/obs.hpp"
 
+#ifdef SMA_NN_X86_DISPATCH
+#include <immintrin.h>
+#endif
+
 namespace sma::nn {
 
 namespace {
+
+#ifdef SMA_NN_X86_DISPATCH
+/// apply_leaky_mask over the whole 8-element groups of [0, n); returns
+/// the count it covered. Each lane multiplies by slope or by 1.0f, picked
+/// by whether its mask byte is zero.
+__attribute__((target("avx2"))) std::size_t apply_leaky_mask_avx2(
+    const float* dy, const std::uint8_t* mask, float slope, std::size_t n,
+    float* out) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 leak = _mm256_set1_ps(slope);
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i bytes = _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(mask + i)));
+    const __m256 pass = _mm256_castsi256_ps(_mm256_cmpeq_epi32(bytes, zero));
+    const __m256 scale = _mm256_blendv_ps(leak, one, pass);
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(dy + i), scale));
+  }
+  return i;
+}
+#endif
 
 /// Per-thread staging arena. Two tenants:
 ///  - Call-transient buffers (conv's per-tile im2col, masked dy^T and
@@ -48,6 +74,16 @@ Arena& fallback_arena() { return thread_staging().arena; }
 GemmScratch& staging_scratch() { return thread_staging().arena.gemm_scratch(); }
 
 }  // namespace
+
+void apply_leaky_mask(const float* dy, const std::uint8_t* mask, float slope,
+                      std::size_t n, float* out) {
+  std::size_t i = 0;
+#ifdef SMA_NN_X86_DISPATCH
+  if (have_avx2()) i = apply_leaky_mask_avx2(dy, mask, slope, n, out);
+#endif
+  const float scale[2] = {1.0f, slope};
+  for (; i < n; ++i) out[i] = dy[i] * scale[mask[i] != 0];
+}
 
 // --------------------------------------------------------------------
 // Linear
@@ -128,13 +164,10 @@ Tensor& Linear::backward(const Tensor& dy) {
   const int rows = static_cast<int>(dy.size()) / out_;
   const Tensor* dsrc = &dy;
   if (act_ == Act::kLeakyReLU) {
-    // dmasked: full overwrite by memcpy, then the in-place mask scaling.
+    // dmasked: full overwrite by the mask pass.
     Tensor& dmasked =
         arena_->tensor(dmasked_slot_, {rows, out_}, Arena::Fill::kNone);
-    std::memcpy(dmasked.data(), dy.data(), dy.size() * sizeof(float));
-    for (std::size_t i = 0; i < dmasked.size(); ++i) {
-      if (mask_[i]) dmasked[i] *= slope_;
-    }
+    apply_leaky_mask(dy.data(), mask_, slope_, dy.size(), dmasked.data());
     dsrc = &dmasked;
   }
   // dw += dy^T * x ; stored [out, in]
@@ -356,10 +389,7 @@ Tensor& Conv2d::backward(const Tensor& dy) {
       const float* dyo = dy.data() + src;
       float* dmo = dm + static_cast<std::size_t>(o) * tile_rows;
       if (fused) {
-        const std::uint8_t* mo = mask_ + src;
-        for (int r = 0; r < tile_rows; ++r) {
-          dmo[r] = mo[r] ? dyo[r] * slope_ : dyo[r];
-        }
+        apply_leaky_mask(dyo, mask_ + src, slope_, tile_rows, dmo);
       } else {
         std::memcpy(dmo, dyo, sizeof(float) * tile_rows);
       }

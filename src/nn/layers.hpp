@@ -69,6 +69,14 @@ struct Param {
 /// Optional activation fused into a layer's epilogue.
 enum class Act { kNone, kLeakyReLU };
 
+/// The backward mask of a fused LeakyReLU, shared by Linear and Conv2d:
+/// out[i] = dy[i] * (mask[i] ? slope : 1.0f) for i in [0, n), one
+/// branch-free pass (AVX2 where the host has it). A product with 1.0f is
+/// its operand unchanged (zeros, infinities, subnormals and quiet NaNs
+/// alike), so this equals `mask ? dy * slope : dy` bit for bit.
+void apply_leaky_mask(const float* dy, const std::uint8_t* mask, float slope,
+                      std::size_t n, float* out);
+
 /// y = x W^T + b over the last dimension (optionally + LeakyReLU);
 /// x: [N, in] -> y: [N, out].
 class Linear {
@@ -158,12 +166,14 @@ class LeakyReLU {
 /// per-thread staging and runs the GEMM into that tile's columns of the
 /// output. Backward rebuilds each tile's columns from the forward input,
 /// stages the tile's masked dy, accumulates dW and db, and scatters the
-/// tile's dcols into dx; nothing im2col-sized persists between forward
-/// and backward. A single tile is just the degenerate case, and tiling
-/// never changes a bit: forward chains run over the patch, the dW and db
-/// chains continue from the value the previous tile stored in ascending
-/// row order, and each dx element belongs to one image (see
-/// pack_cm_col2im).
+/// tile's dcols into dx (shifted runs on stride-1 planes, the tap table
+/// elsewhere; see nn/gemm.hpp); nothing im2col-sized persists between
+/// forward and backward. The dy staging applies the activation mask in
+/// the same pass (apply_leaky_mask). A single tile is just the
+/// degenerate case, and tiling never changes a bit: forward chains run
+/// over the patch, the dW and db chains continue from the value the
+/// previous tile stored in ascending row order, and each dx element
+/// belongs to one image (see pack_cm_col2im).
 ///
 /// Layout contract — one persistent activation layout: the GEMM writes
 /// its channel-major [out, rows] output DIRECTLY into the layer's output

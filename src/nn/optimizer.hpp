@@ -21,13 +21,34 @@ struct AdamConfig {
   double decay = 0.6;
 };
 
+/// Update contract: every element of every parameter is updated on its
+/// own — m and v in double, narrowed to float, the bias-corrected step in
+/// double, narrowed, then one float subtract from the weight — and the
+/// gradient is zeroed. The work is cut into fixed element blocks (see
+/// `blocks`), and blocks run in any order on any thread. The update runs
+/// four elements at a time on AVX2 hosts. The packed conversions, mul,
+/// add, div and sqrt are the same correctly rounded IEEE operations as
+/// the scalar ones, issued in the same order (the TU is built with
+/// -ffp-contract=off, so no FMA), so the weights and moments are
+/// byte-identical on every ISA, at any block split and thread count.
 class Adam {
  public:
+  /// Elements per update block. A parameter no larger than this is one
+  /// block; a larger one is cut into blocks of this size, the last one
+  /// ragged.
+  static constexpr std::size_t kBlockElems = 4096;
+
+  /// Elements [begin, end) of parameter `param`.
+  struct Block {
+    std::size_t param = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+
   Adam(std::vector<Param> params, const AdamConfig& config = {});
 
-  /// Apply one update from the accumulated gradients, then zero them.
-  /// Parameters update independently, so a pool parallelizes over them
-  /// without changing the result.
+  /// Apply one update from the accumulated gradients, then zero them:
+  /// one parallel_for over `blocks()`, serial without a pool.
   ///
   /// Gradient lifecycle contract: `step` both consumes and zeroes every
   /// gradient — training loops must NOT follow it with `zero_grad()` (a
@@ -44,12 +65,16 @@ class Adam {
 
   /// Building blocks for fused training-step engines (nn/train_step.hpp):
   /// `begin_step` advances the step counter and returns this step's bias
-  /// corrections; `update_param` applies the update to parameter `i` and
-  /// zeroes its gradient — exactly the arithmetic `step` performs, so a
-  /// caller that invokes `update_param` once per parameter per
+  /// corrections; `update_block` applies the update to one block's
+  /// elements and zeroes their gradient — exactly the arithmetic `step`
+  /// performs, so a caller that invokes `update_block` once per block per
   /// `begin_step` produces bit-identical weights to `step`.
   StepScales begin_step();
-  void update_param(std::size_t i, const StepScales& scales);
+  void update_block(const Block& block, const StepScales& scales);
+
+  /// The fixed element blocks, in parameter order and ascending element
+  /// order; together they cover every element once.
+  const std::vector<Block>& blocks() const { return blocks_; }
 
   /// Zero gradients without updating (e.g. after a skipped sample).
   /// Never needed after `step`, which zeroes as it consumes.
@@ -81,6 +106,7 @@ class Adam {
   long t_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
+  std::vector<Block> blocks_;
 };
 
 }  // namespace sma::nn

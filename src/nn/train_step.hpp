@@ -2,21 +2,25 @@
 //
 // Each optimizer step's tail touches every parameter twice over: the
 // lane-gradient reduce and the Adam update. `TrainStep` fuses both into
-// ONE `parallel_for` pass: for each parameter it (1) adds the active
-// lanes' gradients onto the master gradient in ascending lane order,
-// zeroing each lane gradient, then (2) applies the Adam update via
-// `Adam::update_param` — each parameter's state is touched exactly once
-// per step while it is hot in cache.
+// ONE `parallel_for` pass over Adam's fixed element blocks
+// (`Adam::blocks`, a few thousand elements each): for each block it (1)
+// adds the active lanes' gradients onto the master gradient in ascending
+// lane order, zeroing each lane gradient — up to eight lanes per pass,
+// eight elements at a time on AVX2 hosts, so the master block is read
+// and written once per eight lanes — then (2) applies the vector Adam
+// update via `Adam::update_block`. Each element's state is touched
+// exactly once per step while it is hot in cache, and the threads share
+// the work in equal-sized pieces whatever the tensor sizes.
 //
 // Lanes share the master's weight tensors (AttackNet::clone_shared): the
 // Adam update lands directly in the storage every lane reads, so no
 // weight broadcast is needed and the lanes carry one weight copy in
 // total.
 //
-// Determinism: parameters are independent, and within one parameter the
-// fused pass performs the identical float operations in the identical
-// order (fixed lane order, ascending j, the unmodified Adam arithmetic)
-// as a separate reduce followed by `Adam::step`, so models are
+// Determinism: elements are independent, and for each element the fused
+// pass performs the identical float operations in the identical order
+// (fixed lane order, then the Adam arithmetic of optimizer.hpp's update
+// contract) as a separate reduce followed by `Adam::step`, so models are
 // byte-identical at any lane count and any thread count —
 // tests/test_train_step.cpp asserts this. Gradients arrive here as
 // parameter tensors (always row-major), so the conv trunk's channel-major
@@ -43,7 +47,7 @@ class TrainStep {
   /// tensors (AttackNet::clone_shared) — `step` updates only the master.
   void attach_lanes(std::vector<std::vector<Param>> lanes);
 
-  /// One fused reduce + Adam pass over all parameters, using
+  /// One fused reduce + Adam pass over all parameter blocks, using
   /// the gradients of the first `active_lanes` lanes (a trailing partial
   /// batch activates fewer lanes than are attached). With no lanes
   /// attached this degrades to a plain `Adam::step`. A negative

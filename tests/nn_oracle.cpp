@@ -1,6 +1,10 @@
 #include "nn_oracle.hpp"
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
+
+#include "util/durable_io.hpp"
 
 namespace sma::test::oracle {
 
@@ -211,6 +215,77 @@ nn::Tensor Conv::backward(const nn::Tensor& dy) {
     }
   }
   return dx;
+}
+
+// --------------------------------------------------------------------
+// Adam
+
+Adam::Adam(std::vector<nn::Param> params, const nn::AdamConfig& config)
+    : params_(std::move(params)), config_(config), lr_(config.lr) {
+  for (const nn::Param& p : params_) {
+    m_.emplace_back(p.value->size(), 0.0f);
+    v_.emplace_back(p.value->size(), 0.0f);
+  }
+}
+
+void Adam::step() {
+  ++t_;
+  const double bc1 = 1.0 - std::pow(config_.beta1, t_);
+  const double bc2 = 1.0 - std::pow(config_.beta2, t_);
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    nn::Tensor& value = *params_[i].value;
+    nn::Tensor& grad = *params_[i].grad;
+    std::vector<float>& m = m_[i];
+    std::vector<float>& v = v_[i];
+    for (std::size_t j = 0; j < value.size(); ++j) {
+      const float g = grad[j];
+      m[j] = static_cast<float>(config_.beta1 * m[j] +
+                                (1.0 - config_.beta1) * g);
+      v[j] = static_cast<float>(config_.beta2 * v[j] +
+                                (1.0 - config_.beta2) * g * g);
+      const double mh = m[j] / bc1;
+      const double vh = v[j] / bc2;
+      value[j] -=
+          static_cast<float>(lr_ * mh / (std::sqrt(vh) + config_.eps));
+      grad[j] = 0.0f;
+    }
+  }
+}
+
+std::string Adam::serialize() const {
+  util::ByteWriter out;
+  out.f64(lr_)
+      .u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(t_)))
+      .u64(params_.size());
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    out.u64(m_[i].size())
+        .bytes(m_[i].data(), m_[i].size() * sizeof(float))
+        .bytes(v_[i].data(), v_[i].size() * sizeof(float));
+  }
+  return out.take();
+}
+
+std::vector<std::vector<int>> adam_identity_shapes() {
+  std::vector<std::vector<int>> shapes;
+  for (int n = 1; n <= 17; ++n) shapes.push_back({n});
+  shapes.push_back({3, static_cast<int>(nn::Adam::kBlockElems) + 7});
+  return shapes;
+}
+
+float adam_identity_grad(util::Pcg32& rng, bool tiny) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  if (tiny) {
+    const float values[] = {0.0f, -0.0f, denorm, -denorm, 1e-40f, 1e-25f};
+    return values[rng.next_below(6)];
+  }
+  switch (rng.next_below(8)) {
+    case 0: return 0.0f;
+    case 1: return -0.0f;
+    case 2: return -3e-42f;
+    case 3: return 1e30f;
+    case 4: return -1e30f;
+    default: return static_cast<float>(rng.next_gaussian());
+  }
 }
 
 }  // namespace sma::test::oracle

@@ -5,13 +5,17 @@
 // bit. Every output element here is one accumulation chain in ascending-k
 // order, starting from C's prior value, with separate multiply and add —
 // this TU is compiled with -ffp-contract=off (CMakeLists.txt), so the
-// compiler cannot fuse them into an FMA that rounds once.
+// compiler cannot fuse them into an FMA that rounds once. The scalar
+// Adam below is the optimizer's oracle in the same sense.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "nn/optimizer.hpp"
 #include "nn/tensor.hpp"
+#include "util/rng.hpp"
 
 namespace sma::test::oracle {
 
@@ -82,5 +86,38 @@ class Conv {
   std::vector<float> cols_;
   std::vector<std::uint8_t> mask_;
 };
+
+/// Adam as one scalar loop per parameter, the form nn::Adam ran before
+/// its element blocks and vector update: per element, m and v in double
+/// narrowed to float, the bias-corrected step in double narrowed to
+/// float, one float subtract, then the gradient zeroed. `serialize`
+/// writes nn::Adam::serialize's layout, so tests compare weights,
+/// gradients and state bytes.
+class Adam {
+ public:
+  Adam(std::vector<nn::Param> params, const nn::AdamConfig& config);
+  void step();
+  void decay_lr() { lr_ *= config_.decay; }
+  std::string serialize() const;
+
+ private:
+  std::vector<nn::Param> params_;
+  nn::AdamConfig config_;
+  double lr_;
+  long t_ = 0;
+  std::vector<std::vector<float>> m_;
+  std::vector<std::vector<float>> v_;
+};
+
+/// Parameter shapes for the Adam bit-identity tests: every size from 1
+/// to 17 elements (each vector tail of the update), then one tensor that
+/// spans four nn::Adam blocks, the last one ragged.
+std::vector<std::vector<int>> adam_identity_shapes();
+
+/// A gradient for the Adam bit-identity tests. `tiny` draws only +-0,
+/// subnormals and 1e-25 (whose square underflows), so that parameter's m
+/// and v underflow to zero; otherwise ordinary values are mixed with +-0,
+/// subnormals and +-1e30 (whose v overflows to infinity).
+float adam_identity_grad(util::Pcg32& rng, bool tiny);
 
 }  // namespace sma::test::oracle

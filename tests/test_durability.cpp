@@ -28,6 +28,7 @@
 #include "attack/replica_set.hpp"
 #include "eval/experiment.hpp"
 #include "eval/split_cache.hpp"
+#include "eval/work_unit.hpp"
 #include "layout/def_io.hpp"
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
@@ -573,6 +574,56 @@ TEST_F(DurabilityTest, HostilePayloadsDecodeOrThrowFrameError) {
     EXPECT_EQ(cache.stats().disk_spills, 1u) << "cut at " << cut;
     EXPECT_EQ(util::read_file(path), entry) << "cut at " << cut;
   }
+}
+
+TEST_F(DurabilityTest, HostileWorkUnitsDecodeOrThrowFrameError) {
+  // Work-unit payloads (eval/work_unit.hpp): run digest, slot and name
+  // blob, then a Table-3 row's two fragment counts, flags and five
+  // doubles, or a Figure-5 row's two doubles. Every variant decodes or
+  // throws FrameError; the intact payloads round-trip.
+  constexpr std::uint64_t kDigest = 0x0123456789abcdefULL;
+  constexpr std::size_t kSlot = 3;
+  eval::Table3Row row;
+  row.design = "c880";
+  row.num_sink_fragments = 41;
+  row.num_source_fragments = 97;
+  row.flow_timed_out = true;
+  row.flow_ccr = 0.25;
+  row.flow_seconds = 1.5;
+  row.dl_ccr = 0.375;
+  row.dl_seconds = 0.125;
+  row.hit_rate = 0.5;
+  const std::string t3 = eval::encode_t3_row(kDigest, kSlot, row);
+  const std::size_t name = row.design.size();
+  const std::vector<std::size_t> t3_fields = {16, 24 + name, 32 + name};
+  ASSERT_EQ(u64_at(t3, 16), name);
+  ASSERT_EQ(u64_at(t3, 24 + name), 41u);
+  ASSERT_EQ(u64_at(t3, 32 + name), 97u);
+  for_each_hostile_variant(
+      t3, t3_fields, [&](const std::string& bytes, const std::string& what) {
+        throws_frame_error(
+            [&] { eval::decode_t3_row(bytes, kDigest, kSlot); },
+            "Table-3 work unit " + what);
+      });
+  EXPECT_EQ(eval::encode_t3_row(kDigest, kSlot,
+                                eval::decode_t3_row(t3, kDigest, kSlot)),
+            t3);
+
+  eval::AblationRow setting;
+  setting.setting = "vec+img";
+  setting.avg_ccr = 0.3125;
+  setting.avg_inference_seconds = 0.0625;
+  const std::string f5 = eval::encode_f5_row(kDigest, kSlot, setting);
+  ASSERT_EQ(u64_at(f5, 16), setting.setting.size());
+  for_each_hostile_variant(
+      f5, {16}, [&](const std::string& bytes, const std::string& what) {
+        throws_frame_error(
+            [&] { eval::decode_f5_row(bytes, kDigest, kSlot); },
+            "Figure-5 work unit " + what);
+      });
+  EXPECT_EQ(eval::encode_f5_row(kDigest, kSlot,
+                                eval::decode_f5_row(f5, kDigest, kSlot)),
+            f5);
 }
 
 /// Shared training fixture for the resume tests: one small vector-only

@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -37,7 +39,7 @@ std::vector<float> random_vec(std::size_t n, util::Pcg32& rng) {
 }
 
 bool bit_equal(const float* a, const float* b, std::size_t n) {
-  return std::memcmp(a, b, n * sizeof(float)) == 0;
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
 }
 
 bool bit_equal(const Tensor& a, const Tensor& b) {
@@ -294,18 +296,18 @@ TEST(Kernels, LinearMatchesOracle) {
   }
 }
 
-/// One Conv2d forward + backward against the oracle. The oracle runs
-/// row-major NCHW; the layer takes x stored in `x_layout` (row-major like
-/// the dataset input, or channel-major like every conv after the first)
-/// and dy channel-major, as its contract requires. Output, input gradient
-/// and both parameter gradients must match bit for bit. With
-/// `input_grad` off the layer must return an empty dx and still match
-/// dW and db.
+/// One Conv2d forward + backward against the oracle on [n, in_ch, h, w]
+/// inputs. The oracle runs row-major NCHW; the layer takes x stored in
+/// `x_layout` (row-major like the dataset input, or channel-major like
+/// every conv after the first) and dy channel-major, as its contract
+/// requires. Output, input gradient and both parameter gradients must
+/// match bit for bit. With `input_grad` off the layer must return an
+/// empty dx and still match dW and db.
 void expect_conv_matches_oracle(int n, int in_ch, int out_ch, int stride,
-                                int size, Act act, Layout x_layout,
+                                int h, int w, Act act, Layout x_layout,
                                 std::uint64_t seed, bool input_grad = true) {
   util::Pcg32 data_rng(seed);
-  const Tensor x = Tensor::randn({n, in_ch, size, size}, data_rng, 1.0);
+  const Tensor x = Tensor::randn({n, in_ch, h, w}, data_rng, 1.0);
   const Tensor x_in = to_layout(x, x_layout);
   util::Pcg32 rng(66);
   Conv2d conv(in_ch, out_ch, stride, rng, "t", act);
@@ -325,8 +327,8 @@ void expect_conv_matches_oracle(int n, int in_ch, int out_ch, int stride,
 
   SCOPED_TRACE("conv " + std::to_string(in_ch) + "->" +
                std::to_string(out_ch) + " s" + std::to_string(stride) + " [" +
-               std::to_string(n) + "x" + std::to_string(size) + "x" +
-               std::to_string(size) + "]" +
+               std::to_string(n) + "x" + std::to_string(h) + "x" +
+               std::to_string(w) + "]" +
                (x_layout == Layout::kChannelMajor ? " cm" : " rm") +
                (act == Act::kLeakyReLU ? " lrelu" : "") +
                (input_grad ? "" : " no-dx"));
@@ -343,21 +345,29 @@ void expect_conv_matches_oracle(int n, int in_ch, int out_ch, int stride,
 
 TEST(Kernels, Conv2dMatchesOracle) {
   struct Case {
-    int n, in_ch, out_ch, stride, size;
+    int n, in_ch, out_ch, stride, h, w;
   };
   for (Act act : {Act::kNone, Act::kLeakyReLU}) {
     for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
       // Non-multiple-of-tile channel counts and odd image sizes included,
       // and large planes: 70x70 at stride 1 (one image per tile) and the
-      // paper profile's 99x99 at stride 3. The 15x15 plane runs at stride
-      // 1 and then at stride 3: the pack paths keep their tap table
-      // across calls, and it must follow the whole geometry, not just the
-      // plane size.
+      // paper profile's 99x99 at stride 3 and at stride 1 (its conv1). The
+      // 15x15 plane runs at stride 1 and then at stride 3: the pack paths
+      // keep their tap table across calls, and it must follow the whole
+      // geometry, not just the plane size. Stride-1 planes of 16+ pixels
+      // scatter col2im as shifted runs around a saved edge column: 4x4 is
+      // exactly 16 pixels, 5x5 is the fast profile's conv2, 1x16 and 16x1
+      // keep the taps of one kernel row or column, and 3x7 puts every
+      // pixel within one row or column of an edge.
       for (const Case& c :
-           {Case{1, 1, 1, 1, 3}, Case{2, 3, 5, 1, 7}, Case{2, 3, 8, 1, 15},
-            Case{2, 3, 8, 3, 15}, Case{1, 5, 13, 3, 11},
-            Case{3, 2, 3, 1, 70}, Case{2, 2, 3, 3, 99}}) {
-        expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, c.stride, c.size,
+           {Case{1, 1, 1, 1, 3, 3}, Case{2, 3, 5, 1, 7, 7},
+            Case{2, 3, 8, 1, 15, 15}, Case{2, 3, 8, 3, 15, 15},
+            Case{1, 5, 13, 3, 11, 11}, Case{3, 2, 3, 1, 70, 70},
+            Case{2, 2, 3, 3, 99, 99}, Case{3, 2, 3, 1, 4, 4},
+            Case{4, 3, 5, 1, 5, 5}, Case{2, 3, 4, 1, 1, 16},
+            Case{2, 3, 4, 1, 16, 1}, Case{3, 2, 5, 1, 3, 7},
+            Case{1, 2, 3, 1, 99, 99}}) {
+        expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, c.stride, c.h, c.w,
                                    act, layout, 29u + c.in_ch * c.out_ch);
       }
     }
@@ -373,7 +383,8 @@ TEST(Kernels, Conv2dMultiTileMatchesOracle) {
     int n, in_ch, out_ch, stride, size;
   };
   const Case cases[] = {
-      {11, 8, 6, 1, 15},   // stride 1, im2col shifted runs: 4 + 4 + 3
+      {11, 8, 6, 1, 15},   // stride 1, shifted runs: 4 + 4 + 3
+      {11, 64, 5, 1, 5},   // the fast profile's 5x5 planes: 4 + 4 + 3
       {21, 32, 5, 3, 15},  // stride 3, table gathers: 9 + 9 + 3
       {31, 512, 3, 3, 1},  // 1x1 planes, the w < kx edge: 14 + 14 + 3
   };
@@ -385,12 +396,12 @@ TEST(Kernels, Conv2dMultiTileMatchesOracle) {
     for (Act act : {Act::kNone, Act::kLeakyReLU}) {
       for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
         expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, c.stride, c.size,
-                                   act, layout, 71u + c.n);
+                                   c.size, act, layout, 71u + c.n);
       }
     }
   }
   // A network's first conv skips its input gradient: dW and db only.
-  expect_conv_matches_oracle(11, 8, 6, 1, 15, Act::kLeakyReLU,
+  expect_conv_matches_oracle(11, 8, 6, 1, 15, 15, Act::kLeakyReLU,
                              Layout::kRowMajor, 5u, /*input_grad=*/false);
 }
 
@@ -416,7 +427,7 @@ TEST(Kernels, Conv2dStridedOnOnePixelInputIsDeterministic) {
     }
     for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
       expect_conv_matches_oracle(c.n, c.in_ch, c.out_ch, /*stride=*/3, c.size,
-                                 Act::kLeakyReLU, layout, 11u + c.n);
+                                 c.size, Act::kLeakyReLU, layout, 11u + c.n);
     }
 
     // And the pipeline must be repeatable against itself under a dirtied
@@ -448,6 +459,119 @@ TEST(Kernels, Conv2dStridedOnOnePixelInputIsDeterministic) {
         EXPECT_TRUE(bit_equal(dx_first, dx));
       }
     }
+  }
+}
+
+// ---- backward masks ------------------------------------------------------
+
+/// A LeakyReLU dy shaped like the forward output `y` (row-major): its
+/// first `head` elements carry +inf, -inf and NaN once under each mask
+/// value (the mask is y < 0, the sign a LeakyReLU output keeps); every
+/// element cycles through signed zeros, subnormals and ordinary values.
+/// The NaN is the one an invalid operation makes on this host, so every
+/// NaN in the gradient chains has one bit pattern and no result depends
+/// on which NaN operand an add keeps. Keeping the non-finite values to
+/// the head leaves the gradients of every later row finite, where a
+/// wrongly scaled subnormal or zero still shows.
+Tensor mask_test_dy(const Tensor& y, std::size_t head) {
+  volatile float zero = 0.0f;
+  const float inf = 1.0f / zero;
+  const float nan = inf * zero;
+  const float nonfinite[] = {inf, -inf, nan};
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float finite[] = {0.0f,    -0.0f,   1e-40f, -3e-42f, denorm,
+                          -denorm, 1.5f,    -0.75f, 3.0f};
+  constexpr std::size_t kFinite = std::size(finite);
+  Tensor dy(y.shape());
+  bool placed[3][2] = {};
+  bool seen[kFinite][2] = {};
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    const int masked = y[i] < 0.0f ? 1 : 0;
+    dy[i] = finite[i % kFinite];
+    seen[i % kFinite][masked] = true;
+    for (int k = 0; i < head && k < 3; ++k) {
+      if (!placed[k][masked]) {
+        placed[k][masked] = true;
+        dy[i] = nonfinite[k];
+        break;
+      }
+    }
+  }
+  for (int masked = 0; masked < 2; ++masked) {
+    for (int k = 0; k < 3; ++k) {
+      EXPECT_TRUE(placed[k][masked]) << "non-finite " << k << " mask " << masked;
+    }
+    for (std::size_t f = 0; f < kFinite; ++f) {
+      EXPECT_TRUE(seen[f][masked]) << "finite " << f << " mask " << masked;
+    }
+  }
+  return dy;
+}
+
+TEST(Kernels, LeakyMaskMatchesBranchOnEveryTail) {
+  // apply_leaky_mask against the branch it replaced, at every length up
+  // to 40 (each vector tail), on special values under random 0/1 masks.
+  volatile float zero = 0.0f;
+  const float inf = 1.0f / zero;
+  const float values[] = {0.0f,   -0.0f, inf,  -inf, inf * zero,
+                          1e-40f, -3e-42f, 1.5f, -0.75f};
+  util::Pcg32 rng(5);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<float> dy(n);
+    std::vector<std::uint8_t> mask(n);
+    std::vector<float> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dy[i] = values[rng.next_below(std::size(values))];
+      mask[i] = static_cast<std::uint8_t>(rng.next_below(2));
+      want[i] = mask[i] ? dy[i] * 0.01f : dy[i];
+    }
+    std::vector<float> got(n, 7.0f);
+    apply_leaky_mask(dy.data(), mask.data(), 0.01f, n, got.data());
+    EXPECT_TRUE(bit_equal(want.data(), got.data(), n)) << "n " << n;
+  }
+}
+
+TEST(Kernels, LinearBackwardMaskMatchesOracleOnSpecialValues) {
+  // 37 outputs: rows end off every vector width.
+  constexpr int kRows = 16;
+  constexpr int kIn = 24;
+  constexpr int kOut = 37;
+  util::Pcg32 data_rng(21);
+  const Tensor x = Tensor::randn({kRows, kIn}, data_rng, 1.0);
+  util::Pcg32 rng(8);
+  Linear layer(kIn, kOut, rng, "t", Act::kLeakyReLU);
+  test::oracle::Dense oracle(layer.weight(), layer.bias(), /*lrelu=*/true);
+  const Tensor y = layer.forward(x);
+  ASSERT_TRUE(bit_equal(oracle.forward(x), y));
+  const Tensor dy = mask_test_dy(y, /*head=*/kOut);
+  EXPECT_TRUE(bit_equal(oracle.backward(dy), layer.backward(dy)));
+  expect_grads_match(layer, oracle);
+}
+
+TEST(Kernels, Conv2dBackwardMaskMatchesOracleOnSpecialValues) {
+  // 7x7 planes at stride 1 run col2im as shifted runs, so the non-finite
+  // gradients also cross the saved and restored edge columns.
+  constexpr int kN = 3;
+  constexpr int kIn = 3;
+  constexpr int kOut = 5;
+  constexpr int kSize = 7;
+  for (Layout layout : {Layout::kRowMajor, Layout::kChannelMajor}) {
+    SCOPED_TRACE(layout == Layout::kChannelMajor ? "cm" : "rm");
+    util::Pcg32 data_rng(23);
+    const Tensor x = Tensor::randn({kN, kIn, kSize, kSize}, data_rng, 1.0);
+    util::Pcg32 rng(9);
+    Conv2d conv(kIn, kOut, /*stride=*/1, rng, "t", Act::kLeakyReLU);
+    test::oracle::Conv oracle(conv.weight(), conv.bias(), /*stride=*/1,
+                              /*lrelu=*/true);
+    // The layer holds its forward input by pointer until backward.
+    const Tensor x_in = to_layout(x, layout);
+    const Tensor y = to_row_major(conv.forward(x_in));
+    ASSERT_TRUE(bit_equal(oracle.forward(x), y));
+    // The head is image 0's channel-0 plane.
+    const Tensor dy = mask_test_dy(y, /*head=*/kSize * kSize);
+    const Tensor dx = conv.backward(to_layout(dy, Layout::kChannelMajor));
+    EXPECT_TRUE(bit_equal(oracle.backward(dy), to_row_major(dx)));
+    expect_grads_match(conv, oracle);
   }
 }
 

@@ -19,6 +19,7 @@
 #include "eval/experiment.hpp"
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
+#include "nn_oracle.hpp"
 #include "runtime/parallel.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -140,10 +141,84 @@ void check_fused_matches_reduce_then_adam(int lanes,
 }
 
 TEST(TrainStep, FusedMatchesReduceThenAdamAcrossLanesAndThreads) {
-  for (int lanes : {1, 2, 8}) {
+  // 11 lanes: the reduce takes lanes eight at a time, then three.
+  for (int lanes : {1, 2, 8, 11}) {
     check_fused_matches_reduce_then_adam(lanes, nullptr);
     runtime::ThreadPool pool(4);
     check_fused_matches_reduce_then_adam(lanes, &pool);
+  }
+}
+
+TEST(TrainStep, BlockedStepMatchesScalarReference) {
+  // The fused pass over Adam's element blocks against a whole-tensor lane
+  // reduce followed by the scalar per-parameter Adam loop it replaced,
+  // over every vector tail and a tensor of four blocks, with hostile
+  // gradients (see adam_identity_grad), serially and on a pool. Three
+  // lanes; the fifth step runs two.
+  const std::vector<std::vector<int>> shapes =
+      test::oracle::adam_identity_shapes();
+  constexpr int kLanes = 3;
+  runtime::ThreadPool pool(4);
+  for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                 &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    util::Pcg32 init(41);
+    ParamBank master(shapes, init);
+    util::Pcg32 init_ref(41);
+    ParamBank ref_master(shapes, init_ref);
+    util::Pcg32 lane_init(43);
+    std::vector<ParamBank> lanes;
+    std::vector<ParamBank> ref_lanes;
+    for (int l = 0; l < kLanes; ++l) {
+      lanes.emplace_back(shapes, lane_init);
+      ref_lanes.push_back(lanes.back());
+    }
+    AdamConfig config;
+    config.lr = 0.01;
+    TrainStep engine(master.params(), config);
+    std::vector<std::vector<Param>> lane_params;
+    for (ParamBank& lane : lanes) lane_params.push_back(lane.params());
+    engine.attach_lanes(lane_params);
+    test::oracle::Adam reference(ref_master.params(), config);
+
+    util::Pcg32 grad_rng(97);
+    for (int step = 0; step < 6; ++step) {
+      const int active = step == 4 ? kLanes - 1 : kLanes;
+      for (int l = 0; l < active; ++l) {
+        for (std::size_t k = 0; k < shapes.size(); ++k) {
+          const bool tiny = k + 1 < shapes.size() && k % 3 == 0;
+          Tensor& g = lanes[l].grads[k];
+          for (std::size_t j = 0; j < g.size(); ++j) {
+            g[j] = test::oracle::adam_identity_grad(grad_rng, tiny);
+            ref_lanes[l].grads[k][j] = g[j];
+          }
+        }
+      }
+      engine.step(active, p);
+      for (std::size_t k = 0; k < shapes.size(); ++k) {
+        Tensor& sum = ref_master.grads[k];
+        for (int l = 0; l < active; ++l) {
+          Tensor& lane = ref_lanes[l].grads[k];
+          for (std::size_t j = 0; j < sum.size(); ++j) {
+            sum[j] += lane[j];
+            lane[j] = 0.0f;
+          }
+        }
+      }
+      reference.step();
+      for (std::size_t k = 0; k < shapes.size(); ++k) {
+        EXPECT_TRUE(same_bytes(master.values[k], ref_master.values[k]))
+            << "step " << step << " weight " << k;
+        EXPECT_TRUE(same_bytes(master.grads[k], ref_master.grads[k]))
+            << "step " << step << " grad " << k;
+        for (int l = 0; l < kLanes; ++l) {
+          EXPECT_TRUE(same_bytes(lanes[l].grads[k], ref_lanes[l].grads[k]))
+              << "step " << step << " lane " << l << " grad " << k;
+        }
+      }
+      EXPECT_TRUE(engine.optimizer().serialize() == reference.serialize())
+          << "step " << step << " state";
+    }
   }
 }
 
