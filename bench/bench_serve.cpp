@@ -178,10 +178,9 @@ int main(int argc, char** argv) {
   std::cerr << "bench_serve: training " << epochs << " epochs...\n";
   dl.train(training, validation, train_config);
 
-  // The victim dataset, images prebuilt so the sweep times inference, not
-  // feature extraction.
-  sma::attack::QueryDataset victim(prepared.split.get(), dataset_config);
-  victim.prebuild_images(nullptr);
+  // The victim dataset; construction renders its images, so the sweep
+  // times inference, not feature extraction.
+  const sma::attack::QueryDataset victim(prepared.split.get(), dataset_config);
   const long num_queries = static_cast<long>(victim.num_queries());
 
   // Batch-1 serial baseline: the identity oracle for every width.

@@ -99,10 +99,9 @@ int main(int argc, char** argv) {
   if (smoke) train_config.max_queries_per_design = 0;
 
   std::vector<sma::attack::QueryDataset> training;
+  // Construction renders every image, so s/epoch measures the training
+  // loop, not feature extraction.
   training.emplace_back(prepared.split.get(), dataset_config);
-  // Feature extraction is dataset preparation, not training; render the
-  // image cache up front so s/epoch measures the training loop.
-  training.back().prebuild_images(nullptr);
   std::vector<sma::attack::QueryDataset> validation;
 
   std::cerr << "bench_train: " << epochs << " epochs, batch "

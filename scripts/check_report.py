@@ -55,7 +55,6 @@ REPLICA_KEYS = (
     "max_on_loan",
     "wait_seconds",
     "occupancy_seconds",
-    "timeouts",
     "arena_allocs",
     "arena_bytes_pinned",
 )

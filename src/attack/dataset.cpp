@@ -14,20 +14,31 @@ QueryDataset::QueryDataset(const split::SplitDesign* split,
     : split_(split), config_(config) {
   SMA_TRACE_SPAN("dataset", "build");
   SMA_COUNT("dataset.builds");
+  runtime::ThreadPool* pool = config_.pool;
+  config_.pool = nullptr;  // construction is the pool's only use
   queries_ = split::build_queries(*split_, config_.candidates);
   vector_features_.resize(queries_.size());
   runtime::parallel_for(
-      config_.pool, 0, queries_.size(), /*grain=*/8, [this](std::size_t i) {
+      pool, 0, queries_.size(), /*grain=*/8, [this](std::size_t i) {
         vector_features_[i].reserve(queries_[i].candidates.size());
         for (const split::Vpp& vpp : queries_[i].candidates) {
           vector_features_[i].push_back(
               features::compute_vector_features(*split_, vpp));
         }
       });
-  if (config_.build_images) {
-    renderer_ =
-        std::make_unique<features::ImageRenderer>(split_, config_.images);
-    if (config_.pool != nullptr) prebuild_images(config_.pool);
+  if (!config_.build_images) return;
+
+  const features::ImageRenderer renderer(split_, config_.images);
+  const std::vector<int> pins = referenced_pins();
+  if (pins.empty()) return;
+  SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
+  SMA_COUNT_N("dataset.images_rendered", pins.size());
+  // Rendering is pure per pin; the cache fill stays on this thread.
+  std::vector<std::vector<float>> images = runtime::parallel_map(
+      pool, pins.size(), /*grain=*/1,
+      [&renderer, &pins](std::size_t i) { return renderer.render(pins[i]); });
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    image_cache_.emplace(pins[i], std::move(images[i]));
   }
 }
 
@@ -45,34 +56,6 @@ std::vector<int> QueryDataset::referenced_pins() const {
   std::sort(pins.begin(), pins.end());
   pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
   return pins;
-}
-
-void QueryDataset::prebuild_images(runtime::ThreadPool* pool) {
-  if (!config_.build_images || renderer_ == nullptr) return;
-  if (pool == nullptr) pool = config_.pool;
-
-  std::vector<int> pins = referenced_pins();
-  std::erase_if(pins, [this](int pin) { return image_cache_.count(pin) > 0; });
-  if (pins.empty()) return;
-  SMA_TRACE_SPAN_V("dataset", "render_images", pins.size());
-  SMA_COUNT_N("dataset.images_rendered", pins.size());
-
-  // Rendering is pure per pin; the cache fill stays on this thread.
-  std::vector<std::vector<float>> images = runtime::parallel_map(
-      pool, pins.size(), /*grain=*/1,
-      [this, &pins](std::size_t i) { return renderer_->render(pins[i]); });
-  for (std::size_t i = 0; i < pins.size(); ++i) {
-    image_cache_.emplace(pins[i], std::move(images[i]));
-  }
-}
-
-const std::vector<float>& QueryDataset::image_of(int virtual_pin) {
-  auto it = image_cache_.find(virtual_pin);
-  if (it == image_cache_.end()) {
-    it = image_cache_.emplace(virtual_pin, renderer_->render(virtual_pin))
-             .first;
-  }
-  return it->second;
 }
 
 bool same_image_geometry(const DatasetConfig& a, const DatasetConfig& b) {
@@ -104,12 +87,10 @@ void assemble_batch(const QueryRef* refs, std::size_t count,
   // covers every element), so plain resize_reuse needs no zeroing and a
   // reused QueryInput assembles without touching the heap once warm.
   out.vec.resize_reuse({rows, features::kNumVectorFeatures});
-  const features::ImageRenderer* renderer =
-      count > 0 ? refs[0].dataset->renderer_.get() : nullptr;
   float* img_dst = nullptr;
   std::size_t per_image = 0;
-  if (renderer != nullptr && planes > 0) {
-    const features::ImageConfig& img = renderer->config();
+  if (planes > 0 && refs[0].dataset->config_.build_images) {
+    const features::ImageConfig& img = refs[0].dataset->config_.images;
     out.images.resize_reuse({planes, img.channels(), img.size, img.size});
     img_dst = out.images.data();
     per_image = img.pixels_per_image();
@@ -119,7 +100,7 @@ void assemble_batch(const QueryRef* refs, std::size_t count,
 
   float* vec_dst = out.vec.data();
   for (std::size_t k = 0; k < count; ++k) {
-    QueryDataset& dataset = *refs[k].dataset;
+    const QueryDataset& dataset = *refs[k].dataset;
     const std::size_t i = refs[k].query;
     const split::SinkQuery& query = dataset.queries_.at(i);
     for (const features::VectorFeatures& row : dataset.vector_features_[i]) {

@@ -1,15 +1,14 @@
 // Query dataset: per-sink-fragment candidate lists materialized as neural
 // network inputs, with cached virtual-pin images.
 //
-// One dataset wraps one split design. Vector features are computed eagerly
-// (in parallel when the config carries a pool); images are rendered lazily
-// per virtual pin and cached, since the same pin appears in many queries.
-// With a pool, construction instead prebuilds every image the dataset can
-// ever need — after `prebuild_images()` the cache is immutable, making
-// `assemble_batch` safe to call from concurrent attack/training workers.
+// One dataset wraps one split design. Construction computes every vector
+// feature and renders every image any query references, once per virtual
+// pin (the same pin appears in many queries), in parallel when the config
+// carries a pool. After that a dataset is immutable: `assemble_batch` only
+// reads it, so any number of attack, training and serving threads may
+// assemble from one dataset at once.
 #pragma once
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -26,8 +25,9 @@ struct DatasetConfig {
   features::ImageConfig images;
   /// Skip all image work (vector-only attacks / ablation).
   bool build_images = true;
-  /// Non-owning pool for parallel feature extraction; null = serial. The
-  /// pool must outlive every dataset operation that uses it.
+  /// Non-owning pool for parallel feature extraction and image rendering
+  /// during construction; null = serial. A constructed dataset does not
+  /// keep it: its `config().pool` is always null.
   runtime::ThreadPool* pool = nullptr;
 };
 
@@ -39,7 +39,7 @@ bool same_image_geometry(const DatasetConfig& a, const DatasetConfig& b);
 
 /// One query of one dataset: the unit a batch is assembled from.
 struct QueryRef {
-  QueryDataset* dataset = nullptr;
+  const QueryDataset* dataset = nullptr;
   std::size_t query = 0;
 };
 
@@ -51,9 +51,7 @@ struct QueryRef {
 /// (`Tensor::resize_reuse`: grow-only capacity, every element fully
 /// overwritten), so a caller that holds one QueryInput across batches
 /// assembles without heap traffic once its buffers have seen the widest
-/// batch. Renders and caches images on first use: safe to call
-/// concurrently only after every referenced dataset's `prebuild_images()`
-/// (or construction with a pool, which prebuilds).
+/// batch. Reads the datasets only, so concurrent calls are safe.
 void assemble_batch(const QueryRef* refs, std::size_t count,
                     nn::QueryInput& out);
 
@@ -77,24 +75,22 @@ class QueryDataset {
     return static_cast<int>(queries_.at(i).candidates.size());
   }
 
-  /// Render every image any query references into the cache, in parallel
-  /// over `pool` (falling back to the config's pool, then serial).
-  /// Idempotent; a no-op for vector-only datasets.
-  void prebuild_images(runtime::ThreadPool* pool = nullptr);
-
   /// Weighted fraction of queries whose candidate list holds the truth.
   double candidate_hit_rate() const {
     return split::candidate_hit_rate(queries_);
   }
 
-  /// Total image cache entries (for tests/diagnostics).
+  /// Rendered images: one per distinct virtual pin the queries reference,
+  /// 0 for vector-only datasets (for tests/diagnostics).
   std::size_t cached_images() const { return image_cache_.size(); }
 
  private:
   friend void assemble_batch(const QueryRef* refs, std::size_t count,
                              nn::QueryInput& out);
 
-  const std::vector<float>& image_of(int virtual_pin);
+  const std::vector<float>& image_of(int virtual_pin) const {
+    return image_cache_.at(virtual_pin);
+  }
   /// All virtual pins whose image some query needs, deduplicated, in a
   /// deterministic order.
   std::vector<int> referenced_pins() const;
@@ -103,7 +99,6 @@ class QueryDataset {
   DatasetConfig config_;
   std::vector<split::SinkQuery> queries_;
   std::vector<std::vector<features::VectorFeatures>> vector_features_;
-  std::unique_ptr<features::ImageRenderer> renderer_;
   std::unordered_map<int, std::vector<float>> image_cache_;
 };
 

@@ -49,8 +49,8 @@ DlAttack::DlAttack(const nn::NetConfig& net_config)
 DlAttack::DlAttack(nn::AttackNet net)
     : net_(std::move(net)), replicas_(std::make_unique<ReplicaSet>()) {}
 
-TrainStats DlAttack::train(std::vector<QueryDataset>& training,
-                           std::vector<QueryDataset>& validation,
+TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
+                           const std::vector<QueryDataset>& validation,
                            const TrainConfig& config,
                            runtime::ThreadPool* pool) {
   if (config.batch_size < 1) {
@@ -215,11 +215,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   std::vector<nn::AttackNet*> workers;
   if (lane_nets.empty()) workers.push_back(&net_);
   for (nn::AttackNet& lane : lane_nets) workers.push_back(&lane);
-  if (!serial) {
-    engine.attach_lanes(lane_params);
-    // Concurrent lanes read the datasets' image caches; freeze them now.
-    for (QueryDataset& dataset : training) dataset.prebuild_images(pool);
-  }
+  if (!serial) engine.attach_lanes(lane_params);
 
   // Reusable input-assembly buffers, one per worker. assemble_batch
   // resizes them in place, so steady-state epochs assemble every query
@@ -347,7 +343,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
         (epoch + 1) % config.validate_every == 0) {
       long total = 0;
       long correct = 0;
-      for (QueryDataset& dataset : validation) {
+      for (const QueryDataset& dataset : validation) {
         AttackResult result = attack(dataset, pool);
         for (const Selection& s : result.selections) {
           total += s.num_sinks;
@@ -396,7 +392,7 @@ TrainStats DlAttack::train(std::vector<QueryDataset>& training,
   return stats;
 }
 
-AttackResult DlAttack::attack(QueryDataset& dataset,
+AttackResult DlAttack::attack(const QueryDataset& dataset,
                               runtime::ThreadPool* pool, int batch_width) {
   SMA_TRACE_SPAN_V("attack", "attack", dataset.num_queries());
   SMA_COUNT("attack.calls");
@@ -434,15 +430,13 @@ AttackResult DlAttack::attack(QueryDataset& dataset,
     // Workers run pinned shared-weight replicas leased from the
     // ReplicaSet — no per-call clone, no weight copies — and concurrent
     // attack() calls (e.g. parallel per-design evaluation) lease disjoint
-    // replicas, so they stay race-free.
-    dataset.prebuild_images(pool);
-    std::size_t num_chunks = std::min<std::size_t>(
+    // replicas, so they stay race-free. The chunk count follows from the
+    // chunk size, so no chunk is empty (5 queries over 4 workers make
+    // three chunks of 2, 2 and 1, not a fourth with nothing to do).
+    const std::size_t workers = std::min<std::size_t>(
         n, static_cast<std::size_t>(pool->num_threads()) + 1);
-    // A bounded replica set caps the fan-out: asking for more replicas
-    // than the bound can never be satisfied.
-    const std::size_t cap = replicas_->max_replicas();
-    if (cap > 0) num_chunks = std::min(num_chunks, cap);
-    const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
+    const std::size_t chunk = (n + workers - 1) / workers;
+    const std::size_t num_chunks = (n + chunk - 1) / chunk;
     ReplicaLease lease = replicas_->lease(num_chunks, net_);
     runtime::TaskGroup group(pool);
     for (std::size_t c = 0; c < num_chunks; ++c) {

@@ -111,18 +111,17 @@ class DlAttack {
   /// `config.validate_every` > 0, track validation CCR. `pool` only
   /// changes wall-clock time, never the resulting model. Throws
   /// std::invalid_argument when `config.batch_size` < 1.
-  TrainStats train(std::vector<QueryDataset>& training,
-                   std::vector<QueryDataset>& validation,
+  TrainStats train(const std::vector<QueryDataset>& training,
+                   const std::vector<QueryDataset>& validation,
                    const TrainConfig& config,
                    runtime::ThreadPool* pool = nullptr);
 
-  /// Run inference over every query of `dataset` (runtime includes image
-  /// rendering, which is part of feature extraction as in the paper).
-  /// With a pool the shared network is never used directly — workers run
-  /// *pinned* replicas leased from the ReplicaSet (shared read-only
-  /// weights, private activation caches; no per-call clone) — so
-  /// concurrent `attack` calls on one DlAttack are safe as long as every
-  /// call passes a pool, and repeated calls reuse the same replicas.
+  /// Run inference over every query of `dataset`. With a pool the shared
+  /// network is never used directly — workers run *pinned* replicas
+  /// leased from the ReplicaSet (shared read-only weights, private
+  /// activation caches; no per-call clone) — so concurrent `attack` calls
+  /// on one DlAttack, over one dataset or several, are safe as long as
+  /// every call passes a pool, and repeated calls reuse the same replicas.
   ///
   /// Queries are split into contiguous chunks (one, without a pool), and
   /// each chunk runs `select_batch` over `batch_width` consecutive queries
@@ -131,19 +130,13 @@ class DlAttack {
   /// performance knob: scores — and therefore selections and CCR — are
   /// byte-identical to batch_width == 1 at every width and thread count
   /// (tests/test_serve.cpp, bench_serve).
-  AttackResult attack(QueryDataset& dataset,
+  AttackResult attack(const QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr,
                       int batch_width = 1);
 
   /// The pinned inference replica set — the serving loop (src/serve/)
-  /// leases from it directly so bounded replicas backpressure request
-  /// coalescing the same way they backpressure attack() calls.
+  /// leases its per-batch replicas from it directly.
   ReplicaSet& replicas() { return *replicas_; }
-
-  /// Replicas created by pooled attack() calls so far. Pinning means this
-  /// stops growing once the set covers the worker count — the test hook
-  /// for the replica-reuse contract.
-  long inference_clones() const { return replicas_->clones_created(); }
 
   /// Aggregate activation-arena stats over the pinned inference replicas
   /// (each replica owns one arena for its lifetime; repeated attack()
@@ -152,8 +145,10 @@ class DlAttack {
     return replicas_->arena_stats();
   }
 
-  /// Lease-lifecycle stats of the pinned replica set (leases, acquisition
-  /// wait, occupancy) — the serving section of obs::RunReport.
+  /// Lease-lifecycle stats of the pinned replica set (leases, clones,
+  /// acquisition wait, occupancy) — the serving section of obs::RunReport.
+  /// Pinning means `clones_created` stops growing once the set covers the
+  /// widest concurrent demand.
   ReplicaSet::LeaseStats replica_lease_stats() const {
     return replicas_->lease_stats();
   }

@@ -10,10 +10,12 @@
 // replicas) while keeping private activation caches, so concurrent
 // workers never race.
 //
-// Concurrency model: replicas are handed out through exclusive leases.
-// Sequential `attack()` calls reuse the same pinned replicas; concurrent
-// calls (e.g. parallel per-design evaluation) lease disjoint ones, and
-// the set only grows when every pinned replica is already on loan.
+// Concurrency model: replicas are handed out through exclusive leases,
+// and a lease never waits for another to end. Sequential `attack()` calls
+// reuse the same pinned replicas; concurrent calls (e.g. parallel
+// per-design evaluation) lease disjoint ones, and the set grows by
+// cloning whenever every pinned replica is already on loan, so it holds
+// at most as many replicas as were ever on loan at once.
 // Determinism is untouched: shared weights make all replicas numerically
 // identical, and outputs land in index-addressed slots, so *which*
 // replica serves a chunk never matters.
@@ -21,7 +23,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <stdexcept>
 #include <vector>
 
 #include "nn/arena.hpp"
@@ -31,21 +32,13 @@
 
 namespace sma::attack {
 
-/// A bounded `ReplicaSet::lease` gave up waiting for free replicas before
-/// its deadline. Typed so callers can tell "the serving tier is saturated"
-/// apart from every other runtime_error and shed load deliberately.
-class AcquireTimeoutError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 class ReplicaSet;
 
 /// Exclusive use of `nets` until destruction (returns them to the set).
 class ReplicaLease {
  public:
   ReplicaLease(ReplicaSet* set, std::vector<nn::AttackNet*> nets,
-               std::vector<std::size_t> indices, std::size_t lease_id);
+               std::vector<std::size_t> indices, double start_us);
   ~ReplicaLease();
   ReplicaLease(const ReplicaLease&) = delete;
   ReplicaLease& operator=(const ReplicaLease&) = delete;
@@ -56,9 +49,7 @@ class ReplicaLease {
   ReplicaSet* set_;
   std::vector<nn::AttackNet*> nets_;
   std::vector<std::size_t> indices_;
-  /// Slot in the set's live-lease table (birth time + replica count live
-  /// there, so occupancy snapshots can see leases still in flight).
-  std::size_t lease_id_ = 0;
+  double start_us_;  ///< when the lease was granted (obs::now_us)
 };
 
 class ReplicaSet {
@@ -73,44 +64,23 @@ class ReplicaSet {
     long clones_created = 0;    ///< replicas ever constructed
     std::size_t max_on_loan = 0;  ///< peak concurrently leased replicas
     double wait_seconds = 0.0;    ///< summed time to acquire the set
-    /// Summed replica-seconds on loan. Includes leases still live at the
-    /// snapshot (their occupancy so far), so a serving loop's mid-flight
-    /// numbers are honest rather than lagging one lease behind.
+    /// Summed replica-seconds on loan over released leases: a lease adds
+    /// its hold time times its replica count when it is released.
     double occupancy_seconds = 0.0;
-    long timeouts = 0;            ///< lease() deadlines missed (bounded sets)
   };
 
-  /// Lease `n` replicas of `master` for exclusive use. Grows the set (via
-  /// `master.clone_shared()`) only when fewer than `n` replicas are free;
-  /// the master is passed per call rather than stored so the owning
-  /// object stays movable (pinned replicas reference the master's layer
-  /// objects, which live behind stable heap storage).
-  ///
-  /// With a replica bound (`set_max_replicas`) the call BLOCKS while the
-  /// bound leaves fewer than `n` replicas obtainable, until concurrent
-  /// leases release. `timeout_seconds` caps that wait: < 0 waits
-  /// indefinitely (the default), >= 0 throws AcquireTimeoutError once the
-  /// deadline passes without acquisition (counted in
-  /// LeaseStats::timeouts). Requesting `n` larger than the bound can
-  /// never succeed and throws std::invalid_argument immediately.
-  /// Unbounded sets (the default) never block and never time out.
-  ReplicaLease lease(std::size_t n, nn::AttackNet& master,
-                     double timeout_seconds = -1.0) SMA_EXCLUDES(mutex_);
+  /// Lease `n` replicas of `master` for exclusive use. Never blocks on
+  /// other leases: grows the set (via `master.clone_shared()`) when fewer
+  /// than `n` replicas are free. The master is passed per call rather
+  /// than stored so the owning object stays movable (pinned replicas
+  /// reference the master's layer objects, which live behind stable heap
+  /// storage).
+  ReplicaLease lease(std::size_t n, nn::AttackNet& master)
+      SMA_EXCLUDES(mutex_);
 
-  /// Bound the set to `cap` pinned replicas (0 = unbounded, the default).
-  /// Bounds memory on wide machines: each pinned replica carries private
-  /// activation arenas even though weights are shared. Shrinking below
-  /// the current size keeps existing replicas but stops growth.
-  void set_max_replicas(std::size_t cap) SMA_EXCLUDES(mutex_);
-  std::size_t max_replicas() const SMA_EXCLUDES(mutex_);
-
-  /// Replicas ever created — a monotone counter tests use to prove that
-  /// repeated attack() calls reuse pinned replicas instead of cloning.
-  long clones_created() const SMA_EXCLUDES(mutex_);
-
-  /// Lease-lifecycle stats since construction (see LeaseStats). Safe to
-  /// read while leases are live: `occupancy_seconds` and `max_on_loan`
-  /// both reflect in-flight leases as of the snapshot.
+  /// Lease-lifecycle stats since construction (see LeaseStats).
+  /// `max_on_loan` counts leases still live; `occupancy_seconds` counts
+  /// released ones.
   LeaseStats lease_stats() const SMA_EXCLUDES(mutex_);
 
   /// Aggregate activation-arena stats over every pinned replica. Each
@@ -123,34 +93,15 @@ class ReplicaSet {
 
  private:
   friend class ReplicaLease;
-  void release(const std::vector<std::size_t>& indices, std::size_t lease_id)
+  void release(const std::vector<std::size_t>& indices, double start_us)
       SMA_EXCLUDES(mutex_);
 
-  /// Free pinned replicas plus headroom to clone under the bound.
-  std::size_t obtainable_locked() const SMA_REQUIRES(mutex_);
-
-  /// One in-flight lease: birth time and replica count, kept in the set
-  /// (not the lease object) so stat snapshots can account for it while
-  /// it is still on loan.
-  struct LiveLease {
-    double start_us = 0.0;
-    std::size_t replicas = 0;
-    bool active = false;
-  };
-
   mutable util::Mutex mutex_;
-  util::CondVar available_;  ///< signaled on every release
   /// Deque: growth keeps addresses stable for live leases.
   std::deque<nn::AttackNet> replicas_ SMA_GUARDED_BY(mutex_);
   std::vector<bool> on_loan_ SMA_GUARDED_BY(mutex_);
-  long clones_created_ SMA_GUARDED_BY(mutex_) = 0;
   LeaseStats stats_ SMA_GUARDED_BY(mutex_);
   std::size_t on_loan_now_ SMA_GUARDED_BY(mutex_) = 0;
-  std::size_t max_replicas_ SMA_GUARDED_BY(mutex_) = 0;  ///< 0 = unbounded
-  /// Live-lease table, slot-addressed by ReplicaLease::lease_id_ with a
-  /// free list for reuse (bounded by peak lease concurrency).
-  std::vector<LiveLease> live_ SMA_GUARDED_BY(mutex_);
-  std::vector<std::size_t> live_free_ SMA_GUARDED_BY(mutex_);
 };
 
 }  // namespace sma::attack

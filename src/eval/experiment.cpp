@@ -119,11 +119,10 @@ std::vector<std::size_t> largest_first(
 }
 
 /// Train a DL attack on `training`, in order. Training parallelizes over
-/// gradient lanes (see DlAttack). Concurrent calls may share `training`
-/// when its datasets were built with a pool: their image caches are then
-/// complete, and training only reads them. `train_seconds`, when non-null,
+/// gradient lanes (see DlAttack). Concurrent calls may share `training`:
+/// datasets are immutable once built. `train_seconds`, when non-null,
 /// receives the wall time of `DlAttack::train` alone.
-attack::DlAttack train_on(std::vector<attack::QueryDataset>& training,
+attack::DlAttack train_on(const std::vector<attack::QueryDataset>& training,
                           const ExperimentProfile& profile,
                           std::uint64_t seed, runtime::ThreadPool* pool,
                           double* train_seconds = nullptr) {

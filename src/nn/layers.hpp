@@ -33,10 +33,12 @@
 // to `forward` is cached by POINTER (not copied) for the backward pass:
 // it must stay alive and unmodified until the matching `backward`
 // returns — trivially true inside a network, where it is another layer's
-// arena slot. `AttackNet` binds every layer to its per-network arena at
-// construction; a layer used standalone (tests, benches) lazily binds
-// itself to a thread-local fallback arena on first use — such a layer
-// must then keep running on the thread that first called it.
+// arena slot. Linear, Conv2d and ResBlock delete their rvalue `forward`
+// overload, so passing a temporary fails to compile. `AttackNet` binds
+// every layer to its per-network arena at construction; a layer used
+// standalone (tests, benches) lazily binds itself to a thread-local
+// fallback arena on first use — such a layer must then keep running on
+// the thread that first called it.
 // Call-transient staging (conv's per-tile im2col, masked dy^T and
 // dcols^T, the GEMM packing panels and the pack paths' tap table) is NOT
 // per-network: it lives in a per-thread staging arena (layers.cpp), one
@@ -89,6 +91,7 @@ class Linear {
   void bind_arena(Arena& arena);
 
   Tensor& forward(const Tensor& x);
+  Tensor& forward(const Tensor&& x) = delete;  ///< x is kept until backward
   Tensor& backward(const Tensor& dy);
   void collect_params(std::vector<Param>& out);
 
@@ -212,6 +215,7 @@ class Conv2d {
   void bind_arena(Arena& arena);
 
   Tensor& forward(const Tensor& x);
+  Tensor& forward(const Tensor&& x) = delete;  ///< x is kept until backward
   Tensor& backward(const Tensor& dy);
   void collect_params(std::vector<Param>& out);
 
@@ -304,6 +308,7 @@ class ResBlock {
   void bind_arena(Arena& arena);
 
   Tensor& forward(const Tensor& x);
+  Tensor& forward(const Tensor&& x) = delete;  ///< fc1_ keeps x
   Tensor& backward(const Tensor& dy);
   void collect_params(std::vector<Param>& out);
 

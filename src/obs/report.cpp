@@ -87,7 +87,6 @@ void RunReport::add_replicas(const attack::DlAttack& attack) {
   replicas_.max_on_loan = static_cast<std::int64_t>(lease.max_on_loan);
   replicas_.wait_seconds = lease.wait_seconds;
   replicas_.occupancy_seconds = lease.occupancy_seconds;
-  replicas_.timeouts = lease.timeouts;
   replicas_.arena_allocs = arena.allocs;
   replicas_.arena_bytes_pinned = arena.bytes_pinned;
 }
@@ -158,8 +157,7 @@ std::string RunReport::to_json() const {
     append_number(os, replicas_.wait_seconds);
     os << ", \"occupancy_seconds\": ";
     append_number(os, replicas_.occupancy_seconds);
-    os << ", \"timeouts\": " << replicas_.timeouts
-       << ", \"arena_allocs\": " << replicas_.arena_allocs
+    os << ", \"arena_allocs\": " << replicas_.arena_allocs
        << ", \"arena_bytes_pinned\": " << replicas_.arena_bytes_pinned << "}";
   } else {
     os << ", \"replicas\": null";

@@ -90,7 +90,6 @@ class RunReport {
     std::int64_t max_on_loan = 0;
     double wait_seconds = 0.0;
     double occupancy_seconds = 0.0;
-    long timeouts = 0;
     long arena_allocs = 0;
     std::uint64_t arena_bytes_pinned = 0;
   };

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "attack/replica_set.hpp"
 #include "obs/obs.hpp"
 
 namespace sma::serve {
@@ -41,54 +40,35 @@ ServeStats ServeLoop::stats() const {
   return stats_;
 }
 
-void ServeLoop::prepare_dataset(attack::QueryDataset& dataset) {
-  util::MutexLock lock(prep_mutex_);
-  for (attack::QueryDataset* d : prepared_) {
-    if (d == &dataset) return;
-  }
-  // One batch stacks every request into a single [planes, C, H, W]
-  // tensor, so all served datasets must agree on image geometry. The
-  // first dataset fixes the fleet's shape.
-  if (!prepared_.empty() &&
-      !attack::same_image_geometry(dataset.config(),
-                                   prepared_.front()->config())) {
-    throw std::invalid_argument(
-        "ServeLoop: dataset image geometry differs from the serving "
-        "fleet's (set by the first dataset served)");
-  }
-  // Prebuild makes the image cache immutable, so dispatcher threads can
-  // assemble batches from this dataset concurrently (read-only).
-  dataset.prebuild_images();
-  prepared_.push_back(&dataset);
-}
-
-attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
+attack::Selection ServeLoop::submit(const attack::QueryDataset& dataset,
                                     std::size_t query) {
-  prepare_dataset(dataset);
   const split::SinkQuery& q = dataset.query(query);
-  if (q.candidates.empty()) {
-    // The attack()-path no-op choice; never worth a queue round-trip.
-    attack::Selection out;
-    out.sink_fragment = q.sink_fragment;
-    out.num_sinks = q.num_sinks;
-    util::MutexLock lock(mutex_);
-    if (closed_) {
-      throw std::runtime_error("ServeLoop::submit after shutdown");
-    }
-    ++stats_.submitted;
-    ++stats_.empty;
-    return out;
-  }
-
   Request req;
   req.ref = {&dataset, query};
   req.enqueue_us = obs::now_us();
   {
     util::MutexLock lock(mutex_);
+    // One batch stacks every request into a single [planes, C, H, W]
+    // tensor, so all served datasets must agree on image geometry. The
+    // first dataset fixes the fleet's shape.
+    if (first_dataset_ == nullptr) first_dataset_ = &dataset;
+    if (!attack::same_image_geometry(dataset.config(),
+                                     first_dataset_->config())) {
+      throw std::invalid_argument(
+          "ServeLoop: dataset image geometry differs from the serving "
+          "fleet's (set by the first dataset served)");
+    }
     if (closed_) {
       throw std::runtime_error("ServeLoop::submit after shutdown");
     }
     ++stats_.submitted;
+    if (q.candidates.empty()) {
+      // The attack()-path no-op choice; never worth a queue round-trip.
+      ++stats_.empty;
+      req.result.sink_fragment = q.sink_fragment;
+      req.result.num_sinks = q.num_sinks;
+      return req.result;
+    }
     queue_.push_back(&req);
     stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
     SMA_HISTOGRAM("serve.queue_depth", queue_.size());
@@ -98,10 +78,7 @@ attack::Selection ServeLoop::submit(attack::QueryDataset& dataset,
     util::MutexLock lock(mutex_);
     while (!req.done) completions_.wait(lock);
   }
-  if (!req.error.empty()) {
-    if (req.lease_timeout) throw attack::AcquireTimeoutError(req.error);
-    throw std::runtime_error(req.error);
-  }
+  if (!req.error.empty()) throw std::runtime_error(req.error);
   return req.result;
 }
 
@@ -175,23 +152,13 @@ void ServeLoop::process_batch(std::vector<Request*>& batch,
   for (const Request* r : batch) buffers.refs.push_back(r->ref);
   buffers.selections.assign(batch.size(), attack::Selection{});
   try {
-    // One replica per pass: the ReplicaSet is the backpressure valve. A
-    // bounded set makes saturated dispatchers wait here (or time out),
-    // not pile more work onto the model. Assembly reads only: every
-    // prepared dataset's image cache is immutable.
-    attack::ReplicaLease lease = attack_->replicas().lease(
-        1, attack_->net(), config_.lease_timeout_seconds);
+    // One replica per pass. Assembly only reads the (immutable) datasets.
+    attack::ReplicaLease lease = attack_->replicas().lease(1, attack_->net());
     attack::select_batch(*lease.nets()[0], buffers.refs.data(),
                          buffers.refs.size(), buffers.input,
                          buffers.selections.data());
     for (std::size_t k = 0; k < batch.size(); ++k) {
       batch[k]->result = buffers.selections[k];
-    }
-  } catch (const attack::AcquireTimeoutError& e) {
-    SMA_COUNT("serve.lease_timeouts");
-    for (Request* r : batch) {
-      r->error = e.what();
-      r->lease_timeout = true;
     }
   } catch (const std::exception& e) {
     for (Request* r : batch) r->error = e.what();

@@ -8,10 +8,8 @@
 // call (one stacked forward pass, possibly across datasets) under a
 // latency budget (take up to `max_batch` requests, waiting at most
 // `max_wait_us` once at least one is held). Each pass runs on ONE replica
-// leased from the attack's ReplicaSet, so a bounded set backpressures the
-// serving tier exactly as it does direct attack() calls — and a lease
-// timeout propagates to every request of the stalled batch as
-// AcquireTimeoutError.
+// leased from the attack's ReplicaSet; a lease never waits, and the loop
+// holds at most one replica per dispatcher at a time.
 //
 // Determinism contract: per-query scores are byte-identical to a direct
 // batch-1 `attack()` no matter how requests coalesce (the AttackNet
@@ -24,11 +22,11 @@
 // Concurrency (PR-9 conventions): one annotated util::Mutex guards the
 // queue/stats; waits are explicit loops with fixed deadlines. Requests
 // live on their submitter's stack — the submitter blocks until `done`,
-// so the pointers queued here stay valid. Datasets are registered on
-// first submit (linear scan — no pointer ordering): their image caches
-// are prebuilt so concurrent batch assembly only reads, and their image
-// geometry is checked against the first-served dataset, since one batch
-// stacks every request into a single image tensor.
+// so the pointers queued here stay valid. Datasets are immutable once
+// constructed, so dispatchers assemble batches from them concurrently
+// without any registration; `submit` only checks each dataset's image
+// geometry against the first-served dataset's, since one batch stacks
+// every request into a single image tensor.
 #pragma once
 
 #include <cstddef>
@@ -57,12 +55,8 @@ struct ServeConfig {
   /// 0 dispatches whatever is queued immediately.
   std::int64_t max_wait_us = 500;
   /// Dispatcher threads draining the queue. Each leases one replica per
-  /// batch, so useful parallelism is bounded by the replica cap.
+  /// batch.
   int dispatchers = 1;
-  /// Forwarded to ReplicaSet::lease: < 0 waits for a replica
-  /// indefinitely; >= 0 fails the whole batch with AcquireTimeoutError
-  /// after that many seconds (each submitter of the batch rethrows it).
-  double lease_timeout_seconds = -1.0;
 };
 
 /// Lifecycle counters, snapshot via ServeLoop::stats(). Latency and width
@@ -92,12 +86,12 @@ class ServeLoop {
   /// then returns the selection — byte-identical to what a batch-1
   /// attack() would have chosen. Empty-candidate queries are answered
   /// inline (the attack()-path no-op choice) without touching the queue.
-  /// Throws AcquireTimeoutError when the batch that carried this request
-  /// timed out waiting for a replica, std::runtime_error after
-  /// shutdown(), and std::invalid_argument when `dataset`'s image
-  /// geometry differs from the fleet's (set by the first dataset served).
-  attack::Selection submit(attack::QueryDataset& dataset, std::size_t query)
-      SMA_EXCLUDES(mutex_);
+  /// Throws std::runtime_error after shutdown() or when the batch that
+  /// carried this request failed, and std::invalid_argument when
+  /// `dataset`'s image geometry differs from the fleet's (set by the first
+  /// dataset served).
+  attack::Selection submit(const attack::QueryDataset& dataset,
+                           std::size_t query) SMA_EXCLUDES(mutex_);
 
   /// Drain and stop: requests already enqueued are answered, new submits
   /// are rejected, dispatchers are joined. Idempotent; called by the
@@ -112,8 +106,7 @@ class ServeLoop {
     attack::QueryRef ref;
     double enqueue_us = 0.0;
     attack::Selection result;
-    std::string error;          ///< non-empty => the request failed
-    bool lease_timeout = false; ///< error is an AcquireTimeoutError
+    std::string error;  ///< non-empty => the request failed
     bool done = false;
   };
 
@@ -129,9 +122,6 @@ class ServeLoop {
   /// Run `batch` through one `select_batch` call on a leased replica and
   /// fill each request's result (or error). Runs outside the queue mutex.
   void process_batch(std::vector<Request*>& batch, BatchBuffers& buffers);
-  /// First-submit registration: geometry check + image prebuild.
-  void prepare_dataset(attack::QueryDataset& dataset)
-      SMA_EXCLUDES(prep_mutex_);
 
   attack::DlAttack* attack_;
   ServeConfig config_;
@@ -142,12 +132,9 @@ class ServeLoop {
   std::deque<Request*> queue_ SMA_GUARDED_BY(mutex_);
   bool closed_ SMA_GUARDED_BY(mutex_) = false;
   ServeStats stats_ SMA_GUARDED_BY(mutex_);
-
-  util::Mutex prep_mutex_;
-  /// Datasets with prebuilt (hence immutable, concurrently readable)
-  /// image caches. A vector scanned linearly: iteration order never
-  /// matters and pointer-keyed containers are banned (lint).
-  std::vector<attack::QueryDataset*> prepared_ SMA_GUARDED_BY(prep_mutex_);
+  /// The first dataset served; null until then.
+  const attack::QueryDataset* first_dataset_ SMA_GUARDED_BY(mutex_) =
+      nullptr;
 
   /// Joined by shutdown(); only touched by the constructor and
   /// shutdown(), never by dispatchers.

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 
+#include "runtime/thread_pool.hpp"
 #include "test_support.hpp"
 
 namespace sma::attack {
@@ -19,7 +21,7 @@ DatasetConfig small_config(bool images = true) {
 }
 
 /// Query `i` alone: a batch of one.
-nn::QueryInput input_of(QueryDataset& dataset, std::size_t i) {
+nn::QueryInput input_of(const QueryDataset& dataset, std::size_t i) {
   nn::QueryInput input;
   const QueryRef ref{&dataset, i};
   assemble_batch(&ref, 1, input);
@@ -49,6 +51,7 @@ TEST_F(DatasetTest, InputShapes) {
 
 TEST_F(DatasetTest, VectorOnlyLeavesImagesEmpty) {
   QueryDataset dataset(s_->split.get(), small_config(false));
+  EXPECT_EQ(dataset.cached_images(), 0u);
   nn::QueryInput input = input_of(dataset, 0);
   EXPECT_TRUE(input.images.empty());
   EXPECT_FALSE(input.vec.empty());
@@ -95,16 +98,47 @@ TEST_F(DatasetTest, BatchRejectsMixedImageGeometry) {
 }
 
 TEST_F(DatasetTest, ImageCachingSharesVirtualPins) {
-  QueryDataset dataset(s_->split.get(), small_config());
-  std::size_t queries = std::min<std::size_t>(10, dataset.num_queries());
-  std::size_t total_images = 0;
-  for (std::size_t i = 0; i < queries; ++i) {
-    total_images += dataset.query(i).candidates.size() + 1;
-    input_of(dataset, i);
+  // Construction renders one image per distinct virtual pin any query
+  // references: each candidate's source pin and the sink's first pin.
+  runtime::ThreadPool pool(2);
+  DatasetConfig pooled_config = small_config();
+  pooled_config.pool = &pool;
+  const QueryDataset pooled(s_->split.get(), pooled_config);
+  const QueryDataset serial(s_->split.get(), small_config());
+  EXPECT_EQ(pooled.config().pool, nullptr);
+
+  std::set<int> pins;
+  std::size_t naive = 0;
+  std::vector<QueryRef> pooled_refs;
+  std::vector<QueryRef> serial_refs;
+  for (std::size_t i = 0; i < serial.num_queries(); ++i) {
+    const split::SinkQuery& q = serial.query(i);
+    pooled_refs.push_back({&pooled, i});
+    serial_refs.push_back({&serial, i});
+    if (q.candidates.empty()) continue;
+    for (const split::Vpp& vpp : q.candidates) pins.insert(vpp.source_vp);
+    pins.insert(s_->split->fragment(q.sink_fragment).virtual_pins.front());
+    naive += q.candidates.size() + 1;
   }
-  // Cache must be smaller than the naive count (pins are shared).
-  EXPECT_LT(dataset.cached_images(), total_images);
-  EXPECT_GT(dataset.cached_images(), 0u);
+  ASSERT_GT(pins.size(), 0u);
+  EXPECT_EQ(serial.cached_images(), pins.size());
+  EXPECT_EQ(pooled.cached_images(), pins.size());
+  // Pins are shared between queries, so the cache beats the naive count.
+  EXPECT_LT(pins.size(), naive);
+
+  // Every query of both datasets, as one batch each: identical bytes.
+  nn::QueryInput from_pooled;
+  nn::QueryInput from_serial;
+  assemble_batch(pooled_refs.data(), pooled_refs.size(), from_pooled);
+  assemble_batch(serial_refs.data(), serial_refs.size(), from_serial);
+  ASSERT_EQ(from_pooled.vec.size(), from_serial.vec.size());
+  ASSERT_EQ(from_pooled.images.size(), from_serial.images.size());
+  EXPECT_EQ(std::memcmp(from_pooled.vec.data(), from_serial.vec.data(),
+                        from_serial.vec.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(from_pooled.images.data(), from_serial.images.data(),
+                        from_serial.images.size() * sizeof(float)),
+            0);
 }
 
 TEST_F(DatasetTest, TargetsMatchQueries) {

@@ -8,7 +8,6 @@
 // and recomputed, never silently consumed.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -19,13 +18,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <typeinfo>
 #include <vector>
 
 #include "attack/checkpoint.hpp"
 #include "attack/dl_attack.hpp"
-#include "attack/replica_set.hpp"
 #include "eval/experiment.hpp"
 #include "eval/split_cache.hpp"
 #include "eval/work_unit.hpp"
@@ -1124,60 +1121,6 @@ TEST_F(DurabilityTest, Table3ResumeRecomputesOnlyTheMissingVictim) {
   EXPECT_EQ(rerun(loaded), 0u);
   expect_row_matches(loaded, 0);
   expect_row_matches(loaded, 1);
-}
-
-// ---------------------------------------------------------------------
-// Bounded replica serving
-// ---------------------------------------------------------------------
-
-TEST_F(DurabilityTest, BoundedReplicaSetTimesOutAndCountsIt) {
-  nn::NetConfig config;
-  config.hidden = 8;
-  config.vector_res_blocks = 1;
-  config.merged_res_blocks = 1;
-  config.use_images = false;
-  nn::AttackNet master(config);
-
-  attack::ReplicaSet set;
-  set.set_max_replicas(2);
-  EXPECT_EQ(set.max_replicas(), 2u);
-  // More than the bound can never be satisfied: refuse, don't deadlock.
-  EXPECT_THROW(set.lease(3, master, 0.01), std::invalid_argument);
-
-  {
-    attack::ReplicaLease held = set.lease(2, master);
-    // Saturated: a bounded lease with a deadline must give up, typed.
-    EXPECT_THROW(set.lease(1, master, /*timeout_seconds=*/0.05),
-                 attack::AcquireTimeoutError);
-  }
-  EXPECT_EQ(set.lease_stats().timeouts, 1);
-
-  // After release the same request succeeds without growing past the cap.
-  attack::ReplicaLease ok = set.lease(2, master, 0.05);
-  EXPECT_EQ(ok.nets().size(), 2u);
-  EXPECT_EQ(set.lease_stats().clones_created, 2);
-}
-
-TEST_F(DurabilityTest, BoundedLeaseWakesWhenConcurrentLeaseReleases) {
-  nn::NetConfig config;
-  config.hidden = 8;
-  config.vector_res_blocks = 1;
-  config.merged_res_blocks = 1;
-  config.use_images = false;
-  nn::AttackNet master(config);
-
-  attack::ReplicaSet set;
-  set.set_max_replicas(1);
-  std::thread holder([&] {
-    attack::ReplicaLease held = set.lease(1, master);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // Generous deadline: must block until the holder releases, then win.
-  attack::ReplicaLease won = set.lease(1, master, /*timeout_seconds=*/10.0);
-  EXPECT_EQ(won.nets().size(), 1u);
-  holder.join();
-  EXPECT_EQ(set.lease_stats().clones_created, 1);
 }
 
 }  // namespace

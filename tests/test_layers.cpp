@@ -12,6 +12,21 @@
 namespace sma::nn {
 namespace {
 
+// Linear, Conv2d and ResBlock keep a pointer to forward's input until
+// backward, so a temporary input must not compile. LeakyReLU copies its
+// input and shows the rvalue probe can succeed.
+template <typename Layer>
+constexpr bool kForwardTakesLvalue =
+    requires(Layer& layer, Tensor& x) { layer.forward(x); };
+template <typename Layer>
+constexpr bool kForwardTakesRvalue =
+    requires(Layer& layer) { layer.forward(Tensor()); };
+static_assert(kForwardTakesLvalue<Linear> && !kForwardTakesRvalue<Linear>);
+static_assert(kForwardTakesLvalue<Conv2d> && !kForwardTakesRvalue<Conv2d>);
+static_assert(kForwardTakesLvalue<ResBlock> &&
+              !kForwardTakesRvalue<ResBlock>);
+static_assert(kForwardTakesRvalue<LeakyReLU>);
+
 /// Numerical vs analytic input gradient for a layer functor.
 /// `forward` must be pure given the same layer state.
 template <typename Layer>

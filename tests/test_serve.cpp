@@ -5,10 +5,10 @@
 // pass is BYTE-identical per query to B batches of one — at every batch
 // width, thread count, and batch composition, datasets mixed or not — so
 // the serving tier can coalesce requests freely without changing any
-// answer. Plus the serving-loop lifecycle: shutdown drains
-// in-flight requests deterministically, lease timeouts propagate to
-// every waiting request of the stalled batch, and live leases show up in
-// occupancy snapshots.
+// answer. Plus the serving-loop lifecycle (shutdown drains in-flight
+// requests deterministically), the immutable dataset (concurrent attacks
+// and serving read one freshly built dataset), and the replica set's
+// lease accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,7 @@
 #include "attack/dl_attack.hpp"
 #include "attack/replica_set.hpp"
 #include "nn/losses.hpp"
+#include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/serve_loop.hpp"
 #include "test_support.hpp"
@@ -97,7 +98,7 @@ ServeFixtureState& fixture() {
 }
 
 /// Refs to `dataset`'s queries [first, first + count).
-std::vector<QueryRef> refs_of(QueryDataset& dataset, std::size_t first,
+std::vector<QueryRef> refs_of(const QueryDataset& dataset, std::size_t first,
                               std::size_t count) {
   std::vector<QueryRef> refs;
   for (std::size_t k = 0; k < count; ++k) refs.push_back({&dataset, first + k});
@@ -151,6 +152,36 @@ TEST(BatchedAttack, WidthsBeyondTheDatasetMatchBatchOne) {
     expect_selections_equal(f.dl->attack(*f.victim, &pool, width),
                             f.baseline);
   }
+}
+
+TEST(BatchedAttack, NoChunkIsEmpty) {
+  // attack() splits n queries over min(n, threads + 1) workers in chunks
+  // of ceil(n / workers). Find a pool size where that chunk size covers
+  // the queries in fewer chunks than workers, so an empty chunk would
+  // lease (and on first use clone) a replica with nothing to do.
+  ServeFixtureState& f = fixture();
+  const std::size_t n = f.victim->num_queries();
+  int threads = 0;
+  std::size_t chunks = 0;
+  for (int t = 1; t <= 8 && threads == 0; ++t) {
+    const std::size_t workers = std::min<std::size_t>(n, t + 1);
+    const std::size_t chunk = (n + workers - 1) / workers;
+    if ((n + chunk - 1) / chunk < workers) {
+      threads = t;
+      chunks = (n + chunk - 1) / chunk;
+    }
+  }
+  ASSERT_GT(threads, 0) << "no pool size up to 8 leaves an empty chunk for "
+                        << n << " queries";
+
+  DlAttack dl(serve_net_config());
+  const AttackResult serial = dl.attack(*f.victim);
+  runtime::ThreadPool pool(threads);
+  expect_selections_equal(dl.attack(*f.victim, &pool), serial);
+  EXPECT_EQ(dl.replica_lease_stats().clones_created,
+            static_cast<long>(chunks));
+  EXPECT_EQ(dl.replica_lease_stats().replicas_leased,
+            static_cast<long>(chunks));
 }
 
 TEST(BatchedAttack, ScoresBitEqualToBatchOne) {
@@ -426,42 +457,6 @@ TEST(ServeLoop, ShutdownDrainsInFlightRequests) {
   EXPECT_THROW(loop.submit(*f.victim, 0), std::runtime_error);
 }
 
-TEST(ServeLoop, LeaseTimeoutPropagatesToWaitingRequests) {
-  // A private attack: bounding the shared fixture's replica set would
-  // leak into other tests.
-  ServeFixtureState& f = fixture();
-  DlAttack dl(serve_net_config());
-  dl.replicas().set_max_replicas(1);
-
-  serve::ServeConfig config;
-  config.max_wait_us = 0;
-  config.lease_timeout_seconds = 0.02;
-  serve::ServeLoop loop(dl, config);
-
-  std::size_t live_query = f.victim->num_queries();
-  for (std::size_t i = 0; i < f.victim->num_queries(); ++i) {
-    if (!f.victim->query(i).candidates.empty()) {
-      live_query = i;
-      break;
-    }
-  }
-  ASSERT_LT(live_query, f.victim->num_queries());
-
-  {
-    // Hold the only replica: every batch the loop dispatches must time
-    // out and fail its requests with the typed saturation error.
-    ReplicaLease hog = dl.replicas().lease(1, dl.net());
-    EXPECT_THROW(loop.submit(*f.victim, live_query), AcquireTimeoutError);
-    EXPECT_GE(loop.stats().failed, 1);
-  }
-  // Replica released: the same request now succeeds.
-  const Selection got = loop.submit(*f.victim, live_query);
-  EXPECT_EQ(got.sink_fragment,
-            f.victim->query(live_query).sink_fragment);
-  EXPECT_GE(got.chosen_source, 0);
-  loop.shutdown();
-}
-
 TEST(ServeLoop, RejectsMismatchedImageGeometry) {
   ServeFixtureState& f = fixture();
   serve::ServeLoop loop(*f.dl, serve::ServeConfig{});
@@ -476,26 +471,75 @@ TEST(ServeLoop, RejectsMismatchedImageGeometry) {
   EXPECT_THROW(loop.submit(other, 0), std::invalid_argument);
 }
 
+TEST(ServeLoop, AttacksAndServingShareOneFreshDataset) {
+  // A dataset built without a pool, never read before: construction has
+  // already rendered every image, so two pooled attacks and a
+  // two-dispatcher serving loop may all read it at once.
+  ServeFixtureState& f = fixture();
+  const QueryDataset dataset(test::shared_split(3, 400, 14).split.get(),
+                             serve_dataset_config());
+  const std::size_t n = dataset.num_queries();
+  ASSERT_EQ(n, f.victim->num_queries());
+
+  serve::ServeConfig config;
+  config.max_batch = 8;
+  config.max_wait_us = 200;
+  config.dispatchers = 2;
+  serve::ServeLoop loop(*f.dl, config);
+
+  AttackResult attacked[2];
+  std::vector<Selection> served(n);
+  std::vector<std::thread> threads;
+  for (int a = 0; a < 2; ++a) {
+    threads.emplace_back([a, &attacked, &dataset, &f] {
+      runtime::ThreadPool pool(2);
+      attacked[a] = f.dl->attack(dataset, &pool);
+    });
+  }
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([c, n, &served, &dataset, &loop] {
+      for (std::size_t i = c; i < n; i += 2) {
+        served[i] = loop.submit(dataset, i);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  loop.shutdown();
+
+  expect_selections_equal(attacked[0], f.baseline);
+  expect_selections_equal(attacked[1], f.baseline);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(served[i].sink_fragment, f.baseline.selections[i].sink_fragment);
+    EXPECT_EQ(served[i].chosen_source, f.baseline.selections[i].chosen_source);
+    EXPECT_EQ(served[i].correct, f.baseline.selections[i].correct);
+    EXPECT_EQ(served[i].num_sinks, f.baseline.selections[i].num_sinks);
+  }
+  EXPECT_EQ(loop.stats().failed, 0);
+}
+
 TEST(ReplicaSet, LiveLeasesCountTowardOccupancy) {
   DlAttack dl(serve_net_config());
+  double slept_us = 0.0;
   {
     ReplicaLease lease = dl.replicas().lease(2, dl.net());
+    // A live lease shows in the peak and the lease count at once...
+    const ReplicaSet::LeaseStats held = dl.replica_lease_stats();
+    EXPECT_EQ(held.max_on_loan, 2u);
+    EXPECT_EQ(held.leases, 1);
+    EXPECT_EQ(held.clones_created, 2);
+    const double start_us = obs::now_us();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const ReplicaSet::LeaseStats mid = dl.replica_lease_stats();
-    // The lease is still live, yet its occupancy so far is visible (2
-    // replicas x >= 10ms) — the header used to document this gap.
-    EXPECT_GT(mid.occupancy_seconds, 0.0);
-    EXPECT_EQ(mid.max_on_loan, 2u);
-    EXPECT_EQ(mid.leases, 1);
+    slept_us = obs::now_us() - start_us;
   }
+  // ...and adds its occupancy, 2 replicas x its hold time, on release.
   const ReplicaSet::LeaseStats after = dl.replica_lease_stats();
-  EXPECT_GT(after.occupancy_seconds, 0.0);
+  EXPECT_GE(after.occupancy_seconds, 2 * (slept_us * 1e-6));
+  EXPECT_EQ(after.max_on_loan, 2u);
 
-  // Occupancy is monotone across repeated snapshots of a live lease.
-  ReplicaLease lease = dl.replicas().lease(1, dl.net());
-  const double first = dl.replica_lease_stats().occupancy_seconds;
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_GE(dl.replica_lease_stats().occupancy_seconds, first);
+  // A later lease reuses the pinned replicas.
+  ReplicaLease again = dl.replicas().lease(1, dl.net());
+  EXPECT_EQ(dl.replica_lease_stats().clones_created, 2);
+  EXPECT_EQ(dl.replica_lease_stats().leases, 2);
 }
 
 }  // namespace

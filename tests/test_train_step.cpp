@@ -456,13 +456,13 @@ TEST(PinnedReplicas, AttackReusesReplicasAndStaysByteIdentical) {
 
   QueryDataset victim(prepared.split.get(), dataset_config);
   AttackResult first = dl.attack(victim, &pool);
-  const long clones_after_first = dl.inference_clones();
+  const long clones_after_first = dl.replica_lease_stats().clones_created;
   EXPECT_GT(clones_after_first, 0);
 
   for (int round = 0; round < 3; ++round) {
     AttackResult again = dl.attack(victim, &pool);
     // Pinned: repeated calls lease the same replicas instead of cloning.
-    EXPECT_EQ(dl.inference_clones(), clones_after_first);
+    EXPECT_EQ(dl.replica_lease_stats().clones_created, clones_after_first);
     // And results are byte-identical call over call.
     EXPECT_EQ(again.ccr, first.ccr);
     ASSERT_EQ(again.selections.size(), first.selections.size());
