@@ -85,8 +85,6 @@ FlowRun run_flow_once(const sma::netlist::DesignProfile& profile,
   return run;
 }
 
-using sma::benchutil::json_escape;
-
 void append_run_json(std::ostringstream& json, const FlowRun& run,
                      double baseline_seconds) {
   json << "{\"threads\": " << run.threads << ", \"seconds\": " << run.seconds
@@ -236,9 +234,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    body << (d ? ", " : "") << "{\"design\": \""
-         << json_escape(profile.name) << "\", \"wave\": {\"wave_size\": "
-         << wave_size << ", ";
+    body << (d ? ", " : "") << "{\"design\": ";
+    sma::obs::write_json_string(body, profile.name);
+    body << ", \"wave\": {\"wave_size\": " << wave_size << ", ";
     append_quality_json(body, design_runs.front());
     body << ", \"identical_across_threads\": "
          << (design_identical ? "true" : "false") << ", \"runs\": [";

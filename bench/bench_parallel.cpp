@@ -56,8 +56,6 @@ bool dl_rows_identical(const Table3Result& a, const Table3Result& b) {
   return true;
 }
 
-using sma::benchutil::json_escape;
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,7 +190,8 @@ int main(int argc, char** argv) {
   json << "{\"bench\": \"parallel\", \"profile\": \"" << profile_name
        << "\", \"layer\": " << layer << ", \"designs\": [";
   for (std::size_t i = 0; i < design_names.size(); ++i) {
-    json << (i ? ", " : "") << "\"" << json_escape(design_names[i]) << "\"";
+    json << (i ? ", " : "");
+    sma::obs::write_json_string(json, design_names[i]);
   }
   json << "], \"host_concurrency\": " << host_concurrency
        << ", \"skipped_threads\": [";

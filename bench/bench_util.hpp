@@ -98,16 +98,6 @@ inline double parse_double(const std::string& value, const std::string& flag,
   return parsed;
 }
 
-/// Escape a string for embedding in a JSON string literal.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// "a,b,c" -> {"a", "b", "c"}; empty tokens are dropped.
 inline std::vector<std::string> split_list(const std::string& csv) {
   std::vector<std::string> out;

@@ -3,14 +3,16 @@
 
 Three checks, combinable in one invocation (CI runs all of them):
 
-  --trace FILE      FILE is Chrome trace-event JSON: a `traceEvents` list
-                    of complete ("X") events with the keys Perfetto /
-                    chrome://tracing need. By default the trace must be
-                    non-empty (a traced run that recorded zero spans means
-                    the instrumentation is broken); --allow-empty relaxes.
+  --trace FILE      FILE is Chrome trace-event JSON: a non-empty
+                    `traceEvents` list of complete ("X") events with the
+                    keys Perfetto / chrome://tracing need (a traced run that
+                    recorded zero spans means the instrumentation is
+                    broken). Events may carry more keys, such as `args`.
 
   --report FILE     FILE is a unified run report of schema
-                    sma-run-report-v1 (see src/obs/report.hpp).
+                    sma-run-report-v1 (see src/obs/report.hpp). Every
+                    object of the report holds exactly its schema's keys,
+                    so a key the schema dropped fails as a missing one does.
 
   --bench FILE...   Each FILE is a BENCH_*.json bench artifact; when it
                     embeds a "report" object, that object must validate as
@@ -27,7 +29,19 @@ import sys
 SCHEMA = "sma-run-report-v1"
 
 TRACE_EVENT_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid")
-RUN_KEYS = ("name", "threads", "obs_compiled", "tracing")
+REPORT_KEYS = (
+    "schema",
+    "run",
+    "flow",
+    "train",
+    "replicas",
+    "serve",
+    "split_cache",
+    "durability",
+    "kernels",
+    "metrics",
+)
+RUN_KEYS = ("name", "threads", "tracing")
 FLOW_ROW_KEYS = (
     "design",
     "global_place_seconds",
@@ -76,14 +90,13 @@ SPLIT_CACHE_KEYS = (
     "disk_dir",
 )
 DURABILITY_KEYS = (
-    "fault_compiled",
     "faults_injected",
     "checkpoint_saves",
     "checkpoint_resumes",
     "checkpoint_corrupt_discards",
 )
 KERNEL_KEYS = ("isa", "blocked_calls", "pack_bytes")
-METRICS_KEYS = ("counters", "gauges", "histograms")
+METRICS_KEYS = ("counters", "histograms")
 HISTOGRAM_KEYS = ("count", "sum", "buckets")
 
 
@@ -107,7 +120,17 @@ def require_keys(path, obj, keys, context):
             fail(path, f"{context} is missing key {key!r}")
 
 
-def check_trace(path, allow_empty):
+def require_exact_keys(path, obj, keys, context):
+    if not isinstance(obj, dict):
+        fail(path, f"{context} must be a JSON object")
+    require_keys(path, obj, keys, context)
+    for key in obj:
+        if key not in keys:
+            fail(path, f"{context} has key {key!r}, which {SCHEMA} does "
+                       "not define")
+
+
+def check_trace(path):
     trace = load_json(path)
     if not isinstance(trace, dict):
         fail(path, "trace root must be a JSON object")
@@ -116,9 +139,8 @@ def check_trace(path, allow_empty):
     events = trace["traceEvents"]
     if not isinstance(events, list):
         fail(path, "'traceEvents' must be a list")
-    if not events and not allow_empty:
-        fail(path, "trace recorded zero events (tracing not enabled, or "
-                   "instrumentation compiled out?)")
+    if not events:
+        fail(path, "trace recorded zero events (tracing not enabled?)")
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             fail(path, f"traceEvents[{i}] is not an object")
@@ -135,37 +157,32 @@ def check_trace(path, allow_empty):
 
 
 def check_report_object(path, report, context="report"):
-    if not isinstance(report, dict):
-        fail(path, f"{context} must be a JSON object")
-    if report.get("schema") != SCHEMA:
-        fail(path, f"{context}: schema is {report.get('schema')!r}, "
+    require_exact_keys(path, report, REPORT_KEYS, context)
+    if report["schema"] != SCHEMA:
+        fail(path, f"{context}: schema is {report['schema']!r}, "
                    f"expected {SCHEMA!r}")
-    require_keys(path, report, ("run", "flow", "train", "replicas",
-                                "split_cache", "durability", "kernels",
-                                "metrics"), context)
-    require_keys(path, report["run"], RUN_KEYS, f"{context}.run")
+    require_exact_keys(path, report["run"], RUN_KEYS, f"{context}.run")
     if not isinstance(report["flow"], list):
         fail(path, f"{context}.flow must be a list")
     for i, row in enumerate(report["flow"]):
-        require_keys(path, row, FLOW_ROW_KEYS, f"{context}.flow[{i}]")
-    if report["train"] is not None:
-        require_keys(path, report["train"], TRAIN_KEYS, f"{context}.train")
-    if report["replicas"] is not None:
-        require_keys(path, report["replicas"], REPLICA_KEYS,
-                     f"{context}.replicas")
-    if report.get("serve") is not None:
-        require_keys(path, report["serve"], SERVE_KEYS, f"{context}.serve")
-    require_keys(path, report["split_cache"], SPLIT_CACHE_KEYS,
-                 f"{context}.split_cache")
-    require_keys(path, report["durability"], DURABILITY_KEYS,
-                 f"{context}.durability")
-    if not isinstance(report["durability"]["fault_compiled"], bool):
-        fail(path, f"{context}.durability.fault_compiled must be a boolean")
-    require_keys(path, report["kernels"], KERNEL_KEYS, f"{context}.kernels")
-    require_keys(path, report["metrics"], METRICS_KEYS, f"{context}.metrics")
+        require_exact_keys(path, row, FLOW_ROW_KEYS, f"{context}.flow[{i}]")
+    # Sections a run did not add serialize as null.
+    for section, keys in (("train", TRAIN_KEYS), ("replicas", REPLICA_KEYS),
+                          ("serve", SERVE_KEYS)):
+        if report[section] is not None:
+            require_exact_keys(path, report[section], keys,
+                               f"{context}.{section}")
+    require_exact_keys(path, report["split_cache"], SPLIT_CACHE_KEYS,
+                       f"{context}.split_cache")
+    require_exact_keys(path, report["durability"], DURABILITY_KEYS,
+                       f"{context}.durability")
+    require_exact_keys(path, report["kernels"], KERNEL_KEYS,
+                       f"{context}.kernels")
+    require_exact_keys(path, report["metrics"], METRICS_KEYS,
+                       f"{context}.metrics")
     for name, hist in report["metrics"]["histograms"].items():
-        require_keys(path, hist, HISTOGRAM_KEYS,
-                     f"{context}.metrics.histograms[{name!r}]")
+        require_exact_keys(path, hist, HISTOGRAM_KEYS,
+                           f"{context}.metrics.histograms[{name!r}]")
         if not isinstance(hist["buckets"], list):
             fail(path, f"{context}.metrics.histograms[{name!r}].buckets "
                        "must be a list")
@@ -194,13 +211,11 @@ def main():
     parser.add_argument("--bench", nargs="*", default=[],
                         help="BENCH_*.json artifacts whose embedded report "
                              "must validate")
-    parser.add_argument("--allow-empty", action="store_true",
-                        help="accept a trace with zero events")
     args = parser.parse_args()
     if not args.trace and not args.report and not args.bench:
         parser.error("nothing to check: pass --trace, --report or --bench")
     if args.trace:
-        check_trace(args.trace, args.allow_empty)
+        check_trace(args.trace)
     if args.report:
         check_report(args.report)
     for path in args.bench:

@@ -1,11 +1,11 @@
 #include "attack/checkpoint.hpp"
 
-#include <atomic>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
 
+#include "obs/obs.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -16,10 +16,6 @@ namespace {
 
 constexpr const char* kFrameKind = "sma-train-ckpt";
 constexpr std::uint32_t kSchemaVersion = 1;
-
-std::atomic<long> g_saves{0};
-std::atomic<long> g_resumes{0};
-std::atomic<long> g_corrupt_discards{0};
 
 }  // namespace
 
@@ -114,7 +110,7 @@ void save_checkpoint(const std::string& path, const TrainCheckpoint& ckpt) {
   util::fault::point("checkpoint.save");
   util::write_frame_file(path, kFrameKind, kSchemaVersion,
                          encode_checkpoint(ckpt));
-  g_saves.fetch_add(1, std::memory_order_relaxed);
+  SMA_COUNT("checkpoint.saves");
   // A crash here must leave the NEW checkpoint valid (rename completed).
   util::fault::point("checkpoint.saved");
 }
@@ -130,28 +126,20 @@ bool try_load_checkpoint(const std::string& path, std::uint64_t expect_digest,
   } catch (const util::DurableIoError& e) {
     // Damaged or unreadable: discard and start fresh. FaultInjected is not
     // a DurableIoError, so simulated crashes propagate to the test harness.
-    g_corrupt_discards.fetch_add(1, std::memory_order_relaxed);
+    SMA_COUNT("checkpoint.corrupt_discards");
     util::log_warn() << "discarding damaged checkpoint " << path << ": "
                      << e.what();
     return false;
   }
   if (ckpt.compat_digest != expect_digest) {
-    g_corrupt_discards.fetch_add(1, std::memory_order_relaxed);
+    SMA_COUNT("checkpoint.corrupt_discards");
     util::log_warn() << "discarding checkpoint " << path
                      << ": run configuration changed (digest mismatch)";
     return false;
   }
   *out = std::move(ckpt);
-  g_resumes.fetch_add(1, std::memory_order_relaxed);
+  SMA_COUNT("checkpoint.resumes");
   return true;
-}
-
-CheckpointStats checkpoint_stats() {
-  CheckpointStats stats;
-  stats.saves = g_saves.load(std::memory_order_relaxed);
-  stats.resumes = g_resumes.load(std::memory_order_relaxed);
-  stats.corrupt_discards = g_corrupt_discards.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace sma::attack

@@ -15,8 +15,13 @@
 //
 // Files go through util/durable_io: atomic replace means a crash during
 // save leaves the *previous* checkpoint intact, and the checksummed frame
-// means a damaged file is detected and discarded (counted in
-// CheckpointStats::corrupt_discards), falling back to a fresh start.
+// means a damaged file is detected and discarded, falling back to a fresh
+// start.
+//
+// Saves, resumes and discards are counted in the global metrics registry
+// (`checkpoint.saves`, `checkpoint.resumes`,
+// `checkpoint.corrupt_discards`), which the run report's `durability`
+// section reads.
 #pragma once
 
 #include <cstdint>
@@ -70,18 +75,9 @@ void save_checkpoint(const std::string& path, const TrainCheckpoint& ckpt);
 /// matches `expect_digest`. Returns true and fills `out` on success.
 /// Missing file, damaged frame, undecodable payload, or digest mismatch
 /// all return false (damage and mismatch are logged and counted in
-/// CheckpointStats) — the caller starts fresh. Injected crashes
+/// `checkpoint.corrupt_discards`) — the caller starts fresh. Injected crashes
 /// (util::fault::FaultInjected) are NOT swallowed.
 bool try_load_checkpoint(const std::string& path, std::uint64_t expect_digest,
                          TrainCheckpoint* out);
-
-/// Process-wide checkpoint lifecycle counters (obs::RunReport durability
-/// section).
-struct CheckpointStats {
-  long saves = 0;             ///< successful save_checkpoint calls
-  long resumes = 0;           ///< try_load_checkpoint successes
-  long corrupt_discards = 0;  ///< damaged/mismatched checkpoints discarded
-};
-CheckpointStats checkpoint_stats();
 
 }  // namespace sma::attack

@@ -373,7 +373,6 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
       try {
         save_checkpoint(config.checkpoint_path, ckpt);
         ++stats.checkpoints_saved;
-        SMA_COUNT("train.checkpoints");
       } catch (const util::DurableIoError& e) {
         // Best-effort durability: a failing disk must not kill the run —
         // the previous checkpoint (if any) is still intact thanks to the

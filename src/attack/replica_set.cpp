@@ -59,8 +59,8 @@ void ReplicaSet::release(const std::vector<std::size_t>& indices,
     stats_.occupancy_seconds +=
         held_seconds * static_cast<double>(indices.size());
   }
-  SMA_HISTOGRAM_US("replica.lease_held_us",
-                   static_cast<std::uint64_t>(held_seconds * 1e6));
+  SMA_HISTOGRAM("replica.lease_held_us",
+                static_cast<std::uint64_t>(held_seconds * 1e6));
 }
 
 ReplicaSet::LeaseStats ReplicaSet::lease_stats() const {

@@ -164,11 +164,15 @@ std::uint64_t experiment_digest(const char* what, int split_layer,
                                 std::uint64_t seed) {
   util::ContentHash h;
   h.add("sma-experiment-v1").add(what).add(split_layer).add(seed);
+  // Both attacks build their candidate lists from every field.
+  const auto add_candidates = [&h](const split::CandidateConfig& c) {
+    h.add(c.max_candidates)
+        .add(c.use_direction_criterion)
+        .add(c.use_non_duplication);
+  };
 
-  h.add(p.dataset.candidates.max_candidates)
-      .add(p.dataset.candidates.use_direction_criterion)
-      .add(p.dataset.candidates.use_non_duplication)
-      .add(p.dataset.images.size)
+  add_candidates(p.dataset.candidates);
+  h.add(p.dataset.images.size)
       .add(p.dataset.images.wire_half_width)
       .add(p.dataset.build_images);
   for (std::int64_t px : p.dataset.images.pixel_sizes) h.add(px);
@@ -195,8 +199,8 @@ std::uint64_t experiment_digest(const char* what, int split_layer,
       .add(p.train.adam.eps)
       .add(p.train.adam.decay);
 
-  h.add(p.flow_attack.candidates.max_candidates)
-      .add(p.flow_attack.avg_sink_cap)
+  add_candidates(p.flow_attack.candidates);
+  h.add(p.flow_attack.avg_sink_cap)
       .add(p.flow_attack.max_slots)
       .add(p.flow_attack.timeout_seconds);
 

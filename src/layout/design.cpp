@@ -9,8 +9,8 @@ namespace sma::layout {
 
 // Phase timing rides on obs::TimedSpan: each phase still lands its
 // wall-clock seconds in Design::timings (the public accessor benches
-// consume, available even under SMA_OBS=OFF), and when tracing is on the
-// same interval shows up as a "flow" span in the Chrome trace.
+// consume, measured whether or not tracing is on), and when tracing is on
+// the same interval shows up as a "flow" span in the Chrome trace.
 Design run_flow(netlist::Netlist netlist, const FlowConfig& config,
                 runtime::ThreadPool* pool) {
   util::Timer timer;

@@ -21,15 +21,6 @@ Arena::Slot Arena::add_bytes() {
   return bytes_.size() - 1;
 }
 
-Arena::Slot Arena::shared_floats(const std::string& key) {
-  for (const auto& [name, slot] : shared_floats_) {
-    if (name == key) return slot;
-  }
-  const Slot slot = add_floats();
-  shared_floats_.emplace_back(key, slot);
-  return slot;
-}
-
 Tensor& Arena::tensor(Slot slot, const std::vector<int>& shape, Fill fill,
                       Layout layout) {
   Tensor& t = tensors_[slot];

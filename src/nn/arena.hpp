@@ -38,8 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -71,10 +69,6 @@ class Arena {
   Slot add_tensor();
   Slot add_floats();
   Slot add_bytes();
-  /// Shared slot registration: the same key returns the same float slot
-  /// within this arena, letting independent call sites share one buffer
-  /// for state that is live only inside a single call.
-  Slot shared_floats(const std::string& key);
 
   // -- slot acquisition (hot path, zero allocations once warm) -----------
   /// `layout` tags the storage order the producer will write the slot in
@@ -102,7 +96,6 @@ class Arena {
   std::deque<Tensor> tensors_;
   std::deque<std::vector<float>> floats_;
   std::deque<std::vector<std::uint8_t>> bytes_;
-  std::vector<std::pair<std::string, Slot>> shared_floats_;  ///< few entries
   GemmScratch scratch_;
   // Lazily-observed capacities of the scratch's a_panel, b_panel, taps
   // and edge; mutable so stats() can reconcile.

@@ -14,13 +14,6 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  util::MutexLock lock(mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   util::MutexLock lock(mutex_);
   auto& slot = histograms_[name];
@@ -31,7 +24,6 @@ Histogram& Registry::histogram(const std::string& name) {
 void Registry::reset() {
   util::MutexLock lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 
@@ -42,9 +34,6 @@ Registry::Snapshot Registry::snapshot() const {
   // the report determinism relies on.
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g->value());
   }
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot hs;

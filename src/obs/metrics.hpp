@@ -1,7 +1,7 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms.
+// Metrics registry: named counters and fixed-bucket histograms.
 //
 // Instruments register by name on first use (the SMA_COUNT /
-// SMA_HISTOGRAM_US macros in obs/obs.hpp hide a function-local static
+// SMA_HISTOGRAM macros in obs/obs.hpp hide a function-local static
 // lookup, so the steady-state cost of a counter bump is one relaxed
 // atomic add). Updates are wait-free; names registered once keep stable
 // addresses for the registry's lifetime.
@@ -11,8 +11,7 @@
 // metrics in a fixed order — lexicographic by name — which is the same in
 // every run regardless of which thread touched a metric first. Metric
 // values feed reports only; they never feed an algorithm or a cache
-// digest, so instrumented and uninstrumented runs produce byte-identical
-// models, tables and layouts.
+// digest, so counting cannot change a model, table or layout.
 #pragma once
 
 #include <array>
@@ -43,23 +42,11 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins signed gauge.
-class Gauge {
- public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  std::int64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
-/// Fixed-bucket latency histogram. Bucket b counts observations in
-/// [2^(b-1), 2^b) microseconds (bucket 0 is [0, 1)); the top bucket is
-/// open-ended. Power-of-two bounds keep `observe` branch-free (one
-/// bit-width computation) and make bucket edges identical across runs.
+/// Fixed-bucket histogram. Bucket b counts observations in
+/// [2^(b-1), 2^b) of the observed unit (bucket 0 is [0, 1)); the top
+/// bucket is open-ended. Power-of-two bounds keep `observe` branch-free
+/// (one bit-width computation) and make bucket edges identical across
+/// runs.
 class Histogram {
  public:
   static constexpr int kNumBuckets = 32;
@@ -112,7 +99,6 @@ class Registry {
   /// Find-or-create. The returned reference is valid for the registry's
   /// lifetime; repeated calls with one name return the same object.
   Counter& counter(const std::string& name) SMA_EXCLUDES(mutex_);
-  Gauge& gauge(const std::string& name) SMA_EXCLUDES(mutex_);
   Histogram& histogram(const std::string& name) SMA_EXCLUDES(mutex_);
 
   /// Zero every metric (run-scoped reports; registrations are kept).
@@ -127,19 +113,15 @@ class Registry {
   };
   struct Snapshot {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, std::int64_t>> gauges;
     std::vector<HistogramSnapshot> histograms;
   };
   Snapshot snapshot() const SMA_EXCLUDES(mutex_);
 
  private:
   /// Guards the maps, not the metric values (those are atomics updated
-  /// lock-free through the references counter()/gauge()/histogram()
-  /// hand out).
+  /// lock-free through the references counter()/histogram() hand out).
   mutable util::Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_
-      SMA_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_
       SMA_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       SMA_GUARDED_BY(mutex_);

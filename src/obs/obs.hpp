@@ -1,42 +1,23 @@
 // Observability macros — the only header instrumented code includes.
 //
-// Compile-time kill switch: the CMake option SMA_OBS (default ON) defines
-// SMA_OBS_ENABLED on every target linking libsma. With -DSMA_OBS=OFF the
-// macros below expand to nothing — no clock reads, no atomics, no static
-// registrations — so the instrumented hot paths compile to exactly the
-// uninstrumented code. The obs library itself (trace export, metrics
-// registry, RunReport) still builds in both modes, so reports keep their
-// schema (with zeroed metrics) and callers never need #ifdefs.
-//
-// Runtime switch: spans additionally check obs::tracing_enabled() (one
-// relaxed load when off). Counters/histograms stay live whenever compiled
-// in — they are how RunReport sees dispatch counts without tracing — and
-// cost one relaxed atomic add at coarse (per-call/per-wave) granularity.
+// The macros are always compiled in. Spans record only while
+// obs::tracing_enabled() (one relaxed load when off). Counters and
+// histograms are always live — they are how RunReport sees dispatch
+// counts without tracing — and cost one relaxed atomic add at coarse
+// (per-call/per-wave) granularity.
 //
 //   SMA_TRACE_SPAN("route", "wave");             // span until scope exit
 //   SMA_TRACE_SPAN_V("route", "wave", index);    // ... with an i64 arg
 //   SMA_COUNT("gemm.blocked_calls");             // counter += 1
 //   SMA_COUNT_N("route.ripups", offenders);      // counter += n
-//   SMA_GAUGE_SET("nn.lanes", lanes);            // gauge = v
-//   SMA_HISTOGRAM_US("route.wave_us", micros);   // histogram.observe
+//   SMA_HISTOGRAM("route.wave_us", micros);      // histogram.observe
 #pragma once
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-#ifndef SMA_OBS_ENABLED
-#define SMA_OBS_ENABLED 1
-#endif
-
-namespace sma::obs {
-/// True when the instrumentation macros are compiled in.
-inline constexpr bool compiled() { return SMA_OBS_ENABLED != 0; }
-}  // namespace sma::obs
-
 #define SMA_OBS_CONCAT_IMPL(a, b) a##b
 #define SMA_OBS_CONCAT(a, b) SMA_OBS_CONCAT_IMPL(a, b)
-
-#if SMA_OBS_ENABLED
 
 #define SMA_TRACE_SPAN(cat, name) \
   ::sma::obs::SpanGuard SMA_OBS_CONCAT(sma_obs_span_, __LINE__)(cat, name)
@@ -56,17 +37,8 @@ inline constexpr bool compiled() { return SMA_OBS_ENABLED != 0; }
 
 #define SMA_COUNT(name) SMA_COUNT_N(name, 1)
 
-#define SMA_GAUGE_SET(name, v)                                        \
-  do {                                                                \
-    static ::sma::obs::Gauge& SMA_OBS_CONCAT(sma_obs_gauge_,          \
-                                             __LINE__) =              \
-        ::sma::obs::Registry::global().gauge(name);                   \
-    SMA_OBS_CONCAT(sma_obs_gauge_, __LINE__)                          \
-        .set(static_cast<std::int64_t>(v));                           \
-  } while (0)
-
 /// Generic value histogram (power-of-two buckets of whatever unit the
-/// call site observes — name the metric accordingly).
+/// call site observes — name the metric accordingly, e.g. `_us`).
 #define SMA_HISTOGRAM(name, value)                                    \
   do {                                                                \
     static ::sma::obs::Histogram& SMA_OBS_CONCAT(sma_obs_hist_,       \
@@ -75,20 +47,3 @@ inline constexpr bool compiled() { return SMA_OBS_ENABLED != 0; }
     SMA_OBS_CONCAT(sma_obs_hist_, __LINE__)                           \
         .observe(static_cast<std::uint64_t>(value));                  \
   } while (0)
-
-#define SMA_HISTOGRAM_US(name, us) SMA_HISTOGRAM(name, us)
-
-#else  // SMA_OBS_ENABLED
-
-// `sizeof` keeps the argument expressions *unevaluated* (no clock reads,
-// no atomics) while still marking their operands used, so instrumented
-// call sites stay -Wunused-clean in both modes.
-#define SMA_TRACE_SPAN(cat, name) ((void)0)
-#define SMA_TRACE_SPAN_V(cat, name, arg) ((void)sizeof((arg)))
-#define SMA_COUNT_N(name, n) ((void)sizeof((n)))
-#define SMA_COUNT(name) ((void)0)
-#define SMA_GAUGE_SET(name, v) ((void)sizeof((v)))
-#define SMA_HISTOGRAM(name, value) ((void)sizeof((value)))
-#define SMA_HISTOGRAM_US(name, us) ((void)sizeof((us)))
-
-#endif  // SMA_OBS_ENABLED

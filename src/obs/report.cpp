@@ -3,42 +3,18 @@
 #include <cstdio>
 #include <sstream>
 
-#include "attack/checkpoint.hpp"
 #include "attack/dl_attack.hpp"
 #include "eval/split_cache.hpp"
 #include "layout/design.hpp"
-#include "util/fault.hpp"
 #include "nn/gemm.hpp"
 #include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "serve/serve_loop.hpp"
+#include "util/fault.hpp"
 
 namespace sma::obs {
 
 namespace {
-
-void append_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// Shortest round-trippable decimal — keeps the JSON compact and stable.
 void append_number(std::ostream& os, double v) {
@@ -107,9 +83,8 @@ std::string RunReport::to_json() const {
   os << "{\"schema\": \"" << kSchema << "\"";
 
   os << ", \"run\": {\"name\": ";
-  append_json_string(os, name_);
+  write_json_string(os, name_);
   os << ", \"threads\": " << threads_
-     << ", \"obs_compiled\": " << (compiled() ? "true" : "false")
      << ", \"tracing\": " << (tracing_enabled() ? "true" : "false") << "}";
 
   os << ", \"flow\": [";
@@ -117,7 +92,7 @@ std::string RunReport::to_json() const {
     const FlowRow& row = flow_[i];
     if (i > 0) os << ", ";
     os << "{\"design\": ";
-    append_json_string(os, row.design);
+    write_json_string(os, row.design);
     os << ", \"global_place_seconds\": ";
     append_number(os, row.global_place_seconds);
     os << ", \"legalize_seconds\": ";
@@ -181,23 +156,23 @@ std::string RunReport::to_json() const {
      << ", \"disk_hits\": " << cache.disk_hits
      << ", \"disk_spills\": " << cache.disk_spills
      << ", \"disk_corrupt\": " << cache.disk_corrupt << ", \"disk_dir\": ";
-  append_json_string(os, eval::SplitCache::global().disk_dir());
+  write_json_string(os, eval::SplitCache::global().disk_dir());
   os << "}";
 
-  // Durability: the crash-safety machinery's process-wide counters —
-  // whether fault injection is compiled in and how often it fired, plus
-  // the checkpoint lifecycle (PR 7).
-  const attack::CheckpointStats ckpt = attack::checkpoint_stats();
-  os << ", \"durability\": {\"fault_compiled\": "
-     << (util::fault::compiled() ? "true" : "false")
-     << ", \"faults_injected\": " << util::fault::injected_count()
-     << ", \"checkpoint_saves\": " << ckpt.saves
-     << ", \"checkpoint_resumes\": " << ckpt.resumes
-     << ", \"checkpoint_corrupt_discards\": " << ckpt.corrupt_discards << "}";
+  // Durability: how often fault injection fired, plus the checkpoint
+  // lifecycle counters save_checkpoint and try_load_checkpoint keep in
+  // the registry.
+  Registry& reg = Registry::global();
+  os << ", \"durability\": {\"faults_injected\": "
+     << util::fault::injected_count() << ", \"checkpoint_saves\": "
+     << reg.counter("checkpoint.saves").value()
+     << ", \"checkpoint_resumes\": "
+     << reg.counter("checkpoint.resumes").value()
+     << ", \"checkpoint_corrupt_discards\": "
+     << reg.counter("checkpoint.corrupt_discards").value() << "}";
 
   // pack_bytes is the im2col/col2im traffic the conv pipeline moves by
   // design; no other activation copy remains on the NN hot path.
-  Registry& reg = Registry::global();
   os << ", \"kernels\": {\"isa\": \"" << nn::active_isa()
      << "\", \"blocked_calls\": " << reg.counter("gemm.blocked_calls").value()
      << ", \"pack_bytes\": " << reg.counter("nn.pack_bytes").value() << "}";
@@ -206,20 +181,14 @@ std::string RunReport::to_json() const {
   os << ", \"metrics\": {\"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     if (i > 0) os << ", ";
-    append_json_string(os, snap.counters[i].first);
+    write_json_string(os, snap.counters[i].first);
     os << ": " << snap.counters[i].second;
-  }
-  os << "}, \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    if (i > 0) os << ", ";
-    append_json_string(os, snap.gauges[i].first);
-    os << ": " << snap.gauges[i].second;
   }
   os << "}, \"histograms\": {";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const Registry::HistogramSnapshot& h = snap.histograms[i];
     if (i > 0) os << ", ";
-    append_json_string(os, h.name);
+    write_json_string(os, h.name);
     os << ": {\"count\": " << h.count << ", \"sum\": " << h.sum
        << ", \"buckets\": [";
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {

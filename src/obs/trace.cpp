@@ -1,10 +1,9 @@
 #include "obs/trace.hpp"
 
-#include "obs/obs.hpp"
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <iomanip>
 #include <memory>
 #include <ostream>
@@ -135,24 +134,27 @@ std::uint64_t dropped_events() {
   return dropped;
 }
 
-namespace {
-
-void write_json_string(std::ostream& out, const char* s) {
+void write_json_string(std::ostream& out, std::string_view s) {
   out << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << ' ';  // control characters have no business in span names
-    } else {
-      out << c;
+  for (char c : s) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\r': out << "\\r"; break;
+      case '\t': out << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out << buf;
+        } else {
+          out << c;
+        }
     }
   }
   out << '"';
 }
-
-}  // namespace
 
 void write_chrome_trace(std::ostream& out) {
   const std::vector<TraceEvent> events = collect_events();
@@ -200,8 +202,8 @@ double TimedSpan::stop() {
   if (stopped_us_ < 0.0) {
     stopped_us_ = now_us();
     // The measurement always happens (callers feed Design::timings); only
-    // the trace record honours the compile-time kill switch.
-    if (compiled() && tracing_enabled()) {
+    // the trace record depends on tracing being enabled.
+    if (tracing_enabled()) {
       record_span(cat_, name_, start_us_, stopped_us_ - start_us_, arg_);
     }
   }

@@ -11,8 +11,8 @@
 //
 // Tracing is observation only. It reads clocks and writes to its own
 // buffers; it never feeds an algorithm, a cache digest, or an RNG, so
-// models, tables, and layouts are byte-identical with tracing enabled,
-// disabled, or compiled out entirely (tests/test_obs.cpp gates this).
+// models, tables, and layouts are byte-identical with tracing enabled or
+// disabled (tests/test_obs.cpp gates this).
 //
 // Export is the Chrome trace-event JSON format ("X" complete events):
 // open the file at chrome://tracing or https://ui.perfetto.dev. Flush at a
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sma::obs {
@@ -71,6 +72,12 @@ std::uint64_t dropped_events();
 void write_chrome_trace(std::ostream& out);
 std::string chrome_trace_json();
 
+/// Write `s` as a quoted JSON string: quotes and backslashes escaped,
+/// control characters as \n, \r, \t or \u00XX. The repo's one JSON
+/// string escaper: the trace export, the run report and the benches'
+/// design lists use it.
+void write_json_string(std::ostream& out, std::string_view s);
+
 /// Intern a dynamic string (e.g. a design name) so it can be used as a
 /// span name/category, which must outlive the trace session. Interned
 /// strings live for the process lifetime; intended for a bounded set of
@@ -79,8 +86,7 @@ const char* intern(const std::string& s);
 
 /// RAII span: captures the start time at construction when tracing is
 /// enabled (one relaxed atomic load otherwise) and records a complete
-/// event at destruction. Use via SMA_TRACE_SPAN so spans compile out
-/// under -DSMA_OBS=OFF.
+/// event at destruction. Use via SMA_TRACE_SPAN.
 class SpanGuard {
  public:
   SpanGuard(const char* cat, const char* name, std::int64_t arg = kNoArg) {
@@ -110,7 +116,7 @@ class SpanGuard {
 /// callers can keep feeding existing timing fields, e.g. Design::timings)
 /// and additionally records a trace span when tracing is enabled. This is
 /// the migration path for hand-rolled phase timers: the measurement stays
-/// even under -DSMA_OBS=OFF, only the trace side disappears.
+/// with tracing off, only the trace record is skipped.
 class TimedSpan {
  public:
   TimedSpan(const char* cat, const char* name, std::int64_t arg = kNoArg)

@@ -125,9 +125,9 @@ void ServeLoop::dispatcher_main() {
     SMA_HISTOGRAM("serve.batch_width", batch.size());
     const double taken_us = obs::now_us();
     for (const Request* r : batch) {
-      SMA_HISTOGRAM_US("serve.queue_wait_us",
-                       static_cast<std::uint64_t>(
-                           std::max(0.0, taken_us - r->enqueue_us)));
+      SMA_HISTOGRAM("serve.queue_wait_us",
+                    static_cast<std::uint64_t>(
+                        std::max(0.0, taken_us - r->enqueue_us)));
     }
     process_batch(batch, buffers);
     {

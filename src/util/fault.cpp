@@ -18,8 +18,6 @@ namespace {
 
 std::atomic<long> g_injected{0};
 
-#if SMA_FAULT_ENABLED
-
 struct Armed {
   Action mode = Action::kNone;
   long nth = 1;  ///< fire when the point's hit counter reaches this
@@ -73,19 +71,14 @@ Action consume(const char* name) {
   return Action::kNone;
 }
 
-#endif  // SMA_FAULT_ENABLED
-
 }  // namespace
 
 long injected_count() { return g_injected.load(); }
 
-#if SMA_FAULT_ENABLED
-
-bool arm(const std::string& point, Action mode, long nth) {
+void arm(const std::string& point, Action mode, long nth) {
   Registry& reg = registry();
   util::MutexLock lock(reg.mutex);
   reg.armed[point].push_back(Armed{mode, reg.hits[point] + nth});
-  return true;
 }
 
 void disarm_all() {
@@ -178,14 +171,5 @@ void point(const char* name) {
       break;
   }
 }
-
-#else  // SMA_FAULT_ENABLED
-
-bool arm(const std::string&, Action, long) { return false; }
-void disarm_all() {}
-long hits(const std::string&) { return 0; }
-int arm_from_env() { return 0; }
-
-#endif  // SMA_FAULT_ENABLED
 
 }  // namespace sma::util::fault

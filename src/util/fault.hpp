@@ -21,19 +21,14 @@
 //                write normally — silent corruption, detected at load
 //   delay        sleep ~2ms, then continue (widens race windows)
 //
-// Compile-time kill switch: the CMake option SMA_FAULT (default ON)
-// defines SMA_FAULT_ENABLED on every target linking libsma. With
-// -DSMA_FAULT=OFF, `point()`/`io_point()` are inline no-ops — production
-// builds carry zero fault-injection code on the I/O paths — while
-// `arm()` returns false so tests can skip themselves.
+// The points are always compiled in. An unarmed point costs a hit count
+// and a map lookup under one mutex, and points sit only on file I/O
+// paths (durable_io, checkpoints, the split cache's disk tier and work
+// units), never in a compute loop.
 #pragma once
 
 #include <stdexcept>
 #include <string>
-
-#ifndef SMA_FAULT_ENABLED
-#define SMA_FAULT_ENABLED 1
-#endif
 
 namespace sma::util::fault {
 
@@ -59,13 +54,9 @@ enum class Action {
   kDelay,
 };
 
-/// True when the injection points are compiled in.
-inline constexpr bool compiled() { return SMA_FAULT_ENABLED != 0; }
-
 /// Arm `point` to fire `mode` on its `nth` future hit (1-based). One-shot:
-/// the entry disarms after firing. Returns false (and arms nothing) when
-/// fault injection is compiled out. Thread-safe.
-bool arm(const std::string& point, Action mode, long nth = 1);
+/// the entry disarms after firing. Thread-safe.
+void arm(const std::string& point, Action mode, long nth = 1);
 
 /// Drop every armed entry and reset hit counters (tests call this in
 /// SetUp/TearDown so armed faults never leak across tests).
@@ -84,8 +75,6 @@ long injected_count();
 /// nothing.
 int arm_from_env();
 
-#if SMA_FAULT_ENABLED
-
 /// Evaluate an IO injection point: count the hit and return the action
 /// the caller must implement (durable_io implements short_write/corrupt
 /// on its own buffers). kFail throws FaultInjected here; kDelay sleeps
@@ -96,12 +85,5 @@ Action io_point(const char* name);
 /// FaultInjected (a non-IO point cannot tear bytes — treat any armed
 /// destructive mode as a crash), kDelay sleeps.
 void point(const char* name);
-
-#else  // SMA_FAULT_ENABLED
-
-inline Action io_point(const char*) { return Action::kNone; }
-inline void point(const char*) {}
-
-#endif  // SMA_FAULT_ENABLED
 
 }  // namespace sma::util::fault

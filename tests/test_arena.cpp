@@ -147,17 +147,6 @@ TEST(Arena, FloatAndByteBuffersReuse) {
   for (int i = 0; i < 50; ++i) EXPECT_FLOAT_EQ(p3[i], 0.0f);
 }
 
-TEST(Arena, SharedFloatSlotsKeyedByName) {
-  Arena arena;
-  const Arena::Slot a = arena.shared_floats("conv.y_rows");
-  const Arena::Slot b = arena.shared_floats("conv.y_rows");
-  const Arena::Slot c = arena.shared_floats("conv.dcols");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(arena.floats(a, 16, Arena::Fill::kNone),
-            arena.floats(b, 16, Arena::Fill::kNone));
-}
-
 TEST(Arena, StatsTrackScratchGrowth) {
   Arena arena;
   const long before = arena.stats().allocs;

@@ -29,6 +29,7 @@
 #include "layout/def_io.hpp"
 #include "nn/attack_net.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 #include "test_support.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -145,12 +146,11 @@ TEST_F(DurabilityTest, EnsureDirCreatesNestedDirectories) {
 // ---------------------------------------------------------------------
 
 TEST_F(DurabilityTest, FaultFiresOnNthHitAndIsOneShot) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/f.bin";
   util::atomic_write_file(path, "ok");
 
-  ASSERT_TRUE(fault::arm("durable.read", fault::Action::kFail, /*nth=*/2));
+  fault::arm("durable.read", fault::Action::kFail, /*nth=*/2);
   EXPECT_EQ(util::read_file(path), "ok");                    // hit 1: inert
   EXPECT_THROW(util::read_file(path), fault::FaultInjected);  // hit 2: fires
   EXPECT_EQ(util::read_file(path), "ok");  // one-shot: disarmed after firing
@@ -161,7 +161,6 @@ TEST_F(DurabilityTest, FaultFiresOnNthHitAndIsOneShot) {
 }
 
 TEST_F(DurabilityTest, ArmFromEnvParsesSpecsAndRejectsMalformedOnes) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/f.bin";
   util::atomic_write_file(path, "ok");
@@ -179,7 +178,6 @@ TEST_F(DurabilityTest, ArmFromEnvParsesSpecsAndRejectsMalformedOnes) {
 }
 
 TEST_F(DurabilityTest, AtomicReplaceSurvivesKillAtEveryIoPoint) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/frame.sma";
   util::write_frame_file(path, "kill-test", 1, "OLD");
@@ -197,7 +195,7 @@ TEST_F(DurabilityTest, AtomicReplaceSurvivesKillAtEveryIoPoint) {
   };
   for (const Point& p : points) {
     fault::disarm_all();
-    ASSERT_TRUE(fault::arm(p.name, p.mode));
+    fault::arm(p.name, p.mode);
     EXPECT_THROW(util::write_frame_file(path, "kill-test", 1, "NEW"),
                  fault::FaultInjected)
         << p.name;
@@ -212,14 +210,13 @@ TEST_F(DurabilityTest, AtomicReplaceSurvivesKillAtEveryIoPoint) {
 }
 
 TEST_F(DurabilityTest, SilentCorruptionIsDetectedAtLoad) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string path = dir + "/frame.sma";
 
   // corrupt mode completes the write normally (no crash to observe) but
   // flips a byte — the non-atomic-filesystem / bit-rot case. The frame
   // checksum must catch it at load.
-  ASSERT_TRUE(fault::arm("durable.write", fault::Action::kCorrupt));
+  fault::arm("durable.write", fault::Action::kCorrupt);
   util::write_frame_file(path, "kill-test", 1, "payload bytes");
   EXPECT_THROW(util::read_frame_file(path, "kill-test", 1), util::FrameError);
 }
@@ -286,12 +283,23 @@ struct AdamFixture {
 TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
   const std::string dir = test_dir();
   const std::string path = dir + "/ckpt.sma";
+  // The lifecycle counters the run report's durability section reads.
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& saves = registry.counter("checkpoint.saves");
+  const obs::Counter& resumes = registry.counter("checkpoint.resumes");
+  const obs::Counter& discards =
+      registry.counter("checkpoint.corrupt_discards");
+  const std::uint64_t saves_before = saves.value();
+  const std::uint64_t resumes_before = resumes.value();
+  const std::uint64_t discards_before = discards.value();
 
   const attack::TrainCheckpoint ckpt = fixed_checkpoint();
   attack::save_checkpoint(path, ckpt);
+  EXPECT_EQ(saves.value(), saves_before + 1);
 
   attack::TrainCheckpoint loaded;
   ASSERT_TRUE(attack::try_load_checkpoint(path, ckpt.compat_digest, &loaded));
+  EXPECT_EQ(resumes.value(), resumes_before + 1);
   EXPECT_EQ(loaded.compat_digest, ckpt.compat_digest);
   EXPECT_EQ(loaded.epochs_done, 7);
   EXPECT_EQ(loaded.queries_seen, 4200);
@@ -306,14 +314,14 @@ TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
   attack::TrainCheckpoint out;
   EXPECT_FALSE(attack::try_load_checkpoint(dir + "/nope.sma",
                                            ckpt.compat_digest, &out));
-  const long discards_before = attack::checkpoint_stats().corrupt_discards;
+  EXPECT_EQ(discards.value(), discards_before);
   EXPECT_FALSE(attack::try_load_checkpoint(path, /*expect_digest=*/1, &out));
-  EXPECT_EQ(attack::checkpoint_stats().corrupt_discards, discards_before + 1);
+  EXPECT_EQ(discards.value(), discards_before + 1);
 
   // A damaged checkpoint is discarded, not resumed.
   corrupt_file_byte(path, 40);
   EXPECT_FALSE(attack::try_load_checkpoint(path, ckpt.compat_digest, &out));
-  EXPECT_EQ(attack::checkpoint_stats().corrupt_discards, discards_before + 2);
+  EXPECT_EQ(discards.value(), discards_before + 2);
 }
 
 TEST_F(DurabilityTest, EncodeDecodeParamsTransplantsWeightsExactly) {
@@ -709,7 +717,6 @@ TEST_F(CheckpointTrainTest, ResumeIsByteIdenticalAcrossThreadsAndLanes) {
 }
 
 TEST_F(CheckpointTrainTest, KillDuringSaveLeavesPreviousCheckpointValid) {
-  if (!fault::compiled()) GTEST_SKIP() << "built with -DSMA_FAULT=OFF";
   const std::string dir = test_dir();
   const std::string ref = train_model(6, 2, 1, "", 0);
 
@@ -736,7 +743,7 @@ TEST_F(CheckpointTrainTest, KillDuringSaveLeavesPreviousCheckpointValid) {
   for (const Kill& kill : kills) {
     const std::string path = dir + "/ckpt_" + std::to_string(i++) + ".sma";
     fault::disarm_all();
-    ASSERT_TRUE(fault::arm(kill.point, kill.mode, kill.nth));
+    fault::arm(kill.point, kill.mode, kill.nth);
     EXPECT_THROW(train_model(6, 2, 1, path, /*checkpoint_every=*/2),
                  fault::FaultInjected)
         << kill.point;
@@ -781,13 +788,15 @@ TEST_F(CheckpointTrainTest, CorruptCheckpointFallsBackToFreshStart) {
   ASSERT_TRUE(util::file_exists(path));
   corrupt_file_byte(path, 100);
 
-  const long discards_before = attack::checkpoint_stats().corrupt_discards;
+  const obs::Counter& discards =
+      obs::Registry::global().counter("checkpoint.corrupt_discards");
+  const std::uint64_t discards_before = discards.value();
   attack::TrainStats stats;
   const std::string retrained = train_model(4, 2, 1, path, 2, &stats);
   EXPECT_EQ(stats.resumed_from_epoch, 0)
       << "a damaged checkpoint must not be resumed";
   EXPECT_EQ(retrained, ref);
-  EXPECT_GT(attack::checkpoint_stats().corrupt_discards, discards_before);
+  EXPECT_GT(discards.value(), discards_before);
 }
 
 // ---------------------------------------------------------------------
@@ -922,16 +931,14 @@ TEST_F(DurabilityTest, SpillFailureDegradesToMemoryOnly) {
 
   // A simulated crash AT the spill point is a different story: it must
   // crash the caller, never degrade to "continue without spilling".
-  if (fault::compiled()) {
-    ASSERT_TRUE(fault::arm("cache.spill", fault::Action::kFail));
-    EXPECT_THROW(cache.get_or_build(0x4444ULL,
-                                    [] {
-                                      return std::make_shared<
-                                          const layout::Design>(
-                                          test::small_routed_design(60, 3));
-                                    }),
-                 fault::FaultInjected);
-  }
+  fault::arm("cache.spill", fault::Action::kFail);
+  EXPECT_THROW(cache.get_or_build(0x4444ULL,
+                                  [] {
+                                    return std::make_shared<
+                                        const layout::Design>(
+                                        test::small_routed_design(60, 3));
+                                  }),
+               fault::FaultInjected);
 }
 
 // ---------------------------------------------------------------------
@@ -1121,6 +1128,13 @@ TEST_F(DurabilityTest, Table3ResumeRecomputesOnlyTheMissingVictim) {
   EXPECT_EQ(rerun(loaded), 0u);
   expect_row_matches(loaded, 0);
   expect_row_matches(loaded, 1);
+
+  // The flow attack builds its list from every candidate field, so a run
+  // with another direction criterion loads no unit: every design is laid
+  // out again.
+  profile.flow_attack.candidates.use_direction_criterion = false;
+  eval::Table3Result other_list;
+  EXPECT_EQ(rerun(other_list), corpus + 2);
 }
 
 }  // namespace

@@ -341,7 +341,6 @@ TEST(Router, SearchWorkCountersMatchSerialAndPooled) {
   // The route.astar_* counters count the A* work behind the route seconds:
   // searches, expansions, open-list pushes and stale pops. Each is a sum
   // over nets of a per-net count, so none may depend on the thread count.
-  if (!obs::compiled()) GTEST_SKIP() << "built with -DSMA_OBS=OFF";
   obs::Registry& registry = obs::Registry::global();
   obs::Counter& searches = registry.counter("route.astar_searches");
   obs::Counter& expansions = registry.counter("route.astar_expansions");
