@@ -9,8 +9,9 @@
 //     knob, never a semantic one);
 //   * alloc-free steady state — after one warm-up pass at width B, the
 //     measured repetitions must add ZERO activation-arena heap
-//     allocations (the replica arenas grow once to the widest batch and
-//     then stay flat).
+//     allocations in the master net, which runs the serial attacks, or
+//     in the pinned replicas (each arena grows once to the widest batch
+//     and then stays flat).
 //
 // Each width also runs the ServeLoop front end (max_batch = B) under
 // concurrent client threads and reports client-observed p50/p99 submit
@@ -189,6 +190,12 @@ int main(int argc, char** argv) {
             << baseline.ccr << "\n";
 
   sma::obs::RunReport report("serve", 1);
+  // The timed attacks run serially on the master net and the ServeLoop on
+  // leased replicas, so the steady-state gate counts both kinds of arena.
+  const auto arena_allocs = [&dl] {
+    return dl.net().arena().stats().allocs +
+           dl.inference_arena_stats().allocs;
+  };
   std::vector<WidthResult> results;
   bool identity_ok = true;
   bool alloc_free = true;
@@ -202,14 +209,14 @@ int main(int argc, char** argv) {
     r.identical = selections_equal(warm, baseline);
     identity_ok = identity_ok && r.identical;
 
-    const long allocs_before = dl.inference_arena_stats().allocs;
+    const long allocs_before = arena_allocs();
     sma::util::Timer timer;
     for (int rep = 0; rep < reps; ++rep) {
       const sma::attack::AttackResult timed = dl.attack(victim, nullptr, width);
       r.identical = r.identical && selections_equal(timed, baseline);
     }
     r.attack_seconds = timer.seconds() / reps;
-    r.steady_arena_allocs = dl.inference_arena_stats().allocs - allocs_before;
+    r.steady_arena_allocs = arena_allocs() - allocs_before;
     identity_ok = identity_ok && r.identical;
     alloc_free = alloc_free && r.steady_arena_allocs == 0;
     r.queries_per_sec = r.attack_seconds > 0.0

@@ -1,15 +1,21 @@
 // Query dataset: per-sink-fragment candidate lists materialized as neural
-// network inputs, with cached virtual-pin images.
+// network inputs, with one rendered image per virtual pin.
 //
 // One dataset wraps one split design. Construction computes every vector
 // feature and renders every image any query references, once per virtual
 // pin (the same pin appears in many queries), in parallel when the config
-// carries a pool. After that a dataset is immutable: `assemble_batch` only
-// reads it, so any number of attack, training and serving threads may
-// assemble from one dataset at once.
+// carries a pool. The candidates of all queries form one sequence of
+// candidate rows (queries in order, each its candidates in order): the
+// vector features are one [rows, 27] tensor in that order, the images one
+// [pins, channels, size, size] tensor in ascending pin order, and each
+// candidate row records the image row of its source pin and of its
+// query's sink pin. `DlAttack::attack` embeds the image tensor once and
+// scores candidate rows against it by those rows; `assemble_batch` gathers
+// per-query network inputs from the same storage. After construction a
+// dataset is immutable, so any number of attack, training and serving
+// threads may read one dataset at once.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "features/image_features.hpp"
@@ -81,25 +87,38 @@ class QueryDataset {
   }
 
   /// Rendered images: one per distinct virtual pin the queries reference,
-  /// 0 for vector-only datasets (for tests/diagnostics).
-  std::size_t cached_images() const { return image_cache_.size(); }
+  /// 0 for vector-only datasets.
+  std::size_t cached_images() const {
+    return images_.empty() ? 0 : static_cast<std::size_t>(images_.dim(0));
+  }
+
+  /// [cached_images(), channels, size, size], row i the image of the i-th
+  /// smallest referenced pin id; empty for vector-only datasets.
+  const nn::Tensor& images() const { return images_; }
+
+  /// Candidate row of query i's first candidate; query i owns rows
+  /// [first_row(i), first_row(i + 1)), and first_row(num_queries()) is the
+  /// total row count.
+  int first_row(std::size_t i) const { return first_row_.at(i); }
+
+  /// [total rows, kNumVectorFeatures]: each candidate row's features.
+  const nn::Tensor& vector_rows() const { return vector_rows_; }
+
+  /// Per candidate row, the `images()` row of its source pin and of its
+  /// query's sink pin (the sink fragment's first virtual pin). Empty for
+  /// vector-only datasets.
+  const std::vector<int>& source_rows() const { return source_rows_; }
+  const std::vector<int>& sink_rows() const { return sink_rows_; }
 
  private:
-  friend void assemble_batch(const QueryRef* refs, std::size_t count,
-                             nn::QueryInput& out);
-
-  const std::vector<float>& image_of(int virtual_pin) const {
-    return image_cache_.at(virtual_pin);
-  }
-  /// All virtual pins whose image some query needs, deduplicated, in a
-  /// deterministic order.
-  std::vector<int> referenced_pins() const;
-
   const split::SplitDesign* split_;
   DatasetConfig config_;
   std::vector<split::SinkQuery> queries_;
-  std::vector<std::vector<features::VectorFeatures>> vector_features_;
-  std::unordered_map<int, std::vector<float>> image_cache_;
+  std::vector<int> first_row_;
+  nn::Tensor vector_rows_;
+  nn::Tensor images_;
+  std::vector<int> source_rows_;
+  std::vector<int> sink_rows_;
 };
 
 }  // namespace sma::attack

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "attack/checkpoint.hpp"
 #include "nn/train_step.hpp"
@@ -15,31 +16,56 @@
 
 namespace sma::attack {
 
+namespace {
+
+/// Pins per chunk of attack()'s embed pass: wide enough to fill the conv
+/// GEMMs' register panels, narrow enough that a dataset's few hundred
+/// pins spread over the leased replicas.
+constexpr int kEmbedChunk = 64;
+
+/// Scores per candidate row: 2 for the two-class head, else 1.
+int score_cols(const nn::Tensor& scores) {
+  return scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
+}
+
+/// Eq. 2 for one query: the candidate with the best of its score rows at
+/// `scores` (`cols` per row); the no-op choice when it has none.
+Selection select_query(const split::SinkQuery& query, const float* scores,
+                       int cols) {
+  Selection out;
+  out.sink_fragment = query.sink_fragment;
+  out.num_sinks = query.num_sinks;
+  if (!query.candidates.empty()) {
+    const int predicted = nn::predict(
+        scores, static_cast<int>(query.candidates.size()), cols);
+    out.chosen_source = query.candidates[predicted].source_fragment;
+    out.correct = query.candidates[predicted].positive;
+  }
+  return out;
+}
+
+}  // namespace
+
 void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
                   nn::QueryInput& input, Selection* out) {
   std::size_t live_rows = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    const split::SinkQuery& query = refs[k].dataset->query(refs[k].query);
-    out[k].sink_fragment = query.sink_fragment;
-    out[k].num_sinks = query.num_sinks;
-    live_rows += query.candidates.size();
+    live_rows += refs[k].dataset->query(refs[k].query).candidates.size();
   }
-  if (live_rows == 0) return;
-  assemble_batch(refs, count, input);
-  // Scores live in the net's activation arena — read in place.
-  const nn::Tensor& scores = net.forward(input);
-  const int cols = scores.shape().size() == 2 && scores.dim(1) == 2 ? 2 : 1;
-  const float* s = scores.data();
-  int r = 0;
+  const float* s = nullptr;
+  int cols = 1;
+  if (live_rows > 0) {
+    assemble_batch(refs, count, input);
+    // Scores live in the net's activation arena — read in place.
+    const nn::Tensor& scores = net.forward(input);
+    s = scores.data();
+    cols = score_cols(scores);
+  }
+  std::size_t row = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    const int n = input.query_rows[k];
-    if (n == 0) continue;
     const split::SinkQuery& query = refs[k].dataset->query(refs[k].query);
-    const int predicted =
-        nn::predict(s + static_cast<std::size_t>(r) * cols, n, cols);
-    out[k].chosen_source = query.candidates[predicted].source_fragment;
-    out[k].correct = query.candidates[predicted].positive;
-    r += n;
+    out[k] = select_query(query, s + row * cols, cols);
+    row += query.candidates.size();
   }
 }
 
@@ -400,51 +426,131 @@ AttackResult DlAttack::attack(const QueryDataset& dataset,
   }
   util::Timer timer;
   AttackResult result;
-  result.attack_name = net_.config().use_images ? "dl(vec+img)" : "dl(vec)";
+  const bool use_images = net_.config().use_images;
+  result.attack_name = use_images ? "dl(vec+img)" : "dl(vec)";
   const std::size_t n = dataset.num_queries();
   const std::size_t bw = static_cast<std::size_t>(batch_width);
   result.selections.assign(n, Selection{});
+  const int pins = use_images ? static_cast<int>(dataset.cached_images()) : 0;
+  if (use_images && pins == 0 && dataset.first_row(n) > 0) {
+    throw std::invalid_argument(
+        "DlAttack::attack: an image net needs a dataset built with images");
+  }
+  const int h = net_.config().hidden;
 
-  // Queries [lo, hi) on `net`, bw at a time. The batch grid is anchored
-  // at the chunk base; the partition into chunks and batches depends only
-  // on n, the thread count, and bw — never on scheduling — and per-query
-  // scores are width-invariant anyway, so any grid gives the same result.
-  const auto run_chunk = [bw, &dataset, &result](nn::AttackNet& net,
-                                                 std::size_t lo,
-                                                 std::size_t hi) {
-    SMA_TRACE_SPAN_V("attack", "chunk", hi - lo);
-    nn::QueryInput input;  // reused across the chunk
-    // No batch holds more than the chunk, whatever the width asks for.
-    std::vector<QueryRef> refs(std::min(bw, hi - lo));
-    for (std::size_t base = lo; base < hi; base += bw) {
-      const std::size_t count = std::min(bw, hi - base);
-      for (std::size_t k = 0; k < count; ++k) refs[k] = {&dataset, base + k};
-      select_batch(net, refs.data(), count, input, &result.selections[base]);
+  // Queries split into contiguous chunks, one per net: the master alone
+  // without a pool, else one pinned shared-weight replica per worker. The
+  // chunk count follows from the chunk size, so no chunk is empty (5
+  // queries over 4 workers make three chunks of 2, 2 and 1, not a fourth
+  // with nothing to do). Every partition below depends only on n, the
+  // thread count, the pin count and bw — never on scheduling — and every
+  // embedding row and score row is width-invariant anyway (nn/attack_net.hpp),
+  // so any partition gives the same bytes.
+  const std::size_t workers =
+      pool == nullptr ? 1
+                      : std::min<std::size_t>(
+                            n, static_cast<std::size_t>(pool->num_threads()) +
+                                   1);
+  const std::size_t chunk = n == 0 ? 0 : (n + workers - 1) / workers;
+  const std::size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
+
+  const auto run = [&](const std::vector<nn::AttackNet*>& nets) {
+    // `body(t)` for t in [0, tasks), task t on nets[t]; inline when one.
+    const auto for_each_net = [&nets, pool](std::size_t tasks,
+                                            const auto& body) {
+      if (tasks == 1) {
+        body(0);
+        return;
+      }
+      runtime::TaskGroup group(pool);
+      for (std::size_t t = 0; t < tasks; ++t) {
+        group.run([t, &body] { body(t); });
+      }
+      group.wait();
+    };
+
+    // 1. Embed each distinct pin once, in kEmbedChunk-wide contiguous
+    // chunks dealt round-robin over the nets, into nets[0]'s table (the
+    // rows of different chunks are disjoint, so the writes never meet).
+    const nn::Tensor* table = nullptr;
+    if (pins > 0) {
+      SMA_TRACE_SPAN_V("attack", "embed", pins);
+      SMA_COUNT_N("attack.images_embedded", pins);
+      nn::Tensor& embeddings = nets[0]->embedding_table(pins);
+      const int embed_chunks = (pins + kEmbedChunk - 1) / kEmbedChunk;
+      const std::size_t tasks = std::min<std::size_t>(
+          nets.size(), static_cast<std::size_t>(embed_chunks));
+      for_each_net(tasks, [&](std::size_t t) {
+        for (int c = static_cast<int>(t); c < embed_chunks;
+             c += static_cast<int>(tasks)) {
+          const int lo = c * kEmbedChunk;
+          const int hi = std::min(pins, lo + kEmbedChunk);
+          const nn::Tensor& chunk_rows =
+              nets[t]->embed(dataset.images(), lo, hi);
+          std::memcpy(embeddings.data() + static_cast<std::size_t>(lo) * h,
+                      chunk_rows.data(), sizeof(float) * chunk_rows.size());
+        }
+      });
+      table = &embeddings;
     }
+
+    // 2. Score each net's chunk of queries, bw at a time, against the
+    // table. A batch of consecutive queries owns one contiguous range of
+    // candidate rows, so its inputs are slices of the dataset's arrays.
+    SMA_TRACE_SPAN_V("attack", "score", n);
+    for_each_net(nets.size(), [&](std::size_t t) {
+      nn::AttackNet& net = *nets[t];
+      const std::size_t lo = t * chunk;
+      const std::size_t hi = std::min(n, lo + chunk);
+      constexpr std::size_t kVec = features::kNumVectorFeatures;
+      nn::Tensor vec;  // reused across the chunk's batches
+      for (std::size_t base = lo; base < hi; base += bw) {
+        const std::size_t count = std::min(bw, hi - base);
+        const int first = dataset.first_row(base);
+        const int rows = dataset.first_row(base + count) - first;
+        const float* s = nullptr;
+        int cols = 1;
+        if (rows > 0) {
+          vec.resize_reuse({rows, features::kNumVectorFeatures});
+          std::memcpy(vec.data(),
+                      dataset.vector_rows().data() +
+                          static_cast<std::size_t>(first) * kVec,
+                      sizeof(float) * static_cast<std::size_t>(rows) * kVec);
+          const nn::Tensor& scores =
+              table == nullptr
+                  ? net.score(vec, nullptr, nullptr, nullptr)
+                  : net.score(vec, table, dataset.source_rows().data() + first,
+                              dataset.sink_rows().data() + first);
+          s = scores.data();
+          cols = score_cols(scores);
+        }
+        for (std::size_t q = base; q < base + count; ++q) {
+          const int row = dataset.first_row(q) - first;
+          result.selections[q] =
+              select_query(dataset.query(q), s + row * cols, cols);
+        }
+      }
+    });
   };
 
-  if (pool == nullptr || n == 0) {
-    run_chunk(net_, 0, n);
-  } else {
+  if (pins > 0) {
+    // The lookups a per-query pass would embed: n_q + 1 per live query.
+    std::size_t lookups = 0;
+    for (std::size_t q = 0; q < n; ++q) {
+      const std::size_t nq = dataset.query(q).candidates.size();
+      if (nq > 0) lookups += nq + 1;
+    }
+    SMA_COUNT_N("attack.image_lookups", lookups);
+  }
+  if (pool == nullptr) {
+    run({&net_});
+  } else if (num_chunks > 0) {
     // Workers run pinned shared-weight replicas leased from the
     // ReplicaSet — no per-call clone, no weight copies — and concurrent
     // attack() calls (e.g. parallel per-design evaluation) lease disjoint
-    // replicas, so they stay race-free. The chunk count follows from the
-    // chunk size, so no chunk is empty (5 queries over 4 workers make
-    // three chunks of 2, 2 and 1, not a fourth with nothing to do).
-    const std::size_t workers = std::min<std::size_t>(
-        n, static_cast<std::size_t>(pool->num_threads()) + 1);
-    const std::size_t chunk = (n + workers - 1) / workers;
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
+    // replicas, so they stay race-free.
     ReplicaLease lease = replicas_->lease(num_chunks, net_);
-    runtime::TaskGroup group(pool);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      group.run([c, chunk, n, &lease, &run_chunk] {
-        const std::size_t lo = c * chunk;
-        run_chunk(*lease.nets()[c], lo, std::min(n, lo + chunk));
-      });
-    }
-    group.wait();
+    run(lease.nets());
   }
   result.ccr = compute_ccr(result.selections);
   result.seconds = timer.seconds();

@@ -14,9 +14,13 @@
 // engine); without one, a single replica serves the lanes in turn. The
 // lane structure (and therefore every floating-point sum) depends only on
 // `batch_size`, so any thread count, including none, produces
-// bit-identical models. Inference partitions queries over pinned
-// shared-weight replicas (ReplicaSet); each query's scores land in its
-// own slot, so parallel CCRs equal serial ones.
+// bit-identical models. Inference over a dataset runs in two passes
+// (`attack`): it embeds each distinct virtual-pin image once, then scores
+// every query against that embedding table, with both passes partitioned
+// over pinned shared-weight replicas (ReplicaSet). Every embedding row
+// and score row is independent of what shares its pass, and each query's
+// selection lands in its own slot, so this gives the bytes of the
+// per-query path and parallel CCRs equal serial ones.
 #pragma once
 
 #include <cstdint>
@@ -88,14 +92,15 @@ struct TrainStats {
   long checkpoints_saved = 0;
 };
 
-/// The attack's one inference step (Eq. 2): score `refs[0..count)` in one
+/// The per-query inference step (Eq. 2): score `refs[0..count)` in one
 /// forward pass on `net` and write each query's argmax candidate to
 /// `out[0..count)`. Empty-candidate queries get the no-op choice and add
 /// nothing to the pass; an all-empty batch never reaches the net. `input`
 /// is the caller's reusable assembly buffer (see `assemble_batch`). Per-
 /// query scores, hence selections, are byte-identical at every width and
-/// batch composition, including batches that mix datasets. `attack()` and
-/// the serving loop (src/serve/) both select through here.
+/// batch composition, including batches that mix datasets, and equal to
+/// `DlAttack::attack`'s. The serving loop (src/serve/) selects through
+/// here.
 void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
                   nn::QueryInput& input, Selection* out);
 
@@ -123,13 +128,25 @@ class DlAttack {
   /// on one DlAttack, over one dataset or several, are safe as long as
   /// every call passes a pool, and repeated calls reuse the same replicas.
   ///
-  /// Queries are split into contiguous chunks (one, without a pool), and
-  /// each chunk runs `select_batch` over `batch_width` consecutive queries
-  /// at a time on its own net (the dataset partition stays in fixed slot
-  /// order, so which replica serves a chunk never matters). Purely a
-  /// performance knob: scores — and therefore selections and CCR — are
-  /// byte-identical to batch_width == 1 at every width and thread count
-  /// (tests/test_serve.cpp, bench_serve).
+  /// Two passes over the nets it runs (the master without a pool, else
+  /// one leased replica per worker):
+  ///  1. embed: the dataset's distinct pin images (`QueryDataset::images`)
+  ///     go through `AttackNet::embed` once each, in contiguous 64-pin
+  ///     chunks dealt round-robin over the nets, into one arena-backed
+  ///     embedding table (the first net's `embedding_table`). Vector-only
+  ///     nets skip this pass.
+  ///  2. score: the queries split into contiguous chunks, one per net, and
+  ///     each chunk runs `AttackNet::score` over `batch_width` consecutive
+  ///     queries at a time, every candidate reading its source and sink
+  ///     embeddings from the table by row.
+  /// Counters `attack.images_embedded` and `attack.image_lookups` (the
+  /// n + 1 images per query a per-query pass would embed) and spans
+  /// `attack.embed` / `attack.score` record the passes. Partitions depend
+  /// only on the query count, the pin count, the thread count and the
+  /// width, and the width is purely a performance knob: selections and
+  /// CCR are byte-identical to `select_batch` on one query at a time, at
+  /// every width and thread count (tests/test_attacks.cpp,
+  /// tests/test_serve.cpp, bench_serve).
   AttackResult attack(const QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr,
                       int batch_width = 1);

@@ -87,6 +87,8 @@ AttackNet::AttackNet(const NetConfig& config) : config_(config) {
   fc7_->bind_arena(*arena_);
   fused_slot_ = arena_->add_tensor();
   merged_slot_ = arena_->add_tensor();
+  embed_in_slot_ = arena_->add_tensor();
+  table_slot_ = arena_->add_tensor();
   dv_slot_ = arena_->add_tensor();
   dimg_slot_ = arena_->add_tensor();
   demb_slot_ = arena_->add_tensor();
@@ -125,80 +127,151 @@ const Tensor& AttackNet::forward(const QueryInput& input) {
         "bad vector input " + vec.shape_string() + ": batch promises " +
         std::to_string(rows) + " candidate rows");
   }
-  n_ = rows;
-  batched_ = num_queries != 1;
-  const int h = config_.hidden;
 
-  // Layer outputs are arena slots: the chains below thread references
-  // through them without copying (each layer's slot stays valid until
-  // that layer's next call).
-
-  // --- vector branch
-  const Tensor* v = &fc1_->forward(vec);
-  for (ResBlock& block : vec_blocks_) v = &block.forward(*v);
-
-  const Tensor* merged_in = nullptr;
+  // The vector branch, the image trunk, then the head: the layer order
+  // backward unwinds.
+  const Tensor& v = vector_branch(vec);
+  const Tensor* embeddings = nullptr;
   if (config_.use_images) {
     if (images.shape().size() != 4 || images.dim(0) != planes ||
         images.dim(1) != config_.image_channels) {
       throw std::invalid_argument("bad image input " +
                                   images.shape_string());
     }
-    // --- shared conv trunk over every query's n_q source images + 1 sink
-    // image, all stacked. One layout contract binds the trunk: the
-    // dataset input is the first row-major seam (conv1's pack path reads
-    // NCHW natively), the trunk's activations then stay in the layout the
-    // conv pipeline produces (channel-major — each layer's tag travels
-    // with its slot), and GlobalAvgPool is the second
-    // and last seam, reducing to a row-major [planes, h] matrix for the
-    // fc head at zero conversion cost. Nothing between the seams may
-    // assume row-major storage.
-    const Tensor* x = &images;
-    for (Conv2d& conv : convs_) x = &conv.forward(*x);
-    x = &pool_.forward(*x);
-#ifndef NDEBUG
-    if (x->layout() != Layout::kRowMajor) {
-      throw std::logic_error("pool output must be the row-major fc seam");
-    }
-#endif
-    x = &fc3_->forward(*x);
-    x = &fc4_->forward(*x);  // [planes, h]
-
-    // --- fuse each source embedding with its query's (shared) sink
-    // embedding (full overwrite: two memcpys cover each row). The seam is
-    // batch-strided: query q's candidates read x rows [m, m + n_q) and
-    // its sink row m + n_q, writing fused rows [r, r + n_q).
-    Tensor& fused =
-        arena_->tensor(fused_slot_, {rows, 2 * h}, Arena::Fill::kNone);
+    embeddings = &embed(images, 0, planes);  // [planes, h]
+    // The planes are stacked per query: query q's n_q source images, then
+    // its sink image. Its candidates read embedding rows [m, m + n_q) and
+    // share row m + n_q.
+    source_rows_.resize(static_cast<std::size_t>(rows));
+    sink_rows_.resize(static_cast<std::size_t>(rows));
     int r = 0;
     int m = 0;
     for (int q = 0; q < num_queries; ++q) {
       const int nq = query_rows[q];
       if (nq == 0) continue;
-      const float* sink_row =
-          x->data() + static_cast<std::size_t>(m + nq) * h;
       for (int j = 0; j < nq; ++j) {
-        std::memcpy(
-            fused.data() + static_cast<std::size_t>(r + j) * 2 * h,
-            x->data() + static_cast<std::size_t>(m + j) * h,
-            sizeof(float) * h);
-        std::memcpy(
-            fused.data() + static_cast<std::size_t>(r + j) * 2 * h + h,
-            sink_row, sizeof(float) * h);
+        source_rows_[static_cast<std::size_t>(r + j)] = m + j;
+        sink_rows_[static_cast<std::size_t>(r + j)] = m + nq;
       }
       r += nq;
       m += nq + 1;
     }
+  }
+  const Tensor& scores =
+      head(v, embeddings, source_rows_.data(), sink_rows_.data());
+  trainable_ = num_queries == 1;
+  return scores;
+}
+
+const Tensor& AttackNet::embed(const Tensor& images, int lo, int hi) {
+  if (!config_.use_images) {
+    throw std::logic_error("AttackNet::embed on a vector-only net");
+  }
+  if (images.shape().size() != 4 || images.dim(1) != config_.image_channels ||
+      lo < 0 || hi <= lo || hi > images.dim(0)) {
+    throw std::invalid_argument("bad embed range [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + ") of images " +
+                                images.shape_string());
+  }
+  trainable_ = false;
+  // A strict sub-range is staged (full overwrite: one memcpy covers it).
+  const Tensor* x = &images;
+  if (lo != 0 || hi != images.dim(0)) {
+    Tensor& staged = arena_->tensor(
+        embed_in_slot_, {hi - lo, images.dim(1), images.dim(2), images.dim(3)},
+        Arena::Fill::kNone);
+    const std::size_t per_image = images.size() / images.dim(0);
+    std::memcpy(staged.data(), images.data() + lo * per_image,
+                sizeof(float) * (hi - lo) * per_image);
+    x = &staged;
+  }
+  // --- shared conv trunk over the stacked images. One layout contract
+  // binds the trunk: the input is the first row-major seam (conv1's pack
+  // path reads NCHW natively), the trunk's activations then stay in the
+  // layout the conv pipeline produces (channel-major — each layer's tag
+  // travels with its slot), and GlobalAvgPool is the second and last
+  // seam, reducing to a row-major [images, channels] matrix for the fc
+  // head at zero conversion cost. Nothing between the seams may assume
+  // row-major storage.
+  for (Conv2d& conv : convs_) x = &conv.forward(*x);
+  x = &pool_.forward(*x);
+#ifndef NDEBUG
+  if (x->layout() != Layout::kRowMajor) {
+    throw std::logic_error("pool output must be the row-major fc seam");
+  }
+#endif
+  x = &fc3_->forward(*x);
+  return fc4_->forward(*x);  // [images, h]
+}
+
+const Tensor& AttackNet::score(const Tensor& vec, const Tensor* embeddings,
+                               const int* source_rows, const int* sink_rows) {
+  if (vec.shape().size() != 2 || vec.dim(1) != config_.vector_dim ||
+      vec.dim(0) == 0) {
+    throw std::invalid_argument("bad vector input " + vec.shape_string());
+  }
+  const int rows = vec.dim(0);
+  const int h = config_.hidden;
+  if (config_.use_images) {
+    if (embeddings == nullptr || embeddings->shape().size() != 2 ||
+        embeddings->dim(1) != h || source_rows == nullptr ||
+        sink_rows == nullptr) {
+      throw std::invalid_argument("score: image net needs a [*, " +
+                                  std::to_string(h) + "] embedding table");
+    }
+    const int table_rows = embeddings->dim(0);
+    for (int r = 0; r < rows; ++r) {
+      if (source_rows[r] < 0 || source_rows[r] >= table_rows ||
+          sink_rows[r] < 0 || sink_rows[r] >= table_rows) {
+        throw std::invalid_argument(
+            "score: candidate row " + std::to_string(r) +
+            " names an embedding outside the table's " +
+            std::to_string(table_rows) + " rows");
+      }
+    }
+  }
+  trainable_ = false;
+  return head(vector_branch(vec), embeddings, source_rows, sink_rows);
+}
+
+// Layer outputs are arena slots: the chains below thread references
+// through them without copying (each layer's slot stays valid until that
+// layer's next call).
+
+const Tensor& AttackNet::vector_branch(const Tensor& vec) {
+  const Tensor* v = &fc1_->forward(vec);
+  for (ResBlock& block : vec_blocks_) v = &block.forward(*v);
+  return *v;
+}
+
+const Tensor& AttackNet::head(const Tensor& v, const Tensor* embeddings,
+                              const int* source_rows, const int* sink_rows) {
+  const int rows = v.dim(0);
+  const int h = config_.hidden;
+  n_ = rows;
+  const Tensor* merged_in = nullptr;
+  if (config_.use_images) {
+    // --- fuse each candidate's source embedding with its sink embedding,
+    // both read by row index (full overwrite: two memcpys cover each row).
+    Tensor& fused =
+        arena_->tensor(fused_slot_, {rows, 2 * h}, Arena::Fill::kNone);
+    const float* table = embeddings->data();
+    for (int r = 0; r < rows; ++r) {
+      float* dst = fused.data() + static_cast<std::size_t>(r) * 2 * h;
+      std::memcpy(dst, table + static_cast<std::size_t>(source_rows[r]) * h,
+                  sizeof(float) * h);
+      std::memcpy(dst + h, table + static_cast<std::size_t>(sink_rows[r]) * h,
+                  sizeof(float) * h);
+    }
     const Tensor& img_out = fc5_img_->forward(fused);  // [rows, h]
 
     // --- concat vector and image embeddings (full overwrite; both sides
-    // are already in stacked candidate-row order, so the seam is
-    // query-agnostic)
+    // are in candidate-row order, so the seam is query-agnostic)
     Tensor& merged =
         arena_->tensor(merged_slot_, {rows, 2 * h}, Arena::Fill::kNone);
     for (int j = 0; j < rows; ++j) {
       std::memcpy(merged.data() + static_cast<std::size_t>(j) * 2 * h,
-                  v->data() + static_cast<std::size_t>(j) * h,
+                  v.data() + static_cast<std::size_t>(j) * h,
                   sizeof(float) * h);
       std::memcpy(merged.data() + static_cast<std::size_t>(j) * 2 * h + h,
                   img_out.data() + static_cast<std::size_t>(j) * h,
@@ -206,7 +279,7 @@ const Tensor& AttackNet::forward(const QueryInput& input) {
     }
     merged_in = &merged;
   } else {
-    merged_in = v;
+    merged_in = &v;
   }
 
   const Tensor* m = &fc5_merged_->forward(*merged_in);
@@ -214,16 +287,21 @@ const Tensor& AttackNet::forward(const QueryInput& input) {
   m = &fc6_->forward(*m);
   Tensor& scores = fc7_->forward(*m);  // [rows, 1] or [rows, 2]
   if (!config_.two_class) {
-    scores.reshape({n_});
+    scores.reshape({rows});
   }
   return scores;
 }
 
+Tensor& AttackNet::embedding_table(int rows) {
+  return arena_->tensor(table_slot_, {rows, config_.hidden},
+                        Arena::Fill::kNone);
+}
+
 void AttackNet::backward(const Tensor& dscores) {
-  if (batched_) {
+  if (!trainable_) {
     throw std::logic_error(
-        "AttackNet::backward after a multi-query forward: batches wider "
-        "than one are inference-only");
+        "AttackNet::backward needs a one-query forward just before it: "
+        "wider batches and bare embed/score passes are inference-only");
   }
   const int h = config_.hidden;
   // The seed copied dscores only to flatten [n] into [n, 1]; Linear's

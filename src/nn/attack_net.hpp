@@ -8,6 +8,16 @@
 // one score per candidate VPP — or two scores per candidate when
 // configured as the two-class ablation baseline.
 //
+// The forward pass is two parts. `embed` runs the image trunk (conv
+// trunk → GlobalAvgPool → fc3 → fc4) and gives one embedding row per
+// image. `score` is the head: the vector branch, the sink/source fusion
+// (each candidate row reads its source and sink embeddings by row index),
+// fc5_img, the merged trunk, fc6 and fc7. `forward(QueryInput)` is
+// exactly embed + score over one stacked input; training, `backward` and
+// the serving path run it. `attack::DlAttack::attack` calls the two parts
+// itself: it embeds each distinct virtual-pin image of a dataset once
+// and scores every query against that table.
+//
 // A query is one sink fragment's n candidate VPPs, exactly as in the
 // paper's batch definition. One forward call runs a batch of B stacked
 // queries in ONE wide pass — every GEMM sees sum(n_q) rows instead of one
@@ -15,8 +25,12 @@
 // passes: the GEMM contract (nn/gemm.hpp) fixes each output element's
 // accumulation chain independently of how many other rows share the
 // panel, and every non-GEMM stage (pool, activations, the fusion seams)
-// is row- or image-local. Batch-1 is simply a batch of one; training
-// runs batches of one, inference any width.
+// is row- or image-local. The same contract makes an image's embedding
+// row independent of the other images in its `embed` call, and a
+// candidate's score independent of the other rows in its `score` call,
+// so embedding a pin once and reading its row from many queries gives
+// the bytes of embedding it once per query. Batch-1 is simply a batch of
+// one; training runs batches of one, inference any width.
 //
 // Activation-layout contract: the image branch binds ONE layout across
 // the conv trunk — the dataset input and the GlobalAvgPool output are
@@ -93,18 +107,46 @@ class AttackNet {
   /// Scores [sum n_q] (or [sum n_q, 2] in two-class mode), query q's
   /// scores at rows [offset_q, offset_q + n_q) where offset_q sums the
   /// preceding slots' rows — byte-identical per query to a batch of one
-  /// (see the file header). At least one query must have candidates
-  /// (all-empty batches never reach the net). Reuses this net's arena:
-  /// slots grow to the largest batch seen and later batches run
-  /// alloc-free. The returned reference points into that arena: it stays
-  /// valid (and unchanged) until the next forward call on this same net.
+  /// (see the file header). Exactly `embed` over the stacked images, then
+  /// `score` with query q's candidates reading its source rows and its
+  /// sink row. At least one query must have candidates (all-empty batches
+  /// never reach the net). Reuses this net's arena: slots grow to the
+  /// largest batch seen and later batches run alloc-free. The returned
+  /// reference points into that arena: it stays valid (and unchanged)
+  /// until the next forward or score call on this same net.
   /// Callers that need the scores longer must copy.
   const Tensor& forward(const QueryInput& input);
 
+  /// The image trunk over images [lo, hi) of `images` ([k, channels,
+  /// size, size], row-major): [hi - lo, hidden], row i the embedding of
+  /// image lo + i, whose bytes depend on that image alone. The whole
+  /// tensor is read in place; a strict sub-range is first copied into
+  /// this net's arena. Image nets only. The result is arena-backed: valid
+  /// until the next embed or forward call on this net.
+  const Tensor& embed(const Tensor& images, int lo, int hi);
+
+  /// The scoring head over `vec`'s candidate rows ([rows, vector_dim],
+  /// rows > 0): candidate r fuses embedding rows `source_rows[r]` and
+  /// `sink_rows[r]` of `embeddings` ([*, hidden], an `embed` result or a
+  /// table filled from them). Vector-only nets ignore the last three
+  /// arguments, which may then be null. Returns [rows] (or [rows, 2])
+  /// scores, row r's bytes depending on row r's inputs alone; arena-backed
+  /// like `forward`'s.
+  const Tensor& score(const Tensor& vec, const Tensor* embeddings,
+                      const int* source_rows, const int* sink_rows);
+
+  /// An arena-backed [rows, hidden] table for embeddings that must
+  /// outlive one `embed` call (DlAttack::attack fills one leased
+  /// replica's table from every replica's embed calls, then scores
+  /// against it). Contents are unspecified until written; the table is
+  /// left alone by every other call on this net.
+  Tensor& embedding_table(int rows);
+
   /// Backpropagate d(loss)/d(scores); accumulates parameter gradients.
-  /// Only valid after a one-query `forward`: wider batches are
-  /// inference-only (training keeps the paper's per-query batch
-  /// definition), so calling this after one throws std::logic_error.
+  /// Only valid right after a one-query `forward`: wider batches and bare
+  /// `embed`/`score` calls are inference-only (training keeps the paper's
+  /// per-query batch definition), so calling this after one throws
+  /// std::logic_error.
   void backward(const Tensor& dscores);
 
   /// This network's activation arena (stats: bytes pinned, allocations).
@@ -142,6 +184,14 @@ class AttackNet {
   AttackNet clone_shared();
 
  private:
+  /// fc1 and the vector ResBlocks: [rows, hidden].
+  const Tensor& vector_branch(const Tensor& vec);
+  /// Everything after the vector branch `v`: the sink/source fusion,
+  /// fc5_img, the merge, the merged trunk, fc6 and fc7 (arguments as for
+  /// `score`, already validated).
+  const Tensor& head(const Tensor& v, const Tensor* embeddings,
+                     const int* source_rows, const int* sink_rows);
+
   NetConfig config_;
 
   /// Per-network activation arena (heap-allocated so the net stays
@@ -167,22 +217,30 @@ class AttackNet {
   std::unique_ptr<Linear> fc6_;
   std::unique_ptr<Linear> fc7_;
 
-  // Branch-fusion arena slots (see forward/backward): fused and merged_in
-  // are fully overwritten each forward; dv/dimg are fully overwritten
-  // each backward; demb accumulates into its sink row and is acquired
-  // zero-filled.
+  // Arena slots outside the layers. fused and merged_in are fully
+  // overwritten by each head pass; embed_in (full) stages an embed
+  // sub-range;
+  // table is written only by its owner's caller (see embedding_table);
+  // dv/dimg are fully overwritten each backward; demb accumulates into
+  // its sink row and is acquired zero-filled.
   Arena::Slot fused_slot_ = 0;
   Arena::Slot merged_slot_ = 0;
+  Arena::Slot embed_in_slot_ = 0;
+  Arena::Slot table_slot_ = 0;
   Arena::Slot dv_slot_ = 0;
   Arena::Slot dimg_slot_ = 0;
   Arena::Slot demb_slot_ = 0;
 
-  // Cached batch size for backward.
+  // forward's per-candidate embedding rows (capacity kept across calls).
+  std::vector<int> source_rows_;
+  std::vector<int> sink_rows_;
+
+  // Cached candidate-row count for backward.
   int n_ = 0;
-  // Set by a multi-query forward: the cached activations span many
-  // queries, which backward's seam bookkeeping does not model — it must
-  // refuse.
-  bool batched_ = false;
+  // Set only by a one-query forward, whose seam layout (source rows
+  // 0..n-1, sink row n) is the one backward models; every other pass
+  // clears it, and backward refuses.
+  bool trainable_ = false;
 };
 
 }  // namespace sma::nn

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <streambuf>
+#include <vector>
 
 #include "nn/losses.hpp"
 #include "nn/optimizer.hpp"
@@ -71,6 +72,75 @@ TEST(AttackNet, DeterministicForward) {
   for (std::size_t i = 0; i < sa.size(); ++i) {
     EXPECT_FLOAT_EQ(sa[i], sb[i]);
   }
+}
+
+TEST(AttackNet, EmbedRowsAreWidthInvariant) {
+  // The fast net's image trunk over 1 to 70 images, read in place or
+  // staged from a sub-range: each embedding row equals the image's solo
+  // embedding bit for bit, so a pin embedded once in a wide chunk stands
+  // in for its embedding inside any query.
+  NetConfig config = NetConfig::fast();
+  config.image_channels = 3;
+  AttackNet net(config);
+  constexpr int kMaxImages = 70;
+  util::Pcg32 rng(31);
+  const Tensor images = Tensor::randn({kMaxImages, 3, 15, 15}, rng, 0.5);
+  const std::size_t h = static_cast<std::size_t>(config.hidden);
+  std::vector<float> solo(kMaxImages * h);
+  for (int i = 0; i < kMaxImages; ++i) {
+    const Tensor& row = net.embed(images, i, i + 1);
+    ASSERT_EQ(row.shape(), (std::vector<int>{1, config.hidden}));
+    std::memcpy(solo.data() + i * h, row.data(), sizeof(float) * h);
+  }
+  const auto expect_rows = [&](const Tensor& rows, int lo, int hi) {
+    ASSERT_EQ(rows.shape(), (std::vector<int>{hi - lo, config.hidden}));
+    EXPECT_EQ(std::memcmp(rows.data(), solo.data() + lo * h,
+                          sizeof(float) * (hi - lo) * h),
+              0)
+        << "images [" << lo << ", " << hi << ")";
+  };
+  for (int count = 1; count <= kMaxImages; ++count) {
+    Tensor prefix({count, 3, 15, 15});
+    std::memcpy(prefix.data(), images.data(), sizeof(float) * prefix.size());
+    expect_rows(net.embed(prefix, 0, count), 0, count);  // in place
+    expect_rows(net.embed(images, kMaxImages - count, kMaxImages),
+                kMaxImages - count, kMaxImages);  // staged sub-range
+  }
+  EXPECT_THROW(net.embed(images, 5, 5), std::invalid_argument);
+  EXPECT_THROW(net.embed(images, 0, kMaxImages + 1), std::invalid_argument);
+  AttackNet vector_only(tiny_config(false));
+  EXPECT_THROW(vector_only.embed(images, 0, 1), std::logic_error);
+}
+
+TEST(AttackNet, ScoreMatchesForwardAndRejectsBadRows) {
+  // forward is embed + score: scoring the same rows against a table that
+  // holds the query's embeddings in another order gives the same bytes.
+  AttackNet net(tiny_config(true));
+  const QueryInput input = tiny_input(4, true, 9);
+  const Tensor& forward_scores = net.forward(input);
+  const std::vector<float> want(forward_scores.data(),
+                                forward_scores.data() + forward_scores.size());
+  const Tensor embeddings = net.embed(input.images, 0, 5);
+  // Table rows reversed: row 4 - i holds image i.
+  Tensor table(embeddings.shape());
+  const std::size_t h = static_cast<std::size_t>(embeddings.dim(1));
+  for (int i = 0; i < 5; ++i) {
+    std::memcpy(table.data() + (4 - i) * h, embeddings.data() + i * h,
+                sizeof(float) * h);
+  }
+  const int sources[] = {4, 3, 2, 1};
+  const int sinks[] = {0, 0, 0, 0};
+  const Tensor& scores = net.score(input.vec, &table, sources, sinks);
+  ASSERT_EQ(scores.size(), want.size());
+  EXPECT_EQ(std::memcmp(scores.data(), want.data(), sizeof(float) * want.size()),
+            0);
+  // A bare score pass is inference-only.
+  EXPECT_THROW(net.backward(Tensor(scores.shape())), std::logic_error);
+  const int out_of_table[] = {4, 3, 2, 5};
+  EXPECT_THROW(net.score(input.vec, &table, out_of_table, sinks),
+               std::invalid_argument);
+  EXPECT_THROW(net.score(input.vec, nullptr, sources, sinks),
+               std::invalid_argument);
 }
 
 TEST(AttackNet, RejectsBadInput) {

@@ -7,6 +7,7 @@
 // was never interrupted — and a damaged file on disk is always detected
 // and recomputed, never silently consumed.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -17,7 +18,9 @@
 #include <initializer_list>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <typeinfo>
 #include <vector>
 
@@ -40,12 +43,34 @@ namespace {
 
 namespace fault = util::fault;
 
-/// Fresh per-test scratch directory under the gtest temp root.
+/// This process's own scratch root under the gtest temp root, made once
+/// by mkdtemp and removed at exit: two test processes running at once
+/// (say, two sanitizer builds on one machine) never share a directory.
+const std::string& process_dir() {
+  struct Root {
+    std::string path;
+    Root() {
+      std::string pattern = ::testing::TempDir() + "sma_durability_XXXXXX";
+      if (::mkdtemp(pattern.data()) == nullptr) {
+        throw std::runtime_error("mkdtemp failed for " + pattern);
+      }
+      path = pattern;
+    }
+    ~Root() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Root root;
+  return root.path;
+}
+
+/// Fresh per-test scratch directory inside this process's root.
 std::string test_dir() {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
-  const std::string dir = ::testing::TempDir() + "sma_durability/" +
-                          info->test_suite_name() + "_" + info->name();
+  const std::string dir = process_dir() + "/" + info->test_suite_name() +
+                          "_" + info->name();
   std::filesystem::remove_all(dir);
   util::ensure_dir(dir);
   return dir;

@@ -6,8 +6,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "nn/attack_net.hpp"
 
 namespace sma::nn {
 namespace {
@@ -231,6 +236,62 @@ TEST(Conv2d, StridedGradientCheck) {
   Conv2d conv(1, 2, 3, rng, "gs");
   Tensor x = Tensor::randn({1, 1, 7, 7}, rng, 1.0);
   check_input_gradient(conv, x);
+}
+
+TEST(Conv2d, FastTrunkLayersAreWidthInvariant) {
+  // DlAttack::attack embeds a dataset's images in 64-image chunks while
+  // the per-query path runs a query's n + 1 images, so an image's conv
+  // output must not depend on how many images share the call. Every conv
+  // layer of NetConfig::fast(), at the plane size it sees in the trunk
+  // (15 px in the first group, then 15 -> 5, 5 -> 2 and 2 -> 1 at the
+  // stride-3 layers), runs over 1 to 70 images; each image's output bytes
+  // must equal its solo run's. On a 1 px plane the GEMM's n is the image
+  // count, so the width picks the register tile: the AVX-512 8x32 tile
+  // from n = 16 on hosts that have it, the AVX2 4x16 tile below.
+  constexpr int kMaxImages = 70;
+  const NetConfig fast = NetConfig::fast();
+  util::Pcg32 rng(2019);
+  int in_ch = 3;
+  int size = 15;
+  for (int group = 0; group < 4; ++group) {
+    for (int layer = 0; layer < 3; ++layer) {
+      const int out_ch = fast.conv_channels[group];
+      const int stride = (group > 0 && layer == 0) ? 3 : 1;
+      const std::string name =
+          "conv" + std::to_string(group + 1) + "_" + std::to_string(layer);
+      SCOPED_TRACE(name + " at " + std::to_string(size) + " px");
+      Conv2d conv(in_ch, out_ch, stride, rng, name, Act::kLeakyReLU);
+      // The trunk's first conv reads the row-major dataset images; every
+      // later one reads its predecessor's channel-major output.
+      const Layout layout = group == 0 && layer == 0 ? Layout::kRowMajor
+                                                     : Layout::kChannelMajor;
+      const Tensor x = Tensor::randn({kMaxImages, in_ch, size, size}, rng, 1.0);
+      const std::size_t in_per = static_cast<std::size_t>(in_ch) * size * size;
+      const int out = conv.out_size(size);
+      const std::size_t out_per = static_cast<std::size_t>(out_ch) * out * out;
+      const auto run = [&](int first, int count) {
+        Tensor batch({count, in_ch, size, size});
+        std::memcpy(batch.data(), x.data() + first * in_per,
+                    sizeof(float) * count * in_per);
+        const Tensor input = to_layout(batch, layout);
+        return to_row_major(conv.forward(input));
+      };
+      std::vector<Tensor> solo;
+      for (int i = 0; i < kMaxImages; ++i) solo.push_back(run(i, 1));
+      for (int count = 1; count <= kMaxImages; ++count) {
+        const Tensor y = run(0, count);
+        for (int i = 0; i < count; ++i) {
+          ASSERT_EQ(std::memcmp(y.data() + i * out_per, solo[i].data(),
+                                sizeof(float) * out_per),
+                    0)
+              << "image " << i << " of " << count;
+        }
+      }
+      in_ch = out_ch;
+      size = out;
+    }
+  }
+  EXPECT_EQ(size, 1);
 }
 
 TEST(GlobalAvgPool, ForwardAndBackward) {
