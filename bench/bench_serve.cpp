@@ -28,7 +28,8 @@
 //   --layer=1       split layer
 //   --epochs=2      training epochs before the sweep
 //   --widths=1,4,16,64
-//   --reps=3        timed attack() repetitions per width
+//   --reps=5        timed rounds; each round times one attack() per width,
+//                   in rotating order, and each width reports its median
 //   --clients=4     concurrent submitter threads for the ServeLoop pass
 #include <algorithm>
 #include <cstdint>
@@ -72,7 +73,7 @@ double percentile(std::vector<double> sorted_us, double p) {
 
 struct WidthResult {
   int width = 0;
-  double attack_seconds = 0.0;  ///< per timed repetition
+  double attack_seconds = 0.0;  ///< median over the timed rounds
   double queries_per_sec = 0.0;
   long steady_arena_allocs = 0;
   bool identical = false;
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
   std::string design = "c432";
   int layer = 1;
   int epochs = 2;
-  int reps = 3;
+  int reps = 5;
   int clients = 4;
   std::vector<int> widths = {1, 4, 16, 64};
   for (int i = 1; i < argc; ++i) {
@@ -196,27 +197,38 @@ int main(int argc, char** argv) {
     return dl.net().arena().stats().allocs +
            dl.inference_arena_stats().allocs;
   };
-  std::vector<WidthResult> results;
+  std::vector<WidthResult> results(widths.size());
   bool identity_ok = true;
   bool alloc_free = true;
-  for (int width : widths) {
-    WidthResult r;
-    r.width = width;
-
-    // Warm-up pass: grows the replica arena to this width's shapes and
-    // runs the identity gate.
-    const sma::attack::AttackResult warm = dl.attack(victim, nullptr, width);
-    r.identical = selections_equal(warm, baseline);
-    identity_ok = identity_ok && r.identical;
-
-    const long allocs_before = arena_allocs();
-    sma::util::Timer timer;
-    for (int rep = 0; rep < reps; ++rep) {
-      const sma::attack::AttackResult timed = dl.attack(victim, nullptr, width);
+  // Warm-up pass per width: grows the arenas to this width's shapes and
+  // runs the identity gate.
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    results[w].width = widths[w];
+    const sma::attack::AttackResult warm =
+        dl.attack(victim, nullptr, widths[w]);
+    results[w].identical = selections_equal(warm, baseline);
+  }
+  // Timed rounds: each round times every width once, starting one width
+  // later than the round before, so slow drift in host load lands on
+  // every width alike. Each width reports its median.
+  std::vector<std::vector<double>> seconds(widths.size());
+  for (int round = 0; round < reps; ++round) {
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      const std::size_t w = (i + static_cast<std::size_t>(round)) %
+                            widths.size();
+      WidthResult& r = results[w];
+      const long allocs_before = arena_allocs();
+      sma::util::Timer timer;
+      const sma::attack::AttackResult timed =
+          dl.attack(victim, nullptr, r.width);
+      seconds[w].push_back(timer.seconds());
+      r.steady_arena_allocs += arena_allocs() - allocs_before;
       r.identical = r.identical && selections_equal(timed, baseline);
     }
-    r.attack_seconds = timer.seconds() / reps;
-    r.steady_arena_allocs = arena_allocs() - allocs_before;
+  }
+  for (std::size_t w = 0; w < widths.size(); ++w) {
+    WidthResult& r = results[w];
+    r.attack_seconds = percentile(seconds[w], 0.5);
     identity_ok = identity_ok && r.identical;
     alloc_free = alloc_free && r.steady_arena_allocs == 0;
     r.queries_per_sec = r.attack_seconds > 0.0
@@ -227,7 +239,7 @@ int main(int argc, char** argv) {
     // ServeLoop pass: concurrent clients, client-observed submit latency.
     {
       sma::serve::ServeConfig serve_config;
-      serve_config.max_batch = width;
+      serve_config.max_batch = r.width;
       serve_config.max_wait_us = 200;
       serve_config.dispatchers = 2;
       sma::serve::ServeLoop loop(dl, serve_config);
@@ -283,22 +295,28 @@ int main(int argc, char** argv) {
               << r.serve_batches << " batches (max width "
               << r.serve_max_batch << "), "
               << (r.identical ? "identical" : "DIFFERS") << "\n";
-    results.push_back(r);
   }
   report.add_replicas(dl);
 
-  // The knee: the width where queries/sec peaks. Below it throughput must
-  // rise with B (wider GEMMs amortize per-query overhead); beyond it the
-  // kernels are saturated and extra width just adds latency. A 5% slack
-  // absorbs timer noise between adjacent widths.
-  std::size_t knee = 0;
+  // The knee: the width where median queries/sec peaks. Below it
+  // throughput must rise with B (wider GEMMs amortize per-query overhead);
+  // beyond it the kernels are saturated and extra width just adds latency.
+  // A 5% slack absorbs timer noise between adjacent widths: while the next
+  // narrower width is within it of the peak, the knee moves to that width.
+  constexpr double kSlack = 1.05;
+  std::size_t peak = 0;
   for (std::size_t i = 1; i < results.size(); ++i) {
-    if (results[i].queries_per_sec > results[knee].queries_per_sec) knee = i;
+    if (results[i].queries_per_sec > results[peak].queries_per_sec) peak = i;
+  }
+  std::size_t knee = peak;
+  while (knee > 0 && results[knee - 1].queries_per_sec * kSlack >=
+                         results[peak].queries_per_sec) {
+    --knee;
   }
   bool monotonic = true;
   for (std::size_t i = 0; i < knee; ++i) {
     monotonic = monotonic && results[i].queries_per_sec <=
-                                 results[i + 1].queries_per_sec * 1.05;
+                                 results[i + 1].queries_per_sec * kSlack;
   }
   std::cerr << "  knee at B=" << results[knee].width << ", throughput "
             << (monotonic ? "monotonic" : "NOT monotonic") << " up to it\n";

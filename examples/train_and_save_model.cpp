@@ -1,10 +1,14 @@
 // Train the attack model on the training corpus, save it to disk, reload
 // it, and verify the reloaded model attacks identically — the workflow an
 // attacker would use to build a model library per technology/flow.
+// Exits 1 unless the reloaded model's CCR and selections equal the
+// original's and re-saving it reproduces the saved file byte for byte.
 //
 // Usage: train_and_save_model [model_path] [split_layer]
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <sstream>
 
 #include "attack/dl_attack.hpp"
 #include "eval/experiment.hpp"
@@ -58,10 +62,27 @@ int main(int argc, char** argv) {
       sma::layout::FlowConfig{}, 2020);
   sma::attack::QueryDataset d1(victim.split.get(), profile.dataset);
   sma::attack::QueryDataset d2(victim.split.get(), profile.dataset);
-  double ccr1 = dl.attack(d1).ccr;
-  double ccr2 = reloaded.attack(d2).ccr;
-  std::cout << "victim CCR: original " << ccr1 * 100 << "%, reloaded "
-            << ccr2 * 100 << "% (must match: "
-            << (ccr1 == ccr2 ? "yes" : "NO") << ")\n";
-  return ccr1 == ccr2 ? 0 : 1;
+  const sma::attack::AttackResult r1 = dl.attack(d1);
+  const sma::attack::AttackResult r2 = reloaded.attack(d2);
+  bool same_selections = r1.selections.size() == r2.selections.size();
+  for (std::size_t i = 0; same_selections && i < r1.selections.size(); ++i) {
+    same_selections =
+        r1.selections[i].sink_fragment == r2.selections[i].sink_fragment &&
+        r1.selections[i].chosen_source == r2.selections[i].chosen_source;
+  }
+  std::cout << "victim CCR: original " << r1.ccr * 100 << "%, reloaded "
+            << r2.ccr * 100 << "% (must match: "
+            << (r1.ccr == r2.ccr ? "yes" : "NO") << "); selections "
+            << (same_selections ? "match" : "DIFFER") << "\n";
+
+  // Re-saving the reloaded model must reproduce the file's bytes.
+  std::ifstream saved(path, std::ios::binary);
+  const std::string file_bytes((std::istreambuf_iterator<char>(saved)),
+                               std::istreambuf_iterator<char>());
+  std::ostringstream resaved;
+  reloaded.net().save(resaved);
+  const bool same_bytes = resaved.str() == file_bytes;
+  std::cout << "re-saved model " << (same_bytes ? "matches" : "DIFFERS from")
+            << " the saved file (" << file_bytes.size() << " bytes)\n";
+  return r1.ccr == r2.ccr && same_selections && same_bytes ? 0 : 1;
 }

@@ -1,10 +1,9 @@
 #include "attack/checkpoint.hpp"
 
-#include <cstring>
 #include <limits>
 #include <string>
-#include <string_view>
 
+#include "nn/attack_net.hpp"
 #include "obs/obs.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -22,10 +21,7 @@ constexpr std::uint32_t kSchemaVersion = 1;
 std::string encode_params(const std::vector<nn::Param>& params) {
   util::ByteWriter out;
   out.u64(params.size());
-  for (const nn::Param& p : params) {
-    out.u64(p.value->size())
-        .bytes(p.value->data(), p.value->size() * sizeof(float));
-  }
+  nn::write_param_values(out, params);
   return out.take();
 }
 
@@ -33,31 +29,10 @@ void decode_params(const std::string& blob, std::vector<nn::Param>& params) {
   util::ByteReader in(blob, "checkpoint model weights");
   const std::uint64_t count = in.u64("parameter count");
   if (count != params.size()) {
-    throw util::FrameError("checkpoint parameter count mismatch: blob has " +
-                           std::to_string(count) + ", model has " +
-                           std::to_string(params.size()));
+    in.fail("parameter count mismatch: blob has " + std::to_string(count) +
+            ", model has " + std::to_string(params.size()));
   }
-  // Validate the whole blob — every size, and that nothing follows the
-  // last tensor — before touching any tensor, so a bad blob leaves the
-  // model unchanged.
-  std::vector<std::string_view> values(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    const std::uint64_t size = in.u64(params[i].name.c_str());
-    if (size != params[i].value->size()) {
-      throw util::FrameError(
-          "checkpoint size mismatch for " + params[i].name + ": blob has " +
-          std::to_string(size) + " floats, model expects " +
-          std::to_string(params[i].value->size()));
-    }
-    values[i] = in.bytes(params[i].value->size() * sizeof(float),
-                         params[i].name.c_str());
-  }
-  in.expect_end();
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (!values[i].empty()) {
-      std::memcpy(params[i].value->data(), values[i].data(), values[i].size());
-    }
-  }
+  nn::read_param_values(in, params);
 }
 
 std::string encode_checkpoint(const TrainCheckpoint& ckpt) {
@@ -106,31 +81,26 @@ TrainCheckpoint decode_checkpoint(const std::string& payload) {
 }
 
 void save_checkpoint(const std::string& path, const TrainCheckpoint& ckpt) {
-  // A crash here must leave the previous checkpoint file untouched.
-  util::fault::point("checkpoint.save");
-  util::write_frame_file(path, kFrameKind, kSchemaVersion,
-                         encode_checkpoint(ckpt));
-  SMA_COUNT("checkpoint.saves");
-  // A crash here must leave the NEW checkpoint valid (rename completed).
-  util::fault::point("checkpoint.saved");
+  if (util::save_frame_file(path, kFrameKind, kSchemaVersion,
+                            "checkpoint.save", encode_checkpoint(ckpt))) {
+    SMA_COUNT("checkpoint.saves");
+    // A crash here must leave the NEW checkpoint valid (rename completed).
+    util::fault::point("checkpoint.saved");
+  }
 }
 
 bool try_load_checkpoint(const std::string& path, std::uint64_t expect_digest,
                          TrainCheckpoint* out) {
-  if (!util::file_exists(path)) return false;
   TrainCheckpoint ckpt;
-  try {
-    const std::string payload =
-        util::read_frame_file(path, kFrameKind, kSchemaVersion);
-    ckpt = decode_checkpoint(payload);
-  } catch (const util::DurableIoError& e) {
-    // Damaged or unreadable: discard and start fresh. FaultInjected is not
-    // a DurableIoError, so simulated crashes propagate to the test harness.
+  const util::FrameLoad got = util::load_frame_file(
+      path, kFrameKind, kSchemaVersion, "checkpoint.load",
+      [&ckpt](const std::string& payload) {
+        ckpt = decode_checkpoint(payload);
+      });
+  if (got == util::FrameLoad::kDiscarded) {
     SMA_COUNT("checkpoint.corrupt_discards");
-    util::log_warn() << "discarding damaged checkpoint " << path << ": "
-                     << e.what();
-    return false;
   }
+  if (got != util::FrameLoad::kLoaded) return false;
   if (ckpt.compat_digest != expect_digest) {
     SMA_COUNT("checkpoint.corrupt_discards");
     util::log_warn() << "discarding checkpoint " << path

@@ -13,10 +13,10 @@
 // on load, so a checkpoint from a different run configuration is
 // discarded instead of silently resumed into the wrong optimization.
 //
-// Files go through util/durable_io: atomic replace means a crash during
-// save leaves the *previous* checkpoint intact, and the checksummed frame
-// means a damaged file is detected and discarded, falling back to a fresh
-// start.
+// Files go through util/durable_io's one load and save policy: atomic
+// replace means a crash during save leaves the *previous* checkpoint
+// intact, a failed save is logged and training goes on, and a damaged file
+// is deleted and training starts fresh.
 //
 // Saves, resumes and discards are counted in the global metrics registry
 // (`checkpoint.saves`, `checkpoint.resumes`,
@@ -49,8 +49,8 @@ struct TrainCheckpoint {
   std::string adam_blob;                ///< optimizer state (Adam::serialize)
 };
 
-/// Serialize parameter *values* (in `params` order) into a blob:
-/// u64 count, then per parameter u64 float-count + raw floats.
+/// Serialize parameter *values* into a blob: u64 count, then the weight
+/// section model files share (nn::write_param_values).
 std::string encode_params(const std::vector<nn::Param>& params);
 
 /// Restore a blob produced by `encode_params` into `params` in place
@@ -64,19 +64,19 @@ std::string encode_checkpoint(const TrainCheckpoint& ckpt);
 /// length, or trailing bytes.
 TrainCheckpoint decode_checkpoint(const std::string& payload);
 
-/// Write `ckpt` to `path` via durable_io's atomic replace. Throws
-/// util::DurableIoError on failure. Fault injection points:
-/// `checkpoint.save` (before any IO — a crash here must leave the
-/// previous checkpoint untouched) and `checkpoint.saved` (after the
-/// rename — a crash here must leave the NEW checkpoint valid).
+/// Write `ckpt` to `path` via util::save_frame_file (best effort). Fault
+/// injection points: `checkpoint.save` (before any IO — a crash here must
+/// leave the previous checkpoint untouched) and `checkpoint.saved` (after
+/// the rename — a crash here must leave the NEW checkpoint valid).
 void save_checkpoint(const std::string& path, const TrainCheckpoint& ckpt);
 
 /// Load `path` if it exists and holds a valid checkpoint whose digest
 /// matches `expect_digest`. Returns true and fills `out` on success.
 /// Missing file, damaged frame, undecodable payload, or digest mismatch
 /// all return false (damage and mismatch are logged and counted in
-/// `checkpoint.corrupt_discards`) — the caller starts fresh. Injected crashes
-/// (util::fault::FaultInjected) are NOT swallowed.
+/// `checkpoint.corrupt_discards`; a damaged file is also deleted) — the
+/// caller starts fresh. Fault injection point: `checkpoint.load`.
+/// Injected crashes (util::fault::FaultInjected) are NOT swallowed.
 bool try_load_checkpoint(const std::string& path, std::uint64_t expect_digest,
                          TrainCheckpoint* out);
 

@@ -8,7 +8,6 @@
 #include "nn/train_step.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
-#include "util/durable_io.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -152,18 +151,7 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
         .add(config.max_queries_per_design)
         .add(config.batch_size)
         .add(config.seed);
-    const nn::NetConfig& net = net_.config();
-    h.add(net.vector_dim)
-        .add(net.hidden)
-        .add(net.vector_res_blocks)
-        .add(net.merged_res_blocks)
-        .add(net.use_images)
-        .add(net.image_channels)
-        .add(net.image_fc)
-        .add(net.fc6_width)
-        .add(net.two_class)
-        .add(net.seed);
-    for (int c : net.conv_channels) h.add(c);
+    h.add(nn::encode_net_config(net_.config()));
     h.add(per_design.size());
     for (const auto& refs : per_design) h.add(refs.size());
     h.add(ckpt_params.size());
@@ -396,17 +384,8 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
       ckpt.rng = rng.save_state();
       ckpt.model_blob = encode_params(ckpt_params);
       ckpt.adam_blob = engine.optimizer().serialize();
-      try {
-        save_checkpoint(config.checkpoint_path, ckpt);
-        ++stats.checkpoints_saved;
-      } catch (const util::DurableIoError& e) {
-        // Best-effort durability: a failing disk must not kill the run —
-        // the previous checkpoint (if any) is still intact thanks to the
-        // atomic replace. FaultInjected is not caught here: a simulated
-        // crash must crash.
-        util::log_warn() << "checkpoint save failed (training continues): "
-                         << e.what();
-      }
+      // Best effort: a failing disk must not kill the run.
+      save_checkpoint(config.checkpoint_path, ckpt);
     }
   }
   stats.arena_bytes_pinned = net_.arena().stats().bytes_pinned;

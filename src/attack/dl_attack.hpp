@@ -88,8 +88,6 @@ struct TrainStats {
   /// from the checkpoint and `arena_allocs_per_epoch` is zero-padded for
   /// the skipped epochs, so every vector stays indexable by epoch.
   int resumed_from_epoch = 0;
-  /// Checkpoints written by this train() call.
-  long checkpoints_saved = 0;
 };
 
 /// The per-query inference step (Eq. 2): score `refs[0..count)` in one

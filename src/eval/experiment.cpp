@@ -14,7 +14,6 @@
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 #include "util/durable_io.hpp"
-#include "util/fault.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -177,16 +176,7 @@ std::uint64_t experiment_digest(const char* what, int split_layer,
       .add(p.dataset.build_images);
   for (std::int64_t px : p.dataset.images.pixel_sizes) h.add(px);
 
-  h.add(p.net.vector_dim)
-      .add(p.net.hidden)
-      .add(p.net.vector_res_blocks)
-      .add(p.net.merged_res_blocks)
-      .add(p.net.use_images)
-      .add(p.net.image_fc)
-      .add(p.net.fc6_width)
-      .add(p.net.two_class)
-      .add(p.net.seed);
-  for (int c : p.net.conv_channels) h.add(c);
+  h.add(nn::encode_net_config(p.net));  // every NetConfig field
 
   h.add(p.train.epochs)
       .add(p.train.decay_every)
@@ -228,53 +218,29 @@ std::string work_unit_path(const std::string& dir, std::uint64_t digest,
   return dir + "/" + name;
 }
 
-/// Load one unit's payload, or nullopt when it is missing, damaged (the
-/// file is deleted for recompute), or FaultInjected-free unreadable.
-std::optional<std::string> load_work_unit(const std::string& path) {
-  if (!util::file_exists(path)) return std::nullopt;
-  try {
-    util::fault::point("work.load");
-    return util::read_frame_file(path, kWorkFrameKind, kWorkSchemaVersion);
-  } catch (util::fault::FaultInjected&) {
-    throw;
-  } catch (const std::exception& e) {
-    util::log_warn() << "discarding corrupt work unit " << path << ": "
-                     << e.what();
-    std::remove(path.c_str());
-    return std::nullopt;
-  }
-}
-
 /// Persist one unit; failure degrades to a warning (the run continues,
 /// the unit is simply recomputed next time).
 void save_work_unit(const std::string& path, const std::string& payload) {
-  try {
-    util::fault::point("work.save");
-    util::write_frame_file(path, kWorkFrameKind, kWorkSchemaVersion, payload);
+  if (util::save_frame_file(path, kWorkFrameKind, kWorkSchemaVersion,
+                            "work.save", payload)) {
     SMA_COUNT("work.units_saved");
-  } catch (const util::DurableIoError& e) {
-    util::log_warn() << "work unit save failed for " << path << ": "
-                     << e.what();
   }
 }
 
 /// Load the work units of slots [0, slots); a slot whose unit is missing
-/// or does not decode stays empty and is recomputed.
+/// or damaged stays empty and is recomputed.
 template <typename Row>
 std::vector<std::optional<Row>> load_work_units(
     const std::string& dir, std::uint64_t digest, std::size_t slots,
     Row (*decode)(const std::string&, std::uint64_t, std::size_t)) {
   std::vector<std::optional<Row>> cached(slots);
   for (std::size_t s = 0; s < slots; ++s) {
-    const std::optional<std::string> payload =
-        load_work_unit(work_unit_path(dir, digest, s));
-    if (!payload.has_value()) continue;
-    try {
-      cached[s] = decode(*payload, digest, s);
-      SMA_COUNT("work.units_loaded");
-    } catch (const util::FrameError& e) {
-      util::log_warn() << "recomputing work unit " << s << ": " << e.what();
-    }
+    const util::FrameLoad got = util::load_frame_file(
+        work_unit_path(dir, digest, s), kWorkFrameKind, kWorkSchemaVersion,
+        "work.load", [&](const std::string& payload) {
+          cached[s] = decode(payload, digest, s);
+        });
+    if (got == util::FrameLoad::kLoaded) SMA_COUNT("work.units_loaded");
   }
   return cached;
 }

@@ -2,13 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "layout/def_io.hpp"
 #include "tech/cell_library.hpp"
 #include "util/durable_io.hpp"
-#include "util/fault.hpp"
 #include "util/hash.hpp"
-#include "util/logging.hpp"
 
 namespace sma::eval {
 
@@ -50,7 +49,13 @@ layout::Design decode_entry(const std::string& payload, std::uint64_t key,
   const auto fallback = static_cast<std::int64_t>(in.u64("fallback count"));
   const std::string def(in.blob("DEF text"));
   in.expect_end();
-  layout::Design design = layout::read_def_string(def, library);
+  layout::Design design;
+  try {
+    design = layout::read_def_string(def, library);
+  } catch (const std::runtime_error& e) {
+    // A DEF the parser rejects is a damaged entry like any other.
+    in.fail(std::string("DEF rejected: ") + e.what());
+  }
   design.routing.final_overflow = static_cast<int>(overflow);
   design.routing.fallback_routes = static_cast<int>(fallback);
   return design;
@@ -141,52 +146,6 @@ std::string SplitCache::disk_dir() const {
   return disk_dir_;
 }
 
-std::shared_ptr<const layout::Design> SplitCache::load_from_disk(
-    const std::string& dir, const tech::CellLibrary* library,
-    std::uint64_t key) {
-  const std::string path = cache_file_path(dir, key);
-  if (!util::file_exists(path)) return nullptr;
-  try {
-    util::fault::point("cache.load");
-    const std::string payload =
-        util::read_frame_file(path, kCacheFrameKind, kCacheSchemaVersion);
-    auto design = std::make_shared<layout::Design>(
-        decode_entry(payload, key, library));
-    util::MutexLock lock(mutex_);
-    ++stats_.disk_hits;
-    return design;
-  } catch (util::fault::FaultInjected&) {
-    throw;  // a simulated crash must crash, never degrade to a miss
-  } catch (const std::exception& e) {
-    // Damaged frame, foreign file, or unparseable DEF: delete it and let
-    // the caller rebuild through the flow — a corrupt entry must never
-    // poison a layout, and the rebuild repairs the cache via the spill.
-    util::log_warn() << "discarding corrupt cache entry " << path << ": "
-                     << e.what();
-    std::remove(path.c_str());
-    util::MutexLock lock(mutex_);
-    ++stats_.disk_corrupt;
-    return nullptr;
-  }
-}
-
-void SplitCache::spill_to_disk(const std::string& dir, std::uint64_t key,
-                               const layout::Design& design) {
-  const std::string path = cache_file_path(dir, key);
-  try {
-    util::fault::point("cache.spill");
-    util::write_frame_file(path, kCacheFrameKind, kCacheSchemaVersion,
-                           encode_entry(key, design));
-    util::MutexLock lock(mutex_);
-    ++stats_.disk_spills;
-  } catch (const util::DurableIoError& e) {
-    // Spill failures (full disk, injected IO errors) degrade the cache to
-    // memory-only for this entry; the run itself continues. FaultInjected
-    // is not a DurableIoError and propagates.
-    util::log_warn() << "cache spill failed for " << path << ": " << e.what();
-  }
-}
-
 std::shared_ptr<const layout::Design> SplitCache::get_or_build(
     std::uint64_t key,
     const std::function<std::shared_ptr<const layout::Design>()>& build) {
@@ -208,17 +167,37 @@ std::shared_ptr<const layout::Design> SplitCache::get_or_build(
   // Disk tier, probed outside the lock (file IO + DEF re-import are slow):
   // a durable entry from an earlier process is byte-identical to a fresh
   // build, so promoting it into the memory tier is just a faster build().
+  // A damaged frame, a foreign file or an unparseable DEF is deleted and
+  // rebuilt: a corrupt entry never poisons a layout, and the rebuild's
+  // spill repairs the cache.
   std::shared_ptr<const layout::Design> design;
   const bool use_disk = !dir.empty() && library != nullptr;
-  if (use_disk) design = load_from_disk(dir, library, key);
+  const std::string path = use_disk ? cache_file_path(dir, key) : "";
+  if (use_disk) {
+    const util::FrameLoad got = util::load_frame_file(
+        path, kCacheFrameKind, kCacheSchemaVersion, "cache.load",
+        [&](const std::string& payload) {
+          design = std::make_shared<layout::Design>(
+              decode_entry(payload, key, library));
+        });
+    util::MutexLock lock(mutex_);
+    if (got == util::FrameLoad::kLoaded) ++stats_.disk_hits;
+    if (got == util::FrameLoad::kDiscarded) ++stats_.disk_corrupt;
+  }
 
   // Build outside the lock: flows are expensive and independent builds may
   // proceed concurrently. If two threads race on the same key, both build
   // identical designs (the flow is deterministic) and the second insert is
-  // a no-op — results never depend on the race.
+  // a no-op — results never depend on the race. A failed spill (full disk)
+  // leaves the entry memory-only.
   const bool built = design == nullptr;
   if (built) design = build();
-  if (built && use_disk) spill_to_disk(dir, key, *design);
+  if (built && use_disk &&
+      util::save_frame_file(path, kCacheFrameKind, kCacheSchemaVersion,
+                            "cache.spill", encode_entry(key, *design))) {
+    util::MutexLock lock(mutex_);
+    ++stats_.disk_spills;
+  }
 
   util::MutexLock lock(mutex_);
   auto it = entries_.find(key);

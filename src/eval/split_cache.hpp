@@ -50,8 +50,7 @@ class SplitCache {
     /// entry was loaded from a file instead of rebuilt through the flow.
     std::uint64_t disk_hits = 0;
     std::uint64_t disk_spills = 0;  ///< entries written to the cache dir
-    /// Damaged/foreign cache files detected at load, deleted, and rebuilt
-    /// through the flow — a corrupt entry never poisons a layout.
+    /// Cache files discarded at load (see set_disk_dir) and rebuilt.
     std::uint64_t disk_corrupt = 0;
   };
 
@@ -76,12 +75,13 @@ class SplitCache {
   /// design's DEF text + routing metadata) before rebuilding, and fresh
   /// builds spill there — so layouts survive process restarts and are
   /// shared across processes. `library` resolves cell masters when
-  /// re-importing DEF and must outlive this cache. A damaged or torn file
-  /// is detected by the frame checksum, deleted, counted in
-  /// Stats::disk_corrupt, and rebuilt through the flow; spill failures
-  /// degrade to warnings (the run continues memory-only). An empty `dir`
-  /// detaches the tier. The directory is created if missing; throws
-  /// util::IoError when that fails.
+  /// re-importing DEF and must outlive this cache. Files follow
+  /// util/durable_io's one load and save policy: a damaged, torn or
+  /// foreign file, or one whose DEF does not parse, is deleted, counted in
+  /// Stats::disk_corrupt and rebuilt through the flow; a failed spill is
+  /// logged and the entry stays memory-only. An empty `dir` detaches the
+  /// tier. The directory is created if missing; throws util::IoError when
+  /// that fails.
   void set_disk_dir(const std::string& dir, const tech::CellLibrary* library)
       SMA_EXCLUDES(mutex_);
   std::string disk_dir() const SMA_EXCLUDES(mutex_);
@@ -92,13 +92,6 @@ class SplitCache {
 
  private:
   void evict_to_capacity_locked() SMA_REQUIRES(mutex_);
-  /// Disk probe for `key` (runs outside the entry lock; IO is slow).
-  /// Returns nullptr on any miss, deleting damaged files along the way.
-  std::shared_ptr<const layout::Design> load_from_disk(
-      const std::string& dir, const tech::CellLibrary* library,
-      std::uint64_t key) SMA_EXCLUDES(mutex_);
-  void spill_to_disk(const std::string& dir, std::uint64_t key,
-                     const layout::Design& design) SMA_EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;
   std::size_t capacity_ SMA_GUARDED_BY(mutex_);

@@ -33,9 +33,4 @@ Netlist parse_bench_string(const std::string& text,
                            const std::string& design_name,
                            const tech::CellLibrary* library);
 
-/// Serialize to .bench. Only netlists whose cells all have bench-expressible
-/// functions (INV/BUF/NAND/NOR/AND/OR/XOR/XNOR/DFF) can be written; throws
-/// std::runtime_error otherwise.
-std::string to_bench(const Netlist& netlist);
-
 }  // namespace sma::netlist

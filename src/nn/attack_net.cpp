@@ -1,10 +1,13 @@
 #include "nn/attack_net.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
+
+#include "util/durable_io.hpp"
 
 namespace sma::nn {
 
@@ -393,81 +396,159 @@ std::size_t AttackNet::num_parameters() {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x534d4131;  // "SMA1"
+/// The magic, twelve i32 fields and the u64 seed.
+constexpr std::size_t kHeaderBytes = 64;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value;
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw ModelLoadError("model file truncated");
-  return value;
-}
-
-/// Header field validation: a load must reject hostile or garbage header
-/// values *before* they reach tensor allocation (a multi-gigabyte
-/// "hidden width" would otherwise surface as bad_alloc — or worse,
-/// succeed and materialize garbage tensors).
-int checked_field(int value, const char* name, int lo, int hi) {
-  if (value < lo || value > hi) {
-    throw ModelLoadError("model header field " + std::string(name) + " = " +
-                         std::to_string(value) + " outside sane range [" +
-                         std::to_string(lo) + ", " + std::to_string(hi) + "]");
+/// The header encode_net_config writes. Every field is range-checked
+/// before it can reach tensor allocation: a multi-gigabyte "hidden width"
+/// would otherwise surface as bad_alloc, or succeed and materialize
+/// garbage tensors.
+NetConfig decode_net_config(util::ByteReader& in) {
+  if (in.u32("magic") != kMagic) {
+    throw ModelLoadError("not an AttackNet model file");
   }
-  return value;
-}
-
-bool checked_flag(int value, const char* name) {
-  if (value != 0 && value != 1) {
-    throw ModelLoadError("model header flag " + std::string(name) + " = " +
-                         std::to_string(value) + " is not a boolean");
+  const auto field = [&in](const char* name, int lo, int hi) {
+    const auto value = static_cast<int>(in.u32(name));
+    if (value < lo || value > hi) {
+      throw ModelLoadError(
+          "model header field " + std::string(name) + " = " +
+          std::to_string(value) + " outside sane range [" +
+          std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return value;
+  };
+  const auto flag = [&field](const char* name) {
+    return field(name, 0, 1) == 1;
+  };
+  // Bounds: generous enough for any configuration this repo can train
+  // (paper config: hidden 128, channels <= 128), tight enough that
+  // weight_section_bytes cannot overflow (it stays below 2^57).
+  constexpr int kMaxWidth = 1 << 20;
+  constexpr int kMaxBlocks = 4096;
+  NetConfig config;
+  config.vector_dim = field("vector_dim", 1, kMaxWidth);
+  config.hidden = field("hidden", 1, kMaxWidth);
+  config.vector_res_blocks = field("vector_res_blocks", 0, kMaxBlocks);
+  config.merged_res_blocks = field("merged_res_blocks", 0, kMaxBlocks);
+  config.use_images = flag("use_images");
+  config.image_channels = field("image_channels", 1, 1024);
+  for (int& ch : config.conv_channels) {
+    ch = field("conv_channels", 1, kMaxWidth);
   }
-  return value != 0;
+  config.image_fc = field("image_fc", 1, kMaxWidth);
+  config.fc6_width = field("fc6_width", 1, kMaxWidth);
+  config.two_class = flag("two_class");
+  config.seed = in.u64("seed");
+  in.expect_end();
+  return config;
 }
 
-/// Bytes left on a seekable stream; nullopt for pipes and the like.
-std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  if (here == std::istream::pos_type(-1)) return std::nullopt;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  if (end == std::istream::pos_type(-1) || end < here) return std::nullopt;
-  return static_cast<std::uint64_t>(end - here);
+/// Up to `size` bytes of `in`, fewer when the stream ends first. The
+/// buffer grows only as bytes arrive, so a header that promises more than
+/// the stream holds costs what the stream holds.
+std::string read_up_to(std::istream& in, std::uint64_t size) {
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::string bytes;
+  while (bytes.size() < size && in) {
+    const std::size_t have = bytes.size();
+    bytes.resize(have + std::min(kChunk, size - have));
+    in.read(bytes.data() + have,
+            static_cast<std::streamsize>(bytes.size() - have));
+    bytes.resize(have + static_cast<std::size_t>(in.gcount()));
+  }
+  return bytes;
 }
 
 }  // namespace
 
-void AttackNet::save(std::ostream& out) {
-  write_pod(out, kMagic);
-  write_pod(out, config_.vector_dim);
-  write_pod(out, config_.hidden);
-  write_pod(out, config_.vector_res_blocks);
-  write_pod(out, config_.merged_res_blocks);
-  write_pod(out, static_cast<int>(config_.use_images));
-  write_pod(out, config_.image_channels);
-  for (int ch : config_.conv_channels) write_pod(out, ch);
-  write_pod(out, config_.image_fc);
-  write_pod(out, config_.fc6_width);
-  write_pod(out, static_cast<int>(config_.two_class));
-  write_pod(out, config_.seed);
-  if (!out) {
-    throw std::runtime_error("AttackNet::save: writing model header failed");
-  }
+std::string encode_net_config(const NetConfig& config) {
+  const std::array<int, 4>& conv = config.conv_channels;
+  const int fields[] = {config.vector_dim,        config.hidden,
+                        config.vector_res_blocks, config.merged_res_blocks,
+                        config.use_images,        config.image_channels,
+                        conv[0], conv[1], conv[2], conv[3],
+                        config.image_fc,          config.fc6_width,
+                        config.two_class};
+  util::ByteWriter out;
+  out.u32(kMagic);
+  for (int v : fields) out.u32(static_cast<std::uint32_t>(v));
+  out.u64(config.seed);
+  return out.take();
+}
 
-  for (const Param& p : params()) {
-    write_pod(out, static_cast<std::uint64_t>(p.value->size()));
-    out.write(reinterpret_cast<const char*>(p.value->data()),
-              static_cast<std::streamsize>(p.value->size() * sizeof(float)));
-    // A full disk or closed stream would otherwise return silently here,
-    // leaving a truncated file that only load() can diagnose — much later.
-    if (!out) {
-      throw std::runtime_error("AttackNet::save: writing " + p.name +
-                               " failed (stream error or disk full)");
+std::uint64_t weight_section_bytes(const NetConfig& config) {
+  // The constructor's layers. Each Linear or Conv2d saves a weight and a
+  // bias tensor, each as a u64 float count and its floats.
+  std::uint64_t total = 0;
+  const auto layer = [&total](std::uint64_t in, std::uint64_t out,
+                              std::uint64_t kernel = 1) {
+    total += 2 * sizeof(std::uint64_t) +
+             (out * in * kernel + out) * sizeof(float);
+  };
+  const std::uint64_t h = config.hidden;
+  layer(config.vector_dim, h);
+  // Three h x h Linears per ResBlock, in both trunks.
+  const int res_blocks = config.vector_res_blocks + config.merged_res_blocks;
+  for (int i = 0; i < 3 * res_blocks; ++i) layer(h, h);
+  if (config.use_images) {
+    std::uint64_t in = config.image_channels;
+    for (int ch : config.conv_channels) {
+      for (int i = 0; i < 3; ++i, in = ch) layer(in, ch, 9);
     }
+    layer(in, config.image_fc);
+    layer(config.image_fc, h);
+    layer(2 * h, h);
+  }
+  layer(config.use_images ? 2 * h : h, h);
+  layer(h, config.fc6_width);
+  layer(config.fc6_width, config.two_class ? 2 : 1);
+  return total;
+}
+
+void write_param_values(util::ByteWriter& out,
+                        const std::vector<Param>& params) {
+  for (const Param& p : params) {
+    out.u64(p.value->size())
+        .bytes(p.value->data(), p.value->size() * sizeof(float));
+  }
+}
+
+void read_param_values(util::ByteReader& in, std::vector<Param>& params) {
+  // Validate the whole section — every size, and that nothing follows the
+  // last tensor — before touching any tensor, so a bad section leaves the
+  // model unchanged.
+  std::vector<std::string_view> values(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Param& p = params[i];
+    const std::uint64_t size = in.u64(p.name.c_str());
+    if (size != p.value->size()) {
+      in.fail("size mismatch for " + p.name + ": " + std::to_string(size) +
+              " floats, the model has " + std::to_string(p.value->size()));
+    }
+    values[i] = in.bytes(p.value->size() * sizeof(float), p.name.c_str());
+  }
+  in.expect_end();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!values[i].empty()) {
+      std::memcpy(params[i].value->data(), values[i].data(), values[i].size());
+    }
+  }
+}
+
+void AttackNet::save(std::ostream& out) {
+  const std::string header = encode_net_config(config_);
+  util::ByteWriter weights;
+  weights.reserve(weight_section_bytes(config_));
+  write_param_values(weights, params());
+  const std::string body = weights.take();
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  // A full disk or closed stream would otherwise return silently here,
+  // leaving a truncated file that only load() can diagnose — much later.
+  if (!out) {
+    throw std::runtime_error(
+        "AttackNet::save: writing the model failed (stream error or disk "
+        "full)");
   }
 }
 
@@ -501,76 +582,28 @@ AttackNet AttackNet::clone_shared() {
 }
 
 AttackNet AttackNet::load(std::istream& in) {
-  if (read_pod<std::uint32_t>(in) != kMagic) {
-    throw ModelLoadError("not an AttackNet model file");
-  }
-  // Bounds: generous enough for any configuration this repo can train
-  // (paper config: hidden 128, channels ≤ 128), tight enough that a
-  // corrupt or hostile header can never request pathological allocations.
-  constexpr int kMaxWidth = 1 << 20;
-  constexpr int kMaxBlocks = 4096;
-  NetConfig config;
-  config.vector_dim = checked_field(read_pod<int>(in), "vector_dim", 1,
-                                    kMaxWidth);
-  config.hidden = checked_field(read_pod<int>(in), "hidden", 1, kMaxWidth);
-  config.vector_res_blocks = checked_field(
-      read_pod<int>(in), "vector_res_blocks", 0, kMaxBlocks);
-  config.merged_res_blocks = checked_field(
-      read_pod<int>(in), "merged_res_blocks", 0, kMaxBlocks);
-  config.use_images = checked_flag(read_pod<int>(in), "use_images");
-  config.image_channels = checked_field(read_pod<int>(in), "image_channels",
-                                        1, 1024);
-  for (int& ch : config.conv_channels) {
-    ch = checked_field(read_pod<int>(in), "conv_channels", 1, kMaxWidth);
-  }
-  config.image_fc = checked_field(read_pod<int>(in), "image_fc", 1,
-                                  kMaxWidth);
-  config.fc6_width = checked_field(read_pod<int>(in), "fc6_width", 1,
-                                   kMaxWidth);
-  config.two_class = checked_flag(read_pod<int>(in), "two_class");
-  config.seed = read_pod<std::uint64_t>(in);
-
-  // On seekable streams, reject a stream that cannot possibly hold the
-  // weight section before constructing the network — construction
-  // allocates every weight tensor up front. The cheap pre-construction
-  // bound is the first layer (fc1: vector_dim x hidden floats plus its
-  // bias); the exact per-parameter sizes are re-checked against the
-  // stream as they are read.
-  const std::optional<std::uint64_t> remaining = remaining_bytes(in);
-  if (remaining.has_value()) {
-    const std::uint64_t fc1_bytes =
-        (static_cast<std::uint64_t>(config.vector_dim) * config.hidden +
-         config.hidden) *
-        sizeof(float);
-    if (*remaining < fc1_bytes) {
-      throw ModelLoadError("model file truncated: header promises at least " +
-                           std::to_string(fc1_bytes) + " weight bytes, " +
-                           std::to_string(*remaining) + " present");
+  try {
+    const std::string header = read_up_to(in, kHeaderBytes);
+    util::ByteReader header_in(header, "model header");
+    const NetConfig config = decode_net_config(header_in);
+    // Construction allocates every weight tensor, so the whole weight
+    // section the header's network needs is read first: a stream that
+    // holds less fails here, having cost only the bytes it held.
+    const std::uint64_t need = weight_section_bytes(config);
+    const std::string weights = read_up_to(in, need);
+    if (weights.size() < need) {
+      throw ModelLoadError("model file truncated: the header's network needs " +
+                           std::to_string(need) + " weight bytes, " +
+                           std::to_string(weights.size()) + " present");
     }
+    AttackNet net(config);
+    util::ByteReader weights_in(weights, "model weights");
+    std::vector<Param> params = net.params();
+    read_param_values(weights_in, params);
+    return net;
+  } catch (const util::FrameError& e) {
+    throw ModelLoadError(e.what());
   }
-
-  AttackNet net(config);
-  std::uint64_t consumed = 0;
-  for (const Param& p : net.params()) {
-    auto count = read_pod<std::uint64_t>(in);
-    consumed += sizeof(count);
-    if (count != p.value->size()) {
-      throw ModelLoadError("model shape mismatch for " + p.name +
-                           ": file has " + std::to_string(count) +
-                           " floats, expected " +
-                           std::to_string(p.value->size()));
-    }
-    consumed += count * sizeof(float);
-    if (remaining.has_value() && consumed > *remaining) {
-      throw ModelLoadError("model file truncated: " + p.name + " needs " +
-                           std::to_string(consumed) + " weight bytes, " +
-                           std::to_string(*remaining) + " present");
-    }
-    in.read(reinterpret_cast<char*>(p.value->data()),
-            static_cast<std::streamsize>(count * sizeof(float)));
-    if (!in) throw ModelLoadError("model file truncated in " + p.name);
-  }
-  return net;
 }
 
 }  // namespace sma::nn

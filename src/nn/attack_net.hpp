@@ -46,18 +46,21 @@
 #include <iosfwd>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/arena.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
+#include "util/durable_io.hpp"
 
 namespace sma::nn {
 
 /// A model stream failed validation at load: bad magic, a header field
 /// outside its sane range (hostile or garbage input must never reach
 /// tensor allocation as a bad_alloc), a shape mismatch, or truncation.
-/// Derives std::runtime_error, so pre-existing catch sites keep working.
+/// Every load failure throws this type, including the codec's
+/// util::FrameError. Derives std::runtime_error.
 class ModelLoadError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -97,6 +100,24 @@ struct QueryInput {
   /// no bookkeeping).
   std::vector<int> query_rows;
 };
+
+/// The model file's 64-byte header: magic "SMA1", the NetConfig fields in
+/// declaration order as i32 (flags 0 or 1), then the u64 seed. The one
+/// list of NetConfig's fields: the training-checkpoint and work-unit
+/// digests hash these bytes.
+std::string encode_net_config(const NetConfig& config);
+
+/// The length of the weight section a net of `config` saves.
+std::uint64_t weight_section_bytes(const NetConfig& config);
+
+/// The weight section model files and checkpoint weight blobs share: per
+/// parameter, in order, a u64 float count and then the raw floats.
+void write_param_values(util::ByteWriter& out,
+                        const std::vector<Param>& params);
+
+/// Reads a write_param_values section that must be the rest of `in`;
+/// throws util::FrameError, leaving `params` unchanged, on any mismatch.
+void read_param_values(util::ByteReader& in, std::vector<Param>& params);
 
 class AttackNet {
  public:
@@ -159,14 +180,15 @@ class AttackNet {
   std::vector<Param> params();
   std::size_t num_parameters();
 
-  /// Binary serialization (config + weights). `save` verifies stream
-  /// health after writing and throws std::runtime_error on any failure —
-  /// a silent partial write would leave a truncated model file that only
-  /// fails (confusingly) at load time. `load` validates every header
-  /// field against sane bounds (and, on seekable streams, tensor sizes
-  /// against the bytes actually remaining) *before* allocating, so a
-  /// truncated or hostile stream throws ModelLoadError instead of
-  /// exhausting memory or materializing garbage tensors.
+  /// Binary serialization on util's ByteWriter/ByteReader codec, with no
+  /// durable_io frame: the header (encode_net_config), then the weight
+  /// section (write_param_values). `save` verifies stream health after
+  /// writing and throws std::runtime_error on any failure — a silent
+  /// partial write would leave a truncated model file that only fails
+  /// (confusingly) at load time. `load` range-checks every header field,
+  /// then reads the whole weight section (weight_section_bytes) *before*
+  /// constructing any layer, from any stream, so a truncated or hostile
+  /// stream throws ModelLoadError instead of exhausting memory.
   void save(std::ostream& out);
   static AttackNet load(std::istream& in);
 

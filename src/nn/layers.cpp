@@ -201,26 +201,6 @@ void Linear::share_weights_from(const Linear& master) {
 }
 
 // --------------------------------------------------------------------
-// LeakyReLU
-
-Tensor LeakyReLU::forward(const Tensor& x) {
-  x_ = x;
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) y[i] *= slope_;
-  }
-  return y;
-}
-
-Tensor LeakyReLU::backward(const Tensor& dy) {
-  Tensor dx = dy;
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (x_[i] < 0.0f) dx[i] *= slope_;
-  }
-  return dx;
-}
-
-// --------------------------------------------------------------------
 // Conv2d
 
 Conv2d::Conv2d(int in_channels, int out_channels, int stride,

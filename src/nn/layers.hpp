@@ -140,22 +140,6 @@ class Linear {
   std::uint8_t* mask_ = nullptr;     ///< pre-activation < 0, when fused
 };
 
-/// y = max(0.01 x, x) elementwise (the paper's LReLU activation).
-/// Layers fuse this via `Act::kLeakyReLU`; the standalone class remains
-/// for ad-hoc use and as the reference the fused epilogue is tested
-/// against — as reference code it intentionally keeps the seed's
-/// fresh-tensor-per-call behavior and takes no arena.
-class LeakyReLU {
- public:
-  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
-  Tensor forward(const Tensor& x);
-  Tensor backward(const Tensor& dy);
-
- private:
-  float slope_;
-  Tensor x_;
-};
-
 /// 3x3 convolution with padding 1 and configurable stride (1 or 3 in the
 /// paper's network). x: [N, C, H, W] -> y: [N, out, H', W'] with
 /// H' = floor((H + 2 - 3) / stride) + 1. Lowered through im2col onto the

@@ -7,10 +7,6 @@
 // must be written to index-addressed slots; under that discipline results
 // are bit-identical to the serial loop for any thread count, which is the
 // runtime's determinism contract.
-//
-// `task_rng` is the companion for stochastic bodies: every task index
-// derives its own decorrelated Pcg32 stream from (seed, index) alone, so
-// random draws never depend on which thread ran the task.
 #pragma once
 
 #include <algorithm>
@@ -20,14 +16,8 @@
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
-#include "util/rng.hpp"
 
 namespace sma::runtime {
-
-/// Deterministic per-task generator: a pure function of (seed, index).
-inline util::Pcg32 task_rng(std::uint64_t seed, std::uint64_t task_index) {
-  return util::Pcg32(seed).fork(task_index);
-}
 
 /// A grain that aims for ~4 chunks per worker (cheap bodies should pass
 /// an explicit, larger grain).

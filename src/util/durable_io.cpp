@@ -13,6 +13,7 @@
 
 #include "util/fault.hpp"
 #include "util/hash.hpp"
+#include "util/logging.hpp"
 
 namespace sma::util {
 
@@ -263,6 +264,37 @@ void write_frame_file(const std::string& path, std::string_view kind,
 std::string read_frame_file(const std::string& path, std::string_view kind,
                             std::uint32_t version) {
   return frame_decode(read_file(path), kind, version);
+}
+
+FrameLoad load_frame_file(
+    const std::string& path, std::string_view kind, std::uint32_t version,
+    const char* fault_point,
+    const std::function<void(const std::string& payload)>& decode) {
+  if (!file_exists(path)) return FrameLoad::kAbsent;
+  try {
+    fault::point(fault_point);
+    decode(read_frame_file(path, kind, version));
+    return FrameLoad::kLoaded;
+  } catch (const DurableIoError& e) {  // FaultInjected is not one
+    log_warn() << "discarding damaged " << kind << " file " << path << ": "
+               << e.what();
+    std::remove(path.c_str());
+    return FrameLoad::kDiscarded;
+  }
+}
+
+bool save_frame_file(const std::string& path, std::string_view kind,
+                     std::uint32_t version, const char* fault_point,
+                     std::string_view payload) {
+  try {
+    fault::point(fault_point);
+    write_frame_file(path, kind, version, payload);
+    return true;
+  } catch (const IoError& e) {
+    log_warn() << "saving " << kind << " file " << path
+               << " failed (continuing without it): " << e.what();
+    return false;
+  }
 }
 
 }  // namespace sma::util

@@ -1,6 +1,6 @@
 // Crash-safe file persistence: atomic replace + a checksummed frame.
 //
-// Everything the repo persists across process lifetimes (training
+// Every frame file the repo persists across process lifetimes (training
 // checkpoints, the on-disk split cache, experiment work units) goes
 // through this layer, which gives two guarantees:
 //
@@ -17,11 +17,17 @@
 //     bit rot, a fault-injected short_write/corrupt) is rejected with a
 //     typed error at `frame_decode` time, never silently consumed.
 //
+// One policy holds for every frame file (`load_frame_file`,
+// `save_frame_file`): a damaged file is logged, deleted and recomputed, a
+// failed save is logged and the run goes on, and a simulated crash
+// (fault::FaultInjected) always propagates.
+//
 // Every payload inside a frame (checkpoints and their weight and Adam
 // blobs, split-cache entries, experiment work units) and the frame itself
 // are written by one ByteWriter and read back by one ByteReader: host-order
 // fixed-width fields and u64-length-prefixed blobs, with every read checked
-// against the bytes left.
+// against the bytes left. Model files (nn::AttackNet::save/load) use the
+// same codec but no frame: they are written to the caller's stream.
 //
 // Errors are typed so callers can distinguish "this file is damaged,
 // recompute it" (FrameError) from "the storage itself is failing"
@@ -30,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -158,5 +165,25 @@ void write_frame_file(const std::string& path, std::string_view kind,
 /// read_file + frame_decode.
 std::string read_frame_file(const std::string& path, std::string_view kind,
                             std::uint32_t version);
+
+enum class FrameLoad { kLoaded, kAbsent, kDiscarded };
+
+/// Loads a frame file, or reports it absent. When `path` exists: fires
+/// `fault_point`, reads and checks the frame, and hands the payload to
+/// `decode`. A file that cannot be read, fails its frame, or whose payload
+/// `decode` rejects with FrameError is logged, deleted and reported as
+/// kDiscarded. Other exceptions, fault::FaultInjected included, propagate.
+FrameLoad load_frame_file(
+    const std::string& path, std::string_view kind, std::uint32_t version,
+    const char* fault_point,
+    const std::function<void(const std::string& payload)>& decode);
+
+/// Best-effort save: fires `fault_point`, then write_frame_file, and
+/// returns true. An IoError is logged and returns false, leaving the
+/// previous file, if any, intact. Other exceptions, fault::FaultInjected
+/// included, propagate.
+bool save_frame_file(const std::string& path, std::string_view kind,
+                     std::uint32_t version, const char* fault_point,
+                     std::string_view payload);
 
 }  // namespace sma::util

@@ -1,8 +1,13 @@
-#include "netlist/simulate.hpp"
+#include "netlist_support.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
-namespace sma::netlist {
+namespace sma::test {
+
+using netlist::Cell;
+using netlist::Port;
+using netlist::PortDirection;
 
 Simulator::Simulator(const Netlist* netlist)
     : netlist_(netlist), levelization_(levelize(*netlist)) {
@@ -137,4 +142,49 @@ bool random_equivalence(const Netlist& a, const Netlist& b, int vectors,
   return true;
 }
 
-}  // namespace sma::netlist
+std::string to_bench(const Netlist& nl) {
+  std::ostringstream os;
+  os << "# " << nl.name() << "\n";
+  for (PortId i = 0; i < nl.num_ports(); ++i) {
+    const Port& port = nl.port(i);
+    if (port.direction == PortDirection::kInput) {
+      os << "INPUT(" << nl.net(port.net).name << ")\n";
+    }
+  }
+  for (PortId i = 0; i < nl.num_ports(); ++i) {
+    const Port& port = nl.port(i);
+    if (port.direction == PortDirection::kOutput) {
+      os << "OUTPUT(" << nl.net(port.net).name << ")\n";
+    }
+  }
+  for (CellId i = 0; i < nl.num_cells(); ++i) {
+    const Cell& cell = nl.cell(i);
+    const tech::LibCell& lib = nl.library().cell(cell.lib_cell);
+    const char* fn = nullptr;
+    switch (lib.function) {
+      case tech::Function::kInv: fn = "NOT"; break;
+      case tech::Function::kBuf: fn = "BUFF"; break;
+      case tech::Function::kAnd: fn = "AND"; break;
+      case tech::Function::kNand: fn = "NAND"; break;
+      case tech::Function::kOr: fn = "OR"; break;
+      case tech::Function::kNor: fn = "NOR"; break;
+      case tech::Function::kXor: fn = "XOR"; break;
+      case tech::Function::kXnor: fn = "XNOR"; break;
+      case tech::Function::kDff: fn = "DFF"; break;
+      default:
+        throw std::runtime_error("cell not expressible in bench: " +
+                                 cell.name);
+    }
+    os << nl.net(cell.pin_nets.at(lib.output_pin())).name << " = " << fn
+       << "(";
+    const auto inputs = lib.input_pins();
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      if (p > 0) os << ", ";
+      os << nl.net(cell.pin_nets.at(inputs[p])).name;
+    }
+    os << ")\n";
+  }
+  return os.str();
+}
+
+}  // namespace sma::test

@@ -1,21 +1,29 @@
-// Cycle-free logic simulation.
+// Test-only netlist support: cycle-free logic simulation and a .bench
+// writer.
 //
-// Evaluates a netlist on Boolean input vectors (DFFs hold explicit state
-// and advance per `step`). The attack itself never simulates — it is
-// purely structural — but simulation is the ground truth for substrate
-// correctness: generated netlists must be evaluable, .bench round trips
-// and DEF-lite round trips must preserve function, and a reconnected
-// netlist equals the original exactly when every sink was restored.
+// The attack itself never simulates — it is purely structural — but
+// simulation is the ground truth for substrate correctness: generated
+// netlists must be evaluable, .bench round trips and DEF-lite round trips
+// must preserve function, and a reconnected netlist equals the original
+// exactly when every sink was restored. Evaluates a netlist on Boolean
+// input vectors (DFFs hold explicit state and advance per `step`).
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
 #include "util/rng.hpp"
 
-namespace sma::netlist {
+namespace sma::test {
+
+using netlist::CellId;
+using netlist::Levelization;
+using netlist::NetId;
+using netlist::Netlist;
+using netlist::PortId;
 
 /// Simulator over one netlist; holds per-net values and DFF state.
 class Simulator {
@@ -60,4 +68,9 @@ class Simulator {
 bool random_equivalence(const Netlist& a, const Netlist& b, int vectors,
                         util::Pcg32& rng, int sequence_length = 4);
 
-}  // namespace sma::netlist
+/// Serialize to .bench. Only netlists whose cells all have bench-expressible
+/// functions (INV/BUF/NAND/NOR/AND/OR/XOR/XNOR/DFF) can be written; throws
+/// std::runtime_error otherwise.
+std::string to_bench(const Netlist& netlist);
+
+}  // namespace sma::test

@@ -288,4 +288,21 @@ float adam_identity_grad(util::Pcg32& rng, bool tiny) {
   }
 }
 
+nn::Tensor LeakyReLU::forward(const nn::Tensor& x) {
+  x_ = x;
+  nn::Tensor y = x;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    if (y[i] < 0.0f) y[i] *= slope_;
+  }
+  return y;
+}
+
+nn::Tensor LeakyReLU::backward(const nn::Tensor& dy) {
+  nn::Tensor dx = dy;
+  for (std::size_t i = 0; i < dx.size(); ++i) {
+    if (x_[i] < 0.0f) dx[i] *= slope_;
+  }
+  return dx;
+}
+
 }  // namespace sma::test::oracle

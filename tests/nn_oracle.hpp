@@ -120,4 +120,19 @@ std::vector<std::vector<int>> adam_identity_shapes();
 /// subnormals and +-1e30 (whose v overflows to infinity).
 float adam_identity_grad(util::Pcg32& rng, bool tiny);
 
+/// y = max(0.01 x, x) elementwise (the paper's LReLU activation), as a
+/// standalone layer: the reference the layers' fused `Act::kLeakyReLU`
+/// epilogue is tested against. It keeps the seed's fresh-tensor-per-call
+/// behavior and takes no arena.
+class LeakyReLU {
+ public:
+  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
+  nn::Tensor forward(const nn::Tensor& x);
+  nn::Tensor backward(const nn::Tensor& dy);
+
+ private:
+  float slope_;
+  nn::Tensor x_;
+};
+
 }  // namespace sma::test::oracle

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 #include <streambuf>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/losses.hpp"
@@ -327,6 +329,97 @@ TEST(AttackNet, LoadRejectsHeaderPromisingMoreWeightsThanStreamHolds) {
   std::memcpy(&bytes[8], &big_hidden, sizeof(int));
   std::stringstream in(bytes);
   EXPECT_THROW(AttackNet::load(in), ModelLoadError);
+}
+
+/// An input buffer over `bytes` that cannot seek, like a pipe: it serves
+/// one byte per underflow, and pubseekoff fails.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ >= bytes_.size()) return traits_type::eof();
+    current_ = bytes_[pos_++];
+    setg(&current_, &current_, &current_ + 1);
+    return traits_type::to_int_type(current_);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+  char current_ = 0;
+};
+
+TEST(AttackNet, LoadBoundsTheWholeWeightSectionBeforeBuilding) {
+  // Self-consistent headers promising a network far larger than the
+  // stream holds. Loading either one must throw ModelLoadError before any
+  // layer is built — never std::bad_alloc (conv_channels[3] = 2^20 asks
+  // for terabytes of conv4 weights) nor a ~100 MB network built only to
+  // be thrown away (hidden 256 with 60 vector ResBlocks) — whether the
+  // stream can seek or not.
+  AttackNet net(tiny_config(true));
+  std::stringstream buffer;
+  net.save(buffer);
+  const std::string full = buffer.str();
+
+  struct Patch {
+    std::size_t offset;
+    int value;
+  };
+  struct Case {
+    const char* what;
+    std::vector<Patch> patches;
+  };
+  const Case cases[] = {
+      {"conv_channels[3] = 2^20", {{40, 1 << 20}}},
+      {"hidden 256, 60 vector ResBlocks", {{8, 256}, {12, 60}}},
+  };
+  for (const Case& c : cases) {
+    std::string damaged = full;
+    for (const Patch& patch : c.patches) {
+      std::memcpy(&damaged[patch.offset], &patch.value, sizeof(int));
+    }
+    std::stringstream seekable(damaged);
+    EXPECT_THROW(AttackNet::load(seekable), ModelLoadError) << c.what;
+
+    PipeBuf pipe(damaged);
+    ASSERT_EQ(pipe.pubseekoff(0, std::ios::cur, std::ios::in),
+              std::streambuf::pos_type(-1));
+    std::istream unseekable(&pipe);
+    EXPECT_THROW(AttackNet::load(unseekable), ModelLoadError)
+        << c.what << " (unseekable)";
+  }
+
+  // The unpatched model loads from the pipe too.
+  PipeBuf pipe(full);
+  std::istream unseekable(&pipe);
+  EXPECT_EQ(AttackNet::load(unseekable).config().hidden, 16);
+}
+
+TEST(AttackNet, WeightSectionBytesMatchWhatANetSaves) {
+  // The length load reads before it builds a net equals what a built net
+  // saves after its header, for every shape of network.
+  NetConfig vector_only = NetConfig::fast();
+  vector_only.use_images = false;
+  NetConfig two_class = NetConfig::fast();
+  two_class.two_class = true;
+  const std::pair<const char*, NetConfig> configs[] = {
+      {"fast", NetConfig::fast()},
+      {"paper", NetConfig::paper()},
+      {"vector-only", vector_only},
+      {"two-class", two_class},
+  };
+  for (const auto& [name, config] : configs) {
+    AttackNet net(config);
+    std::ostringstream out;
+    net.save(out);
+    const std::string header = encode_net_config(config);
+    ASSERT_EQ(header.size(), 64u) << name;
+    EXPECT_EQ(out.str().substr(0, header.size()), header) << name;
+    EXPECT_EQ(out.str().size() - header.size(), weight_section_bytes(config))
+        << name;
+  }
 }
 
 TEST(AttackNet, LoadTruncationThrowsTypedErrorAtEveryHeaderCut) {

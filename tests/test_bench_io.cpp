@@ -4,13 +4,16 @@
 
 #include <typeinfo>
 
-#include "netlist/simulate.hpp"
 #include "netlist/stats.hpp"
+#include "netlist_support.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace sma::netlist {
 namespace {
+
+using test::random_equivalence;
+using test::to_bench;
 
 TEST(BenchIo, ParsesC17) {
   Netlist nl = parse_bench_string(test::kC17Bench, "c17", &test::library());

@@ -247,6 +247,117 @@ TEST_F(DurabilityTest, SilentCorruptionIsDetectedAtLoad) {
 }
 
 // ---------------------------------------------------------------------
+// The one load and save policy for frame files
+// ---------------------------------------------------------------------
+
+/// load_frame_file over `path` with kind "policy-test" version 1; the
+/// decoder stores the payload in `*got` and rejects "reject me" with
+/// FrameError.
+util::FrameLoad load_policy_file(const std::string& path, std::string* got) {
+  return util::load_frame_file(
+      path, "policy-test", 1, "policy.load", [got](const std::string& p) {
+        if (p == "reject me") throw util::FrameError("decoder rejects it");
+        *got = p;
+      });
+}
+
+TEST_F(DurabilityTest, LoadFrameFileLeavesMissingFileAlone) {
+  const std::string dir = test_dir();
+  const std::string path = dir + "/missing.sma";
+  std::string got = "untouched";
+  EXPECT_EQ(load_policy_file(path, &got), util::FrameLoad::kAbsent);
+  EXPECT_EQ(got, "untouched");
+  EXPECT_FALSE(util::file_exists(path));
+  // The fault point fires only for a file that exists.
+  EXPECT_EQ(fault::hits("policy.load"), 0);
+
+  util::write_frame_file(path, "policy-test", 1, "payload");
+  EXPECT_EQ(load_policy_file(path, &got), util::FrameLoad::kLoaded);
+  EXPECT_EQ(got, "payload");
+  EXPECT_TRUE(util::file_exists(path));
+}
+
+TEST_F(DurabilityTest, LoadFrameFileDeletesEveryDamagedFile) {
+  const std::string dir = test_dir();
+  const std::string frame = util::frame_encode("policy-test", 1, "payload");
+  struct Case {
+    const char* what;
+    std::string bytes;
+  };
+  std::string flipped = frame;
+  flipped[frame.size() / 2] = static_cast<char>(flipped[frame.size() / 2] ^ 1);
+  const Case cases[] = {
+      {"torn", frame.substr(0, frame.size() / 2)},
+      {"byte-flipped", flipped},
+      {"foreign kind", util::frame_encode("other-kind", 1, "payload")},
+      {"rejected payload", util::frame_encode("policy-test", 1, "reject me")},
+  };
+  for (const Case& c : cases) {
+    const std::string path = dir + "/damaged.sma";
+    util::atomic_write_file(path, c.bytes);
+    std::string got = "untouched";
+    EXPECT_EQ(load_policy_file(path, &got), util::FrameLoad::kDiscarded)
+        << c.what;
+    EXPECT_EQ(got, "untouched") << c.what;
+    EXPECT_FALSE(util::file_exists(path)) << c.what << " file was kept";
+  }
+
+  // Any other decoder exception is not damage: it propagates, and the
+  // file stays.
+  const std::string path = dir + "/kept.sma";
+  util::write_frame_file(path, "policy-test", 1, "payload");
+  EXPECT_THROW(util::load_frame_file(path, "policy-test", 1, "policy.load",
+                                     [](const std::string&) {
+                                       throw std::logic_error("a bug");
+                                     }),
+               std::logic_error);
+  EXPECT_TRUE(util::file_exists(path));
+}
+
+TEST_F(DurabilityTest, LoadAndSaveFrameFilePropagateInjectedCrashes) {
+  const std::string dir = test_dir();
+  const std::string path = dir + "/f.sma";
+  util::write_frame_file(path, "policy-test", 1, "OLD");
+
+  // A crash at the load point neither decodes nor deletes the file.
+  fault::arm("policy.load", fault::Action::kFail);
+  std::string got = "untouched";
+  EXPECT_THROW(load_policy_file(path, &got), fault::FaultInjected);
+  EXPECT_EQ(got, "untouched");
+  EXPECT_EQ(util::read_frame_file(path, "policy-test", 1), "OLD");
+
+  // A crash at the save point, or inside the write, is not an IO failure
+  // to log: it propagates and the previous file stays whole.
+  fault::arm("policy.save", fault::Action::kFail);
+  EXPECT_THROW(
+      util::save_frame_file(path, "policy-test", 1, "policy.save", "NEW"),
+      fault::FaultInjected);
+  fault::arm("durable.rename", fault::Action::kFail);
+  EXPECT_THROW(
+      util::save_frame_file(path, "policy-test", 1, "policy.save", "NEW"),
+      fault::FaultInjected);
+  EXPECT_EQ(util::read_frame_file(path, "policy-test", 1), "OLD");
+
+  EXPECT_TRUE(
+      util::save_frame_file(path, "policy-test", 1, "policy.save", "NEW"));
+  EXPECT_EQ(util::read_frame_file(path, "policy-test", 1), "NEW");
+}
+
+TEST_F(DurabilityTest, SaveFrameFileReturnsFalseOnIoFailure) {
+  // A path under a regular file: the temp file's open fails with ENOTDIR,
+  // a genuine IoError (root ignores permission bits, so this is the
+  // failure every user can provoke).
+  const std::string dir = test_dir();
+  util::atomic_write_file(dir + "/plain", "not a directory");
+  const std::string path = dir + "/plain/f.sma";
+  bool saved = true;
+  EXPECT_NO_THROW(saved = util::save_frame_file(path, "policy-test", 1,
+                                                "policy.save", "payload"));
+  EXPECT_FALSE(saved);
+  EXPECT_FALSE(util::file_exists(path));
+}
+
+// ---------------------------------------------------------------------
 // Training checkpoints
 // ---------------------------------------------------------------------
 
@@ -723,6 +834,9 @@ TEST_F(CheckpointTrainTest, ResumeIsByteIdenticalAcrossThreadsAndLanes) {
                                "_t" + std::to_string(threads) + ".sma";
       // "Crash" after epoch 2 (simply stop), then resume to epoch 4.
       train_model(2, batch_size, threads, path, /*checkpoint_every=*/1);
+      const obs::Counter& saves =
+          obs::Registry::global().counter("checkpoint.saves");
+      const std::uint64_t saves_before = saves.value();
       attack::TrainStats stats;
       const std::string resumed =
           train_model(4, batch_size, threads, path, 1, &stats);
@@ -736,7 +850,7 @@ TEST_F(CheckpointTrainTest, ResumeIsByteIdenticalAcrossThreadsAndLanes) {
       EXPECT_EQ(stats.epoch_loss, ref_stats.epoch_loss);
       ASSERT_EQ(stats.arena_allocs_per_epoch.size(),
                 ref_stats.arena_allocs_per_epoch.size());
-      EXPECT_GE(stats.checkpoints_saved, 1);
+      EXPECT_GE(saves.value(), saves_before + 1);
     }
   }
 }

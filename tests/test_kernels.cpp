@@ -589,7 +589,7 @@ TEST(Kernels, FusedActivationMatchesSeparateLayer) {
 
   util::Pcg32 rng_b(9);
   Linear plain(19, 11, rng_b, "t");
-  LeakyReLU act;
+  test::oracle::LeakyReLU act;
   Tensor y_plain = act.forward(plain.forward(x));
   Tensor dx_plain = plain.backward(act.backward(dy));
 

@@ -13,9 +13,12 @@
 #include <vector>
 
 #include "nn/attack_net.hpp"
+#include "nn_oracle.hpp"
 
 namespace sma::nn {
 namespace {
+
+using test::oracle::LeakyReLU;
 
 // Linear, Conv2d and ResBlock keep a pointer to forward's input until
 // backward, so a temporary input must not compile. LeakyReLU copies its

@@ -158,21 +158,6 @@ TEST(ParallelFor, NestedLoopsDoNotDeadlock) {
   }
 }
 
-TEST(TaskRng, PureFunctionOfSeedAndIndex) {
-  util::Pcg32 a = task_rng(42, 7);
-  util::Pcg32 b = task_rng(42, 7);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.next_u32(), b.next_u32());
-
-  // Distinct indices decorrelate.
-  util::Pcg32 c = task_rng(42, 8);
-  util::Pcg32 d = task_rng(42, 7);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (c.next_u32() == d.next_u32()) ++same;
-  }
-  EXPECT_LT(same, 4);
-}
-
 // ---- determinism of the parallel experiment pipeline -------------------
 
 /// A reduced Table-3 configuration: real 9-design training corpus, tiny

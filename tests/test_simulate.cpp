@@ -1,14 +1,17 @@
-#include "netlist/simulate.hpp"
-
 #include <gtest/gtest.h>
 
 #include "layout/def_io.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/generator.hpp"
+#include "netlist_support.hpp"
 #include "test_support.hpp"
 
 namespace sma::netlist {
 namespace {
+
+using test::random_equivalence;
+using test::Simulator;
+using test::to_bench;
 
 TEST(Simulator, C17TruthSamples) {
   Netlist nl = parse_bench_string(test::kC17Bench, "c17", &test::library());
