@@ -2,8 +2,10 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "nn/attack_net.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/obs.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault.hpp"
@@ -90,21 +92,34 @@ void save_checkpoint(const std::string& path, const TrainCheckpoint& ckpt) {
 }
 
 bool try_load_checkpoint(const std::string& path, std::uint64_t expect_digest,
-                         TrainCheckpoint* out) {
+                         int max_epochs, std::vector<nn::Param>& params,
+                         nn::Adam& adam, TrainCheckpoint* out) {
   TrainCheckpoint ckpt;
+  bool this_run = false;
   const util::FrameLoad got = util::load_frame_file(
       path, kFrameKind, kSchemaVersion, "checkpoint.load",
-      [&ckpt](const std::string& payload) {
+      [&](const std::string& payload) {
         ckpt = decode_checkpoint(payload);
+        this_run = ckpt.compat_digest == expect_digest &&
+                   ckpt.epochs_done >= 1 && ckpt.epochs_done <= max_epochs;
+        if (!this_run) return;
+        // Both blobs decode before either is applied (decode_params checks
+        // the whole blob before it writes), so a blob that does not decode
+        // is a damaged file like any other.
+        nn::Adam::State state = adam.decode(ckpt.adam_blob);
+        decode_params(ckpt.model_blob, params);
+        adam.restore(std::move(state));
       });
   if (got == util::FrameLoad::kDiscarded) {
     SMA_COUNT("checkpoint.corrupt_discards");
   }
   if (got != util::FrameLoad::kLoaded) return false;
-  if (ckpt.compat_digest != expect_digest) {
+  if (!this_run) {
     SMA_COUNT("checkpoint.corrupt_discards");
-    util::log_warn() << "discarding checkpoint " << path
-                     << ": run configuration changed (digest mismatch)";
+    util::log_warn() << "discarding checkpoint " << path << ": "
+                     << (ckpt.compat_digest != expect_digest
+                             ? "run configuration changed (digest mismatch)"
+                             : "its epoch count is outside this run's");
     return false;
   }
   *out = std::move(ckpt);

@@ -21,7 +21,10 @@
 // Saves, resumes and discards are counted in the global metrics registry
 // (`checkpoint.saves`, `checkpoint.resumes`,
 // `checkpoint.corrupt_discards`), which the run report's `durability`
-// section reads.
+// section reads. A resume counts only once the checkpoint's weights and
+// optimizer state are applied; a checkpoint whose weight or optimizer
+// blob does not decode is a damaged file, deleted and counted as one
+// discard.
 #pragma once
 
 #include <cstdint>
@@ -70,14 +73,20 @@ TrainCheckpoint decode_checkpoint(const std::string& payload);
 /// the rename — a crash here must leave the NEW checkpoint valid).
 void save_checkpoint(const std::string& path, const TrainCheckpoint& ckpt);
 
-/// Load `path` if it exists and holds a valid checkpoint whose digest
-/// matches `expect_digest`. Returns true and fills `out` on success.
-/// Missing file, damaged frame, undecodable payload, or digest mismatch
-/// all return false (damage and mismatch are logged and counted in
-/// `checkpoint.corrupt_discards`; a damaged file is also deleted) — the
-/// caller starts fresh. Fault injection point: `checkpoint.load`.
-/// Injected crashes (util::fault::FaultInjected) are NOT swallowed.
+/// Resume from `path` if it holds a valid checkpoint of this run: its
+/// digest equals `expect_digest` and it has 1 to `max_epochs` epochs
+/// done. Then restores its weights into `params` (in place) and its
+/// optimizer state into `adam`, fills `out` with the rest, counts
+/// `checkpoint.resumes` and returns true. Otherwise returns false with
+/// nothing applied: a missing file silently; another run's checkpoint
+/// logged and counted in `checkpoint.corrupt_discards`, and left on disk;
+/// a damaged one — unreadable, a bad frame or payload, or a weight or
+/// optimizer blob that does not decode (both are decoded before either is
+/// applied) — logged, deleted and counted there once. Fault injection
+/// point: `checkpoint.load`. Injected crashes
+/// (util::fault::FaultInjected) are NOT swallowed.
 bool try_load_checkpoint(const std::string& path, std::uint64_t expect_digest,
-                         TrainCheckpoint* out);
+                         int max_epochs, std::vector<nn::Param>& params,
+                         nn::Adam& adam, TrainCheckpoint* out);
 
 }  // namespace sma::attack

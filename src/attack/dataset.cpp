@@ -108,7 +108,6 @@ bool same_image_geometry(const DatasetConfig& a, const DatasetConfig& b) {
 
 void assemble_batch(const QueryRef* refs, std::size_t count,
                     nn::QueryInput& out) {
-  out.query_rows.clear();
   int rows = 0;
   int planes = 0;
   for (std::size_t k = 0; k < count; ++k) {
@@ -118,55 +117,59 @@ void assemble_batch(const QueryRef* refs, std::size_t count,
           "assemble_batch: batch mixes datasets of different image geometry");
     }
     const int n = dataset.batch_rows(refs[k].query);
-    out.query_rows.push_back(n);
     if (n > 0) {
       rows += n;
       planes += n + 1;
     }
   }
 
-  // Both tensors are fully overwritten below (one memcpy per query's
-  // vector rows and per plane covers every element), so plain
-  // resize_reuse needs no zeroing and a reused QueryInput assembles
-  // without touching the heap once warm.
+  // The tensors and row vectors are fully overwritten below (one memcpy
+  // per query's vector rows and per plane, one entry per candidate row),
+  // so plain resize_reuse needs no zeroing and a reused QueryInput
+  // assembles without touching the heap once warm.
   constexpr std::size_t kVec = features::kNumVectorFeatures;
   out.vec.resize_reuse({rows, features::kNumVectorFeatures});
-  float* img_dst = nullptr;
   std::size_t per_image = 0;
   if (planes > 0 && refs[0].dataset->config().build_images) {
     const features::ImageConfig& img = refs[0].dataset->config().images;
     out.images.resize_reuse({planes, img.channels(), img.size, img.size});
-    img_dst = out.images.data();
+    out.source_rows.resize(static_cast<std::size_t>(rows));
+    out.sink_rows.resize(static_cast<std::size_t>(rows));
     per_image = img.pixels_per_image();
   } else {
     out.images = nn::Tensor();
+    out.source_rows.clear();
+    out.sink_rows.clear();
   }
 
   std::size_t row = 0;
+  int plane = 0;
   for (std::size_t k = 0; k < count; ++k) {
     const QueryDataset& dataset = *refs[k].dataset;
     const std::size_t first =
         static_cast<std::size_t>(dataset.first_row(refs[k].query));
-    const std::size_t n = static_cast<std::size_t>(out.query_rows[k]);
+    const int n = dataset.batch_rows(refs[k].query);
     if (n == 0) continue;
     std::memcpy(out.vec.data() + row * kVec,
                 dataset.vector_rows().data() + first * kVec,
-                sizeof(float) * n * kVec);
-    row += n;
-    if (img_dst == nullptr) continue;
-    // The query's source images, then its sink image.
-    const float* images = dataset.images().data();
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t source =
-          static_cast<std::size_t>(dataset.source_rows()[first + j]);
-      std::memcpy(img_dst, images + source * per_image,
-                  sizeof(float) * per_image);
-      img_dst += per_image;
+                sizeof(float) * static_cast<std::size_t>(n) * kVec);
+    if (per_image > 0) {
+      // The query's source images at planes [plane, plane + n), in
+      // candidate order, then its sink image at plane + n.
+      const float* images = dataset.images().data();
+      const auto copy_plane = [&](int to, int from) {
+        std::memcpy(out.images.data() + to * per_image,
+                    images + from * per_image, sizeof(float) * per_image);
+      };
+      for (int j = 0; j < n; ++j) {
+        out.source_rows[row + j] = plane + j;
+        out.sink_rows[row + j] = plane + n;
+        copy_plane(plane + j, dataset.source_rows()[first + j]);
+      }
+      copy_plane(plane + n, dataset.sink_rows()[first]);
+      plane += n + 1;
     }
-    const std::size_t sink =
-        static_cast<std::size_t>(dataset.sink_rows()[first]);
-    std::memcpy(img_dst, images + sink * per_image, sizeof(float) * per_image);
-    img_dst += per_image;
+    row += static_cast<std::size_t>(n);
   }
 }
 

@@ -11,9 +11,9 @@
 // candidate row records the image row of its source pin and of its
 // query's sink pin. `DlAttack::attack` embeds the image tensor once and
 // scores candidate rows against it by those rows; `assemble_batch` gathers
-// per-query network inputs from the same storage. After construction a
-// dataset is immutable, so any number of attack, training and serving
-// threads may read one dataset at once.
+// batches for serving and training from the same storage. After
+// construction a dataset is immutable, so any number of attack, training
+// and serving threads may read one dataset at once.
 #pragma once
 
 #include <vector>
@@ -49,15 +49,17 @@ struct QueryRef {
   std::size_t query = 0;
 };
 
-/// Assemble `refs[0..count)` into one stacked network input, in slot
-/// order (`out.query_rows[k]` is refs[k]'s candidate count; empty queries
-/// contribute no rows or planes). A batch of one is a training or batch-1
-/// input. One batch may mix datasets that share an image geometry;
-/// throws std::invalid_argument otherwise. Reuses `out`'s tensors in place
-/// (`Tensor::resize_reuse`: grow-only capacity, every element fully
-/// overwritten), so a caller that holds one QueryInput across batches
-/// assembles without heap traffic once its buffers have seen the widest
-/// batch. Reads the datasets only, so concurrent calls are safe.
+/// Gather `refs[0..count)` into one network input, in slot order: their
+/// candidate rows and, for image datasets, each query's n source-pin
+/// images then its sink-pin image, with each row's two planes in
+/// `out.source_rows` / `out.sink_rows`. The one place that stacks queries
+/// into planes; a batch of one is a `forward` training input. Empty
+/// queries contribute no rows or planes. One batch may mix datasets that
+/// share an image geometry; throws std::invalid_argument otherwise.
+/// Reuses `out`'s buffers in place (grow-only capacity, every element
+/// fully overwritten), so a caller that holds one QueryInput across
+/// batches assembles without heap traffic once its buffers have seen the
+/// widest batch. Reads the datasets only, so concurrent calls are safe.
 void assemble_batch(const QueryRef* refs, std::size_t count,
                     nn::QueryInput& out);
 
@@ -75,8 +77,7 @@ class QueryDataset {
   int target(std::size_t i) const { return queries_.at(i).positive_index; }
   int num_sinks(std::size_t i) const { return queries_.at(i).num_sinks; }
 
-  /// Vector rows query `i` contributes to a batched input; its images add
-  /// `batch_rows(i) + 1` planes when nonzero and images are built.
+  /// Candidate rows query `i` contributes to a batch: its candidate count.
   int batch_rows(std::size_t i) const {
     return static_cast<int>(queries_.at(i).candidates.size());
   }

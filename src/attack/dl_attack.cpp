@@ -8,6 +8,7 @@
 #include "nn/train_step.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
+#include "util/durable_io.hpp"
 #include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -55,8 +56,20 @@ void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
   int cols = 1;
   if (live_rows > 0) {
     assemble_batch(refs, count, input);
+    // One embed over the batch's planes, one score against them, as
+    // attack() scores against its table.
+    const nn::Tensor* embeddings = nullptr;
+    if (net.config().use_images) {
+      if (input.images.empty()) {
+        throw std::invalid_argument(
+            "select_batch: an image net needs datasets built with images");
+      }
+      embeddings = &net.embed(input.images, 0, input.images.dim(0));
+    }
     // Scores live in the net's activation arena — read in place.
-    const nn::Tensor& scores = net.forward(input);
+    const nn::Tensor& scores = net.score(input.vec, embeddings,
+                                         input.source_rows.data(),
+                                         input.sink_rows.data());
     s = scores.data();
     cols = score_cols(scores);
   }
@@ -66,6 +79,20 @@ void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
     out[k] = select_query(query, s + row * cols, cols);
     row += query.candidates.size();
   }
+}
+
+std::string encode_train_schedule(const TrainConfig& config) {
+  const nn::AdamConfig& adam = config.adam;
+  util::ByteWriter out;
+  for (double v : {adam.lr, adam.beta1, adam.beta2, adam.eps, adam.decay}) {
+    out.f64(v);
+  }
+  for (int v : {config.decay_every, config.max_queries_per_design,
+                config.batch_size}) {
+    out.u32(static_cast<std::uint32_t>(v));
+  }
+  out.u64(config.seed);
+  return out.take();
 }
 
 DlAttack::DlAttack(const nn::NetConfig& net_config)
@@ -142,15 +169,7 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
     // checkpoint whose digest differs resumes nothing.
     util::ContentHash h;
     h.add("sma-train-checkpoint-v1");
-    h.add(config.adam.lr)
-        .add(config.adam.beta1)
-        .add(config.adam.beta2)
-        .add(config.adam.eps)
-        .add(config.adam.decay)
-        .add(config.decay_every)
-        .add(config.max_queries_per_design)
-        .add(config.batch_size)
-        .add(config.seed);
+    h.add(encode_train_schedule(config));
     h.add(nn::encode_net_config(net_.config()));
     h.add(per_design.size());
     for (const auto& refs : per_design) h.add(refs.size());
@@ -159,42 +178,25 @@ TrainStats DlAttack::train(const std::vector<QueryDataset>& training,
     ckpt_digest = h.digest();
 
     TrainCheckpoint ckpt;
-    if (try_load_checkpoint(config.checkpoint_path, ckpt_digest, &ckpt) &&
-        ckpt.epochs_done > 0 && ckpt.epochs_done <= config.epochs) {
-      // Snapshot the fresh state first so a checkpoint that passes the
-      // frame checksum and digest but still fails to decode (should be
-      // impossible; defends the invariant anyway) rolls back cleanly to
-      // a fresh start instead of leaving weights and optimizer mixed.
-      const std::string fresh_weights = encode_params(ckpt_params);
-      const std::string fresh_adam = engine.optimizer().serialize();
-      try {
-        decode_params(ckpt.model_blob, ckpt_params);
-        engine.optimizer().deserialize(ckpt.adam_blob);
-        start_epoch = ckpt.epochs_done;
-      } catch (const std::exception& e) {
-        util::log_warn() << "checkpoint " << config.checkpoint_path
-                         << " failed to decode, starting fresh: " << e.what();
-        decode_params(fresh_weights, ckpt_params);
-        engine.optimizer().deserialize(fresh_adam);
-        start_epoch = 0;
-      }
-      if (start_epoch > 0) {
-        stats.epoch_loss = ckpt.epoch_loss;
-        stats.validation_ccr = ckpt.validation_ccr;
-        stats.queries_seen = ckpt.queries_seen;
-        stats.resumed_from_epoch = start_epoch;
-        // Keep the per-epoch vectors epoch-indexable on resume.
-        stats.arena_allocs_per_epoch.assign(
-            static_cast<std::size_t>(start_epoch), 0);
-        // Replay the completed epochs' sampling (cheap: shuffles only).
-        for (int e = 0; e < start_epoch; ++e) build_epoch_order();
-        // The replay reproduces the checkpointed RNG state exactly;
-        // restoring is belt-and-braces against future drift.
-        rng.restore_state(ckpt.rng);
-        util::log_info() << "resuming training from checkpoint "
-                         << config.checkpoint_path << " at epoch "
-                         << start_epoch;
-      }
+    if (try_load_checkpoint(config.checkpoint_path, ckpt_digest,
+                            config.epochs, ckpt_params, engine.optimizer(),
+                            &ckpt)) {
+      start_epoch = ckpt.epochs_done;
+      stats.epoch_loss = ckpt.epoch_loss;
+      stats.validation_ccr = ckpt.validation_ccr;
+      stats.queries_seen = ckpt.queries_seen;
+      stats.resumed_from_epoch = start_epoch;
+      // Keep the per-epoch vectors epoch-indexable on resume.
+      stats.arena_allocs_per_epoch.assign(
+          static_cast<std::size_t>(start_epoch), 0);
+      // Replay the completed epochs' sampling (cheap: shuffles only).
+      for (int e = 0; e < start_epoch; ++e) build_epoch_order();
+      // The replay reproduces the checkpointed RNG state exactly;
+      // restoring is belt-and-braces against future drift.
+      rng.restore_state(ckpt.rng);
+      util::log_info() << "resuming training from checkpoint "
+                       << config.checkpoint_path << " at epoch "
+                       << start_epoch;
     }
   }
 

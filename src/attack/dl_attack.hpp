@@ -2,9 +2,11 @@
 //
 // Training: per-query softmax-regression loss (or the two-class ablation
 // loss) over the n candidate VPPs of each sink fragment in the training
-// designs; Adam with the paper's step-decay schedule. Attacking: for every
-// sink fragment of the victim design, pick the candidate with the highest
-// predicted score (Eq. 2).
+// designs, each query one `AttackNet::forward` + `backward`; Adam with the
+// paper's step-decay schedule. Attacking: for every sink fragment of the
+// victim design, pick the candidate with the highest predicted score
+// (Eq. 2), scored by `AttackNet::embed` + `AttackNet::score` — over a
+// whole dataset in `attack`, over a served batch in `select_batch`.
 //
 // Parallel execution: with `batch_size` > 1 training accumulates the
 // gradients of a batch on fixed "lanes" — replicas that share the
@@ -20,7 +22,7 @@
 // over pinned shared-weight replicas (ReplicaSet). Every embedding row
 // and score row is independent of what shares its pass, and each query's
 // selection lands in its own slot, so this gives the bytes of the
-// per-query path and parallel CCRs equal serial ones.
+// one-query `forward` and parallel CCRs equal serial ones.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +72,13 @@ struct TrainConfig {
   std::string checkpoint_path;
 };
 
+/// The TrainConfig fields that shape the training stream, as bytes: the
+/// five Adam fields as f64, decay_every, max_queries_per_design and
+/// batch_size as i32, then the u64 seed. The one list of them: the
+/// training-checkpoint digest and eval::experiment_digest hash these
+/// bytes.
+std::string encode_train_schedule(const TrainConfig& config);
+
 struct TrainStats {
   std::vector<double> epoch_loss;      ///< mean loss per epoch
   std::vector<double> validation_ccr;  ///< filled when validate_every > 0
@@ -90,14 +99,16 @@ struct TrainStats {
   int resumed_from_epoch = 0;
 };
 
-/// The per-query inference step (Eq. 2): score `refs[0..count)` in one
-/// forward pass on `net` and write each query's argmax candidate to
-/// `out[0..count)`. Empty-candidate queries get the no-op choice and add
-/// nothing to the pass; an all-empty batch never reaches the net. `input`
-/// is the caller's reusable assembly buffer (see `assemble_batch`). Per-
-/// query scores, hence selections, are byte-identical at every width and
-/// batch composition, including batches that mix datasets, and equal to
-/// `DlAttack::attack`'s. The serving loop (src/serve/) selects through
+/// The per-query inference step (Eq. 2) over a batch: gather
+/// `refs[0..count)` into `input` (the caller's reusable buffer, see
+/// `assemble_batch`), run one `AttackNet::embed` over its planes and one
+/// `AttackNet::score` of its rows against them on `net`, and write each
+/// query's argmax candidate to `out[0..count)`. Empty-candidate queries
+/// get the no-op choice and add nothing to the pass; an all-empty batch
+/// never reaches the net. Per-query scores, hence selections, are
+/// byte-identical at every width and batch composition, including
+/// batches that mix datasets, to a one-query `AttackNet::forward` and to
+/// `DlAttack::attack`. The serving loop (src/serve/) selects through
 /// here.
 void select_batch(nn::AttackNet& net, const QueryRef* refs, std::size_t count,
                   nn::QueryInput& input, Selection* out);
@@ -142,8 +153,8 @@ class DlAttack {
   /// `attack.embed` / `attack.score` record the passes. Partitions depend
   /// only on the query count, the pin count, the thread count and the
   /// width, and the width is purely a performance knob: selections and
-  /// CCR are byte-identical to `select_batch` on one query at a time, at
-  /// every width and thread count (tests/test_attacks.cpp,
+  /// CCR are byte-identical to Eq. 2 over each query's one-query
+  /// `forward`, at every width and thread count (tests/test_attacks.cpp,
   /// tests/test_serve.cpp, bench_serve).
   AttackResult attack(const QueryDataset& dataset,
                       runtime::ThreadPool* pool = nullptr,

@@ -178,16 +178,7 @@ std::uint64_t experiment_digest(const char* what, int split_layer,
 
   h.add(nn::encode_net_config(p.net));  // every NetConfig field
 
-  h.add(p.train.epochs)
-      .add(p.train.decay_every)
-      .add(p.train.max_queries_per_design)
-      .add(p.train.batch_size)
-      .add(p.train.seed)
-      .add(p.train.adam.lr)
-      .add(p.train.adam.beta1)
-      .add(p.train.adam.beta2)
-      .add(p.train.adam.eps)
-      .add(p.train.adam.decay);
+  h.add(attack::encode_train_schedule(p.train)).add(p.train.epochs);
 
   add_candidates(p.flow_attack.candidates);
   h.add(p.flow_attack.avg_sink_cap)

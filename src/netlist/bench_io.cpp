@@ -179,7 +179,11 @@ class BenchBuilder {
   }
 
   std::string unique_cell_name(const std::string& lib_name) {
-    return "U" + std::to_string(cell_counter_++) + "_" + lib_name;
+    std::string name = "U";
+    name += std::to_string(cell_counter_++);
+    name += '_';
+    name += lib_name;
+    return name;
   }
 
   Netlist& nl_;

@@ -141,14 +141,20 @@ Netlist generate_netlist(const GeneratorConfig& config,
     for (std::size_t index : fanin_indices) ++fanout[index];
 
     const tech::LibCell& lib = library->cell(*lib_index);
-    CellId cell =
-        nl.add_cell("g" + std::to_string(made) + "_" + lib.name, *lib_index);
+    const std::string number = std::to_string(made);
+    std::string cell_name = "g";
+    cell_name += number;
+    cell_name += '_';
+    cell_name += lib.name;
+    CellId cell = nl.add_cell(cell_name, *lib_index);
     const auto input_pins = lib.input_pins();
     for (int i = 0; i < k; ++i) {
       nl.connect(pool[fanin_indices[i]],
                  PinRef::cell_pin(cell, input_pins[i]));
     }
-    NetId out = nl.add_net("n" + std::to_string(made));
+    std::string net_name = "n";
+    net_name += number;
+    NetId out = nl.add_net(net_name);
     nl.connect(out, PinRef::cell_pin(cell, lib.output_pin()));
     add_signal(out);
     ++made;

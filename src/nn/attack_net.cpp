@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
@@ -100,35 +101,18 @@ AttackNet::AttackNet(const NetConfig& config) : config_(config) {
 const Tensor& AttackNet::forward(const QueryInput& input) {
   const Tensor& vec = input.vec;
   const Tensor& images = input.images;
-  if (vec.shape().size() != 2 || vec.dim(1) != config_.vector_dim) {
+  if (vec.shape().size() != 2 || vec.dim(1) != config_.vector_dim ||
+      vec.dim(0) == 0) {
     throw std::invalid_argument("bad vector input " + vec.shape_string());
   }
-  // An empty query_rows is one query over every row of vec.
-  const int whole = vec.dim(0);
-  const int* query_rows =
-      input.query_rows.empty() ? &whole : input.query_rows.data();
-  const int num_queries =
-      input.query_rows.empty() ? 1
-                               : static_cast<int>(input.query_rows.size());
-  // Row/plane accounting. A query with no candidates contributes neither
-  // vector rows nor image planes (its caller answers it without the net).
-  int rows = 0;
-  int planes = 0;
-  for (int q = 0; q < num_queries; ++q) {
-    const int nq = query_rows[q];
-    if (nq < 0) {
-      throw std::invalid_argument("negative candidate count in batch");
-    }
-    rows += nq;
-    if (nq > 0) planes += nq + 1;
-  }
-  if (rows == 0) {
-    throw std::invalid_argument("forward: batch has no candidate rows");
-  }
-  if (vec.dim(0) != rows) {
+  const int n = vec.dim(0);
+  if (config_.use_images &&
+      (images.shape().size() != 4 || images.dim(0) != n + 1 ||
+       images.dim(1) != config_.image_channels)) {
     throw std::invalid_argument(
-        "bad vector input " + vec.shape_string() + ": batch promises " +
-        std::to_string(rows) + " candidate rows");
+        "forward takes one query: " + std::to_string(n) +
+        " candidate rows need " + std::to_string(n + 1) +
+        " image planes, got " + images.shape_string());
   }
 
   // The vector branch, the image trunk, then the head: the layer order
@@ -136,33 +120,14 @@ const Tensor& AttackNet::forward(const QueryInput& input) {
   const Tensor& v = vector_branch(vec);
   const Tensor* embeddings = nullptr;
   if (config_.use_images) {
-    if (images.shape().size() != 4 || images.dim(0) != planes ||
-        images.dim(1) != config_.image_channels) {
-      throw std::invalid_argument("bad image input " +
-                                  images.shape_string());
-    }
-    embeddings = &embed(images, 0, planes);  // [planes, h]
-    // The planes are stacked per query: query q's n_q source images, then
-    // its sink image. Its candidates read embedding rows [m, m + n_q) and
-    // share row m + n_q.
-    source_rows_.resize(static_cast<std::size_t>(rows));
-    sink_rows_.resize(static_cast<std::size_t>(rows));
-    int r = 0;
-    int m = 0;
-    for (int q = 0; q < num_queries; ++q) {
-      const int nq = query_rows[q];
-      if (nq == 0) continue;
-      for (int j = 0; j < nq; ++j) {
-        source_rows_[static_cast<std::size_t>(r + j)] = m + j;
-        sink_rows_[static_cast<std::size_t>(r + j)] = m + nq;
-      }
-      r += nq;
-      m += nq + 1;
-    }
+    embeddings = &embed(images, 0, n + 1);  // [n + 1, h]
+    source_rows_.resize(static_cast<std::size_t>(n));
+    std::iota(source_rows_.begin(), source_rows_.end(), 0);
+    sink_rows_.assign(static_cast<std::size_t>(n), n);
   }
   const Tensor& scores =
       head(v, embeddings, source_rows_.data(), sink_rows_.data());
-  trainable_ = num_queries == 1;
+  trainable_ = true;
   return scores;
 }
 

@@ -12,25 +12,24 @@
 // trunk → GlobalAvgPool → fc3 → fc4) and gives one embedding row per
 // image. `score` is the head: the vector branch, the sink/source fusion
 // (each candidate row reads its source and sink embeddings by row index),
-// fc5_img, the merged trunk, fc6 and fc7. `forward(QueryInput)` is
-// exactly embed + score over one stacked input; training, `backward` and
-// the serving path run it. `attack::DlAttack::attack` calls the two parts
-// itself: it embeds each distinct virtual-pin image of a dataset once
-// and scores every query against that table.
+// fc5_img, the merged trunk, fc6 and fc7. Inference is those two calls:
+// `attack::DlAttack::attack` embeds each distinct virtual-pin image of a
+// dataset once and scores every query against that table, and
+// `attack::select_batch` (so the serving loop) embeds an assembled
+// batch's planes and scores its rows against them. `forward(QueryInput)`
+// is the one-query training pass that `backward` unwinds: the vector
+// branch, the trunk over the query's n + 1 images, then the head.
 //
 // A query is one sink fragment's n candidate VPPs, exactly as in the
-// paper's batch definition. One forward call runs a batch of B stacked
-// queries in ONE wide pass — every GEMM sees sum(n_q) rows instead of one
-// query's n — and is byte-identical per query to B separate batch-1
-// passes: the GEMM contract (nn/gemm.hpp) fixes each output element's
-// accumulation chain independently of how many other rows share the
-// panel, and every non-GEMM stage (pool, activations, the fusion seams)
-// is row- or image-local. The same contract makes an image's embedding
-// row independent of the other images in its `embed` call, and a
-// candidate's score independent of the other rows in its `score` call,
-// so embedding a pin once and reading its row from many queries gives
-// the bytes of embedding it once per query. Batch-1 is simply a batch of
-// one; training runs batches of one, inference any width.
+// paper's batch definition. `embed` and `score` may run many queries'
+// images and rows in ONE wide pass and stay byte-identical per row to a
+// one-query `forward`: the GEMM contract (nn/gemm.hpp) fixes each output
+// element's accumulation chain independently of how many other rows
+// share the panel, and every non-GEMM stage (pool, activations, the
+// fusion seams) is row- or image-local. So an image's embedding row
+// depends on that image alone and a candidate's score on that
+// candidate's inputs alone, and embedding a pin once and reading its row
+// from many queries gives the bytes of embedding it once per query.
 //
 // Activation-layout contract: the image branch binds ONE layout across
 // the conv trunk — the dataset input and the GlobalAvgPool output are
@@ -85,20 +84,20 @@ struct NetConfig {
   static NetConfig fast();
 };
 
-/// A batch of queries stacked for one forward pass, in slot order. A
-/// query with `query_rows[q] == 0` (empty candidate list) contributes no
-/// vector rows and no image planes — callers answer it without the net.
+/// Network input for a batch of queries, in slot order, as
+/// attack::assemble_batch gathers it. A batch of one is `forward`'s
+/// training input.
 struct QueryInput {
-  /// [sum n_q, vector_dim]: every query's candidate rows, concatenated.
+  /// [rows, vector_dim]: every query's candidate rows, concatenated.
   Tensor vec;
-  /// [sum over n_q>0 of (n_q + 1), channels, size, size]: per query, its
-  /// n_q source-pin images then its sink-pin image. Left empty when the
-  /// net runs vector-only.
+  /// [planes, channels, size, size]: the images the candidate rows read.
+  /// Empty when the net runs vector-only.
   Tensor images;
-  /// Candidate count n_q per query, in slot order. Empty means one query
-  /// over all of `vec`'s rows (so a hand-built [n] + [n + 1] input needs
-  /// no bookkeeping).
-  std::vector<int> query_rows;
+  /// Per candidate row, the `images` plane of its source pin and of its
+  /// query's sink pin: `score`'s last two arguments. Empty when `images`
+  /// is.
+  std::vector<int> source_rows;
+  std::vector<int> sink_rows;
 };
 
 /// The model file's 64-byte header: magic "SMA1", the NetConfig fields in
@@ -125,17 +124,15 @@ class AttackNet {
 
   const NetConfig& config() const { return config_; }
 
-  /// Scores [sum n_q] (or [sum n_q, 2] in two-class mode), query q's
-  /// scores at rows [offset_q, offset_q + n_q) where offset_q sums the
-  /// preceding slots' rows — byte-identical per query to a batch of one
-  /// (see the file header). Exactly `embed` over the stacked images, then
-  /// `score` with query q's candidates reading its source rows and its
-  /// sink row. At least one query must have candidates (all-empty batches
-  /// never reach the net). Reuses this net's arena: slots grow to the
-  /// largest batch seen and later batches run alloc-free. The returned
-  /// reference points into that arena: it stays valid (and unchanged)
-  /// until the next forward or score call on this same net.
-  /// Callers that need the scores longer must copy.
+  /// The one-query training pass that `backward` unwinds: `input.vec`
+  /// holds one query's n > 0 candidate rows and, for an image net,
+  /// `input.images` its n + 1 images, candidate j's source at plane j and
+  /// the sink at plane n (assemble_batch's batch of one; the row vectors
+  /// are not read). Any other shape, such as an assembled batch of two
+  /// image queries, throws std::invalid_argument. The [n] (or [n, 2])
+  /// scores are the bytes `embed` + `score` give the same input. The
+  /// returned reference points into this net's arena: it stays valid (and
+  /// unchanged) until the next forward or score call on this same net.
   const Tensor& forward(const QueryInput& input);
 
   /// The image trunk over images [lo, hi) of `images` ([k, channels,
@@ -164,10 +161,9 @@ class AttackNet {
   Tensor& embedding_table(int rows);
 
   /// Backpropagate d(loss)/d(scores); accumulates parameter gradients.
-  /// Only valid right after a one-query `forward`: wider batches and bare
-  /// `embed`/`score` calls are inference-only (training keeps the paper's
-  /// per-query batch definition), so calling this after one throws
-  /// std::logic_error.
+  /// Only valid right after `forward`: bare `embed`/`score` calls are
+  /// inference-only (training keeps the paper's per-query batch
+  /// definition), so calling this after one throws std::logic_error.
   void backward(const Tensor& dscores);
 
   /// This network's activation arena (stats: bytes pinned, allocations).
@@ -253,15 +249,14 @@ class AttackNet {
   Arena::Slot dimg_slot_ = 0;
   Arena::Slot demb_slot_ = 0;
 
-  // forward's per-candidate embedding rows (capacity kept across calls).
+  // forward's fusion rows: j for candidate j, n for the sink.
   std::vector<int> source_rows_;
   std::vector<int> sink_rows_;
 
   // Cached candidate-row count for backward.
   int n_ = 0;
-  // Set only by a one-query forward, whose seam layout (source rows
-  // 0..n-1, sink row n) is the one backward models; every other pass
-  // clears it, and backward refuses.
+  // Set only by forward, whose seam layout is the one backward models;
+  // embed and score clear it, and backward refuses.
   bool trainable_ = false;
 };
 

@@ -20,8 +20,9 @@
 // how many rows share the call (nn/gemm.hpp). Stacking B queries' rows
 // into one input therefore IS the batched wide-GEMM path: per-row
 // outputs are byte-identical to B separate calls, at any batch width or
-// thread count. `AttackNet::forward` runs every batch, batch-1
-// included, on exactly this; no layer carries separate batch-1/batched
+// thread count. `AttackNet::embed` and `AttackNet::score` run every
+// inference batch on exactly this, and `AttackNet::forward` each
+// one-query training pass; no layer carries separate batch-1/batched
 // code.
 //
 // Activation-arena contract: `forward`/`backward` return references to

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "nn/gemm.hpp"
 #include "runtime/parallel.hpp"
@@ -154,18 +155,18 @@ std::string Adam::serialize() const {
   return out.take();
 }
 
-void Adam::deserialize(std::string_view state) {
+Adam::State Adam::decode(std::string_view state) const {
   util::ByteReader in(state, "Adam state");
-  const double lr = in.f64("learning rate");
-  const auto t = static_cast<long>(in.u64("step counter"));
+  State out;
+  out.lr = in.f64("learning rate");
+  out.t = static_cast<long>(in.u64("step counter"));
   const std::uint64_t count = in.u64("parameter count");
   if (count != params_.size()) {
     in.fail("parameter count mismatch: state has " + std::to_string(count) +
             ", optimizer has " + std::to_string(params_.size()));
   }
-  // Stage into scratch so a failed decode leaves this optimizer intact.
-  std::vector<std::vector<float>> m(params_.size());
-  std::vector<std::vector<float>> v(params_.size());
+  out.m.resize(params_.size());
+  out.v.resize(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const char* name = params_[i].name.c_str();
     const std::uint64_t size = in.u64(name);
@@ -174,16 +175,20 @@ void Adam::deserialize(std::string_view state) {
               std::to_string(size) + ", expected " +
               std::to_string(m_[i].size()));
     }
-    m[i].resize(m_[i].size());
-    v[i].resize(m_[i].size());
-    in.read(m[i].data(), m[i].size() * sizeof(float), name);
-    in.read(v[i].data(), v[i].size() * sizeof(float), name);
+    out.m[i].resize(m_[i].size());
+    out.v[i].resize(m_[i].size());
+    in.read(out.m[i].data(), out.m[i].size() * sizeof(float), name);
+    in.read(out.v[i].data(), out.v[i].size() * sizeof(float), name);
   }
   in.expect_end();
-  lr_ = lr;
-  t_ = t;
-  m_ = std::move(m);
-  v_ = std::move(v);
+  return out;
+}
+
+void Adam::restore(State state) {
+  lr_ = state.lr;
+  t_ = state.t;
+  m_ = std::move(state.m);
+  v_ = std::move(state.v);
 }
 
 }  // namespace sma::nn

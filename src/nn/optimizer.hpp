@@ -92,12 +92,26 @@ class Adam {
   /// resuming run was constructed with.
   std::string serialize() const;
 
-  /// Restore state written by `serialize` into this optimizer. The
+  /// Optimizer state decoded from `serialize`'s bytes, not yet applied.
+  struct State {
+    double lr = 0.0;
+    long t = 0;
+    std::vector<std::vector<float>> m;
+    std::vector<std::vector<float>> v;
+  };
+
+  /// Decode state written by `serialize` without applying it. The
   /// parameter count and every moment-vector size must match this
   /// optimizer's parameters, and nothing may follow the last moment
-  /// vector; otherwise throws util::FrameError (naming the mismatch),
-  /// leaving the state untouched.
-  void deserialize(std::string_view state);
+  /// vector; otherwise throws util::FrameError (naming the mismatch).
+  State decode(std::string_view state) const;
+
+  /// Apply a decoded state; cannot fail.
+  void restore(State state);
+
+  /// `decode`, then `restore`: a state that fails to decode leaves this
+  /// optimizer untouched.
+  void deserialize(std::string_view state) { restore(decode(state)); }
 
  private:
   std::vector<Param> params_;

@@ -5,15 +5,16 @@
 // opposite shape: many concurrent callers, one query each. ServeLoop
 // bridges them — callers `submit()` single queries and block; dispatcher
 // threads coalesce whatever is queued into one `attack::select_batch`
-// call (one stacked forward pass, possibly across datasets) under a
-// latency budget (take up to `max_batch` requests, waiting at most
-// `max_wait_us` once at least one is held). Each pass runs on ONE replica
-// leased from the attack's ReplicaSet; a lease never waits, and the loop
-// holds at most one replica per dispatcher at a time.
+// call (one `embed` over the batch's images and one `score` over its
+// candidate rows, possibly across datasets) under a latency budget (take
+// up to `max_batch` requests, waiting at most `max_wait_us` once at least
+// one is held). Each pass runs on ONE replica leased from the attack's
+// ReplicaSet; a lease never waits, and the loop holds at most one replica
+// per dispatcher at a time.
 //
 // Determinism contract: per-query scores are byte-identical to a direct
-// batch-1 `attack()` no matter how requests coalesce (the AttackNet
-// forward contract — accumulation order is per-query), so batch composition,
+// batch-1 `attack()` no matter how requests coalesce (embedding and score
+// rows are width-invariant, nn/attack_net.hpp), so batch composition,
 // dispatcher count, and arrival timing never change any answer. Only
 // latency and throughput are timing-dependent. Shutdown is deterministic
 // too: every request enqueued before `shutdown()` is answered, then the
@@ -47,8 +48,8 @@ namespace sma::serve {
 
 struct ServeConfig {
   /// Most requests one dispatch pass coalesces into a single wide
-  /// forward (the knee of BENCH_serve.json's queries/sec curve is the
-  /// economical setting).
+  /// embed + score pass (the knee of BENCH_serve.json's queries/sec
+  /// curve is the economical setting).
   int max_batch = 16;
   /// Latency budget: once a dispatcher holds at least one request, how
   /// long it waits for more arrivals before dispatching a partial batch.

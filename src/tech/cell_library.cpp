@@ -70,7 +70,7 @@ LibCell make_cell(std::string name, Function fn, int drive, int inputs,
     cell.pins.push_back(pin);
   }
   LibPin out;
-  out.name = fn == Function::kDff ? "Q" : "Z";
+  out.name.assign(1, fn == Function::kDff ? 'Q' : 'Z');
   out.direction = PinDirection::kOutput;
   out.offset = {cell.width - kSite / 2, kRow / 2};
   out.capacitance = 0.0;

@@ -32,7 +32,10 @@ std::string LayerStack::cut_name(int cut) const {
   if (cut < 1 || cut > num_cut_layers()) {
     throw std::out_of_range("cut layer out of range");
   }
-  return "V" + std::to_string(cut) + std::to_string(cut + 1);
+  std::string name = "V";
+  name += std::to_string(cut);
+  name += std::to_string(cut + 1);
+  return name;
 }
 
 }  // namespace sma::tech

@@ -136,7 +136,10 @@ TEST(AttackNet, ScoreMatchesForwardAndRejectsBadRows) {
   ASSERT_EQ(scores.size(), want.size());
   EXPECT_EQ(std::memcmp(scores.data(), want.data(), sizeof(float) * want.size()),
             0);
-  // A bare score pass is inference-only.
+  // Bare embed and score passes are inference-only.
+  EXPECT_THROW(net.backward(Tensor(scores.shape())), std::logic_error);
+  net.forward(input);
+  net.embed(input.images, 0, 5);
   EXPECT_THROW(net.backward(Tensor(scores.shape())), std::logic_error);
   const int out_of_table[] = {4, 3, 2, 5};
   EXPECT_THROW(net.score(input.vec, &table, out_of_table, sinks),

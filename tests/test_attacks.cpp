@@ -167,12 +167,41 @@ TEST_F(AttackTest, TrainingWithValidationTracksCcr) {
   EXPECT_EQ(stats.validation_ccr.size(), 2u);
 }
 
+TEST(TrainSchedule, EveryListedFieldMovesTheBytes) {
+  // The training-checkpoint and experiment digests hash these bytes, so
+  // each field they list must change them, and no other field may.
+  const TrainConfig base;
+  const std::string bytes = encode_train_schedule(base);
+  const std::vector<void (*)(TrainConfig&)> edits = {
+      [](TrainConfig& c) { c.adam.lr *= 2; },
+      [](TrainConfig& c) { c.adam.beta1 = 0.8; },
+      [](TrainConfig& c) { c.adam.beta2 = 0.99; },
+      [](TrainConfig& c) { c.adam.eps = 1e-7; },
+      [](TrainConfig& c) { c.adam.decay = 0.5; },
+      [](TrainConfig& c) { c.decay_every += 1; },
+      [](TrainConfig& c) { c.max_queries_per_design += 1; },
+      [](TrainConfig& c) { c.batch_size += 1; },
+      [](TrainConfig& c) { c.seed += 1; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    TrainConfig changed = base;
+    edits[i](changed);
+    EXPECT_NE(encode_train_schedule(changed), bytes) << "field " << i;
+  }
+  TrainConfig other = base;
+  other.epochs += 1;
+  other.validate_every = 2;
+  other.checkpoint_every = 3;
+  other.checkpoint_path = "elsewhere.sma";
+  EXPECT_EQ(encode_train_schedule(other), bytes);
+}
+
 // ---------------------------------------------------------------------
 // attack() embeds each distinct virtual-pin image once, then scores every
 // query against that table. Its selections must equal the per-query path
-// (select_batch on a batch of one, which training and serving run) bit
-// for bit, whatever the width, the thread count, and how the dataset's
-// pins fall into the 64-pin embed chunks.
+// (the one-query forward that training runs) bit for bit, whatever the
+// width, the thread count, and how the dataset's pins fall into the
+// 64-pin embed chunks.
 // ---------------------------------------------------------------------
 
 /// The fast profile's 15 px, 3-channel images, `max_candidates` per query.
@@ -206,14 +235,25 @@ std::unique_ptr<DlAttack> briefly_trained(const nn::NetConfig& config) {
   return dl;
 }
 
-/// The per-query oracle: select_batch on one query at a time.
+/// The per-query oracle: Eq. 2 over each query's one-query forward.
 AttackResult per_query(nn::AttackNet& net, const QueryDataset& dataset) {
   AttackResult result;
   result.selections.resize(dataset.num_queries());
   nn::QueryInput input;
   for (std::size_t i = 0; i < dataset.num_queries(); ++i) {
+    const split::SinkQuery& query = dataset.query(i);
+    Selection& out = result.selections[i];
+    out.sink_fragment = query.sink_fragment;
+    out.num_sinks = query.num_sinks;
+    if (query.candidates.empty()) continue;
     const QueryRef ref{&dataset, i};
-    select_batch(net, &ref, 1, input, &result.selections[i]);
+    assemble_batch(&ref, 1, input);
+    const nn::Tensor& scores = net.forward(input);
+    const split::Vpp& best = query.candidates[static_cast<std::size_t>(
+        nn::predict(scores.data(), static_cast<int>(query.candidates.size()),
+                    scores.shape().size() == 2 ? 2 : 1))];
+    out.chosen_source = best.source_fragment;
+    out.correct = best.positive;
   }
   result.ccr = compute_ccr(result.selections);
   return result;

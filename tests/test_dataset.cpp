@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <numeric>
 #include <set>
 
 #include "runtime/thread_pool.hpp"
@@ -45,7 +46,12 @@ TEST_F(DatasetTest, InputShapes) {
     EXPECT_EQ(input.vec.shape(),
               (std::vector<int>{n, features::kNumVectorFeatures}));
     EXPECT_EQ(input.images.shape(), (std::vector<int>{n + 1, 2, 15, 15}));
-    EXPECT_EQ(input.query_rows, (std::vector<int>{n}));
+    // forward's one-query layout: candidate j's source at plane j, the
+    // sink at plane n.
+    std::vector<int> sources(static_cast<std::size_t>(n));
+    std::iota(sources.begin(), sources.end(), 0);
+    EXPECT_EQ(input.source_rows, sources);
+    EXPECT_EQ(input.sink_rows, std::vector<int>(sources.size(), n));
   }
 }
 
@@ -54,6 +60,8 @@ TEST_F(DatasetTest, VectorOnlyLeavesImagesEmpty) {
   EXPECT_EQ(dataset.cached_images(), 0u);
   nn::QueryInput input = input_of(dataset, 0);
   EXPECT_TRUE(input.images.empty());
+  EXPECT_TRUE(input.source_rows.empty());
+  EXPECT_TRUE(input.sink_rows.empty());
   EXPECT_FALSE(input.vec.empty());
 }
 
@@ -64,16 +72,20 @@ TEST_F(DatasetTest, BatchStacksQueriesInSlotOrder) {
   for (std::size_t i = count; i-- > 0;) refs.push_back({&dataset, i});
   nn::QueryInput batch;
   assemble_batch(refs.data(), refs.size(), batch);
-  ASSERT_EQ(batch.query_rows.size(), count);
 
-  // Each query's rows and planes are its batch-of-one input, in slot order.
+  // Each query's rows and planes are its batch-of-one input, in slot
+  // order, and each row names the planes of its own source and sink pins.
   const std::size_t row = features::kNumVectorFeatures;
   const std::size_t plane = 2 * 15 * 15;
+  const auto same_plane = [&](int batch_plane, int dataset_image) {
+    return std::memcmp(batch.images.data() + batch_plane * plane,
+                       dataset.images().data() + dataset_image * plane,
+                       plane * sizeof(float)) == 0;
+  };
   std::size_t r = 0;
   std::size_t m = 0;
   for (std::size_t k = 0; k < count; ++k) {
-    const int n = batch.query_rows[k];
-    ASSERT_EQ(n, dataset.batch_rows(refs[k].query));
+    const int n = dataset.batch_rows(refs[k].query);
     if (n == 0) continue;
     const nn::QueryInput one = input_of(dataset, refs[k].query);
     EXPECT_EQ(std::memcmp(batch.vec.data() + r * row, one.vec.data(),
@@ -82,11 +94,21 @@ TEST_F(DatasetTest, BatchStacksQueriesInSlotOrder) {
     EXPECT_EQ(std::memcmp(batch.images.data() + m * plane, one.images.data(),
                           one.images.size() * sizeof(float)),
               0);
+    const std::size_t first =
+        static_cast<std::size_t>(dataset.first_row(refs[k].query));
+    for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
+      EXPECT_TRUE(same_plane(batch.source_rows[r + j],
+                             dataset.source_rows()[first + j]));
+      EXPECT_TRUE(same_plane(batch.sink_rows[r + j],
+                             dataset.sink_rows()[first + j]));
+    }
     r += static_cast<std::size_t>(n);
     m += static_cast<std::size_t>(n) + 1;
   }
   EXPECT_EQ(batch.vec.size(), r * row);
   EXPECT_EQ(batch.images.size(), m * plane);
+  EXPECT_EQ(batch.source_rows.size(), r);
+  EXPECT_EQ(batch.sink_rows.size(), r);
 }
 
 TEST_F(DatasetTest, BatchRejectsMixedImageGeometry) {

@@ -402,6 +402,8 @@ struct AdamFixture {
   AdamFixture(const AdamFixture&) = delete;
   AdamFixture& operator=(const AdamFixture&) = delete;
 
+  std::vector<nn::Param> params() { return {{"a", &a, &ga}, {"b", &b, &gb}}; }
+
   void train() {
     for (int step = 0; step < 3; ++step) {
       set(ga, {0.1f, -0.3f, 0.2f});
@@ -429,12 +431,43 @@ TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
   const std::uint64_t resumes_before = resumes.value();
   const std::uint64_t discards_before = discards.value();
 
-  const attack::TrainCheckpoint ckpt = fixed_checkpoint();
+  // The fixed checkpoint, carrying a trained fixture's weights and
+  // optimizer state.
+  AdamFixture trained;
+  trained.train();
+  attack::TrainCheckpoint ckpt = fixed_checkpoint();
+  ckpt.model_blob = attack::encode_params(trained.params());
+  ckpt.adam_blob = trained.adam.serialize();
   attack::save_checkpoint(path, ckpt);
   EXPECT_EQ(saves.value(), saves_before + 1);
 
+  // Missing file, configuration mismatch and an epoch count past this
+  // run's all mean "start fresh", with nothing applied; another run's
+  // checkpoint stays on disk.
+  AdamFixture fresh;
+  std::vector<nn::Param> params = fresh.params();
+  const std::string fresh_weights = attack::encode_params(params);
+  const std::string fresh_adam = fresh.adam.serialize();
+  attack::TrainCheckpoint out;
+  EXPECT_FALSE(attack::try_load_checkpoint(dir + "/nope.sma",
+                                           ckpt.compat_digest, 7, params,
+                                           fresh.adam, &out));
+  EXPECT_EQ(discards.value(), discards_before);
+  EXPECT_FALSE(attack::try_load_checkpoint(path, /*expect_digest=*/1, 7,
+                                           params, fresh.adam, &out));
+  EXPECT_EQ(discards.value(), discards_before + 1);
+  EXPECT_FALSE(attack::try_load_checkpoint(path, ckpt.compat_digest,
+                                           /*max_epochs=*/6, params,
+                                           fresh.adam, &out));
+  EXPECT_EQ(discards.value(), discards_before + 2);
+  EXPECT_TRUE(util::file_exists(path));
+  EXPECT_EQ(attack::encode_params(params), fresh_weights);
+  EXPECT_EQ(fresh.adam.serialize(), fresh_adam);
+  EXPECT_EQ(resumes.value(), resumes_before);
+
   attack::TrainCheckpoint loaded;
-  ASSERT_TRUE(attack::try_load_checkpoint(path, ckpt.compat_digest, &loaded));
+  ASSERT_TRUE(attack::try_load_checkpoint(path, ckpt.compat_digest, 7,
+                                          params, fresh.adam, &loaded));
   EXPECT_EQ(resumes.value(), resumes_before + 1);
   EXPECT_EQ(loaded.compat_digest, ckpt.compat_digest);
   EXPECT_EQ(loaded.epochs_done, 7);
@@ -443,21 +476,16 @@ TEST_F(DurabilityTest, CheckpointSaveLoadRoundTrip) {
   EXPECT_EQ(loaded.validation_ccr, ckpt.validation_ccr);
   EXPECT_EQ(loaded.rng.state, ckpt.rng.state);
   EXPECT_EQ(loaded.rng.inc, ckpt.rng.inc);
-  EXPECT_EQ(loaded.model_blob, "model-bytes");
-  EXPECT_EQ(loaded.adam_blob, "adam-bytes");
+  EXPECT_EQ(attack::encode_params(params), ckpt.model_blob);
+  EXPECT_EQ(fresh.adam.serialize(), ckpt.adam_blob);
 
-  // Missing file and configuration mismatch both mean "start fresh".
-  attack::TrainCheckpoint out;
-  EXPECT_FALSE(attack::try_load_checkpoint(dir + "/nope.sma",
-                                           ckpt.compat_digest, &out));
-  EXPECT_EQ(discards.value(), discards_before);
-  EXPECT_FALSE(attack::try_load_checkpoint(path, /*expect_digest=*/1, &out));
-  EXPECT_EQ(discards.value(), discards_before + 1);
-
-  // A damaged checkpoint is discarded, not resumed.
+  // A damaged checkpoint is deleted and discarded, not resumed.
   corrupt_file_byte(path, 40);
-  EXPECT_FALSE(attack::try_load_checkpoint(path, ckpt.compat_digest, &out));
-  EXPECT_EQ(discards.value(), discards_before + 2);
+  EXPECT_FALSE(attack::try_load_checkpoint(path, ckpt.compat_digest, 7,
+                                           params, fresh.adam, &out));
+  EXPECT_EQ(discards.value(), discards_before + 3);
+  EXPECT_FALSE(util::file_exists(path));
+  EXPECT_EQ(resumes.value(), resumes_before + 1);
 }
 
 TEST_F(DurabilityTest, EncodeDecodeParamsTransplantsWeightsExactly) {
@@ -936,6 +964,41 @@ TEST_F(CheckpointTrainTest, CorruptCheckpointFallsBackToFreshStart) {
       << "a damaged checkpoint must not be resumed";
   EXPECT_EQ(retrained, ref);
   EXPECT_GT(discards.value(), discards_before);
+}
+
+TEST_F(CheckpointTrainTest, UndecodableBlobIsDiscardedLikeAnyDamage) {
+  // A checkpoint whose frame and digest are valid but whose optimizer or
+  // weight blob is one byte short: it is deleted, counted as one discard
+  // and no resume, and the run trains from scratch with nothing of it
+  // applied.
+  const std::string path = test_dir() + "/ckpt.sma";
+  const std::string ref = train_model(3, 2, 1, "", 0);
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& discards =
+      registry.counter("checkpoint.corrupt_discards");
+  const obs::Counter& resumes = registry.counter("checkpoint.resumes");
+
+  for (std::string attack::TrainCheckpoint::*blob :
+       {&attack::TrainCheckpoint::adam_blob,
+        &attack::TrainCheckpoint::model_blob}) {
+    train_model(2, 2, 1, path, /*checkpoint_every=*/2);
+    attack::TrainCheckpoint ckpt = attack::decode_checkpoint(
+        util::read_frame_file(path, "sma-train-ckpt", 1));
+    ASSERT_EQ(ckpt.epochs_done, 2);
+    (ckpt.*blob).pop_back();
+    attack::save_checkpoint(path, ckpt);
+
+    const std::uint64_t discards_before = discards.value();
+    const std::uint64_t resumes_before = resumes.value();
+    attack::TrainStats stats;
+    // Three epochs with a save every 4: the run writes no new checkpoint.
+    const std::string retrained = train_model(3, 2, 1, path, 4, &stats);
+    EXPECT_EQ(stats.resumed_from_epoch, 0);
+    EXPECT_EQ(retrained, ref);
+    EXPECT_FALSE(util::file_exists(path));
+    EXPECT_EQ(discards.value(), discards_before + 1);
+    EXPECT_EQ(resumes.value(), resumes_before);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,16 +1,18 @@
 // Batched inference + serving-loop contracts (src/serve/, PR "batched
 // cross-query inference engine").
 //
-// The central claim under test: stacking B queries into one forward
-// pass is BYTE-identical per query to B batches of one — at every batch
-// width, thread count, and batch composition, datasets mixed or not — so
-// the serving tier can coalesce requests freely without changing any
+// The central claim under test: the inference path (one `embed` over a
+// batch's images, one `score` over its candidate rows) is BYTE-identical
+// per query to the one-query training `forward` — at every batch width,
+// thread count, and batch composition, datasets mixed or not — so the
+// serving tier can coalesce requests freely without changing any
 // answer. Plus the serving-loop lifecycle (shutdown drains in-flight
 // requests deterministically), the immutable dataset (concurrent attacks
 // and serving read one freshly built dataset), and the replica set's
 // lease accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -82,7 +84,8 @@ ServeFixtureState& fixture() {
                                                serve_dataset_config());
     s->baseline = s->dl->attack(*s->victim);
 
-    // Raw batch-1 score bytes per query: the identity oracle.
+    // Raw score bytes of each query's one-query forward: the identity
+    // oracle.
     nn::QueryInput input;
     for (std::size_t i = 0; i < s->victim->num_queries(); ++i) {
       std::vector<float>& row = s->baseline_scores.emplace_back();
@@ -105,16 +108,57 @@ std::vector<QueryRef> refs_of(const QueryDataset& dataset, std::size_t first,
   return refs;
 }
 
+void expect_same_selection(const Selection& got, const Selection& want) {
+  EXPECT_EQ(got.sink_fragment, want.sink_fragment);
+  EXPECT_EQ(got.chosen_source, want.chosen_source);
+  EXPECT_EQ(got.correct, want.correct);
+  EXPECT_EQ(got.num_sinks, want.num_sinks);
+}
+
 void expect_selections_equal(const AttackResult& got,
                              const AttackResult& want) {
   ASSERT_EQ(got.selections.size(), want.selections.size());
   for (std::size_t i = 0; i < got.selections.size(); ++i) {
-    EXPECT_EQ(got.selections[i].sink_fragment, want.selections[i].sink_fragment);
-    EXPECT_EQ(got.selections[i].chosen_source, want.selections[i].chosen_source);
-    EXPECT_EQ(got.selections[i].correct, want.selections[i].correct);
-    EXPECT_EQ(got.selections[i].num_sinks, want.selections[i].num_sinks);
+    SCOPED_TRACE("query " + std::to_string(i));
+    expect_same_selection(got.selections[i], want.selections[i]);
   }
   EXPECT_EQ(got.ccr, want.ccr);  // bit-equal, not approximately
+}
+
+/// The scores select_batch computes for `refs[0..count)` (at least one
+/// with candidates): the batch assembled into `input`, one embed over its
+/// planes and one score of its rows against them.
+const nn::Tensor& batch_scores(nn::AttackNet& net, const QueryRef* refs,
+                               std::size_t count, nn::QueryInput& input) {
+  assemble_batch(refs, count, input);
+  const nn::Tensor& embeddings =
+      net.embed(input.images, 0, input.images.dim(0));
+  return net.score(input.vec, &embeddings, input.source_rows.data(),
+                   input.sink_rows.data());
+}
+
+/// Expects `scores`, a batch's in slot order, to hold each victim query
+/// `queries[k]` at the bytes of its one-query forward.
+void expect_forward_bytes(const nn::Tensor& scores,
+                          const std::vector<std::size_t>& queries) {
+  const ServeFixtureState& f = fixture();
+  std::size_t rows = 0;
+  for (std::size_t q : queries) rows += f.baseline_scores[q].size();
+  ASSERT_EQ(scores.size(), rows);
+  const float* s = scores.data();
+  for (std::size_t q : queries) {
+    const std::vector<float>& want = f.baseline_scores[q];
+    EXPECT_EQ(std::memcmp(s, want.data(), want.size() * sizeof(float)), 0)
+        << "query " << q << " diverges from its one-query forward";
+    s += want.size();
+  }
+}
+
+/// The victim's query indices [first, first + count).
+std::vector<std::size_t> span_of(std::size_t first, std::size_t count) {
+  std::vector<std::size_t> queries(count);
+  for (std::size_t k = 0; k < count; ++k) queries[k] = first + k;
+  return queries;
 }
 
 TEST(BatchedAttack, BitIdenticalAcrossWidthsAndThreads) {
@@ -185,30 +229,29 @@ TEST(BatchedAttack, NoChunkIsEmpty) {
 }
 
 TEST(BatchedAttack, ScoresBitEqualToBatchOne) {
+  // Every batch width's scores are each query's one-query forward bytes,
+  // and select_batch picks the batch-1 answers.
   ServeFixtureState& f = fixture();
   const std::size_t n = f.victim->num_queries();
   ASSERT_GT(n, 8u);
   nn::QueryInput input;
   for (std::size_t width : {std::size_t{2}, std::size_t{8}, n}) {
     SCOPED_TRACE("width " + std::to_string(width));
+    AttackResult got;
+    got.selections.resize(n);
     for (std::size_t base = 0; base < n; base += width) {
       const std::size_t count = std::min(width, n - base);
-      assemble_batch(refs_of(*f.victim, base, count).data(), count, input);
-      ASSERT_EQ(input.query_rows.size(), count);
-      int rows = 0;
-      for (int nq : input.query_rows) rows += nq;
-      if (rows == 0) continue;
-      const nn::Tensor& scores = f.dl->net().forward(input);
-      ASSERT_EQ(scores.dim(0), rows);
-      const float* s = scores.data();
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::vector<float>& want = f.baseline_scores[base + k];
-        ASSERT_EQ(static_cast<std::size_t>(input.query_rows[k]), want.size());
-        EXPECT_EQ(std::memcmp(s, want.data(), want.size() * sizeof(float)), 0)
-            << "query " << base + k << " diverges from batch-1";
-        s += want.size();
+      const std::vector<QueryRef> refs = refs_of(*f.victim, base, count);
+      if (f.victim->first_row(base + count) > f.victim->first_row(base)) {
+        expect_forward_bytes(
+            batch_scores(f.dl->net(), refs.data(), count, input),
+            span_of(base, count));
       }
+      select_batch(f.dl->net(), refs.data(), count, input,
+                   got.selections.data() + base);
     }
+    got.ccr = compute_ccr(got.selections);
+    expect_selections_equal(got, f.baseline);
   }
 }
 
@@ -218,17 +261,11 @@ TEST(BatchedAttack, RaggedFinalBatch) {
   ASSERT_GE(n, 3u);
   // A trailing batch narrower than the width: the last 3 queries alone.
   nn::QueryInput input;
-  assemble_batch(refs_of(*f.victim, n - 3, 3).data(), 3, input);
-  int rows = 0;
-  for (int nq : input.query_rows) rows += nq;
-  if (rows > 0) {
-    const nn::Tensor& scores = f.dl->net().forward(input);
-    const float* s = scores.data();
-    for (std::size_t k = 0; k < 3; ++k) {
-      const std::vector<float>& want = f.baseline_scores[n - 3 + k];
-      EXPECT_EQ(std::memcmp(s, want.data(), want.size() * sizeof(float)), 0);
-      s += want.size();
-    }
+  if (f.victim->first_row(n) > f.victim->first_row(n - 3)) {
+    expect_forward_bytes(batch_scores(f.dl->net(),
+                                      refs_of(*f.victim, n - 3, 3).data(), 3,
+                                      input),
+                         span_of(n - 3, 3));
   }
   // A width that cannot divide the dataset evenly end-to-end.
   const int ragged_width = 7;
@@ -237,23 +274,55 @@ TEST(BatchedAttack, RaggedFinalBatch) {
 }
 
 TEST(BatchedAttack, SingleQueryDegenerateBatch) {
-  // A batch of one ({n}) and a hand-built input (empty query_rows: one
-  // query over every row) are the same query.
+  // A batch of one through the inference path is its query's forward.
   ServeFixtureState& f = fixture();
   nn::QueryInput input;
   for (std::size_t i = 0; i < std::min<std::size_t>(4, f.victim->num_queries());
        ++i) {
-    if (f.victim->query(i).candidates.empty()) continue;
-    assemble_batch(refs_of(*f.victim, i, 1).data(), 1, input);
-    ASSERT_EQ(input.query_rows.size(), 1u);
-    input.query_rows.clear();
-    const nn::Tensor& scores = f.dl->net().forward(input);
-    const std::vector<float>& want = f.baseline_scores[i];
-    ASSERT_EQ(static_cast<std::size_t>(scores.size()), want.size());
-    EXPECT_EQ(
-        std::memcmp(scores.data(), want.data(), want.size() * sizeof(float)),
-        0);
+    const QueryRef ref{f.victim.get(), i};
+    if (!f.victim->query(i).candidates.empty()) {
+      expect_forward_bytes(batch_scores(f.dl->net(), &ref, 1, input), {i});
+    }
+    Selection got;
+    select_batch(f.dl->net(), &ref, 1, input, &got);
+    expect_same_selection(got, f.baseline.selections[i]);
   }
+}
+
+TEST(BatchedAttack, SkipsZeroRowQueries) {
+  // A batch whose middle query has no candidates: it adds no rows and no
+  // planes, gets the no-op choice, and the live queries around it keep
+  // their one-query forward bytes and answers.
+  ServeFixtureState& f = fixture();
+  DatasetConfig no_candidates = serve_dataset_config();
+  no_candidates.candidates.max_candidates = 0;
+  const QueryDataset empty(test::shared_split(3, 400, 14).split.get(),
+                           no_candidates);
+  ASSERT_GT(empty.num_queries(), 0u);
+  ASSERT_EQ(empty.batch_rows(0), 0);
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < f.victim->num_queries() && live.size() < 2;
+       ++i) {
+    if (f.victim->batch_rows(i) > 0) live.push_back(i);
+  }
+  ASSERT_EQ(live.size(), 2u);
+  const QueryRef refs[] = {
+      {f.victim.get(), live[0]}, {&empty, 0}, {f.victim.get(), live[1]}};
+  const int rows =
+      f.victim->batch_rows(live[0]) + f.victim->batch_rows(live[1]);
+
+  nn::QueryInput input;
+  expect_forward_bytes(batch_scores(f.dl->net(), refs, 3, input), live);
+  EXPECT_EQ(input.vec.dim(0), rows);
+  EXPECT_EQ(input.images.dim(0), rows + 2);
+
+  Selection got[3];
+  select_batch(f.dl->net(), refs, 3, input, got);
+  expect_same_selection(got[0], f.baseline.selections[live[0]]);
+  expect_same_selection(got[2], f.baseline.selections[live[1]]);
+  EXPECT_EQ(got[1].sink_fragment, empty.query(0).sink_fragment);
+  EXPECT_EQ(got[1].chosen_source, -1);
+  EXPECT_FALSE(got[1].correct);
 }
 
 TEST(BatchedAttack, MixedDatasetBatchesMatchEachDatasetsBatchOne) {
@@ -290,90 +359,54 @@ TEST(BatchedAttack, MixedDatasetBatchesMatchEachDatasetsBatchOne) {
                    got.data() + base);
     }
     for (std::size_t k = 0; k < refs.size(); ++k) {
-      const Selection& w = want(refs[k]);
-      EXPECT_EQ(got[k].sink_fragment, w.sink_fragment) << "slot " << k;
-      EXPECT_EQ(got[k].chosen_source, w.chosen_source) << "slot " << k;
-      EXPECT_EQ(got[k].correct, w.correct) << "slot " << k;
-      EXPECT_EQ(got[k].num_sinks, w.num_sinks) << "slot " << k;
+      SCOPED_TRACE("slot " + std::to_string(k));
+      expect_same_selection(got[k], want(refs[k]));
     }
   }
 }
 
-TEST(BatchedForward, SkipsZeroRowQueries) {
-  // Unit-level: a batch whose middle query has no candidates contributes
-  // no rows and no planes, and the live queries' scores are bit-equal to
-  // their solo forwards.
-  nn::NetConfig config = serve_net_config();
-  nn::AttackNet net(config);
-  util::Pcg32 rng(11);
-  nn::QueryInput a;
-  a.vec = nn::Tensor::randn({3, 27}, rng, 1.0);
-  a.images = nn::Tensor::randn({4, 2, 15, 15}, rng, 0.3);
-  nn::QueryInput b;
-  b.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  b.images = nn::Tensor::randn({3, 2, 15, 15}, rng, 0.3);
-
-  std::vector<float> want_a, want_b;
-  {
-    const nn::Tensor& sa = net.forward(a);
-    want_a.assign(sa.data(), sa.data() + sa.size());
-    const nn::Tensor& sb = net.forward(b);
-    want_b.assign(sb.data(), sb.data() + sb.size());
-  }
-
-  nn::QueryInput batch;
-  batch.query_rows = {3, 0, 2};
-  batch.vec = nn::Tensor({5, 27});
-  std::memcpy(batch.vec.data(), a.vec.data(), 3 * 27 * sizeof(float));
-  std::memcpy(batch.vec.data() + 3 * 27, b.vec.data(), 2 * 27 * sizeof(float));
-  batch.images = nn::Tensor({7, 2, 15, 15});
-  const std::size_t plane = 2 * 15 * 15;
-  std::memcpy(batch.images.data(), a.images.data(), 4 * plane * sizeof(float));
-  std::memcpy(batch.images.data() + 4 * plane, b.images.data(),
-              3 * plane * sizeof(float));
-
-  const nn::Tensor& scores = net.forward(batch);
-  ASSERT_EQ(scores.dim(0), 5);
-  EXPECT_EQ(std::memcmp(scores.data(), want_a.data(),
-                        want_a.size() * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(scores.data() + want_a.size(), want_b.data(),
-                        want_b.size() * sizeof(float)),
-            0);
-}
-
-TEST(BatchedForward, RejectsBadBatches) {
+TEST(BatchedForward, ForwardTakesOneQuery) {
+  // forward is the one-query training pass: an assembled batch of two
+  // image queries (2 more planes than rows + 1) and an input without
+  // candidate rows throw, while one query assembled alone runs.
+  ServeFixtureState& f = fixture();
   nn::AttackNet net(serve_net_config());
-  nn::QueryInput batch;
-  batch.query_rows = {0, 0};
-  batch.vec = nn::Tensor({0, 27});
-  EXPECT_THROW(net.forward(batch), std::invalid_argument);
-  util::Pcg32 rng(5);
-  batch.query_rows = {2, -1};
-  batch.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  EXPECT_THROW(net.forward(batch), std::invalid_argument);
-  // Row count must match the stacked vec.
-  batch.query_rows = {2, 3};
-  EXPECT_THROW(net.forward(batch), std::invalid_argument);
+  std::vector<QueryRef> live;
+  for (std::size_t i = 0; i < f.victim->num_queries() && live.size() < 2;
+       ++i) {
+    if (f.victim->batch_rows(i) > 0) live.push_back({f.victim.get(), i});
+  }
+  ASSERT_EQ(live.size(), 2u);
+  nn::QueryInput input;
+  assemble_batch(live.data(), 2, input);
+  EXPECT_THROW(net.forward(input), std::invalid_argument);
+  nn::QueryInput no_rows;
+  no_rows.vec = nn::Tensor({0, 27});
+  EXPECT_THROW(net.forward(no_rows), std::invalid_argument);
+  assemble_batch(live.data(), 1, input);
+  EXPECT_EQ(net.forward(input).dim(0), f.victim->batch_rows(live[0].query));
 }
 
-TEST(BatchedForward, BackwardAfterBatchedThrows) {
-  nn::NetConfig config = serve_net_config();
-  config.use_images = false;
-  nn::AttackNet net(config);
-  util::Pcg32 rng(3);
+TEST(BatchedForward, BackwardOnlyAfterForward) {
+  // select_batch's embed and score passes are inference-only: backward
+  // after them throws, and a later one-query forward re-arms the
+  // training path.
+  ServeFixtureState& f = fixture();
+  nn::AttackNet net(serve_net_config());
+  const std::size_t count = std::min<std::size_t>(8, f.victim->num_queries());
+  ASSERT_GT(f.victim->first_row(count), 0);
+  const std::vector<QueryRef> refs = refs_of(*f.victim, 0, count);
+  nn::QueryInput input;
+  std::vector<Selection> out(count);
+  select_batch(net, refs.data(), count, input, out.data());
+  EXPECT_THROW(net.backward(nn::Tensor({f.victim->first_row(count)})),
+               std::logic_error);
 
-  nn::QueryInput batch;
-  batch.query_rows = {2, 2};
-  batch.vec = nn::Tensor::randn({4, 27}, rng, 1.0);
-  const nn::Tensor& scores = net.forward(batch);
-  nn::Tensor grad(scores.shape());
-  EXPECT_THROW(net.backward(grad), std::logic_error);
-
-  // A later one-query forward re-arms the training path.
-  nn::QueryInput single;
-  single.vec = nn::Tensor::randn({2, 27}, rng, 1.0);
-  const nn::Tensor& s = net.forward(single);
+  const auto live = std::find_if(refs.begin(), refs.end(), [&f](auto ref) {
+    return f.victim->batch_rows(ref.query) > 0;
+  });
+  assemble_batch(&*live, 1, input);
+  const nn::Tensor& s = net.forward(input);
   nn::Tensor g(s.shape());
   EXPECT_NO_THROW(net.backward(g));
 }
@@ -402,10 +435,8 @@ TEST(ServeLoop, MatchesBatchOneAcrossConcurrentClients) {
   loop.shutdown();
 
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(got[i].sink_fragment, f.baseline.selections[i].sink_fragment);
-    EXPECT_EQ(got[i].chosen_source, f.baseline.selections[i].chosen_source);
-    EXPECT_EQ(got[i].correct, f.baseline.selections[i].correct);
-    EXPECT_EQ(got[i].num_sinks, f.baseline.selections[i].num_sinks);
+    SCOPED_TRACE("query " + std::to_string(i));
+    expect_same_selection(got[i], f.baseline.selections[i]);
   }
 
   const serve::ServeStats stats = loop.stats();
@@ -509,10 +540,8 @@ TEST(ServeLoop, AttacksAndServingShareOneFreshDataset) {
   expect_selections_equal(attacked[0], f.baseline);
   expect_selections_equal(attacked[1], f.baseline);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(served[i].sink_fragment, f.baseline.selections[i].sink_fragment);
-    EXPECT_EQ(served[i].chosen_source, f.baseline.selections[i].chosen_source);
-    EXPECT_EQ(served[i].correct, f.baseline.selections[i].correct);
-    EXPECT_EQ(served[i].num_sinks, f.baseline.selections[i].num_sinks);
+    SCOPED_TRACE("query " + std::to_string(i));
+    expect_same_selection(served[i], f.baseline.selections[i]);
   }
   EXPECT_EQ(loop.stats().failed, 0);
 }
